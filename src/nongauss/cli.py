@@ -14,22 +14,12 @@ import sys
 import warnings
 from fractions import Fraction
 
-from .discriminant import (
-    discriminant_cubic_explicit,
-    discriminant_general,
-    discriminant_quartic_explicit,
-    discriminant_quintic_explicit,
-)
-from .errors import (
-    DegenerateLeadingCoefficient,
-    DomainError,
-    NoConvergence,
-    NonGaussError,
-    StencilCrossesSingularity,
-)
+from .discriminant import DiscriminantResult, discriminant_from_coeffs
+from .errors import NoConvergence, NonGaussError
 from .polynomial import CubicCoeffs, Polynomial, is_exact_number, parse_number
 from .quadrature import QuadratureConfig, integral_numeric, integral_numeric_general
 from .renorm import (
+    IntegralResult,
     closed_form_integral,
     expectations,
     expectations_fd_check,
@@ -67,59 +57,57 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="nongauss", add_help=True)
+    parser = _Parser(prog="nongauss")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    disc = sub.add_parser("disc", add_help=True)
+    disc = sub.add_parser("disc")
     disc.add_argument("coeffs", nargs="+")
     disc.add_argument("--degree", type=int, default=None)
-    disc.add_argument("--plain", action="store_true")
 
-    integral = sub.add_parser("integral", add_help=True)
+    integral = sub.add_parser("integral")
     integral.add_argument("coeffs", nargs="+")
     integral.add_argument("--numeric", action="store_true")
     integral.add_argument("--check", action="store_true")
     integral.add_argument("--degree", type=int, default=None)
-    integral.add_argument("--rel-tol", type=float, default=None)
-    integral.add_argument("--max-levels", type=int, default=None)
-    integral.add_argument("--plain", action="store_true")
+    integral.add_argument("--rel-tol", type=float, default=QuadratureConfig.rel_tol)
+    integral.add_argument("--max-levels", type=int, default=QuadratureConfig.max_levels)
 
-    gauss = sub.add_parser("gauss", add_help=True)
+    gauss = sub.add_parser("gauss")
     gauss.add_argument("coeffs", nargs=3)
-    gauss.add_argument("--plain", action="store_true")
 
-    expect = sub.add_parser("expect", add_help=True)
+    expect = sub.add_parser("expect")
     expect.add_argument("coeffs", nargs=4)
     expect.add_argument("--fd-check", action="store_true")
     expect.add_argument("--step", type=float, default=None)
-    expect.add_argument("--plain", action="store_true")
 
-    verify = sub.add_parser("verify", add_help=True)
+    verify = sub.add_parser("verify")
     verify.add_argument("coeffs", nargs=4)
     verify.add_argument("--step", type=float, default=None)
-    verify.add_argument("--plain", action="store_true")
 
-    beta_check = sub.add_parser("beta-check", add_help=True)
-    beta_check.add_argument("--plain", action="store_true")
-
+    sub.add_parser("beta-check")
+    for command in sub.choices.values():
+        command.add_argument("--plain", action="store_true")
     return parser
 
 
-def _quad_config(args) -> QuadratureConfig:
-    kwargs = {}
-    if getattr(args, "rel_tol", None) is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if getattr(args, "max_levels", None) is not None:
-        kwargs["max_levels"] = args.max_levels
-    return QuadratureConfig(**kwargs)
-
-
 def _parse_coeffs(tokens):
-    return [parse_number(t) for t in tokens]
+    try:
+        return [parse_number(t) for t in tokens]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad coefficient: {exc}") from None
 
 
 def _exact_str(value) -> str:
-    return str(Fraction(value))
+    # an exact D at extreme float scales can pass the 4300-digit int-to-str limit
+    value = Fraction(value)
+    if not hasattr(sys, "get_int_max_str_digits"):  # no such limit before 3.10.7
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cubic_from(tokens) -> CubicCoeffs:
@@ -129,78 +117,56 @@ def _cubic_from(tokens) -> CubicCoeffs:
     return CubicCoeffs(*values)
 
 
+def _checked_degree(degree, values) -> None:
+    if degree is not None and degree != len(values) - 1:
+        raise UsageError(f"--degree {degree} needs {degree + 1} coefficients, got {len(values)}")
+
+
 def _moment_payload(value):
     return _exact_str(value) if is_exact_number(value) else float(value)
 
 
-def _run_disc(args) -> dict:
-    values = _parse_coeffs(args.coeffs)
-    degree = len(values) - 1 if args.degree is None else args.degree
-    if degree != len(values) - 1:
-        raise UsageError(
-            f"--degree {args.degree} needs {args.degree + 1} coefficients, got {len(values)}"
-        )
-    if degree == 3:
-        result = discriminant_cubic_explicit(CubicCoeffs(*values))
-        value, sign = result.value, result.sign.value
-    elif degree == 4:
-        value = discriminant_quartic_explicit(values)
-        sign = "Positive" if value > 0 else ("Negative" if value < 0 else "Zero")
-    elif degree == 5:
-        value = discriminant_quintic_explicit(values)
-        sign = "Positive" if value > 0 else ("Negative" if value < 0 else "Zero")
-    else:
-        if Fraction(values[0]) == 0:
-            # the sign rule (-1)**(n(n-1)/2) depends on the true degree
-            raise DegenerateLeadingCoefficient(
-                "leading coefficient must be nonzero for the determinant route"
-            )
-        result = discriminant_general(Polynomial(values))
-        value, sign = result.value, result.sign.value
-    return {"D": _exact_str(value), "sign": sign, "provenance": {"D": "exact"}}
+def _disc_fields(disc: DiscriminantResult) -> dict:
+    return {"D": _exact_str(disc.value), "sign": disc.sign.value}
 
 
-def _run_integral(args) -> dict:
-    values = _parse_coeffs(args.coeffs)
-    cfg = _quad_config(args)
-    if args.degree is not None:
-        if len(values) != args.degree + 1:
-            raise UsageError(
-                f"--degree {args.degree} needs {args.degree + 1} coefficients, got {len(values)}"
-            )
-        result = integral_numeric_general(Polynomial(values), cfg)
-        return {
-            "value": result.value,
-            "method": result.method.value,
-            "error_estimate": result.error_estimate,
-            "D": _exact_str(result.discriminant.value),
-            "sign": result.discriminant.sign.value,
-            "provenance": {"value": "numeric", "D": "exact"},
-        }
-    cubic = _cubic_from(args.coeffs)
-    if args.check:
-        closed = closed_form_integral(cubic)
-        numeric = integral_numeric(cubic, cfg)
-        rel_diff = abs(numeric.value - closed.value) / abs(closed.value)
-        payload = {
-            "closed": closed.value,
-            "numeric": numeric.value,
-            "rel_diff": rel_diff,
-            "error_estimate": numeric.error_estimate,
-            "D": _exact_str(closed.discriminant.value),
-            "sign": closed.discriminant.sign.value,
-            "provenance": {"closed": "closed-form", "numeric": "numeric", "D": "exact"},
-        }
-        payload["agrees"] = rel_diff <= _CHECK_AGREEMENT_BOUND
-        return payload
-    result = integral_numeric(cubic, cfg) if args.numeric else closed_form_integral(cubic)
+def _integral_payload(result: IntegralResult) -> dict:
     return {
         "value": result.value,
         "method": result.method.value,
         "error_estimate": result.error_estimate,
-        "D": _exact_str(result.discriminant.value),
-        "sign": result.discriminant.sign.value,
+        **_disc_fields(result.discriminant),
         "provenance": {"value": result.method.value, "D": "exact"},
+    }
+
+
+def _run_disc(args) -> dict:
+    values = _parse_coeffs(args.coeffs)
+    _checked_degree(args.degree, values)
+    return {**_disc_fields(discriminant_from_coeffs(values)), "provenance": {"D": "exact"}}
+
+
+def _run_integral(args) -> dict:
+    cfg = QuadratureConfig(rel_tol=args.rel_tol, max_levels=args.max_levels)
+    if args.degree is not None:
+        values = _parse_coeffs(args.coeffs)
+        _checked_degree(args.degree, values)
+        return _integral_payload(integral_numeric_general(Polynomial(values), cfg))
+    cubic = _cubic_from(args.coeffs)
+    if not args.check:
+        result = integral_numeric(cubic, cfg) if args.numeric else closed_form_integral(cubic)
+        return _integral_payload(result)
+    closed = closed_form_integral(cubic)
+    numeric = integral_numeric(cubic, cfg)
+    rel_diff = abs(numeric.value - closed.value) / abs(closed.value)
+    return {
+        "closed": closed.value,
+        "numeric": numeric.value,
+        "rel_diff": rel_diff,
+        "error_estimate": numeric.error_estimate,
+        **_disc_fields(closed.discriminant),
+        "provenance": {"closed": "closed-form", "numeric": "numeric", "D": "exact"},
+        "agrees": rel_diff <= _CHECK_AGREEMENT_BOUND,
     }
 
 
@@ -213,19 +179,15 @@ def _run_gauss(args) -> dict:
 
 
 def _run_expect(args) -> dict:
+    names = ("x3", "x2y", "xy2", "y3")
     cubic = _cubic_from(args.coeffs)
     moments = expectations(cubic)
     tag = "exact" if cubic.is_exact() else "closed-form"
-    payload = {
-        "x3": _moment_payload(moments.x3),
-        "x2y": _moment_payload(moments.x2y),
-        "xy2": _moment_payload(moments.xy2),
-        "y3": _moment_payload(moments.y3),
-        "provenance": {k: tag for k in ("x3", "x2y", "xy2", "y3")},
-    }
+    payload = {k: _moment_payload(m) for k, m in zip(names, moments.as_tuple())}
+    payload["provenance"] = dict.fromkeys(names, tag)
     if args.fd_check:
         residuals = expectations_fd_check(cubic, step=args.step)
-        payload["fd_residuals"] = dict(zip(("x3", "x2y", "xy2", "y3"), residuals))
+        payload["fd_residuals"] = dict(zip(names, residuals))
         payload["provenance"]["fd_residuals"] = "numeric"
     return payload
 
@@ -264,7 +226,7 @@ _HANDLERS = {
 
 def _emit(record: dict, plain: bool) -> None:
     if not plain:
-        print(json.dumps(record, indent=2))
+        print(json.dumps(record, indent=2, allow_nan=False))
         return
     for key, value in record.items():
         if isinstance(value, dict):
@@ -275,59 +237,48 @@ def _emit(record: dict, plain: bool) -> None:
             print(f"{key}: {value}")
 
 
-# argparse's negative-number detection misses "-1/3" and "-1e-3"; a leading
-# space keeps such tokens positional, and parse_number strips it again.
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)$")
+# argparse's negative-number detection misses "-1/3", "-1e-3" and "-inf"; a
+# leading space keeps such tokens positional, and parse_number strips it again.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     argv = [" " + a if _NEGATIVE_NUMBER.match(a) else a for a in argv]
+    exit_code = 0
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
+        args = _build_parser().parse_args(argv)
+        record = {
+            "command": args.command,
+            "inputs": {"coefficients": [t.strip() for t in getattr(args, "coeffs", [])]},
+            "result": None,
+            "warnings": [],
+            "status": "ok",
+            "error_kind": None,
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                record["result"] = _HANDLERS[args.command](args)
+            except NonGaussError as exc:
+                record.update(status="error", error_kind=type(exc).__name__)
+                record["result"] = {"message": str(exc)}
+                exit_code = 3 if isinstance(exc, NoConvergence) else 2
+    except UsageError as exc:  # from the parser or a handler
         print(f"error: {exc}", file=sys.stderr)
         print(_GRAMMAR, file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-
-    record = {
-        "command": args.command,
-        "inputs": {"coefficients": [t.strip() for t in getattr(args, "coeffs", [])]},
-        "result": None,
-        "warnings": [],
-        "status": "ok",
-        "error_kind": None,
-    }
-    exit_code = 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            record["result"] = _HANDLERS[args.command](args)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(_GRAMMAR, file=sys.stderr)
-            return 1
-        except NoConvergence as exc:
-            record["status"] = "error"
-            record["error_kind"] = type(exc).__name__
-            record["result"] = {"message": str(exc)}
-            exit_code = 3
-        except (DomainError, StencilCrossesSingularity, NonGaussError) as exc:
-            record["status"] = "error"
-            record["error_kind"] = type(exc).__name__
-            record["result"] = {"message": str(exc)}
-            exit_code = 2
     record["warnings"] = [str(w.message) for w in caught]
 
-    if exit_code == 0 and args.command == "integral" and getattr(args, "check", False):
-        if not record["result"].get("agrees", True):
-            record["status"] = "error"
-            record["error_kind"] = "CheckMismatch"
-            exit_code = 3
+    # only integral --check reports "agrees"
+    if exit_code == 0 and record["result"].get("agrees") is False:
+        record.update(status="error", error_kind="CheckMismatch")
+        exit_code = 3
 
-    _emit(record, getattr(args, "plain", False))
+    _emit(record, args.plain)
     return exit_code
 
 

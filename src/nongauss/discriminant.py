@@ -6,25 +6,30 @@ follows from
 
     D = (-1)**(n*(n-1)/2) * R(f, f') / a0.
 
-Everything here is exact: inputs are converted to Fractions (floats convert
-losslessly) and the determinant is computed with fraction-free Bareiss
-elimination over big integers.  Explicit degree-3/4/5 expansions serve as
-independent oracles for the determinant route; the quartic and quintic term
-tables ship as a checked-in JSON data file.
+Everything here is exact: inputs are cleared to integers over a common
+denominator (floats convert losslessly) and the determinant is computed with
+fraction-free Bareiss elimination over big integers.  Cubics use the explicit
+five-term expansion instead.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from importlib import resources
-from math import gcd
 from typing import Sequence
 
 from .errors import DegreeTooLow
-from .polynomial import CubicCoeffs, Number, Polynomial, cubic_discriminant_exact
+from .polynomial import (
+    CubicCoeffs,
+    Number,
+    Polynomial,
+    cubic_discriminant_exact,
+    cubic_discriminant_int,
+    derivative_coeffs,
+    integer_coefficients,
+    is_exact_number,
+)
 
 
 class Sign(Enum):
@@ -71,10 +76,6 @@ class ResolventData:
     C: Fraction
 
 
-def _exact_coeffs(values: Sequence[Number]) -> list:
-    return [Fraction(v) for v in values]
-
-
 def sylvester_matrix(f: Polynomial) -> SylvesterMatrix:
     """Assemble the band matrix whose determinant is R(f, f').
 
@@ -84,8 +85,9 @@ def sylvester_matrix(f: Polynomial) -> SylvesterMatrix:
     n = f.degree
     if n < 2:
         raise DegreeTooLow(f"need degree >= 2, got {n}")
-    cs = _exact_coeffs(f.coeffs)
-    ds = [(n - i) * cs[i] for i in range(n)]
+    ints, den = integer_coefficients(f.coeffs)
+    cs = [Fraction(p, den) for p in ints]
+    ds = derivative_coeffs(cs)
     size = 2 * n - 1
     zero = Fraction(0)
     rows = []
@@ -124,16 +126,13 @@ def _bareiss_determinant_int(m: list) -> int:
 
 def _determinant(rows: tuple) -> Fraction:
     """Exact determinant: clear each row's denominators, then run Bareiss."""
-    scale = Fraction(1)
+    scale = 1
     int_rows = []
     for row in rows:
-        lcm = 1
-        for entry in row:
-            den = entry.denominator
-            lcm = lcm * den // gcd(lcm, den)
-        scale *= lcm
-        int_rows.append([int(entry * lcm) for entry in row])
-    return Fraction(_bareiss_determinant_int(int_rows)) / scale
+        ints, den = integer_coefficients(row)
+        scale *= den
+        int_rows.append(ints)
+    return Fraction(_bareiss_determinant_int(int_rows), scale)
 
 
 def resultant(f: Polynomial) -> Fraction:
@@ -157,43 +156,20 @@ def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:
     return DiscriminantResult.from_value(cubic_discriminant_exact(*coeffs.as_tuple()))
 
 
-def _load_term_tables() -> dict:
-    path = resources.files("nongauss.data").joinpath("discriminant_expansions.json")
-    with path.open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {
-        name: tuple((term["coefficient"], tuple(term["exponents"])) for term in terms)
-        for name, terms in raw.items()
-    }
+def discriminant_from_coeffs(values: Sequence[Number]) -> DiscriminantResult:
+    """Discriminant of the degree len(values) - 1 form with these coefficients.
 
-
-_TERM_TABLES = _load_term_tables()
-
-
-def _evaluate_term_table(table, coeffs: Sequence[Number]) -> Fraction:
-    cs = _exact_coeffs(coeffs)
-    total = Fraction(0)
-    for coefficient, exponents in table:
-        term = Fraction(coefficient)
-        for c, e in zip(cs, exponents):
-            if e:
-                term *= c**e
-        total += term
-    return total
-
-
-def discriminant_quartic_explicit(coeffs: Sequence[Number]) -> Fraction:
-    """Term-by-term evaluation of the 16-term quartic expansion."""
-    if len(coeffs) != 5:
-        raise DegreeTooLow(f"quartic expansion needs 5 coefficients, got {len(coeffs)}")
-    return _evaluate_term_table(_TERM_TABLES["quartic"], coeffs)
-
-
-def discriminant_quintic_explicit(coeffs: Sequence[Number]) -> Fraction:
-    """Term-by-term evaluation of the 59-term quintic expansion."""
-    if len(coeffs) != 6:
-        raise DegreeTooLow(f"quintic expansion needs 6 coefficients, got {len(coeffs)}")
-    return _evaluate_term_table(_TERM_TABLES["quintic"], coeffs)
+    Cubics use the explicit expansion, other degrees Bareiss.  A leading zero
+    keeps the declared degree through D_n(0, a1, ..., an) = a1^2 *
+    D_{n-1}(a1, ..., an), the rule the cubic expansion follows at a = 0.
+    """
+    n = len(values) - 1
+    if n == 3:
+        return DiscriminantResult.from_value(cubic_discriminant_exact(*values))
+    if n > 3 and values[0] == 0:
+        rest = discriminant_from_coeffs(values[1:]).value
+        return DiscriminantResult.from_value(Fraction(values[1]) ** 2 * rest)
+    return discriminant_general(Polynomial(values))
 
 
 def resolvent_data(coeffs: CubicCoeffs) -> ResolventData:
@@ -202,13 +178,12 @@ def resolvent_data(coeffs: CubicCoeffs) -> ResolventData:
     Asserts the identity D = -(B^2 - 4AC)/3 internally; both sides are exact
     so any disagreement would be a logic error, not rounding.
     """
-    a, b, c, d = (Fraction(v) for v in coeffs.as_tuple())
+    (a, b, c, d), den = integer_coefficients(coeffs.as_tuple())
     big_a = b * b - 3 * a * c
     big_b = b * c - 9 * a * d
     big_c = c * c - 3 * b * d
-    disc = cubic_discriminant_exact(a, b, c, d)
-    assert disc == -(big_b * big_b - 4 * big_a * big_c) / 3
-    return ResolventData(big_a, big_b, big_c)
+    assert 3 * cubic_discriminant_int(a, b, c, d) == 4 * big_a * big_c - big_b * big_b
+    return ResolventData(*[Fraction(v, den * den) for v in (big_a, big_b, big_c)])
 
 
 def vandermonde_delta_sq(roots: Sequence[Number], a: Number) -> Number:
@@ -224,26 +199,11 @@ def key_lemma_check(a: Number, alpha: Number, k: Number, l: Number) -> Number:
     (b, c, d) are rebuilt from the factorization data, so the identity holds
     for arbitrary inputs; exact inputs give a residual of exactly zero.
     """
-    exact = all(
-        isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-        for v in (a, alpha, k, l)
-    )
-    if exact:
-        a, alpha, k, l = (Fraction(v) for v in (a, alpha, k, l))
-    else:
-        a, alpha, k, l = (float(v) for v in (a, alpha, k, l))
+    convert = Fraction if all(is_exact_number(v) for v in (a, alpha, k, l)) else float
+    a, alpha, k, l = (convert(v) for v in (a, alpha, k, l))
     b = k - a * alpha
     c = l - k * alpha
     d = -l * alpha
     lhs = (a * alpha * alpha + k * alpha + l) ** 2 * (4 * a * l - k * k)
-    if exact:
-        disc = cubic_discriminant_exact(a, b, c, d)
-    else:
-        disc = (
-            b * b * c * c
-            + 18 * a * b * c * d
-            - 4 * a * c**3
-            - 4 * b**3 * d
-            - 27 * a * a * d * d
-        )
-    return abs(lhs + disc)
+    # a float lhs plus the exact Fraction D comes out as a float
+    return abs(lhs + cubic_discriminant_exact(a, b, c, d))

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DegenerateLeadingCoefficient, NotARoot
+from .errors import DegenerateLeadingCoefficient, DomainError, NotARoot
 
 Number = Union[int, Fraction, float]
 
@@ -25,6 +25,52 @@ _ROOT_RESIDUAL_FACTOR = 1e-10
 def is_exact_number(value: Number) -> bool:
     """True for values that participate in exact rational arithmetic."""
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def integer_coefficients(values: Sequence[Number]) -> tuple:
+    """Exact integers ``ints`` and one positive ``den`` with v == ints[i] / den.
+
+    This is the only place denominators are cleared.  Floats convert
+    losslessly through ``as_integer_ratio``, so all-float input gives a
+    power-of-two ``den``; a NaN or infinity raises DomainError.
+    """
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"coefficients must be finite: {exc}") from None
+    # a list: star-unpacking a generator leaves cyclic garbage on CPython 3.11
+    den = math.lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
+
+
+def binary_exponent(values: Sequence[float]) -> int:
+    """The e with 2**e <= max|v| < 2**(e+1): scaling every value by 2**-e puts
+    the largest magnitude in [1, 2), changes no mantissa, and leaves input of
+    that scale exactly as it was."""
+    return math.frexp(max(abs(v) for v in values))[1] - 1
+
+
+def horner(coeffs: Sequence[Number], x: Number) -> Number:
+    """Nested evaluation at ``x``; exact when ``coeffs`` and ``x`` are exact."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def derivative_coeffs(coeffs: Sequence[Number]) -> list:
+    """Power-rule derivative of leading-first ``coeffs``."""
+    n = len(coeffs) - 1
+    return [(n - i) * c for i, c in enumerate(coeffs[:-1])]
+
+
+def magnitude_at(coeffs: Sequence[Number], x: Number) -> float:
+    """Sum of |coeff| * |x|**power; magnitude reference for residual tests."""
+    acc = 0.0
+    ax = abs(float(x))
+    for c in coeffs:
+        acc = acc * ax + abs(float(c))
+    return acc
 
 
 def _cbrt(x: float) -> float:
@@ -60,26 +106,16 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Number:
-        return self.coeffs[0]
-
     def is_zero(self) -> bool:
         return self.coeffs == (0,) or self.coeffs == (0.0,)
 
     def __call__(self, x: Number) -> Number:
         """Evaluate at ``x`` by nested (Horner) multiplication."""
-        acc = self.coeffs[0]
-        for c in self.coeffs[1:]:
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def derivative(self) -> "Polynomial":
-        """Coefficient-wise power-rule derivative."""
-        n = self.degree
-        if n == 0:
-            return Polynomial([0 if self.exact else 0.0])
-        return Polynomial([(n - i) * c for i, c in enumerate(self.coeffs[:-1])])
+        """Coefficient-wise power-rule derivative; a constant's is zero."""
+        return Polynomial(derivative_coeffs(self.coeffs) or [0 if self.exact else 0.0])
 
     def taylor_shift(self, t: Number) -> "Polynomial":
         """Return q with q(y) = p(y + t), by repeated synthetic division.
@@ -102,11 +138,7 @@ class Polynomial:
 
     def scale_bound(self, x: Number) -> float:
         """Sum of |coeff| * |x|**power; magnitude reference for residual tests."""
-        acc = 0.0
-        ax = abs(float(x))
-        for c in self.coeffs:
-            acc = acc * ax + abs(float(c))
-        return acc
+        return magnitude_at(self.coeffs, x)
 
     @classmethod
     def from_roots(cls, roots: Sequence[Number], leading: Number = 1) -> "Polynomial":
@@ -207,17 +239,10 @@ class RootSet:
     def values(self) -> tuple:
         return tuple(r for r, _ in self.roots)
 
-    def count_with_multiplicity(self) -> int:
-        return sum(m for _, m in self.roots)
 
-
-def cubic_discriminant_exact(a: Number, b: Number, c: Number, d: Number) -> Fraction:
-    """Five-term cubic discriminant, exactly, after Fraction conversion.
-
-    Floats convert exactly (they are dyadic rationals), so the sign is always
-    decided without rounding.
-    """
-    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
+def cubic_discriminant_int(a: int, b: int, c: int, d: int) -> int:
+    """Five-term expansion b^2c^2 + 18abcd - 4ac^3 - 4b^3d - 27a^2d^2 on the
+    integers of ``integer_coefficients``; homogeneous of degree 4."""
     return (
         b * b * c * c
         + 18 * a * b * c * d
@@ -227,18 +252,27 @@ def cubic_discriminant_exact(a: Number, b: Number, c: Number, d: Number) -> Frac
     )
 
 
-def _polish_root(a: float, b: float, c: float, d: float, x: float) -> float:
+def cubic_discriminant_exact(a: Number, b: Number, c: Number, d: Number) -> Fraction:
+    """Five-term cubic discriminant, exactly: D_int / den^4 in integers.
+
+    Floats convert exactly (they are dyadic rationals), so the sign is always
+    decided without rounding.
+    """
+    ints, den = integer_coefficients((a, b, c, d))
+    return Fraction(cubic_discriminant_int(*ints), den**4)
+
+
+def _polish_root(cs: tuple, x: float) -> float:
     """A few guarded Newton steps on the original cubic."""
-    best = x
-    best_abs = abs(((a * x + b) * x + c) * x + d)
+    deriv = derivative_coeffs(cs)
+    best, best_abs = x, abs(horner(cs, x))
     for _ in range(3):
-        fv = ((a * x + b) * x + c) * x + d
-        fp = (3.0 * a * x + 2.0 * b) * x + c
+        fp = horner(deriv, x)
         if fp == 0.0 or not math.isfinite(fp):
             break
-        step = fv / fp
+        step = horner(cs, x) / fp
         x -= step
-        fabs = abs(((a * x + b) * x + c) * x + d)
+        fabs = abs(horner(cs, x))
         if fabs < best_abs:
             best, best_abs = x, fabs
         if step == 0.0:
@@ -258,7 +292,8 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
             "cubic_roots requires a != 0; use the quadratic path for a = 0"
         )
     disc = cubic_discriminant_exact(*coeffs.as_tuple())
-    a, b, c, d = (float(v) for v in coeffs.as_tuple())
+    cs = tuple(float(v) for v in coeffs.as_tuple())
+    a, b, c, d = cs
 
     big_b = b / a
     big_c = c / a
@@ -278,7 +313,7 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
             arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
             theta = math.acos(arg)
             raw = [m * math.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
-        polished = sorted(_polish_root(a, b, c, d, x) for x in raw)
+        polished = sorted(_polish_root(cs, x) for x in raw)
         return RootSet(tuple((x, 1) for x in polished), RootClassification.THREE_DISTINCT_REAL)
 
     if disc < 0:
@@ -289,7 +324,7 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
             u = -q / 2.0 - s if q >= 0.0 else -q / 2.0 + s
             u = _cbrt(u)
             t = u - p / (3.0 * u) if u != 0.0 else 0.0
-        x = _polish_root(a, b, c, d, t + shift)
+        x = _polish_root(cs, t + shift)
         return RootSet(((x, 1),), RootClassification.ONE_REAL_ONE_COMPLEX_PAIR)
 
     # D = 0: triple root exactly when b^2 = 3ac; otherwise the double root is
@@ -301,7 +336,7 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     p_ex = ct / at - (bt / at) ** 2 / 3
     q_ex = 2 * (bt / at) ** 3 / 27 - (bt / at) * (ct / at) / 3 + dt / at
     double = float(-3 * q_ex / (2 * p_ex) + shift_ex)
-    simple = _polish_root(a, b, c, d, float(3 * q_ex / p_ex + shift_ex))
+    simple = _polish_root(cs, float(3 * q_ex / p_ex + shift_ex))
     roots = sorted([(double, 2), (simple, 1)])
     return RootSet(tuple(roots), RootClassification.REPEATED_ROOT)
 
@@ -316,14 +351,14 @@ def factor_out_root(coeffs: CubicCoeffs, alpha: Number) -> CubicFactorization:
     a, b, c, d = coeffs.as_tuple()
     exact = coeffs.is_exact() and is_exact_number(alpha)
     if exact:
-        residual = ((a * alpha + b) * alpha + c) * alpha + d
+        residual = horner((a, b, c, d), alpha)
         if residual != 0:
             raise NotARoot(f"f({alpha}) = {residual} != 0 in exact mode")
         return CubicFactorization(alpha, b + a * alpha, c + (b + a * alpha) * alpha)
 
     af, bf, cf, df = (float(v) for v in (a, b, c, d))
     alpha_f = float(alpha)
-    residual = ((af * alpha_f + bf) * alpha_f + cf) * alpha_f + df
+    residual = horner((af, bf, cf, df), alpha_f)
     tol = _ROOT_RESIDUAL_FACTOR * (1.0 + coeffs.scale() * max(1.0, abs(alpha_f)) ** 3)
     if abs(residual) > tol:
         raise NotARoot(f"|f({alpha_f})| = {abs(residual):.3e} exceeds tolerance {tol:.3e}")

@@ -31,18 +31,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .discriminant import Sign, discriminant_cubic_explicit, discriminant_general
+from .discriminant import discriminant_general
 from .errors import (
     DegreeTooLow,
-    DivergentIntegral,
     DomainError,
     IllConditionedWarning,
     NoConvergence,
     RepeatedRootDivergence,
     SingularPoint,
 )
-from .polynomial import CubicCoeffs, Polynomial, cubic_roots
-from .renorm import IntegralMethod, IntegralResult
+from .polynomial import (
+    CubicCoeffs,
+    Polynomial,
+    binary_exponent,
+    cubic_roots,
+    derivative_coeffs,
+    horner,
+    magnitude_at,
+)
+from .renorm import IntegralMethod, IntegralResult, _checked_discriminant
 
 _HALF_PI = math.pi / 2.0
 # |D| below this multiple of scale**4 still computes but is flagged.
@@ -59,9 +66,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_levels < 4:
-            raise ValueError(f"max_levels must be >= 4, got {self.max_levels}")
+            raise DomainError(f"max_levels must be >= 4, got {self.max_levels}")
 
 
 @dataclass(frozen=True)
@@ -85,31 +92,11 @@ class PanelDecomposition:
     panels: tuple
 
 
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _magnitude_at(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    ax = abs(x)
-    for c in coeffs:
-        acc = acc * ax + abs(c)
-    return acc
-
-
 def _synthetic_quotient(coeffs: Sequence[float], root: float) -> list:
     out = [coeffs[0]]
     for c in coeffs[1:-1]:
         out.append(c + root * out[-1])
     return out
-
-
-def _derivative(coeffs: Sequence[float]) -> list:
-    n = len(coeffs) - 1
-    return [(n - i) * c for i, c in enumerate(coeffs[:-1])]
 
 
 def integrand(f: Polynomial, x: float, family_degree: Optional[int] = None) -> float:
@@ -126,12 +113,12 @@ def integrand(f: Polynomial, x: float, family_degree: Optional[int] = None) -> f
 
 
 def _bisect_root(coeffs: Sequence[float], lo: float, hi: float) -> float:
-    flo = _horner(coeffs, lo)
+    flo = horner(coeffs, lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        fmid = _horner(coeffs, mid)
+        fmid = horner(coeffs, mid)
         if fmid == 0.0:
             return mid
         if (flo < 0) == (fmid < 0):
@@ -139,12 +126,12 @@ def _bisect_root(coeffs: Sequence[float], lo: float, hi: float) -> float:
         else:
             hi = mid
     x = 0.5 * (lo + hi)
-    deriv = _derivative(coeffs)
+    deriv = derivative_coeffs(coeffs)
     for _ in range(3):
-        fp = _horner(deriv, x)
+        fp = horner(deriv, x)
         if fp == 0.0:
             break
-        x -= _horner(coeffs, x) / fp
+        x -= horner(coeffs, x) / fp
     return x
 
 
@@ -178,17 +165,17 @@ def _real_roots_with_multiplicity(coeffs: Sequence[float]) -> list:
         rs = cubic_roots(CubicCoeffs(*cs))
         return [(float(r), int(m)) for r, m in rs.roots]
 
-    deriv = _derivative(cs)
+    deriv = derivative_coeffs(cs)
     crits = [r for r, _ in _real_roots_with_multiplicity(deriv)]
     bound = 1.0 + max(abs(c / cs[0]) for c in cs[1:])
     points = [-bound] + sorted(c for c in crits if -bound < c < bound) + [bound]
 
     found: list = []
     for crit in points[1:-1]:
-        if abs(_horner(cs, crit)) <= _MULTIPLICITY_RTOL * _magnitude_at(cs, crit):
+        if abs(horner(cs, crit)) <= _MULTIPLICITY_RTOL * magnitude_at(cs, crit):
             found.append(crit)
     for lo, hi in zip(points[:-1], points[1:]):
-        flo, fhi = _horner(cs, lo), _horner(cs, hi)
+        flo, fhi = horner(cs, lo), horner(cs, hi)
         if flo == 0.0 or fhi == 0.0:
             continue  # endpoint roots were caught by the tangency test
         if (flo < 0) != (fhi < 0):
@@ -199,12 +186,12 @@ def _real_roots_with_multiplicity(coeffs: Sequence[float]) -> list:
         if out and abs(root - out[-1][0]) <= 1e-12 * max(1.0, abs(root)):
             continue
         mult = 1
-        d = _derivative(cs)
+        d = derivative_coeffs(cs)
         while mult < deg:
-            if abs(_horner(d, root)) > _MULTIPLICITY_RTOL * _magnitude_at(d, root):
+            if abs(horner(d, root)) > _MULTIPLICITY_RTOL * magnitude_at(d, root):
                 break
             mult += 1
-            d = _derivative(d)
+            d = derivative_coeffs(d)
         out.append((root, mult))
     return out
 
@@ -379,7 +366,7 @@ def _finite_panel_value(
     m_hi = panel.hi_multiplicity if panel.singular_hi else 0
 
     def fn(x: float, d_lo: float, d_hi: float) -> float:
-        value = _horner(q, x)
+        value = horner(q, x)
         if value == 0.0:
             raise SingularPoint(f"unexpected interior zero at x = {x}")
         s = math.log(abs(value))
@@ -405,7 +392,7 @@ def _tail_panel_value(
         u_lo, u_hi = 1.0 / panel.hi, 0.0
 
     def fn(u: float, d_lo: float, d_hi: float) -> float:
-        value = _horner(reversed_coeffs, u)
+        value = horner(reversed_coeffs, u)
         if value == 0.0:
             raise SingularPoint(f"unexpected zero of reversed polynomial at u = {u}")
         s = -exponent * math.log(abs(value))
@@ -419,7 +406,15 @@ def _tail_panel_value(
 def _integrate_decomposition(
     decomposition: PanelDecomposition, cfg: QuadratureConfig
 ) -> Tuple[float, float]:
-    coeffs = [float(c) for c in decomposition.polynomial.coeffs]
+    """Sum of the panel integrals, computed at unit coefficient scale.
+
+    Dividing f by the power of two 2^e just below its largest coefficient
+    keeps the integrand in float range without moving roots or panels; the
+    sum is then multiplied by 2^(-2e/n), from |2^-e f|^(-2/n) = 2^(2e/n) |f|^(-2/n).
+    """
+    values = [float(c) for c in decomposition.polynomial.coeffs]
+    e = binary_exponent(values)
+    coeffs = [math.ldexp(c, -e) for c in values]
     exponent = 2.0 / decomposition.family_degree
     total = 0.0
     total_error = 0.0
@@ -435,7 +430,8 @@ def _integrate_decomposition(
             )
         total += value
         total_error += error
-    return total, total_error
+    rescale = 2.0 ** (-e * exponent)
+    return total * rescale, total_error * rescale
 
 
 def integral_numeric(
@@ -448,16 +444,12 @@ def integral_numeric(
     1e-3 * scale**4 is computed but flagged IllConditioned.
     """
     cfg = config or QuadratureConfig()
-    if coeffs.a == 0 and coeffs.b == 0:
-        raise DivergentIntegral("a = b = 0: the integrand tail is not integrable")
-    disc = discriminant_cubic_explicit(coeffs)
-    if disc.sign is Sign.ZERO:
-        raise DivergentIntegral("D = 0: repeated real root makes the integral diverge")
+    disc = _checked_discriminant(coeffs)
     scale = coeffs.scale()
     if abs(disc.value) < Fraction(_DISCRIMINANT_CONDITION_BAND) * Fraction(scale) ** 4:
         warnings.warn(
-            f"|D| = {float(abs(disc.value)):.3e} is below {_DISCRIMINANT_CONDITION_BAND} "
-            f"* scale^4; singularities nearly coalesce",
+            f"|D| / scale^4 = {float(abs(disc.value) / Fraction(scale) ** 4):.3e} is below "
+            f"{_DISCRIMINANT_CONDITION_BAND}; singularities nearly coalesce",
             IllConditionedWarning,
             stacklevel=2,
         )
@@ -476,9 +468,10 @@ def integral_numeric_general(
     cfg = config or QuadratureConfig()
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
+    disc = discriminant_general(f)
     decomposition = decompose(f, family_degree=f.degree, config=cfg)
     value, error = _integrate_decomposition(decomposition, cfg)
-    return IntegralResult(value, IntegralMethod.NUMERIC, discriminant_general(f), error)
+    return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
 def gaussian_integral_numeric(
@@ -491,8 +484,9 @@ def gaussian_integral_numeric(
     """
     cfg = config or QuadratureConfig()
     af, bf, cf = float(a), float(b), float(c)
-    if af <= 0.0 or bf * bf - 4.0 * af * cf >= 0.0:
-        raise DomainError("requires a > 0 and b^2 - 4ac < 0")
+    finite = all(math.isfinite(v) for v in (af, bf, cf))
+    if not (finite and af > 0.0 and bf * bf - 4.0 * af * cf < 0.0):
+        raise DomainError("requires finite coefficients, a > 0 and b^2 - 4ac < 0")
     poly = Polynomial([af, bf, cf])
     decomposition = decompose(poly, family_degree=2, config=cfg)
     value, error = _integrate_decomposition(decomposition, cfg)

@@ -24,7 +24,13 @@ from typing import Optional, Union
 
 from .discriminant import DiscriminantResult, Sign, discriminant_cubic_explicit
 from .errors import DivergentIntegral, DomainError, StencilCrossesSingularity
-from .polynomial import CubicCoeffs, Number
+from .polynomial import (
+    CubicCoeffs,
+    Number,
+    binary_exponent,
+    cubic_discriminant_int,
+    integer_coefficients,
+)
 from .special import constants
 
 _FD_EXPECTATION_STEP = 1e-4
@@ -74,12 +80,18 @@ def _checked_discriminant(coeffs: CubicCoeffs) -> DiscriminantResult:
     return disc
 
 
-def log_closed_form(coeffs: CubicCoeffs) -> float:
-    """log F(a, b, c, d); fully in log space for scale robustness."""
+def _closed_form_parts(coeffs: CubicCoeffs) -> tuple:
+    """(D, C+ or C- by the sign of D, ln|D| / 6) for F = C * exp(-ln|D| / 6)."""
     disc = _checked_discriminant(coeffs)
     k = constants()
     c = k.c_plus if disc.sign is Sign.POSITIVE else k.c_minus
-    return math.log(c) - _ln_abs_fraction(disc.value) / 6.0
+    return disc, c, _ln_abs_fraction(disc.value) / 6.0
+
+
+def log_closed_form(coeffs: CubicCoeffs) -> float:
+    """log F(a, b, c, d); fully in log space for scale robustness."""
+    _, c, log_root = _closed_form_parts(coeffs)
+    return math.log(c) - log_root
 
 
 def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
@@ -88,59 +100,88 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
     The sixth root goes through exp(-ln|D|/6), with ln|D| taken on the exact
     rational D, so extreme coefficient scales neither overflow nor underflow.
     """
-    disc = _checked_discriminant(coeffs)
-    k = constants()
-    c = k.c_plus if disc.sign is Sign.POSITIVE else k.c_minus
-    value = c * math.exp(-_ln_abs_fraction(disc.value) / 6.0)
-    return IntegralResult(value, IntegralMethod.CLOSED_FORM, disc, 0.0)
+    disc, c, log_root = _closed_form_parts(coeffs)
+    return IntegralResult(c * math.exp(-log_root), IntegralMethod.CLOSED_FORM, disc, 0.0)
 
 
 def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
     """The quadratic counterpart: integral of 1/(a*x^2 + b*x + c) = 2*pi/sqrt(-D2)
-    for a > 0 and D2 = b^2 - 4ac < 0."""
-    af, bf, cf = float(a), float(b), float(c)
-    if af <= 0.0:
-        raise DomainError(f"gaussian analogue requires a > 0, got a = {af}")
+    for a > 0 and D2 = b^2 - 4ac < 0.
+
+    The coefficients are scaled by a power of two 2^-e to unit size first, so
+    D2 neither overflows nor underflows; the value then scales back by 2^-e.
+    """
+    values = (float(a), float(b), float(c))
+    if not (all(math.isfinite(v) for v in values) and values[0] > 0.0):
+        raise DomainError(f"gaussian analogue requires finite a, b, c and a > 0, got {values}")
+    e = binary_exponent(values)
+    af, bf, cf = (math.ldexp(v, -e) for v in values)
     d2 = bf * bf - 4.0 * af * cf
     if d2 >= 0.0:
-        raise DomainError(f"gaussian analogue requires b^2 - 4ac < 0, got {d2}")
-    return 2.0 * math.pi / math.sqrt(-d2)
+        raise DomainError(f"gaussian analogue requires b^2 - 4ac < 0, got {values}")
+    return math.ldexp(2.0 * math.pi / math.sqrt(-d2), -e)
 
 
 def expectations(coeffs: CubicCoeffs) -> ExpectationSet:
     """The four renormalized moments as rational expressions over 6*D.
 
+    Over one common denominator den, each moment is den * N_int / (6 * D_int).
     Exact inputs stay exact; any float coefficient switches the whole set to
-    floating point.
+    floating point, rounded once from the exact ratio.
     """
-    disc = discriminant_cubic_explicit(coeffs)
-    if disc.sign is Sign.ZERO:
+    (a, b, c, d), den = integer_coefficients(coeffs.as_tuple())
+    six_d = 6 * cubic_discriminant_int(a, b, c, d)
+    if six_d == 0:
         raise DivergentIntegral("moments are undefined at D = 0")
-    a, b, c, d = (Fraction(v) for v in coeffs.as_tuple())
-    six_d = 6 * disc.value
-    x3 = (18 * b * c * d - 4 * c**3 - 54 * a * d * d) / six_d
-    x2y = (2 * b * c * c + 18 * a * c * d - 12 * b * b * d) / six_d
-    xy2 = (2 * b * b * c + 18 * a * b * d - 12 * a * c * c) / six_d
-    y3 = (18 * a * b * c - 4 * b**3 - 54 * a * a * d) / six_d
+    numerators = (
+        18 * b * c * d - 4 * c**3 - 54 * a * d * d,
+        2 * b * c * c + 18 * a * c * d - 12 * b * b * d,
+        2 * b * b * c + 18 * a * b * d - 12 * a * c * c,
+        18 * a * b * c - 4 * b**3 - 54 * a * a * d,
+    )
     if coeffs.is_exact():
-        return ExpectationSet(x3, x2y, xy2, y3)
-    return ExpectationSet(float(x3), float(x2y), float(xy2), float(y3))
+        return ExpectationSet(*[Fraction(den * n, six_d) for n in numerators])
+    try:
+        # int / int true division rounds the exact quotient once, like float(Fraction)
+        return ExpectationSet(*[den * n / six_d for n in numerators])
+    except OverflowError:
+        raise DomainError(
+            "a moment exceeds the float range; exact (integer or p/q) input keeps it exact"
+        ) from None
 
 
-def _stencil_coeffs(base: tuple, index: int, delta: float) -> CubicCoeffs:
-    values = list(base)
-    values[index] += delta
-    return CubicCoeffs(*values)
+def _unit_stencil(coeffs: CubicCoeffs, default_step: float, step) -> tuple:
+    """(base, scale, h, log_f) for the finite-difference verifiers.
 
+    ``base`` is the coefficients divided by 2^e, the power of two just below
+    their largest magnitude, ``scale`` the largest |base|, ``h`` the step in
+    those units: residuals are normalized by the scale, so none changes, and
+    stencils stay in float range.  ``log_f({index: delta})`` is log F at the
+    moved point; it raises if that point's D sign differs from the center's.
+    """
+    center = _checked_discriminant(coeffs).sign
+    values = [float(v) for v in coeffs.as_tuple()]
+    e = binary_exponent(values)
+    base = tuple(math.ldexp(v, -e) for v in values)
+    scale = max(abs(v) for v in base)
+    h = default_step * scale if step is None else math.ldexp(float(step), -e)
+    if not 0.0 < h * h < math.inf:
+        raise DomainError(f"step {step} is zero, non-finite or out of range at this scale")
 
-def _stencil_sign(base: tuple, center: Sign, points) -> None:
-    for point in points:
+    def log_f(deltas: dict) -> float:
+        moved = list(base)
+        for index, delta in deltas.items():
+            moved[index] += delta
+        point = CubicCoeffs(*moved)
         disc = discriminant_cubic_explicit(point)
         if disc.sign is not center:
             raise StencilCrossesSingularity(
                 f"stencil point {point.as_tuple()} has discriminant sign "
                 f"{disc.sign.value}, center has {center.value}"
             )
+        return log_closed_form(point)
+
+    return base, scale, h, log_f
 
 
 def expectations_fd_check(
@@ -152,19 +193,10 @@ def expectations_fd_check(
     keeps symmetry-forced zero moments from dividing by zero.  Default step
     is 1e-4 * max|coefficient|.
     """
-    base = tuple(float(v) for v in coeffs.as_tuple())
-    scale = max(abs(v) for v in base)
-    if scale == 0.0:
-        raise DivergentIntegral("all coefficients are zero")
-    h = _FD_EXPECTATION_STEP * scale if step is None else float(step)
-    center = _checked_discriminant(coeffs).sign
-    exact = expectations(coeffs)
+    base, scale, h, log_f = _unit_stencil(coeffs, _FD_EXPECTATION_STEP, step)
     residuals = []
-    for i, formula_value in enumerate(exact.as_tuple()):
-        plus = _stencil_coeffs(base, i, +h)
-        minus = _stencil_coeffs(base, i, -h)
-        _stencil_sign(base, center, (plus, minus))
-        fd = -(log_closed_form(plus) - log_closed_form(minus)) / (2.0 * h)
+    for i, formula_value in enumerate(expectations(CubicCoeffs(*base)).as_tuple()):
+        fd = -(log_f({i: +h}) - log_f({i: -h})) / (2.0 * h)
         denom = max(abs(float(formula_value)), _FD_DENOM_FLOOR / scale)
         residuals.append(abs(fd - float(formula_value)) / denom)
     return tuple(residuals)
@@ -182,20 +214,10 @@ def pde_identity_residuals(
     using second-order central stencils at step 1e-3 * max|coefficient| by
     default, each normalized by |F| / scale^2.
     """
-    base = tuple(float(v) for v in coeffs.as_tuple())
-    scale = max(abs(v) for v in base)
-    if scale == 0.0:
-        raise DivergentIntegral("all coefficients are zero")
-    h = _FD_IDENTITY_STEP * scale if step is None else float(step)
-    center = _checked_discriminant(coeffs).sign
+    _, scale, h, log_f = _unit_stencil(coeffs, _FD_IDENTITY_STEP, step)
 
     def value_at(deltas: dict) -> float:
-        values = list(base)
-        for index, delta in deltas.items():
-            values[index] += delta
-        point = CubicCoeffs(*values)
-        _stencil_sign(base, center, (point,))
-        return math.exp(log_closed_form(point))
+        return math.exp(log_f(deltas))
 
     f0 = value_at({})
 

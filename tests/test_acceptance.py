@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+from term_tables import discriminant_quartic_explicit, discriminant_quintic_explicit
+
 from nongauss import (
     CubicCoeffs,
     Polynomial,
@@ -20,8 +22,6 @@ from nongauss import (
     constants,
     discriminant_cubic_explicit,
     discriminant_general,
-    discriminant_quartic_explicit,
-    discriminant_quintic_explicit,
     expectations,
     expectations_fd_check,
     gaussian_analogue,

@@ -1,6 +1,7 @@
 """CLI grammar, JSON output contract, and exit codes."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,15 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """Parse as RFC 8259 JSON: NaN and Infinity are rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def test_integral_check(capsys):
@@ -176,9 +186,20 @@ def test_integral_degree_three_routes_numeric(capsys):
 
 
 def test_disc_general_rejects_zero_leading(capsys):
+    # a leading zero no longer drops the degree: D_6(0, 1, 0, 0, 0, 0, 1) =
+    # 1^2 * D_5(1, 0, 0, 0, 0, 1) = 3125
     code, record = invoke(capsys, "disc", "0", "1", "0", "0", "0", "0", "1")
-    assert code == 2
-    assert record["error_kind"] == "DegenerateLeadingCoefficient"
+    assert code == 0
+    assert record["result"]["D"] == "3125"
+
+
+@pytest.mark.parametrize(
+    "coeffs,expected", [(("0", "1", "0", "0", "1"), "-27"), (("0", "0", "1", "1", "1"), "0")]
+)
+def test_disc_leading_zero_keeps_degree(capsys, coeffs, expected):
+    code, record = invoke(capsys, "disc", *coeffs)
+    assert code == 0
+    assert record["result"]["D"] == expected
 
 
 def test_warnings_are_captured(capsys):
@@ -188,3 +209,84 @@ def test_warnings_are_captured(capsys):
     )
     assert code == 0
     assert any("scale^4" in w for w in record["warnings"])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disc", "1", "{}", "0", "1"],
+        ["disc", "1", "0", "0", "{}", "1"],
+        ["integral", "{}", "1", "0", "1"],
+        ["integral", "1", "0", "{}", "1", "--numeric"],
+        ["integral", "1", "0", "{}", "1", "--check"],
+        ["integral", "--degree", "4", "1", "0", "{}", "0", "1"],
+        ["gauss", "1", "0", "{}"],
+        ["expect", "1", "0", "{}", "1"],
+        ["expect", "{}", "0", "-1", "0", "--fd-check"],
+        ["verify", "1", "{}", "-1", "0"],
+    ],
+)
+def test_non_finite_input_is_domain_error(capsys, argv, bad):
+    code = run([bad if token == "{}" else token for token in argv])
+    record = strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert record["status"] == "error"
+    assert record["error_kind"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv,code,kind",
+    [
+        (["integral", "x", "0", "1", "0"], 1, None),
+        (["expect", "1/0", "0", "1", "0"], 1, None),
+        (["verify", "1", "2", "3", "5", "--step", "0"], 2, "DomainError"),
+        (["expect", "0", "-1e-300", "-9.824", "-2.952"], 2, "DomainError"),
+        (["gauss", "10.0", "-1e300", "1.9"], 2, "DomainError"),
+        (["integral", "--rel-tol", "0", "1", "0", "-1", "0"], 2, "DomainError"),
+        (["integral", "1e100", "-2.0000001e100", "1e100", "0", "--numeric"], 0, None),
+        (["disc", "0", "1e-300", "-1e300", "3.0", "0", "-4", "1e-300", "2/7"], 0, None),
+    ],
+)
+def test_fuzz_findings(capsys, argv, code, kind):
+    assert run(argv) == code
+    if code != 1:
+        record = strict_json(capsys.readouterr().out)
+        assert record["error_kind"] == kind
+
+
+_FUZZ_COMMANDS = ("disc", "integral", "gauss", "expect", "verify", "beta-check")
+_FUZZ_FLAGS = (
+    "--plain", "--numeric", "--check", "--fd-check", "--degree", "--rel-tol",
+    "--max-levels", "--step", "--help", "-x", "--",
+)
+
+
+def _fuzz_token(rng):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return str(rng.randint(-9, 9))
+    if kind == 1:
+        return f"{rng.randint(-9, 9)}/{rng.randint(-3, 9)}"
+    if kind == 2:
+        return repr(round(rng.uniform(-10.0, 10.0), rng.randint(0, 4)))
+    if kind == 3:
+        return rng.choice(["1e300", "-1e300", "1e-300", "-1e-300"])
+    if kind == 4:
+        return "0"
+    if kind == 5:
+        return rng.choice(["nan", "inf", "-inf", "-nan", "Infinity"])
+    if kind == 6:
+        return rng.choice(["x", "", "1/", "--", "1e", "0x10", "1_0", " ", "½"])
+    return rng.choice(_FUZZ_FLAGS)
+
+
+def test_cli_fuzz_exit_codes_and_strict_json(capsys):
+    rng = random.Random(71)
+    for _ in range(400):
+        argv = [rng.choice(_FUZZ_COMMANDS)] + [_fuzz_token(rng) for _ in range(rng.randint(0, 8))]
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3), argv
+        if code != 1 and "--help" not in argv and "--plain" not in argv:
+            strict_json(out)

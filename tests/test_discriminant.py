@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from term_tables import discriminant_quartic_explicit, discriminant_quintic_explicit
+
 from nongauss import (
     CubicCoeffs,
     DegreeTooLow,
     Polynomial,
     Sign,
+    discriminant_from_coeffs,
     discriminant_cubic_explicit,
     discriminant_general,
-    discriminant_quartic_explicit,
-    discriminant_quintic_explicit,
     key_lemma_check,
     resolvent_data,
     resultant,
@@ -192,6 +193,28 @@ def test_quartic_quintic_route_agreement():
                 continue
             assert discriminant_general(Polynomial(coeffs)).value == explicit(coeffs)
             checked += 1
+
+
+def test_leading_zero_rule_matches_term_tables():
+    # D_n(0, a1, ..., an) = a1^2 * D_{n-1}(a1, ..., an); the tables evaluate
+    # the degree-n expansion at a0 = 0 directly
+    rng = random.Random(67)
+    tables = ((4, discriminant_quartic_explicit), (5, discriminant_quintic_explicit))
+    for degree, explicit in tables:
+        for _ in range(300):
+            coeffs = [0] + [rng.randint(-10, 10) for _ in range(degree)]
+            if rng.random() < 0.2:
+                coeffs[1] = 0
+            assert discriminant_from_coeffs(coeffs).value == explicit(coeffs)
+
+
+def test_discriminant_dispatch_by_declared_degree():
+    cubic = discriminant_cubic_explicit(CubicCoeffs(1, 2, 3, 5))
+    assert discriminant_from_coeffs([1, 2, 3, 5]) == cubic
+    assert discriminant_from_coeffs([1, 0, 0, 0, 1]).value == 256
+    assert discriminant_from_coeffs([0, 1, 0, 0, 1]).value == -27
+    assert discriminant_from_coeffs([0, 0, 1, 1, 1]).sign is Sign.ZERO
+    assert discriminant_from_coeffs([Fraction(1, 2), 0, 1]).value == -2
 
 
 def test_monic_rational_root_construction():

@@ -1,5 +1,6 @@
 """Polynomial representation, transforms, and cubic root analysis."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from nongauss import (
     CubicCoeffs,
+    DomainError,
     NotARoot,
     DegenerateLeadingCoefficient,
     Polynomial,
@@ -14,7 +16,13 @@ from nongauss import (
     cubic_roots,
     factor_out_root,
 )
-from nongauss.polynomial import cubic_discriminant_exact
+from nongauss.polynomial import cubic_discriminant_exact, integer_coefficients
+
+
+def fraction_cubic_discriminant(a, b, c, d):
+    """Reference: the five-term expansion evaluated over Fractions."""
+    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
+    return b * b * c * c + 18 * a * b * c * d - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d
 
 
 def poly_multiply(a, b):
@@ -235,3 +243,35 @@ def test_factorization_reconstruction_identities_exact():
     assert b == fact.k - a * fact.alpha
     assert c == fact.l - fact.k * fact.alpha
     assert d == -fact.l * fact.alpha
+
+
+def test_integer_coefficients_clears_one_common_denominator():
+    ints, den = integer_coefficients([3, Fraction(1, 6), 0.375, Fraction(-5, 4)])
+    assert den == 24
+    assert ints == [72, 4, 9, -30]
+    # floats alone give a power of two
+    ints, den = integer_coefficients([0.1, -2.5, 1e-300])
+    assert den & (den - 1) == 0
+    assert [Fraction(p, den) for p in ints] == [Fraction(0.1), Fraction(-2.5), Fraction(1e-300)]
+    assert integer_coefficients([7, -2]) == ([7, -2], 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_integer_coefficients_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        integer_coefficients([1, bad, 0.5])
+    with pytest.raises(DomainError):
+        cubic_discriminant_exact(1, 0, bad, 1)
+
+
+def test_integer_discriminant_matches_fraction_expansion():
+    rng = random.Random(61)
+    draws = (
+        lambda: rng.randint(-50, 50),
+        lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
+        lambda: rng.uniform(-2.0, 2.0),
+        lambda: math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-300, 300)),
+    )
+    for _ in range(2000):
+        coeffs = [rng.choice(draws)() for _ in range(4)]
+        assert cubic_discriminant_exact(*coeffs) == fraction_cubic_discriminant(*coeffs)

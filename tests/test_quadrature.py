@@ -9,6 +9,7 @@ from nongauss import (
     CubicCoeffs,
     DegreeTooLow,
     DivergentIntegral,
+    DomainError,
     IllConditionedWarning,
     IntegralMethod,
     NoConvergence,
@@ -175,6 +176,20 @@ def test_halving_tolerance_stays_within_error_estimate():
         assert abs(fine.value - coarse.value) <= max(coarse.error_estimate, 1e-16 * coarse.value)
 
 
+@pytest.mark.parametrize("k", [-900, 900])
+def test_extreme_coefficient_scale(k):
+    # integral |2^k f|^(-2/n) = 2^(-2k/n) integral |f|^(-2/n)
+    s = math.ldexp(1.0, k)
+    cubic = CubicCoeffs(s, 2 * s, 3 * s, 5 * s)
+    numeric = integral_numeric(cubic)
+    closed = closed_form_integral(cubic)
+    assert abs(numeric.value - closed.value) <= 1e-9 * closed.value
+    assert numeric.error_estimate <= 1e-9 * closed.value
+    quartic = integral_numeric_general(Polynomial([s, 0.0, 0.0, 0.0, s]))
+    oracle = 0.5 * beta(0.25, 0.25) * 2.0 ** (-k / 2)
+    assert abs(quartic.value - oracle) <= 1e-9 * oracle
+
+
 def test_no_convergence_when_tolerance_unreachable():
     cfg = QuadratureConfig(rel_tol=1e-30, max_levels=4)
     with pytest.raises(NoConvergence):
@@ -223,6 +238,12 @@ def test_gaussian_quadrature_cross_check():
     assert abs(result.value - math.pi) <= 1e-10 * math.pi
     result = gaussian_integral_numeric(2.0, 2.0, 1.0)
     assert result.value == pytest.approx(math.pi, rel=1e-9)
+
+
+def test_gaussian_quadrature_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            gaussian_integral_numeric(1.0, 0.0, bad)
 
 
 def test_config_validation():

@@ -116,6 +116,18 @@ def test_gaussian_analogue_domain():
         gaussian_analogue(-1, 0, 1)
     with pytest.raises(DomainError):
         gaussian_analogue(1, 3, 1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            gaussian_analogue(1, 0, bad)
+
+
+def test_gaussian_analogue_extreme_scale():
+    # 2*pi / sqrt(4ac - b^2) scales as 1/s; b^2 and 4ac alone would overflow
+    # or underflow at these scales
+    for k in (-1000, -600, 600, 1000):
+        s = math.ldexp(1.0, k)
+        assert gaussian_analogue(s, 0, s) == math.ldexp(math.pi, -k)
+        assert gaussian_analogue(2 * s, 2 * s, s) == math.ldexp(math.pi, -k)
 
 
 def test_expectations_worked_example_exact():
@@ -185,6 +197,19 @@ def test_pde_identities_default_step_far_from_singularity():
 def test_pde_identities_stencil_crossing():
     with pytest.raises(StencilCrossesSingularity):
         pde_identity_residuals(CubicCoeffs(1.0, 0.0, -1.0, 0.3849))
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(1.0, 2.0, 3.0, 5.0), (-3.0, 1.0, 4.0, 2.0), (0.0, 1.0, 0.0, 1.0)]
+)
+def test_fd_residuals_do_not_depend_on_scale(coeffs):
+    moments = expectations_fd_check(CubicCoeffs(*coeffs))
+    identities = pde_identity_residuals(CubicCoeffs(*coeffs), step=5e-4)
+    for k in (-1000, -300, 0, 300, 1000):
+        scaled = CubicCoeffs(*(math.ldexp(v, k) for v in coeffs))
+        assert expectations_fd_check(scaled) == moments
+        assert pde_identity_residuals(scaled, step=math.ldexp(5e-4, k)) == identities
+    assert max(moments + identities) <= 1e-5
 
 
 def test_fd_divergent_center():
