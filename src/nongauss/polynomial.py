@@ -20,6 +20,9 @@ from .errors import DegenerateLeadingCoefficient, DomainError, NotARoot
 Number = Union[int, Fraction, float]
 
 _ROOT_RESIDUAL_FACTOR = 1e-10
+# Roots up to 2^160 keep the powers cubic_roots takes (p**3 and q*q grow like
+# (b/a)**6) inside the float range.
+_ROOT_SCALE = 2.0**160
 
 
 def is_exact_number(value: Number) -> bool:
@@ -280,12 +283,35 @@ def _polish_root(cs: tuple, x: float) -> float:
     return best
 
 
+def _dilated_monic(cs: tuple) -> tuple:
+    """(j, B, C, D) with y**3 + B*y**2 + C*y + D = f(2**j * y) / (a * 8**j),
+    j the binary exponent of the root bound max(|b/a|, |c/a|**(1/2),
+    |d/a|**(1/3)): the roots come to unit size.  The quotients are formed
+    from mantissas and exponents, so b/a is never formed and cannot overflow.
+    """
+    ma, ea = math.frexp(cs[0])
+    parts = [math.frexp(v) for v in cs[1:]]
+    j = math.ceil(max((e - ea) / i for i, (m, e) in enumerate(parts, 1) if m))
+    return (j, *(math.ldexp(m / ma, e - ea - i * j) for i, (m, e) in enumerate(parts, 1)))
+
+
+def _undilated(y: float, j: int) -> float:
+    """The root x = 2**j * y of f for the root y of _dilated_monic's cubic."""
+    try:
+        return math.ldexp(y, j)
+    except OverflowError:
+        raise DomainError(f"a real root lies beyond the float range: {y} * 2**{j}") from None
+
+
 def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     """All real roots of a true cubic (a != 0).
 
     Closed forms locate the roots (trigonometric when all three are real,
     Cardano otherwise) and Newton polishing restores full precision on the
     simple ones.  The classification follows the exact discriminant sign.
+    Roots too large for the closed forms are located at unit size after the
+    exact dilation x = 2**j * y; a root beyond the float range raises
+    DomainError.
     """
     if coeffs.a == 0:
         raise DegenerateLeadingCoefficient(
@@ -298,6 +324,13 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     big_b = b / a
     big_c = c / a
     big_d = d / a
+    j = 0
+    if not (
+        abs(big_b) <= _ROOT_SCALE
+        and abs(big_c) <= _ROOT_SCALE**2
+        and abs(big_d) <= _ROOT_SCALE**3
+    ):
+        j, big_b, big_c, big_d = _dilated_monic(cs)
     p = big_c - big_b * big_b / 3.0
     q = 2.0 * big_b**3 / 27.0 - big_b * big_c / 3.0 + big_d
     shift = -big_b / 3.0
@@ -313,7 +346,7 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
             arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
             theta = math.acos(arg)
             raw = [m * math.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
-        polished = sorted(_polish_root(cs, x) for x in raw)
+        polished = sorted(_polish_root(cs, _undilated(y, j)) for y in raw)
         return RootSet(tuple((x, 1) for x in polished), RootClassification.THREE_DISTINCT_REAL)
 
     if disc < 0:
@@ -324,14 +357,14 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
             u = -q / 2.0 - s if q >= 0.0 else -q / 2.0 + s
             u = _cbrt(u)
             t = u - p / (3.0 * u) if u != 0.0 else 0.0
-        x = _polish_root(cs, t + shift)
+        x = _polish_root(cs, _undilated(t + shift, j))
         return RootSet(((x, 1),), RootClassification.ONE_REAL_ONE_COMPLEX_PAIR)
 
     # D = 0: triple root exactly when b^2 = 3ac; otherwise the double root is
     # rational in the coefficients, so compute it without rounding
     at, bt, ct, dt = (Fraction(v) for v in coeffs.as_tuple())
     if bt * bt == 3 * at * ct:
-        return RootSet(((shift, 3),), RootClassification.REPEATED_ROOT)
+        return RootSet(((_undilated(shift, j), 3),), RootClassification.REPEATED_ROOT)
     shift_ex = -bt / (3 * at)
     p_ex = ct / at - (bt / at) ** 2 / 3
     q_ex = 2 * (bt / at) ** 3 / 27 - (bt / at) * (ct / at) / 3 + dt / at

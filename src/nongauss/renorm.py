@@ -80,28 +80,41 @@ def _checked_discriminant(coeffs: CubicCoeffs) -> DiscriminantResult:
     return disc
 
 
-def _closed_form_parts(coeffs: CubicCoeffs) -> tuple:
-    """(D, C+ or C- by the sign of D, ln|D| / 6) for F = C * exp(-ln|D| / 6)."""
-    disc = _checked_discriminant(coeffs)
+def _closed_form_parts(disc: DiscriminantResult) -> tuple:
+    """(C+ or C- by the sign of the nonzero D, ln|D| / 6) for F = C * exp(-ln|D| / 6)."""
     k = constants()
     c = k.c_plus if disc.sign is Sign.POSITIVE else k.c_minus
-    return disc, c, _ln_abs_fraction(disc.value) / 6.0
+    return c, _ln_abs_fraction(disc.value) / 6.0
+
+
+def _log_closed_form_of(disc: DiscriminantResult) -> float:
+    c, log_root = _closed_form_parts(disc)
+    return math.log(c) - log_root
 
 
 def log_closed_form(coeffs: CubicCoeffs) -> float:
     """log F(a, b, c, d); fully in log space for scale robustness."""
-    _, c, log_root = _closed_form_parts(coeffs)
-    return math.log(c) - log_root
+    return _log_closed_form_of(_checked_discriminant(coeffs))
 
 
 def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
     """Evaluate F exactly from the discriminant sign and the Beta constants.
 
     The sixth root goes through exp(-ln|D|/6), with ln|D| taken on the exact
-    rational D, so extreme coefficient scales neither overflow nor underflow.
+    rational D, so extreme coefficient scales neither overflow nor underflow
+    on the way; a value F beyond the float range raises DomainError.
     """
-    disc, c, log_root = _closed_form_parts(coeffs)
-    return IntegralResult(c * math.exp(-log_root), IntegralMethod.CLOSED_FORM, disc, 0.0)
+    disc = _checked_discriminant(coeffs)
+    c, log_root = _closed_form_parts(disc)
+    try:
+        value = c * math.exp(-log_root)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(
+            f"value out of float range: ln F = {math.log(c) - log_root:.6g}"
+        )
+    return IntegralResult(value, IntegralMethod.CLOSED_FORM, disc, 0.0)
 
 
 def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
@@ -179,7 +192,7 @@ def _unit_stencil(coeffs: CubicCoeffs, default_step: float, step) -> tuple:
                 f"stencil point {point.as_tuple()} has discriminant sign "
                 f"{disc.sign.value}, center has {center.value}"
             )
-        return log_closed_form(point)
+        return _log_closed_form_of(disc)
 
     return base, scale, h, log_f
 

@@ -153,6 +153,32 @@ def test_cubic_roots_double_plus_simple():
     assert dict((round(r, 9), m) for r, m in rs.roots) == {1.0: 2, -2.0: 1}
 
 
+_R = 2.0**300
+
+
+@pytest.mark.parametrize(
+    "coeffs,roots",
+    [
+        ((1.0, -_R, 1.0, -_R), ((_R, 1),)),  # (x - R)(x^2 + 1)
+        ((1.0, -_R, _R * _R, -_R * _R * _R), ((_R, 1),)),  # (x - R)(x^2 + R^2)
+        ((1.0, -3.0 * _R, 3.0 * _R * _R, -_R * _R * _R), ((_R, 3),)),  # (x - R)^3
+        ((-1.0, -_R, -_R * _R, -_R * _R * _R), ((-_R, 1),)),  # -(x + R)(x^2 + R^2)
+    ],
+)
+def test_cubic_roots_far_beyond_unit_scale(coeffs, roots):
+    # p**3 and q*q grow like (b/a)**6; the roots are located after an exact
+    # dilation x = 2^j y instead of overflowing
+    rs = cubic_roots(CubicCoeffs(*coeffs))
+    assert [m for _, m in rs.roots] == [m for _, m in roots]
+    assert rs.values() == pytest.approx(tuple(r for r, _ in roots), rel=1e-15)
+
+
+def test_cubic_roots_root_beyond_float_range():
+    # the root near -b/a = -1e310 has no float
+    with pytest.raises(DomainError):
+        cubic_roots(CubicCoeffs(1e-300, 1e10, 0.0, 1.0))
+
+
 def test_cubic_roots_rejects_a_zero():
     with pytest.raises(DegenerateLeadingCoefficient):
         cubic_roots(CubicCoeffs(0, 1, 0, 1))

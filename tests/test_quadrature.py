@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -25,6 +26,7 @@ from nongauss import (
     integral_numeric_general,
     integrand,
 )
+from nongauss import quadrature
 from nongauss.polynomial import cubic_discriminant_exact
 
 
@@ -251,3 +253,160 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_levels=3)
+    # the node tables of levels 0..16 hold about 0.4M nodes; 17 would double it
+    assert QuadratureConfig(max_levels=16).max_levels == 16
+    with pytest.raises(DomainError):
+        QuadratureConfig(max_levels=17)
+
+
+def _direct_node(t):
+    """The per-node tanh-sinh formulas, as evaluated before node tables."""
+    z = math.pi / 2.0 * math.sinh(t)
+    e2 = math.exp(-2.0 * z)
+    one_minus = 2.0 * e2 / (1.0 + e2)
+    one_plus = 2.0 / (1.0 + e2)
+    return one_minus, one_plus, math.pi / 2.0 * math.cosh(t) * one_minus * one_plus
+
+
+def _level_key(level):
+    return (1.0, False) if level == 0 else (0.5**level, True)
+
+
+@pytest.mark.parametrize("level", range(13))
+def test_node_table_matches_direct_formula(level):
+    h, only_odd = _level_key(level)
+    one_minus, one_plus, weights, tail_start = quadrature._node_table(h, only_odd)
+    step = 2 if only_odd else 1
+    ts = [(1 + step * i) * h for i in range(len(weights))]
+    for t, om, op, w in zip(ts, one_minus, one_plus, weights):
+        assert (om, op, w) == _direct_node(t)
+        assert om != 0.0 and w != 0.0
+    assert tail_start == sum(1 for t in ts if t <= 3.0)
+    # a unit panel's walk ended at the same node: the one after the last
+    # entry is zero, or the last entry is the first beyond t = 7.5
+    assert all(t <= 7.5 for t in ts[:-1])
+    om, _, w = _direct_node(ts[-1] + step * h)
+    assert ts[-1] > 7.5 or om == 0.0 or w == 0.0
+
+
+def test_node_tables_are_built_once_and_stay_small():
+    assert quadrature._node_table(0.25, True) is quadrature._node_table(0.25, True)
+    levels = range(QuadratureConfig().max_levels + 1)
+    assert sum(len(quadrature._node_table(*_level_key(L))[2]) for L in levels) <= 26_000
+
+
+def _direct_tanh_sinh_panel(fn, lo, hi, cfg):
+    """Reference: the level-doubling rule evaluating every node per panel."""
+    hs = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    if hs == 0.0:
+        return 0.0, 0.0, True
+
+    def side_sum(h, only_odd):
+        total = 0.0
+        for sign in (+1, -1):
+            k = 1
+            negligible = 0
+            while True:
+                t = k * h
+                one_minus, one_plus, w = _direct_node(t)
+                weight = w * hs
+                if sign > 0:
+                    d_hi, d_lo, x = hs * one_minus, hs * one_plus, hi - hs * one_minus
+                else:
+                    d_lo, d_hi, x = hs * one_minus, hs * one_plus, lo + hs * one_minus
+                if d_lo == 0.0 or d_hi == 0.0 or weight == 0.0:
+                    break
+                term = weight * fn(x, d_lo, d_hi)
+                total += term
+                if term <= abs(total) * 1e-17:
+                    negligible += 1
+                    if negligible >= 2 and t > 3.0:
+                        break
+                else:
+                    negligible = 0
+                k += 2 if only_odd else 1
+                if t > 7.5:
+                    break
+        return total
+
+    node_sum = math.pi / 2.0 * hs * fn(mid, hs, hs) + side_sum(1.0, False)
+    previous = value = node_sum
+    error = math.inf
+    h = 1.0
+    for _ in range(cfg.max_levels):
+        h *= 0.5
+        node_sum += side_sum(h, True)
+        value = h * node_sum
+        error = abs(value - previous)
+        if error <= cfg.rel_tol * abs(value):
+            return value, error, True
+        previous = value
+    return value, error, False
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x, d_lo, d_hi: 1.0,
+        lambda x, d_lo, d_hi: math.exp(-1e4 * x * x),  # negligible from t ~ 1 on
+        # endpoint singularities: terms stay large until the distances underflow
+        lambda x, d_lo, d_hi: min(d_lo, d_hi) ** -0.9,
+    ],
+)
+@pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1e-300), (2.0, 2.0 + 2.0**-40), (-3e5, 7.0)])
+def test_tanh_sinh_panel_walks_the_direct_nodes(fn, lo, hi):
+    # the same nodes in the same order, so also the same stops on the scaled
+    # values; an early stop among negligible terms would not show in the value
+    cfg = QuadratureConfig(max_levels=8)
+    walks = ([], [])
+
+    def walk(rule, seen):
+        def logged(x, d_lo, d_hi):
+            seen.append((x, d_lo, d_hi))
+            return fn(x, d_lo, d_hi)
+
+        return rule(logged, lo, hi, cfg)
+
+    assert walk(quadrature._tanh_sinh_panel, walks[0]) == walk(_direct_tanh_sinh_panel, walks[1])
+    assert walks[0] == walks[1]
+
+
+def _outcome(call, *args):
+    try:
+        result = call(*args)
+    except NoConvergence as exc:
+        return str(exc)
+    return result.value, result.error_estimate
+
+
+def test_node_tables_give_direct_evaluation_values(monkeypatch):
+    rng = random.Random(29)
+    cubics = []
+    while len(cubics) < 24:
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+        if abs(cubic_discriminant_exact(*coeffs)) < 1e-3 * max(map(abs, coeffs)) ** 4:
+            continue
+        kind = len(cubics) % 3
+        if kind == 1:
+            coeffs = [math.ldexp(c, rng.randint(-300, 300)) for c in coeffs]
+        elif kind == 2:
+            j = rng.randint(-20, 0)
+            coeffs = [math.ldexp(c, (3 - i) * j) for i, c in enumerate(coeffs)]
+        cubics.append(CubicCoeffs(*coeffs))
+    forms = [Polynomial([1.0] + [rng.uniform(-2.0, 2.0) for _ in range(n)]) for n in range(4, 9)]
+    for sign in (1.0, -1.0):
+        forms += [Polynomial([1.0] + [0.0] * (n - 1) + [sign]) for n in (4, 6, 8)]
+
+    def outcomes():
+        return [_outcome(integral_numeric, c) for c in cubics] + [
+            _outcome(integral_numeric_general, f) for f in forms
+        ]
+
+    with warnings.catch_warnings():
+        # dilations leave the |D| >= 1e-3 * scale^4 band
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        tabulated = outcomes()
+        monkeypatch.setattr(quadrature, "_tanh_sinh_panel", _direct_tanh_sinh_panel)
+        direct = outcomes()
+    assert tabulated == direct

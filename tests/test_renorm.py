@@ -20,6 +20,7 @@ from nongauss import (
     gaussian_analogue,
     pde_identity_residuals,
 )
+from nongauss import discriminant
 from nongauss.polynomial import cubic_discriminant_exact
 
 
@@ -215,3 +216,29 @@ def test_fd_residuals_do_not_depend_on_scale(coeffs):
 def test_fd_divergent_center():
     with pytest.raises(DivergentIntegral):
         expectations_fd_check(CubicCoeffs(1.0, -3.0, 3.0, -1.0))
+
+
+def test_fd_stencil_points_evaluate_d_once(monkeypatch):
+    # one D for the center's sign, then one per stencil point: 1 + 8 moment
+    # points and 1 + 21 identity points
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cubic_discriminant_exact(*args)
+
+    monkeypatch.setattr(discriminant, "cubic_discriminant_exact", counted)
+    cubic = CubicCoeffs(1.0, 2.0, 3.0, 5.0)
+    expectations_fd_check(cubic)
+    assert len(calls) == 9
+    calls.clear()
+    pde_identity_residuals(cubic)
+    assert len(calls) == 22
+
+
+@pytest.mark.parametrize("zeros", [1846, 2000])
+def test_closed_form_beyond_float_range(zeros):
+    # D = 4 / 10^zeros: exp(-ln|D| / 6) overflows (2000) or C times it does (1846)
+    cubic = CubicCoeffs(Fraction(1, 10**zeros), 0, -1, 0)
+    with pytest.raises(DomainError, match="out of float range"):
+        closed_form_integral(cubic)
