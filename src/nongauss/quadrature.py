@@ -7,6 +7,15 @@ unbounded tails are folded onto finite intervals with the reciprocal
 substitution u = 1/x, under which the tail integrand becomes the reversed
 coefficient polynomial (smooth at u = 0 whenever deg f = n).
 
+Every integral runs at unit root scale.  With 2^s a binary lower bound on
+the smallest modulus of the nonzero roots (read from the exponents of the
+coefficients alone) and 2^e the power of two just below the largest
+coefficient of f(2^s y), the panels integrate g(y) = 2^-e f(2^s y) and
+F(f) = 2^s * 2^(-2e/n) * F(g).  Both maps are exact in binary floating
+point, and f(2^j x) normalizes to the very same g for every j: a dilated
+form costs what the form itself costs, and its value and error estimate are
+those of f times 2^-j, to the last bit.
+
 Two implementation points matter for full double precision:
 
 * Endpoint roots are divided out of f (synthetic division), and the root
@@ -36,7 +45,6 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .discriminant import discriminant_general
@@ -51,10 +59,10 @@ from .errors import (
 from .polynomial import (
     CubicCoeffs,
     Polynomial,
-    binary_exponent,
     cubic_roots,
     derivative_coeffs,
     horner,
+    integer_coefficients,
     magnitude_at,
 )
 from .renorm import IntegralMethod, IntegralResult, _checked_discriminant
@@ -451,35 +459,74 @@ def _tail_panel_value(
     return _tanh_sinh_panel(fn, u_lo, u_hi, cfg)
 
 
-def _integrate_decomposition(
-    decomposition: PanelDecomposition, cfg: QuadratureConfig
-) -> Tuple[float, float]:
-    """Sum of the panel integrals, computed at unit coefficient scale.
+def _unit_root_scale(values: Sequence[float]) -> Tuple[int, int]:
+    """(s, e) such that g(y) = 2^-e f(2^s y) has its smallest nonzero root and
+    its largest coefficient at unit size; ``values`` are f's float
+    coefficients, leading first.
 
-    Dividing f by the power of two 2^e just below its largest coefficient
-    keeps the integrand in float range without moving roots or panels; the
-    sum is then multiplied by 2^(-2e/n), from |2^-e f|^(-2/n) = 2^(2e/n) |f|^(-2/n).
+    With c_L the lowest-power nonzero coefficient and e_p the binary exponent
+    of c_p, s is the least floor((e_L - e_p) / (p - L)) over the other
+    nonzero c_p: Fujiwara's bound on the reversed polynomial, read from the
+    exponents alone, so every nonzero root of g has a modulus of order one
+    or more.  e puts the largest coefficient of g in [1, 2).  Dilating f to
+    f(2^j x) moves s to s - j and leaves e and g as they were.  When the
+    dilation would make a coefficient of g subnormal, s = 0.
     """
-    values = [float(c) for c in decomposition.polynomial.coeffs]
-    e = binary_exponent(values)
-    coeffs = [math.ldexp(c, -e) for c in values]
-    exponent = 2.0 / decomposition.family_degree
+    deg = len(values) - 1
+    exponents = [(deg - i, math.frexp(v)[1]) for i, v in enumerate(values) if v]
+    if not exponents:
+        raise DomainError("every coefficient rounds to zero as a float")
+    low_power, low_exp = exponents[-1]
+    s = min(((low_exp - ex) // (p - low_power) for p, ex in exponents[:-1]), default=0)
+    dilated = [ex + s * p for p, ex in exponents]
+    # 2^-1022 is the smallest normal float; g's largest coefficient is in [1, 2)
+    if min(dilated) - max(dilated) < -1022:
+        s = 0
+        dilated = [ex for _, ex in exponents]
+    return s, max(dilated) - 1
+
+
+def _integrate_at_unit_scale(
+    f: Polynomial, family_degree: int, cfg: QuadratureConfig
+) -> Tuple[float, float]:
+    """(value, error estimate) of integral over R of |f|**(-2/n), computed on
+    g(y) = 2^-e f(2^s y) with (s, e) from ``_unit_root_scale``.
+
+    The panel rule resolves features of unit size near the origin, and no
+    root of g is much smaller.  Both maps are exact, and x = 2^s y gives
+    F(f) = 2^s * 2^(-2e/n) * F(g); as f(2^j x) has the same g as f, its value
+    and error estimate are those of f times 2^-j, to the last bit, for the
+    same work.
+    """
+    values = [float(c) for c in f.coeffs]
+    s, e = _unit_root_scale(values)
+    deg = len(values) - 1
+    g = [math.ldexp(v, s * (deg - i) - e) for i, v in enumerate(values)]
+    units = f" (in y = x / 2^{s})" if s else ""
+
+    try:
+        decomposition = decompose(Polynomial(g), family_degree=family_degree, config=cfg)
+    except RepeatedRootDivergence as exc:
+        raise RepeatedRootDivergence(f"{exc}{units}") from None
+    exponent = 2.0 / family_degree
     total = 0.0
     total_error = 0.0
     for panel in decomposition.panels:
         if panel.kind == "finite":
-            value, error, converged = _finite_panel_value(coeffs, exponent, panel, cfg)
+            value, error, converged = _finite_panel_value(g, exponent, panel, cfg)
         else:
-            value, error, converged = _tail_panel_value(coeffs, exponent, panel, cfg)
+            value, error, converged = _tail_panel_value(g, exponent, panel, cfg)
         if not converged:
             raise NoConvergence(
-                f"panel [{panel.lo}, {panel.hi}] did not reach rel_tol={cfg.rel_tol} "
+                f"panel [{panel.lo}, {panel.hi}]{units} did not reach rel_tol={cfg.rel_tol} "
                 f"within {cfg.max_levels} levels (last delta {error:.3e})"
             )
         total += value
         total_error += error
-    rescale = 2.0 ** (-e * exponent)
-    return total * rescale, total_error * rescale
+    # 2^(-2e/n) = 2^(r/n) * 2^q: only the fractional power rounds
+    q, r = divmod(-2 * e, family_degree)
+    rescale = 2.0 ** (r / family_degree)
+    return math.ldexp(total * rescale, q + s), math.ldexp(total_error * rescale, q + s)
 
 
 def integral_numeric(
@@ -493,16 +540,19 @@ def integral_numeric(
     """
     cfg = config or QuadratureConfig()
     disc = _checked_discriminant(coeffs)
-    scale = coeffs.scale()
-    if abs(disc.value) < Fraction(_DISCRIMINANT_CONDITION_BAND) * Fraction(scale) ** 4:
+    # |D| < band * scale^4 in integers: band = band_int / den, scale = scale_int / den
+    (band_int, scale_int), den = integer_coefficients(
+        (_DISCRIMINANT_CONDITION_BAND, coeffs.scale())
+    )
+    d_num, d_den = abs(disc.value.numerator), disc.value.denominator
+    if d_num * den**5 < band_int * scale_int**4 * d_den:
         warnings.warn(
-            f"|D| / scale^4 = {float(abs(disc.value) / Fraction(scale) ** 4):.3e} is below "
+            f"|D| / scale^4 = {d_num * den**4 / (scale_int**4 * d_den):.3e} is below "
             f"{_DISCRIMINANT_CONDITION_BAND}; singularities nearly coalesce",
             IllConditionedWarning,
             stacklevel=2,
         )
-    decomposition = decompose(coeffs.as_polynomial(), family_degree=3, config=cfg)
-    value, error = _integrate_decomposition(decomposition, cfg)
+    value, error = _integrate_at_unit_scale(coeffs.as_polynomial(), 3, cfg)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
@@ -517,8 +567,7 @@ def integral_numeric_general(
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
     disc = discriminant_general(f)
-    decomposition = decompose(f, family_degree=f.degree, config=cfg)
-    value, error = _integrate_decomposition(decomposition, cfg)
+    value, error = _integrate_at_unit_scale(f, f.degree, cfg)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
@@ -536,7 +585,6 @@ def gaussian_integral_numeric(
     if not (finite and af > 0.0 and bf * bf - 4.0 * af * cf < 0.0):
         raise DomainError("requires finite coefficients, a > 0 and b^2 - 4ac < 0")
     poly = Polynomial([af, bf, cf])
-    decomposition = decompose(poly, family_degree=2, config=cfg)
-    value, error = _integrate_decomposition(decomposition, cfg)
+    value, error = _integrate_at_unit_scale(poly, 2, cfg)
     disc = discriminant_general(poly)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

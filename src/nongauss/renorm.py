@@ -102,7 +102,8 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
 
     The sixth root goes through exp(-ln|D|/6), with ln|D| taken on the exact
     rational D, so extreme coefficient scales neither overflow nor underflow
-    on the way; a value F beyond the float range raises DomainError.
+    on the way; a value F that overflows, or underflows to zero, raises
+    DomainError.
     """
     disc = _checked_discriminant(coeffs)
     c, log_root = _closed_form_parts(disc)
@@ -110,7 +111,7 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
         value = c * math.exp(-log_root)
     except OverflowError:
         value = math.inf
-    if value == math.inf:
+    if not 0.0 < value < math.inf:
         raise DomainError(
             f"value out of float range: ln F = {math.log(c) - log_root:.6g}"
         )

@@ -252,6 +252,10 @@ def test_non_finite_input_is_domain_error(capsys, argv, bad):
         (["integral", "1e-300", "-1.06", "0", "-1/7", "--numeric"], 3, "NoConvergence"),
         (["integral", "1/1" + "0" * 2000, "0", "-1", "0"], 2, "DomainError"),
         (["integral", "1", "0", "-1", "0", "--numeric", "--max-levels", "17"], 2, "DomainError"),
+        # F = C / (4 * 10^2000)^(1/6) underflowed to a status-ok 0.0
+        (["integral", "1" + "0" * 2000, "0", "-1", "0"], 2, "DomainError"),
+        # every coefficient rounds to 0.0 for quadrature (was SingularPoint)
+        (["integral"] + ["1/1" + "0" * 400] * 2 + ["0", "1/1" + "0" * 400, "--numeric"], 2, "DomainError"),
     ],
 )
 def test_fuzz_findings(capsys, argv, code, kind):

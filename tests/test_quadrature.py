@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +28,7 @@ from nongauss import (
     integrand,
 )
 from nongauss import quadrature
-from nongauss.polynomial import cubic_discriminant_exact
+from nongauss.polynomial import cubic_discriminant_exact, horner
 
 
 def test_integrand_examples():
@@ -410,3 +411,158 @@ def test_node_tables_give_direct_evaluation_values(monkeypatch):
         monkeypatch.setattr(quadrature, "_tanh_sinh_panel", _direct_tanh_sinh_panel)
         direct = outcomes()
     assert tabulated == direct
+
+
+def _dilated(coeffs, j):
+    """f(2^j x) for leading-first coefficients: the power-p term gains 2^(j p)."""
+    n = len(coeffs) - 1
+    return [math.ldexp(c, j * (n - i)) for i, c in enumerate(coeffs)]
+
+
+def _unit_band_cubics(rng, count):
+    cubics = []
+    while len(cubics) < count:
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+        if abs(cubic_discriminant_exact(*coeffs)) >= 1e-3 * max(map(abs, coeffs)) ** 4:
+            cubics.append(coeffs)
+    return cubics
+
+
+def test_cubic_dilation_is_exact():
+    # f(2^j x) normalizes to the same unit-scale form as f, so the result is
+    # F(f) * 2^-j to the last bit, error estimate included
+    rng = random.Random(41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for coeffs in _unit_band_cubics(rng, 30):
+            j = rng.randint(-100, 100)
+            base = integral_numeric(CubicCoeffs(*coeffs))
+            dilated = integral_numeric(CubicCoeffs(*_dilated(coeffs, j)))
+            assert dilated.value == math.ldexp(base.value, -j)
+            assert dilated.error_estimate == math.ldexp(base.error_estimate, -j)
+
+
+def test_general_dilation_is_exact():
+    rng = random.Random(43)
+    succeeded = 0
+    for n in range(4, 9):
+        for _ in range(4):
+            coeffs = [1.0] + [rng.uniform(-2.0, 2.0) for _ in range(n)]
+            j = rng.randint(-100, 100)
+            base = _outcome(integral_numeric_general, Polynomial(coeffs))
+            dilated = _outcome(integral_numeric_general, Polynomial(_dilated(coeffs, j)))
+            if isinstance(base, str):
+                assert isinstance(dilated, str)
+                continue
+            assert dilated == (math.ldexp(base[0], -j), math.ldexp(base[1], -j))
+            succeeded += 1
+    assert succeeded >= 15
+
+
+# Compressing dilations that ended in NoConvergence while the quadrature
+# worked at the caller's root scale (bench/workloads.py keeps them as _FAULT_B).
+_COMPRESSED = [
+    ((-0.11530035241317593, 1.32831720317207, 0.7025450712263854, 0.09780398909811794), 6),
+    ((-0.8923246105829215, -0.7847540700206932, 1.8862607160440947, -0.659847654260663), 23),
+]
+
+
+def test_compressing_dilations_match_closed_form():
+    rng = random.Random(47)
+    cases = _COMPRESSED + [(c, rng.randint(1, 30)) for c in _unit_band_cubics(rng, 60)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for coeffs, j in cases:
+            cubic = CubicCoeffs(*_dilated(coeffs, j))
+            numeric = integral_numeric(cubic).value
+            closed = closed_form_integral(cubic).value
+            assert abs(numeric - closed) <= 1e-8 * closed
+
+
+def test_dilated_cubic_costs_what_its_base_costs(monkeypatch):
+    calls = []
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return horner(coeffs, x)
+
+    monkeypatch.setattr(quadrature, "horner", counted)
+    base = [1.0, 2.0, 3.0, 5.0]
+    integral_numeric(CubicCoeffs(*base))
+    expected = len(calls)
+    assert expected > 0
+    for j in (-30, -7, 6, 23):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            integral_numeric(CubicCoeffs(*_dilated(base, j)))
+        assert len(calls) == expected
+
+
+def _band_predicate(coeffs):
+    scale = max(abs(float(v)) for v in coeffs)
+    return abs(cubic_discriminant_exact(*coeffs)) < Fraction(1e-3) * Fraction(scale) ** 4
+
+
+def test_condition_band_is_the_exact_predicate(monkeypatch):
+    # the integer test warns exactly where the Fraction test |D| < 1e-3 scale^4 does
+    monkeypatch.setattr(quadrature, "_integrate_at_unit_scale", lambda f, n, cfg: (1.0, 0.0))
+    rng = random.Random(53)
+    draws = [
+        lambda: rng.uniform(-2.0, 2.0),
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+        lambda: math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-300, 300)),
+    ]
+    flagged = 0
+    for i in range(400):
+        coeffs = [draws[i % 4]() for _ in range(4)]
+        if i % 3 == 0:  # roots at 0, eps, 1 put D near the band
+            eps = 10.0 ** rng.uniform(-3.0, -1.0)
+            coeffs = [1.0, -(1.0 + eps), eps, 0.0]
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                integral_numeric(CubicCoeffs(*coeffs))
+        except DivergentIntegral:
+            continue
+        warned = any(issubclass(w.category, IllConditionedWarning) for w in caught)
+        assert warned == _band_predicate(coeffs), coeffs
+        flagged += warned
+    assert flagged >= 20
+
+
+def test_unit_root_scale_finds_the_smallest_root():
+    # roots r with log-uniform moduli, a zero root (the x^k factor) among them
+    # at times: the smallest nonzero |r| / 2^s stays of order one, and a
+    # dilation by 2^j moves s by -j alone
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        roots = [rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-40.0, 40.0) for _ in range(n)]
+        if rng.random() < 0.2:
+            roots[0] = 0.0
+        coeffs = [float(c) for c in Polynomial.from_roots(roots, leading=1.0).coeffs]
+        s, e = quadrature._unit_root_scale(coeffs)
+        smallest = min(abs(r) for r in roots if r)
+        assert 0.25 <= math.ldexp(smallest, -s) <= 2 * n
+        j = rng.randint(-20, 20)
+        assert quadrature._unit_root_scale(_dilated(coeffs, j)) == (s - j, e)
+
+
+def test_unit_root_scale_keeps_coefficients_normal():
+    # at s = -510 the x^3 coefficient of g would be 2^-1530 (below the float
+    # range) while x^2 and 1 are of unit size, so s falls back to 0
+    s, e = quadrature._unit_root_scale([1.0, 2.0**520, 0.0, 2.0**-500])
+    assert (s, e) == (0, 520)
+
+
+@pytest.mark.parametrize("k", [30, 100, 300])
+def test_unit_pair_with_far_root(k):
+    # (x + 2^k)(x^2 + 1): the complex pair stays at unit size in y, where the
+    # panels resolve it
+    big = 2.0**k
+    cubic = CubicCoeffs(1.0, big, 1.0, big)
+    numeric = integral_numeric(cubic).value
+    closed = closed_form_integral(cubic).value
+    assert abs(numeric - closed) <= 1e-8 * closed

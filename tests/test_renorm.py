@@ -242,3 +242,12 @@ def test_closed_form_beyond_float_range(zeros):
     cubic = CubicCoeffs(Fraction(1, 10**zeros), 0, -1, 0)
     with pytest.raises(DomainError, match="out of float range"):
         closed_form_integral(cubic)
+
+
+def test_closed_form_underflow_is_domain_error():
+    # D = 4 * 10^2000: F ~ 10^-333 underflows to 0.0
+    with pytest.raises(DomainError, match="out of float range"):
+        closed_form_integral(CubicCoeffs(10**2000, 0, -1, 0))
+    # a subnormal F is still a value
+    value = closed_form_integral(CubicCoeffs(10**1900, 0, -1, 0)).value
+    assert 0.0 < value < 2.0**-1022
