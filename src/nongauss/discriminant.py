@@ -6,10 +6,11 @@ follows from
 
     D = (-1)**(n*(n-1)/2) * R(f, f') / a0.
 
-Everything here is exact: inputs are cleared to integers over a common
-denominator (floats convert losslessly) and the determinant is computed with
-fraction-free Bareiss elimination over big integers.  Cubics use the explicit
-five-term expansion instead.
+Everything here is exact: inputs are cleared once to integers over a common
+denominator den (floats convert losslessly), the Sylvester rows are built on
+those integers, and fraction-free Bareiss elimination runs on them directly.
+The integer determinant is den^(2n-1) * R(f, f'), divided out once at the
+end.  Cubics use the explicit five-term expansion instead.
 """
 
 from __future__ import annotations
@@ -76,26 +77,25 @@ class ResolventData:
     C: Fraction
 
 
-def sylvester_matrix(f: Polynomial) -> SylvesterMatrix:
-    """Assemble the band matrix whose determinant is R(f, f').
-
-    Row r < n-1 holds the coefficients of f shifted r places; the remaining
-    n rows hold the coefficients of f' shifted likewise.
-    """
+def _sylvester_rows(f: Polynomial) -> tuple:
+    """(rows, den) from ``ints, den = integer_coefficients(f.coeffs)``: row
+    r < n-1 holds ints (den * f) shifted r places, the other n rows den * f'
+    shifted likewise, so their determinant is den^(2n-1) * R(f, f')."""
     n = f.degree
     if n < 2:
         raise DegreeTooLow(f"need degree >= 2, got {n}")
     ints, den = integer_coefficients(f.coeffs)
-    cs = [Fraction(p, den) for p in ints]
-    ds = derivative_coeffs(cs)
+    ds = derivative_coeffs(ints)
     size = 2 * n - 1
-    zero = Fraction(0)
-    rows = []
-    for r in range(n - 1):
-        rows.append(tuple([zero] * r + cs + [zero] * (size - r - n - 1)))
-    for r in range(n):
-        rows.append(tuple([zero] * r + ds + [zero] * (size - r - n)))
-    return SylvesterMatrix(tuple(rows), n)
+    rows = [[0] * r + ints + [0] * (size - r - n - 1) for r in range(n - 1)]
+    rows += [[0] * r + ds + [0] * (size - r - n) for r in range(n)]
+    return rows, den
+
+
+def sylvester_matrix(f: Polynomial) -> SylvesterMatrix:
+    """The band matrix whose determinant is R(f, f'), as exact Fractions."""
+    rows, den = _sylvester_rows(f)
+    return SylvesterMatrix(tuple(tuple(Fraction(v, den) for v in row) for row in rows), f.degree)
 
 
 def _bareiss_determinant_int(m: list) -> int:
@@ -124,28 +124,21 @@ def _bareiss_determinant_int(m: list) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _determinant(rows: tuple) -> Fraction:
-    """Exact determinant: clear each row's denominators, then run Bareiss."""
-    scale = 1
-    int_rows = []
-    for row in rows:
-        ints, den = integer_coefficients(row)
-        scale *= den
-        int_rows.append(ints)
-    return Fraction(_bareiss_determinant_int(int_rows), scale)
-
-
 def resultant(f: Polynomial) -> Fraction:
     """R(f, f') as an exact rational; for cubics R/a = -D."""
-    return _determinant(sylvester_matrix(f).entries)
+    rows, den = _sylvester_rows(f)
+    return Fraction(_bareiss_determinant_int(rows), den ** (2 * f.degree - 1))
 
 
 def discriminant_general(f: Polynomial) -> DiscriminantResult:
     """Discriminant of any degree >= 2 polynomial via the resultant."""
     n = f.degree
-    res = resultant(f)
+    rows, den = _sylvester_rows(f)
+    lead = rows[0][0]  # den * a0
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return DiscriminantResult.from_value(sign * res / Fraction(f.coeffs[0]))
+    # D = sign * R / a0 with R = det / den^(2n-1) and a0 = lead / den
+    det = _bareiss_determinant_int(rows)
+    return DiscriminantResult.from_value(Fraction(sign * det, lead * den ** (2 * n - 2)))
 
 
 def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:

@@ -53,6 +53,16 @@ def binary_exponent(values: Sequence[float]) -> int:
     return math.frexp(max(abs(v) for v in values))[1] - 1
 
 
+def fujiwara_exponent(values: Sequence[float]) -> int:
+    """The least integer j >= (e_i - e_0) / i over the nonzero non-leading
+    ``values[i]`` (leading first, e_i the ``math.frexp`` exponent), 0 if none:
+    2^(j + 1) exceeds each |v_i / v_0|^(1/i), so by Fujiwara's bound every
+    root of f(2^j y) has modulus below 4."""
+    e0 = math.frexp(values[0])[1]
+    ceilings = [-((e0 - math.frexp(v)[1]) // i) for i, v in enumerate(values[1:], 1) if v]
+    return max(ceilings, default=0)
+
+
 def horner(coeffs: Sequence[Number], x: Number) -> Number:
     """Nested evaluation at ``x``; exact when ``coeffs`` and ``x`` are exact."""
     acc = 0
@@ -285,13 +295,13 @@ def _polish_root(cs: tuple, x: float) -> float:
 
 def _dilated_monic(cs: tuple) -> tuple:
     """(j, B, C, D) with y**3 + B*y**2 + C*y + D = f(2**j * y) / (a * 8**j),
-    j the binary exponent of the root bound max(|b/a|, |c/a|**(1/2),
-    |d/a|**(1/3)): the roots come to unit size.  The quotients are formed
-    from mantissas and exponents, so b/a is never formed and cannot overflow.
+    j = fujiwara_exponent(cs): the roots come to unit size.  The quotients
+    are formed from mantissas and exponents, so b/a is never formed and
+    cannot overflow.
     """
     ma, ea = math.frexp(cs[0])
     parts = [math.frexp(v) for v in cs[1:]]
-    j = math.ceil(max((e - ea) / i for i, (m, e) in enumerate(parts, 1) if m))
+    j = fujiwara_exponent(cs)
     return (j, *(math.ldexp(m / ma, e - ea - i * j) for i, (m, e) in enumerate(parts, 1)))
 
 

@@ -4,8 +4,10 @@ Strategy: split the line at the real roots of f, then integrate each panel
 with tanh-sinh (double-exponential) quadrature.  The double-exponential map
 absorbs the algebraic |x - r|**(-2m/n) endpoint singularities, and the two
 unbounded tails are folded onto finite intervals with the reciprocal
-substitution u = 1/x, under which the tail integrand becomes the reversed
-coefficient polynomial (smooth at u = 0 whenever deg f = n).
+substitution u = 1/x.  A tail is then one more panel, of the degree-n
+reversal G(u) = u^n f(1/u) on (0, 1/cut] or [-1/cut, 0): G has a root of
+multiplicity n - deg f at u = 0 (none when deg f = n), and that endpoint
+root is divided out like any other.  One panel builder serves every panel.
 
 Every integral runs at unit root scale.  With 2^s a binary lower bound on
 the smallest modulus of the nonzero roots (read from the exponents of the
@@ -61,17 +63,20 @@ from .polynomial import (
     Polynomial,
     cubic_roots,
     derivative_coeffs,
+    fujiwara_exponent,
     horner,
     integer_coefficients,
     magnitude_at,
 )
-from .renorm import IntegralMethod, IntegralResult, _checked_discriminant
+from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _checked_gaussian
 
 _HALF_PI = math.pi / 2.0
 # |D| below this multiple of scale**4 still computes but is flagged.
 _DISCRIMINANT_CONDITION_BAND = 1e-3
 # relative |f'(root)| threshold treating a located root as repeated
 _MULTIPLICITY_RTOL = 1e-8
+# roots closer than this, relative to max(1, |largest root|), are flagged
+_SINGULARITY_CLEARANCE = 1e-6
 # Levels 0..16 of cached node tables hold about 0.4M nodes (10 MB); each
 # further level would double that.
 _MAX_LEVELS = 16
@@ -81,7 +86,6 @@ _MAX_LEVELS = 16
 class QuadratureConfig:
     rel_tol: float = 1e-10
     max_levels: int = 12
-    singularity_clearance: float = 1e-6
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -98,17 +102,21 @@ class Panel:
 
     lo: float
     hi: float
-    singular_lo: bool = False
-    singular_hi: bool = False
     lo_multiplicity: int = 0
     hi_multiplicity: int = 0
     kind: str = "finite"  # "finite" | "lower-tail" | "upper-tail"
 
+    @property
+    def singular_lo(self) -> bool:
+        return self.lo_multiplicity > 0
+
+    @property
+    def singular_hi(self) -> bool:
+        return self.hi_multiplicity > 0
+
 
 @dataclass(frozen=True)
 class PanelDecomposition:
-    polynomial: Polynomial
-    family_degree: int
     breakpoints: tuple
     panels: tuple
 
@@ -239,18 +247,13 @@ def _refined_spans(lo: float, hi: float) -> list:
     return out
 
 
-def decompose(
-    f: Polynomial,
-    family_degree: Optional[int] = None,
-    config: Optional[QuadratureConfig] = None,
-) -> PanelDecomposition:
+def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomposition:
     """Panel decomposition of the real line for integral over R of |f|**(-2/n).
 
     Real roots become panel endpoints (never interior points), the tails are
     marked for the reciprocal transform, and a root of multiplicity m with
     2m/n >= 1 raises RepeatedRootDivergence.
     """
-    cfg = config or QuadratureConfig()
     deg = f.degree
     if deg < 2:
         raise DegreeTooLow(f"need degree >= 2, got {deg}")
@@ -275,7 +278,7 @@ def decompose(
     if len(roots) >= 2:
         norm = max(1.0, max(abs(r) for r, _ in roots))
         gaps = [b[0] - a[0] for a, b in zip(roots[:-1], roots[1:])]
-        if min(gaps) < cfg.singularity_clearance * norm:
+        if min(gaps) < _SINGULARITY_CLEARANCE * norm:
             warnings.warn(
                 f"two roots are within {min(gaps):.3e} of each other; "
                 "quadrature error may exceed the requested tolerance",
@@ -298,19 +301,12 @@ def decompose(
                 Panel(
                     s_lo,
                     s_hi,
-                    singular_lo=(s_lo == lo and m_lo > 0),
-                    singular_hi=(s_hi == hi and m_hi > 0),
                     lo_multiplicity=m_lo if s_lo == lo else 0,
                     hi_multiplicity=m_hi if s_hi == hi else 0,
                 )
             )
     panels.append(Panel(cut, math.inf, kind="upper-tail"))
-    return PanelDecomposition(
-        polynomial=f,
-        family_degree=n,
-        breakpoints=tuple(r for r, _ in roots),
-        panels=tuple(panels),
-    )
+    return PanelDecomposition(breakpoints=tuple(r for r, _ in roots), panels=tuple(panels))
 
 
 @functools.cache
@@ -321,10 +317,10 @@ def _node_table(h: float, only_odd: bool) -> tuple:
 
     A panel of half-width hs scales the three columns by hs, which is
     bit-identical to evaluating the node formulas per panel.  The table ends
-    where a unit panel's walk ends: after the first node with t > 7.5, or
-    before the first node whose 1 - tanh z or weight is zero, since that node
-    is zero on every panel.  Built on first use; about 25k nodes for levels
-    0-12 and 0.4M for 0-16, held as ``array('d')`` columns.
+    before the first node whose 1 - tanh z underflows to zero (t ~ 6.16),
+    since that node is zero on every panel; the weight is at least
+    1 - tanh z, so it is not zero first.  Built on first use; about 25k
+    nodes for levels 0-12 and 0.4M for 0-16, held as ``array('d')`` columns.
     """
     one_minus, one_plus, weights = array("d"), array("d"), array("d")
     tail_start = 0
@@ -336,15 +332,13 @@ def _node_table(h: float, only_odd: bool) -> tuple:
         om = 2.0 * e2 / (1.0 + e2)  # 1 - tanh(z), stable
         op = 2.0 / (1.0 + e2)  # 1 + tanh(z)
         w = _HALF_PI * math.cosh(t) * om * op
-        if om == 0.0 or w == 0.0:
+        if om == 0.0:
             break
         if t <= 3.0:
             tail_start += 1
         one_minus.append(om)
         one_plus.append(op)
         weights.append(w)
-        if t > 7.5:
-            break
         k += 2 if only_odd else 1
     return one_minus, one_plus, weights, tail_start
 
@@ -410,21 +404,27 @@ def _tanh_sinh_panel(
     return value, error, False
 
 
-def _finite_panel_value(
-    coeffs: Sequence[float], exponent: float, panel: Panel, cfg: QuadratureConfig
+def _panel_value(
+    coeffs: Sequence[float],
+    exponent: float,
+    lo: float,
+    hi: float,
+    m_lo: int,
+    m_hi: int,
+    cfg: QuadratureConfig,
 ) -> Tuple[float, float, bool]:
+    """Tanh-sinh value of |p|**(-exponent) on [lo, hi], p the polynomial with
+    ``coeffs`` and roots of multiplicity m_lo at lo and m_hi at hi."""
     q = list(coeffs)
-    for _ in range(panel.lo_multiplicity if panel.singular_lo else 0):
-        q = _synthetic_quotient(q, panel.lo)
-    for _ in range(panel.hi_multiplicity if panel.singular_hi else 0):
-        q = _synthetic_quotient(q, panel.hi)
-    m_lo = panel.lo_multiplicity if panel.singular_lo else 0
-    m_hi = panel.hi_multiplicity if panel.singular_hi else 0
+    for _ in range(m_lo):
+        q = _synthetic_quotient(q, lo)
+    for _ in range(m_hi):
+        q = _synthetic_quotient(q, hi)
 
     def fn(x: float, d_lo: float, d_hi: float) -> float:
         value = horner(q, x)
         if value == 0.0:
-            raise SingularPoint(f"unexpected interior zero at x = {x}")
+            raise SingularPoint(f"unexpected interior zero at {x}")
         s = math.log(abs(value))
         if m_lo:
             s += m_lo * math.log(d_lo)
@@ -432,31 +432,7 @@ def _finite_panel_value(
             s += m_hi * math.log(d_hi)
         return math.exp(-exponent * s)
 
-    return _tanh_sinh_panel(fn, panel.lo, panel.hi, cfg)
-
-
-def _tail_panel_value(
-    coeffs: Sequence[float], exponent: float, panel: Panel, cfg: QuadratureConfig
-) -> Tuple[float, float, bool]:
-    # u = 1/x maps the tail onto (0, 1/cut]; the integrand becomes
-    # |reverse(f)(u)|**(-e) * |u|**(deg*e - 2), smooth at u = 0 for deg*e = 2.
-    reversed_coeffs = list(reversed(coeffs))
-    origin_power = 2.0 - (len(coeffs) - 1) * exponent
-    if panel.kind == "upper-tail":
-        u_lo, u_hi = 0.0, 1.0 / panel.lo
-    else:
-        u_lo, u_hi = 1.0 / panel.hi, 0.0
-
-    def fn(u: float, d_lo: float, d_hi: float) -> float:
-        value = horner(reversed_coeffs, u)
-        if value == 0.0:
-            raise SingularPoint(f"unexpected zero of reversed polynomial at u = {u}")
-        s = -exponent * math.log(abs(value))
-        if origin_power > 0.0:
-            s -= origin_power * math.log(d_lo if panel.kind == "upper-tail" else d_hi)
-        return math.exp(s)
-
-    return _tanh_sinh_panel(fn, u_lo, u_hi, cfg)
+    return _tanh_sinh_panel(fn, lo, hi, cfg)
 
 
 def _unit_root_scale(values: Sequence[float]) -> Tuple[int, int]:
@@ -464,20 +440,18 @@ def _unit_root_scale(values: Sequence[float]) -> Tuple[int, int]:
     its largest coefficient at unit size; ``values`` are f's float
     coefficients, leading first.
 
-    With c_L the lowest-power nonzero coefficient and e_p the binary exponent
-    of c_p, s is the least floor((e_L - e_p) / (p - L)) over the other
-    nonzero c_p: Fujiwara's bound on the reversed polynomial, read from the
-    exponents alone, so every nonzero root of g has a modulus of order one
-    or more.  e puts the largest coefficient of g in [1, 2).  Dilating f to
-    f(2^j x) moves s to s - j and leaves e and g as they were.  When the
-    dilation would make a coefficient of g subnormal, s = 0.
+    s is minus ``fujiwara_exponent`` of the reversal, the coefficients from
+    the lowest-power nonzero one c_L up to c_n: its roots are the reciprocals
+    of f's nonzero roots, so every nonzero root of g has modulus above 1/4.
+    e puts the largest coefficient of g in [1, 2).  Dilating f to f(2^j x)
+    moves s to s - j and leaves e and g as they were.  When the dilation
+    would make a coefficient of g subnormal, s = 0.
     """
     deg = len(values) - 1
     exponents = [(deg - i, math.frexp(v)[1]) for i, v in enumerate(values) if v]
     if not exponents:
         raise DomainError("every coefficient rounds to zero as a float")
-    low_power, low_exp = exponents[-1]
-    s = min(((low_exp - ex) // (p - low_power) for p, ex in exponents[:-1]), default=0)
+    s = -fujiwara_exponent(values[::-1][exponents[-1][0]:])
     dilated = [ex + s * p for p, ex in exponents]
     # 2^-1022 is the smallest normal float; g's largest coefficient is in [1, 2)
     if min(dilated) - max(dilated) < -1022:
@@ -505,17 +479,24 @@ def _integrate_at_unit_scale(
     units = f" (in y = x / 2^{s})" if s else ""
 
     try:
-        decomposition = decompose(Polynomial(g), family_degree=family_degree, config=cfg)
+        decomposition = decompose(Polynomial(g), family_degree=family_degree)
     except RepeatedRootDivergence as exc:
         raise RepeatedRootDivergence(f"{exc}{units}") from None
     exponent = 2.0 / family_degree
+    # u = 1/x maps a tail onto a panel of the degree-n reversal, whose root at
+    # u = 0 has multiplicity n - deg g
+    origin = family_degree - deg
+    reversal = g[::-1] + [0.0] * origin
     total = 0.0
     total_error = 0.0
     for panel in decomposition.panels:
-        if panel.kind == "finite":
-            value, error, converged = _finite_panel_value(g, exponent, panel, cfg)
-        else:
-            value, error, converged = _tail_panel_value(g, exponent, panel, cfg)
+        coeffs, lo, hi = g, panel.lo, panel.hi
+        m_lo, m_hi = panel.lo_multiplicity, panel.hi_multiplicity
+        if panel.kind == "upper-tail":
+            coeffs, lo, hi, m_lo = reversal, 0.0, 1.0 / panel.lo, origin
+        elif panel.kind == "lower-tail":
+            coeffs, lo, hi, m_hi = reversal, 1.0 / panel.hi, 0.0, origin
+        value, error, converged = _panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
         if not converged:
             raise NoConvergence(
                 f"panel [{panel.lo}, {panel.hi}]{units} did not reach rel_tol={cfg.rel_tol} "
@@ -580,11 +561,8 @@ def gaussian_integral_numeric(
     panel machinery applies unchanged; requires a > 0 and b^2 - 4ac < 0.
     """
     cfg = config or QuadratureConfig()
-    af, bf, cf = float(a), float(b), float(c)
-    finite = all(math.isfinite(v) for v in (af, bf, cf))
-    if not (finite and af > 0.0 and bf * bf - 4.0 * af * cf < 0.0):
-        raise DomainError("requires finite coefficients, a > 0 and b^2 - 4ac < 0")
-    poly = Polynomial([af, bf, cf])
+    _checked_gaussian(a, b, c)
+    poly = Polynomial([float(a), float(b), float(c)])
     value, error = _integrate_at_unit_scale(poly, 2, cfg)
     disc = discriminant_general(poly)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

@@ -118,22 +118,31 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
     return IntegralResult(value, IntegralMethod.CLOSED_FORM, disc, 0.0)
 
 
+def _checked_gaussian(a: Number, b: Number, c: Number) -> tuple:
+    """(den, N) with N = 4AC - B^2 for A, B, C = den * (a, b, c), the integers
+    of ``integer_coefficients``; DomainError unless A > 0 and N > 0, exactly."""
+    (big_a, big_b, big_c), den = integer_coefficients((a, b, c))
+    n = 4 * big_a * big_c - big_b * big_b
+    if not (big_a > 0 and n > 0):
+        raise DomainError(f"gaussian analogue requires a > 0 and b^2 - 4ac < 0, got {(a, b, c)}")
+    return den, n
+
+
 def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
     """The quadratic counterpart: integral of 1/(a*x^2 + b*x + c) = 2*pi/sqrt(-D2)
-    for a > 0 and D2 = b^2 - 4ac < 0.
-
-    The coefficients are scaled by a power of two 2^-e to unit size first, so
-    D2 neither overflows nor underflows; the value then scales back by 2^-e.
-    """
-    values = (float(a), float(b), float(c))
-    if not (all(math.isfinite(v) for v in values) and values[0] > 0.0):
-        raise DomainError(f"gaussian analogue requires finite a, b, c and a > 0, got {values}")
-    e = binary_exponent(values)
-    af, bf, cf = (math.ldexp(v, -e) for v in values)
-    d2 = bf * bf - 4.0 * af * cf
-    if d2 >= 0.0:
-        raise DomainError(f"gaussian analogue requires b^2 - 4ac < 0, got {values}")
-    return math.ldexp(2.0 * math.pi / math.sqrt(-d2), -e)
+    for a > 0 and D2 = b^2 - 4ac < 0, as 2*pi*den / sqrt(N) on the integers of
+    ``_checked_gaussian``.  Both are split exactly into a power of two and a
+    ratio near one, so nothing over- or underflows on the way; a value beyond
+    the float range raises DomainError."""
+    den, n = _checked_gaussian(a, b, c)
+    t, k = den.bit_length(), n.bit_length() // 2  # den / 2^t in [1/2, 1), N / 4^k in [1/2, 2)
+    try:
+        value = math.ldexp(2.0 * math.pi * (den / (1 << t)) / math.sqrt(n / (1 << 2 * k)), t - k)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"gaussian analogue out of float range, got {(a, b, c)}")
+    return value
 
 
 def expectations(coeffs: CubicCoeffs) -> ExpectationSet:

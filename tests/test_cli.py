@@ -256,6 +256,10 @@ def test_non_finite_input_is_domain_error(capsys, argv, bad):
         (["integral", "1" + "0" * 2000, "0", "-1", "0"], 2, "DomainError"),
         # every coefficient rounds to 0.0 for quadrature (was SingularPoint)
         (["integral"] + ["1/1" + "0" * 400] * 2 + ["0", "1/1" + "0" * 400, "--numeric"], 2, "DomainError"),
+        # pi * 10^-400 and pi * 2^1074 lie outside the float range (were
+        # OverflowError tracebacks)
+        (["gauss", "1" + "0" * 400, "0", "1" + "0" * 400], 2, "DomainError"),
+        (["gauss", "5e-324", "0", "5e-324"], 2, "DomainError"),
     ],
 )
 def test_fuzz_findings(capsys, argv, code, kind):

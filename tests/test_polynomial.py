@@ -16,7 +16,11 @@ from nongauss import (
     cubic_roots,
     factor_out_root,
 )
-from nongauss.polynomial import cubic_discriminant_exact, integer_coefficients
+from nongauss.polynomial import (
+    cubic_discriminant_exact,
+    fujiwara_exponent,
+    integer_coefficients,
+)
 
 
 def fraction_cubic_discriminant(a, b, c, d):
@@ -301,3 +305,23 @@ def test_integer_discriminant_matches_fraction_expansion():
     for _ in range(2000):
         coeffs = [rng.choice(draws)() for _ in range(4)]
         assert cubic_discriminant_exact(*coeffs) == fraction_cubic_discriminant(*coeffs)
+
+
+def test_fujiwara_exponent_bounds_every_root():
+    rng = random.Random(67)
+    for _ in range(300):
+        degree = rng.randint(1, 7)
+        roots = [math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-60, 60)) for _ in range(degree)]
+        coeffs = Polynomial.from_roots(roots, leading=rng.uniform(-4.0, 4.0) or 1.0).coeffs
+        assert max(abs(r) for r in roots) < 2.0 ** (fujiwara_exponent(coeffs) + 2)
+    assert fujiwara_exponent([3.0, 0.0, 0.0]) == 0
+
+
+def test_fujiwara_exponent_matches_the_float_quotient_form():
+    # the same bound with float quotients: ceil of the largest (e_i - e_0) / i
+    rng = random.Random(71)
+    for _ in range(500):
+        coeffs = [math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-300, 300)) for _ in range(4)]
+        ea = math.frexp(coeffs[0])[1]
+        quotients = [(math.frexp(v)[1] - ea) / i for i, v in enumerate(coeffs[1:], 1)]
+        assert fujiwara_exponent(coeffs) == math.ceil(max(quotients))

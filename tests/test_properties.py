@@ -1,20 +1,34 @@
-"""Property tests of the numeric integral over log-uniform magnitudes.
+"""Property tests of the numeric integral and the exact discriminant.
 
 Two exact symmetries of F serve as oracles that need no closed form:
 dilation, F(f(2^j x)) = 2^-j F(f), which the quadrature reproduces to the
 last bit, and homogeneity, F(2^k f) = 2^(-2k/3) F(f).  Both also hold for
 the failures: an input and its image fail with the same error kind.
+
+The exact discriminant of a binary form of degree n = 3..8 is an oracle of
+the same kind: it is unchanged by SL(2, Z), reversal and translation, and
+scales by 2^(k(2n-2)) under f -> 2^k f, all as exact rationals.
 """
 
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nongauss import CubicCoeffs, IllConditionedWarning, NonGaussError, integral_numeric
+from nongauss import (
+    CubicCoeffs,
+    IllConditionedWarning,
+    NonGaussError,
+    Polynomial,
+    closed_form_integral,
+    discriminant_from_coeffs,
+    integral_numeric,
+)
 
 # coefficients m * 2^k with a dyadic mantissa |m| < 2 and k log-uniform in
 # [-12, 12], so every dilation and rescaling below stays exact in floats
@@ -65,3 +79,99 @@ def test_power_of_two_homogeneity(coeffs, k):
     q, r = divmod(-2 * k, 3)
     expected = math.ldexp(base[0] * 2.0 ** (r / 3), q)
     assert abs(image[0] - expected) <= 1e-14 * expected
+
+
+def _forms(low, high):
+    """Integer forms of degree low..high with a nonzero leading coefficient;
+    leading zeros come from their images and go through the declared-degree
+    rule of ``discriminant_from_coeffs``."""
+    return st.integers(low, high).flatmap(
+        lambda n: st.tuples(
+            st.integers(-40, 40).filter(bool),
+            st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+        ).map(lambda t: [t[0]] + t[1])
+    )
+
+
+_form = _forms(3, 8)
+_k = st.integers(-300, 300)
+_SL2 = [m for m in itertools.product(range(-3, 4), repeat=4) if m[0] * m[3] - m[1] * m[2] == 1]
+
+
+def _scaled(coeffs, k):
+    """2^k f as floats: exact, and it sends D through the float route."""
+    return [math.ldexp(c, k) for c in coeffs]
+
+
+def _disc(coeffs):
+    return discriminant_from_coeffs(coeffs).value
+
+
+def _product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _sl2_image(coeffs, m):
+    """Coefficients of f(alpha x + beta y, gamma x + delta y) for the binary
+    form f(x, y) = sum a_i x^(n-i) y^i, leading first, in exact integers."""
+    alpha, beta, gamma, delta = m
+    n = len(coeffs) - 1
+    out = [0] * (n + 1)
+    for i, a in enumerate(coeffs):
+        term = [a]
+        for _ in range(n - i):
+            term = _product(term, [alpha, beta])
+        for _ in range(i):
+            term = _product(term, [gamma, delta])
+        out = [u + v for u, v in zip(out, term)]
+    return out
+
+
+@_SETTINGS
+@given(_form, st.sampled_from(_SL2), _k)
+def test_discriminant_is_sl2_invariant(coeffs, m, k):
+    image = _sl2_image(coeffs, m)
+    assert _disc(image) == _disc(coeffs)
+    assert _disc(_scaled(image, k)) == _disc(_scaled(coeffs, k))
+
+
+@_SETTINGS
+@given(_form, _k)
+def test_discriminant_is_reversal_invariant(coeffs, k):
+    assert _disc(coeffs[::-1]) == _disc(coeffs)
+    assert _disc(_scaled(coeffs[::-1], k)) == _disc(_scaled(coeffs, k))
+
+
+@_SETTINGS
+@given(_form, _k, st.integers(-64, 64), st.integers(0, 6))
+def test_discriminant_is_translation_invariant(coeffs, k, num, shift):
+    scaled = [Fraction(c) * Fraction(2) ** k for c in coeffs]
+    translated = Polynomial(scaled).taylor_shift(Fraction(num, 2**shift))
+    assert translated.exact and translated.degree == len(coeffs) - 1
+    assert _disc(list(translated.coeffs)) == _disc(scaled)
+
+
+@_SETTINGS
+@given(_form, _k)
+def test_discriminant_scales_by_a_power_of_two(coeffs, k):
+    n = len(coeffs) - 1
+    assert _disc(_scaled(coeffs, k)) == _disc(coeffs) * Fraction(2) ** (k * (2 * n - 2))
+
+
+def _closed_form_outcome(coeffs):
+    try:
+        return closed_form_integral(CubicCoeffs(*coeffs)).value.hex()
+    except NonGaussError as exc:
+        return type(exc)
+
+
+@_SETTINGS
+@given(_forms(3, 3), st.sampled_from(_SL2), _k)
+def test_closed_form_is_sl2_invariant(coeffs, m, k):
+    image = _sl2_image(coeffs, m)
+    assert _closed_form_outcome(image) == _closed_form_outcome(coeffs)
+    assert _closed_form_outcome(_scaled(image, k)) == _closed_form_outcome(_scaled(coeffs, k))

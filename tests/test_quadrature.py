@@ -22,6 +22,7 @@ from nongauss import (
     beta,
     closed_form_integral,
     decompose,
+    gaussian_analogue,
     gaussian_integral_numeric,
     integral_numeric,
     integral_numeric_general,
@@ -247,6 +248,18 @@ def test_gaussian_quadrature_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             gaussian_integral_numeric(1.0, 0.0, bad)
+
+
+@pytest.mark.parametrize(
+    "a,b,c",
+    [(1e200, 1e200, 1e200), (1e-200, 1e-200, 1e-200), (1e300, 1.0, 1e-300), (1e-300, 0.0, 1e300)],
+)
+def test_gaussian_domain_is_decided_exactly(a, b, c):
+    # b^2 - 4ac over- or underflows in floats, and c underflows once the
+    # coefficients are divided by the largest; the exact integers do neither
+    closed = gaussian_analogue(a, b, c)
+    numeric = gaussian_integral_numeric(a, b, c).value
+    assert abs(numeric - closed) <= 1e-10 * closed
 
 
 def test_config_validation():
