@@ -9,21 +9,35 @@ reversal G(u) = u^n f(1/u) on (0, 1/cut] or [-1/cut, 0): G has a root of
 multiplicity n - deg f at u = 0 (none when deg f = n), and that endpoint
 root is divided out like any other.  One panel builder serves every panel.
 
-Every integral runs at unit root scale.  With 2^s a binary lower bound on
-the smallest modulus of the nonzero roots (read from the exponents of the
-coefficients alone) and 2^e the power of two just below the largest
-coefficient of f(2^s y), the panels integrate g(y) = 2^-e f(2^s y) and
-F(f) = 2^s * 2^(-2e/n) * F(g).  Both maps are exact in binary floating
-point, and f(2^j x) normalizes to the very same g for every j: a dilated
-form costs what the form itself costs, and its value and error estimate are
-those of f times 2^-j, to the last bit.
+Every integral runs at unit root scale, centred first.  A cluster of roots far
+from the origin, relative to its own size, is first moved onto the origin:
+when the shift shrinks Fujiwara's root bound at least 4x, the panels
+integrate f(x + t), t the root centroid -a1 / (n a0) rounded to a 24-bit
+dyadic.  F is translation invariant, so the value needs no correction; the
+shift runs in exact integers and each coefficient is rounded to float once.
+Then, with 2^s a binary lower bound on the smallest modulus of the nonzero
+roots (read from the exponents of the coefficients alone) and 2^e the power
+of two just below the largest coefficient of f(2^s y + t), the panels
+integrate g(y) = 2^-e f(2^s y + t) and F(f) = 2^s * 2^(-2e/n) * F(g).  All
+of this commutes with dilations: f(2^j x) normalizes to the very same g for
+every j, so a dilated form costs what the form itself costs, and its value
+and error estimate are those of f times 2^-j, to the last bit.
 
-Two implementation points matter for full double precision:
+The degree >= 4 route passes on what its exact discriminant proves: with
+D != 0 every root is simple, so only an exact zero of the float form at a
+critical point is taken for a root, and a close complex pair is never
+mistaken for a double real root.
+
+Three implementation points matter for full double precision and speed:
 
 * Endpoint roots are divided out of f (synthetic division), and the root
   factors are rebuilt from the exact endpoint distances that the tanh-sinh
   transform provides.  Evaluating f directly next to a root would lose all
   relative accuracy to cancellation.
+* Each node costs one Horner evaluation and one power per factor,
+  |q(x)|**-p * d_lo**(-p m_lo) * d_hi**(-p m_hi), with the exponents fixed
+  per panel: no logarithm, and no exponential whose argument carries the
+  rounding of a sum of logarithms.
 * Panels much wider than the distance of their nearest endpoint from the
   origin are subdivided dyadically.  A polynomial changes character on
   scales proportional to |x|, so this keeps every sub-panel resolvable by a
@@ -80,6 +94,8 @@ _SINGULARITY_CLEARANCE = 1e-6
 # Levels 0..16 of cached node tables hold about 0.4M nodes (10 MB); each
 # further level would double that.
 _MAX_LEVELS = 16
+# significant bits of the rounded root centroid that _centred shifts by
+_CENTRE_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -129,7 +145,8 @@ def _synthetic_quotient(coeffs: Sequence[float], root: float) -> list:
 
 
 def integrand(f: Polynomial, x: float, family_degree: Optional[int] = None) -> float:
-    """(f(x)**2)**(-1/n), evaluated in log space so it never under/overflows.
+    """(f(x)**2)**(-1/n) as the one power |f(x)|**(-2/n), the form the panel
+    kernel integrates.
 
     ``family_degree`` defaults to max(3, deg f): quadratics are always the
     degenerate a = 0 member of the cubic family.
@@ -138,7 +155,7 @@ def integrand(f: Polynomial, x: float, family_degree: Optional[int] = None) -> f
     value = float(f(float(x)))
     if value == 0.0:
         raise SingularPoint(f"f({x}) = 0")
-    return math.exp(-(2.0 / n) * math.log(abs(value)))
+    return abs(value) ** (-2.0 / n)
 
 
 def _bisect_root(coeffs: Sequence[float], lo: float, hi: float) -> float:
@@ -164,12 +181,16 @@ def _bisect_root(coeffs: Sequence[float], lo: float, hi: float) -> float:
     return x
 
 
-def _real_roots_with_multiplicity(coeffs: Sequence[float]) -> list:
+def _real_roots_with_multiplicity(
+    coeffs: Sequence[float], tangency_rtol: float = _MULTIPLICITY_RTOL
+) -> list:
     """Sorted (root, multiplicity) pairs of a float-coefficient polynomial.
 
     Degree <= 3 uses closed forms; above that the real line is split at the
     recursively computed critical points, giving one monotone bracket per
-    sign change plus tangency detection at the critical points themselves.
+    sign change plus tangency detection at the critical points themselves:
+    a critical point where |f| is at most ``tangency_rtol`` times the
+    magnitude of its terms counts as a root.
     """
     cs = [float(c) for c in coeffs]
     while len(cs) > 1 and cs[0] == 0.0:
@@ -201,7 +222,7 @@ def _real_roots_with_multiplicity(coeffs: Sequence[float]) -> list:
 
     found: list = []
     for crit in points[1:-1]:
-        if abs(horner(cs, crit)) <= _MULTIPLICITY_RTOL * magnitude_at(cs, crit):
+        if abs(horner(cs, crit)) <= tangency_rtol * magnitude_at(cs, crit):
             found.append(crit)
     for lo, hi in zip(points[:-1], points[1:]):
         flo, fhi = horner(cs, lo), horner(cs, hi)
@@ -247,19 +268,29 @@ def _refined_spans(lo: float, hi: float) -> list:
     return out
 
 
-def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomposition:
+def decompose(
+    f: Polynomial, family_degree: Optional[int] = None, simple_roots: bool = False
+) -> PanelDecomposition:
     """Panel decomposition of the real line for integral over R of |f|**(-2/n).
 
     Real roots become panel endpoints (never interior points), the tails are
     marked for the reciprocal transform, and a root of multiplicity m with
     2m/n >= 1 raises RepeatedRootDivergence.
+
+    ``simple_roots`` states that every root of f is simple, as a nonzero
+    exact discriminant proves.  A critical point is then a root only where f
+    vanishes exactly, so a close complex pair is never taken for a double
+    root, and a root that still comes out multiple (simple roots closer than
+    the float spacing) raises NoConvergence: the integral is finite, but the
+    float form cannot resolve it.
     """
     deg = f.degree
     if deg < 2:
         raise DegreeTooLow(f"need degree >= 2, got {deg}")
     n = family_degree if family_degree is not None else max(3, deg)
 
-    roots = _real_roots_with_multiplicity([float(c) for c in f.coeffs])
+    tangency_rtol = 0.0 if simple_roots else _MULTIPLICITY_RTOL
+    roots = _real_roots_with_multiplicity([float(c) for c in f.coeffs], tangency_rtol)
     # roots that collapse to the same float are one numerical root; merging
     # lets the integrability rule treat them honestly
     merged: List[tuple] = []
@@ -270,6 +301,11 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
             merged.append((root, mult))
     roots = merged
     for root, mult in roots:
+        if simple_roots and mult > 1:
+            raise NoConvergence(
+                f"roots within rounding of each other at {root}; the exact discriminant "
+                "is nonzero, so the integral is finite, but double precision does not resolve it"
+            )
         if 2 * mult >= n:
             raise RepeatedRootDivergence(
                 f"root {root} has multiplicity {mult}; |x - r|**(-{2 * mult}/{n}) "
@@ -421,16 +457,14 @@ def _panel_value(
     for _ in range(m_hi):
         q = _synthetic_quotient(q, hi)
 
+    # one power per factor: x**0.0 is 1.0 without a libm call
+    p, p_lo, p_hi = -exponent, -exponent * m_lo, -exponent * m_hi
+
     def fn(x: float, d_lo: float, d_hi: float) -> float:
         value = horner(q, x)
         if value == 0.0:
             raise SingularPoint(f"unexpected interior zero at {x}")
-        s = math.log(abs(value))
-        if m_lo:
-            s += m_lo * math.log(d_lo)
-        if m_hi:
-            s += m_hi * math.log(d_hi)
-        return math.exp(-exponent * s)
+        return abs(value) ** p * d_lo**p_lo * d_hi**p_hi
 
     return _tanh_sinh_panel(fn, lo, hi, cfg)
 
@@ -460,28 +494,75 @@ def _unit_root_scale(values: Sequence[float]) -> Tuple[int, int]:
     return s, max(dilated) - 1
 
 
+def _float_coefficients(values: Sequence) -> list:
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise DomainError("a coefficient lies beyond the float range") from None
+
+
+def _centred(f: Polynomial) -> Tuple[float, list]:
+    """(t, coefficients of f(x + t)), leading first, with t the root centroid
+    -a1 / (n a0) rounded to a dyadic m * 2^k with a 24-bit m; (0.0, f's own
+    float coefficients) when that does not lower ``fujiwara_exponent`` by 2
+    or more, i.e. shrink the root bound at least 4x, or when a shifted
+    coefficient leaves the float range.
+
+    The shift runs on the exact integers of ``integer_coefficients`` and
+    each coefficient is rounded to float once.  Rounding t to a fixed number
+    of significant bits commutes with dilations f(2^j x) (t moves to 2^-j t)
+    and with scalings 2^k f (t stays), so both stay exact.
+    """
+    values = _float_coefficients(f.coeffs)
+    ints, den = integer_coefficients(f.coeffs)
+    a0, a1 = ints[0], ints[1]
+    if a1 == 0:
+        return 0.0, values
+    num, d = -a1, (len(ints) - 1) * a0  # t = num / d
+    if d < 0:
+        num, d = -num, -d
+    k = abs(num).bit_length() - d.bit_length() - _CENTRE_BITS
+    big_k = max(0, -k)
+    # m = t / 2^k = num 2^K / (d 2^(k+K)), rounded half up in integers
+    m = ((num << (big_k + 1)) // (d << (k + big_k)) + 1) >> 1
+    # f(y + m 2^k) = sum Q_i 2^(-K i) / den y^(n-i), Q the shift by the integer
+    # m 2^(k+K) of the polynomial with coefficients ints[i] 2^(K i), K = max(0, -k)
+    scaled = Polynomial([c << (big_k * i) for i, c in enumerate(ints)])
+    shifted = scaled.taylor_shift(m << (k + big_k)).coeffs
+    try:
+        t = math.ldexp(m, k)
+        centred = [c / (den << (big_k * i)) for i, c in enumerate(shifted)]
+    except OverflowError:
+        return 0.0, values
+    if fujiwara_exponent(centred) <= fujiwara_exponent(values) - 2:
+        return t, centred
+    return 0.0, values
+
+
 def _integrate_at_unit_scale(
-    f: Polynomial, family_degree: int, cfg: QuadratureConfig
+    f: Polynomial, family_degree: int, cfg: QuadratureConfig, simple_roots: bool = False
 ) -> Tuple[float, float]:
     """(value, error estimate) of integral over R of |f|**(-2/n), computed on
-    g(y) = 2^-e f(2^s y) with (s, e) from ``_unit_root_scale``.
+    g(y) = 2^-e f(2^s y + t) with t from ``_centred`` and (s, e) from
+    ``_unit_root_scale`` of the centred form.
 
     The panel rule resolves features of unit size near the origin, and no
-    root of g is much smaller.  Both maps are exact, and x = 2^s y gives
-    F(f) = 2^s * 2^(-2e/n) * F(g); as f(2^j x) has the same g as f, its value
-    and error estimate are those of f times 2^-j, to the last bit, for the
-    same work.
+    root of g is much smaller.  All three maps leave F unchanged up to the
+    exact factor 2^s * 2^(-2e/n) = F(f) / F(g); as f(2^j x) has the same g as
+    f, its value and error estimate are those of f times 2^-j, to the last
+    bit, for the same work.
     """
-    values = [float(c) for c in f.coeffs]
+    t, values = _centred(f)
     s, e = _unit_root_scale(values)
     deg = len(values) - 1
     g = [math.ldexp(v, s * (deg - i) - e) for i, v in enumerate(values)]
-    units = f" (in y = x / 2^{s})" if s else ""
+    shift = f"(x {'-' if t > 0 else '+'} {abs(t)!r})" if t else "x"
+    units = f" (in y = {shift} / 2^{s})" if s else f" (in y = {shift})" if t else ""
 
     try:
-        decomposition = decompose(Polynomial(g), family_degree=family_degree)
-    except RepeatedRootDivergence as exc:
-        raise RepeatedRootDivergence(f"{exc}{units}") from None
+        decomposition = decompose(Polynomial(g), family_degree, simple_roots)
+    except (RepeatedRootDivergence, NoConvergence) as exc:
+        raise type(exc)(f"{exc}{units}") from None
     exponent = 2.0 / family_degree
     # u = 1/x maps a tail onto a panel of the degree-n reversal, whose root at
     # u = 0 has multiplicity n - deg g
@@ -507,7 +588,15 @@ def _integrate_at_unit_scale(
     # 2^(-2e/n) = 2^(r/n) * 2^q: only the fractional power rounds
     q, r = divmod(-2 * e, family_degree)
     rescale = 2.0 ** (r / family_degree)
-    return math.ldexp(total * rescale, q + s), math.ldexp(total_error * rescale, q + s)
+    try:
+        value = math.ldexp(total * rescale, q + s)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(
+            f"the integral lies beyond the float range (2^{q + s} * {total * rescale!r})"
+        )
+    return value, math.ldexp(total_error * rescale, q + s)
 
 
 def integral_numeric(
@@ -522,9 +611,8 @@ def integral_numeric(
     cfg = config or QuadratureConfig()
     disc = _checked_discriminant(coeffs)
     # |D| < band * scale^4 in integers: band = band_int / den, scale = scale_int / den
-    (band_int, scale_int), den = integer_coefficients(
-        (_DISCRIMINANT_CONDITION_BAND, coeffs.scale())
-    )
+    scale = max(map(abs, _float_coefficients(coeffs.as_tuple())))
+    (band_int, scale_int), den = integer_coefficients((_DISCRIMINANT_CONDITION_BAND, scale))
     d_num, d_den = abs(disc.value.numerator), disc.value.denominator
     if d_num * den**5 < band_int * scale_int**4 * d_den:
         warnings.warn(
@@ -548,7 +636,7 @@ def integral_numeric_general(
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
     disc = discriminant_general(f)
-    value, error = _integrate_at_unit_scale(f, f.degree, cfg)
+    value, error = _integrate_at_unit_scale(f, f.degree, cfg, disc.value != 0)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
@@ -562,7 +650,7 @@ def gaussian_integral_numeric(
     """
     cfg = config or QuadratureConfig()
     _checked_gaussian(a, b, c)
-    poly = Polynomial([float(a), float(b), float(c)])
+    poly = Polynomial(_float_coefficients((a, b, c)))
     value, error = _integrate_at_unit_scale(poly, 2, cfg)
     disc = discriminant_general(poly)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

@@ -1,0 +1,335 @@
+"""Centring before integration: the quadrature integrates f(x + t), t the
+dyadic-rounded root centroid, whenever that shrinks the root bound 4x.
+
+F is translation invariant, so the shift needs no correction.  Its use is
+numerical: a root cluster far from the origin, relative to its own size,
+comes to unit scale, where the panels resolve it.
+"""
+
+import math
+import random
+import warnings
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from nongauss import (
+    IllConditionedWarning,
+    NoConvergence,
+    NonGaussError,
+    Polynomial,
+    QuadratureConfig,
+    RepeatedRootDivergence,
+    beta,
+    integral_numeric_general,
+)
+from nongauss import quadrature
+from nongauss.polynomial import horner
+
+# SL(2, Z) matrices (alpha, beta, gamma, delta) whose images
+# (alpha x + beta)^n +- (gamma x + delta)^n of x^n +- 1 have a close complex
+# root pair in a cluster far from the origin.  Integrated where they lie, the
+# tangency test took that pair for a double real root and the value came out
+# wrong with a tiny error estimate.
+_CLUSTERED = {
+    (7, True): "1,-1,-2,3 1,1,-3,-2 1,2,-2,-3 2,-3,-1,2 2,-1,-3,2 2,3,-1,-1 3,-2,-1,1 "
+    "3,2,-2,-1",
+    (8, True): "1,-3,1,-2 1,-2,-1,3 1,-2,2,-3 1,-1,-2,3 1,-1,3,-2 1,1,-3,-2 1,1,2,3 "
+    "1,2,-2,-3 1,2,1,3 1,3,-1,-2 2,-3,-1,2 2,-3,1,-1 2,-1,-3,2 2,-1,3,-1 2,1,-3,-1 "
+    "2,1,3,2 2,3,-1,-1 2,3,1,2 3,-2,-1,1 3,-2,2,-1 3,-1,-2,1 3,1,2,1 3,2,-2,-1 3,2,1,1",
+    (8, False): "1,-2,2,-3 1,-1,-2,3 1,-1,3,-2 1,1,-3,-2 1,1,2,3 1,2,-2,-3 2,-3,-1,2 "
+    "2,-3,1,-1 2,-1,-3,2 2,1,3,2 2,3,-1,-1 2,3,1,2 3,-2,-1,1 3,-2,2,-1 3,2,-2,-1 3,2,1,1",
+}
+_CLUSTERED_FORMS = [
+    (n, plus, tuple(int(x) for x in m.split(",")))
+    for (n, plus), text in _CLUSTERED.items()
+    for m in text.split()
+]
+
+
+def _image(n, plus, m):
+    """(alpha x + beta)^n +- (gamma x + delta)^n, leading first."""
+    alpha, b, gamma, delta = m
+    sign = 1 if plus else -1
+    return [
+        math.comb(n, i) * (alpha ** (n - i) * b**i + sign * gamma ** (n - i) * delta**i)
+        for i in range(n + 1)
+    ]
+
+
+def _base(n, plus):
+    return [1] + [0] * (n - 1) + [1 if plus else -1]
+
+
+def _beta_value(n, plus):
+    """Integral of |x^n +- 1|^(-2/n) over the line (x^n - 1: even n)."""
+    if not plus:
+        return (4.0 / n) * beta(1.0 / n, 1.0 - 2.0 / n)
+    if n % 2 == 0:
+        return (2.0 / n) * beta(1.0 / n, 1.0 / n)
+    return (1.0 / n) * beta(1.0 / n, 1.0 / n) + (2.0 / n) * beta(1.0 / n, 1.0 - 2.0 / n)
+
+
+def _outcome(coeffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        try:
+            return integral_numeric_general(Polynomial(coeffs)).value
+        except NonGaussError as exc:
+            return type(exc)
+
+
+def test_there_are_48_clustered_forms():
+    assert len(_CLUSTERED_FORMS) == len(set(_CLUSTERED_FORMS)) == 48
+    for n, plus, m in _CLUSTERED_FORMS:
+        assert m[0] * m[3] - m[1] * m[2] == 1
+
+
+@pytest.mark.parametrize("n, plus, m", _CLUSTERED_FORMS)
+def test_clustered_images_match_beta(n, plus, m):
+    coeffs = _image(n, plus, m)
+    assert quadrature._centred(Polynomial(coeffs))[0] != 0.0
+    value = integral_numeric_general(Polynomial(coeffs)).value
+    expected = _beta_value(n, plus)
+    assert abs(value - expected) <= 1e-8 * expected
+
+
+def _counted_calls(monkeypatch, coeffs):
+    calls = [0]
+
+    def counted(cs, x):
+        calls[0] += 1
+        return horner(cs, x)
+
+    monkeypatch.setattr(quadrature, "horner", counted)
+    integral_numeric_general(Polynomial(coeffs))
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_clustered_images_cost_about_what_their_base_costs(monkeypatch):
+    # Counted are all polynomial evaluations: integrand nodes and root
+    # location.  Centred, the 48 forms cost 1.73x their bases in total and at
+    # most 3.24x each (1494 against 462 for x^8 - 1): the panels are sized by
+    # the distance from the origin in units of a Fujiwara bound on the
+    # smallest root, and the real roots are found by bisection.  Integrated
+    # where they lie, with the tangency test off, they cost about 11x.
+    base_cost, total, total_base = {}, 0, 0
+    for n, plus, m in _CLUSTERED_FORMS:
+        if (n, plus) not in base_cost:
+            base_cost[n, plus] = _counted_calls(monkeypatch, _base(n, plus))
+        cost = _counted_calls(monkeypatch, _image(n, plus, m))
+        assert cost <= 3.5 * base_cost[n, plus], (n, plus, m)
+        total += cost
+        total_base += base_cost[n, plus]
+    assert total <= 1.8 * total_base
+
+
+def test_clustered_images_without_the_shift_are_right_or_unresolved(monkeypatch):
+    # The nonzero exact D, not the shift, keeps the close pair from being
+    # taken for a double root: integrated where they lie, the forms come out
+    # right (28 of 48) or as NoConvergence, never as the old wrong values.
+    monkeypatch.setattr(quadrature, "_centred", lambda f: (0.0, [float(c) for c in f.coeffs]))
+    right = 0
+    for n, plus, m in _CLUSTERED_FORMS:
+        value = _outcome(_image(n, plus, m))
+        if value is not NoConvergence:
+            expected = _beta_value(n, plus)
+            assert abs(value - expected) <= 1e-8 * expected, (n, plus, m)
+            right += 1
+    assert right >= 24
+
+
+def _exact_shift(coeffs, t):
+    """f(y + t) in exact rationals, each coefficient rounded to float once."""
+    shifted = Polynomial([Fraction(c) for c in coeffs]).taylor_shift(Fraction(t))
+    return [float(c) for c in shifted.coeffs]
+
+
+def test_shifted_coefficients_are_rounded_once():
+    rng = random.Random(61)
+    clustered = []
+    for n, plus, m in _CLUSTERED_FORMS:
+        k = rng.randint(-40, 40)
+        clustered.append([math.ldexp(c, k) for c in _image(n, plus, m)])
+    # clusters of a float form, a Fraction form, and dyadic roots 2^-20 apart
+    # around 3 * 2^30
+    others = [
+        [float(c) for c in Polynomial.from_roots([3 * 2**30 + i for i in range(-2, 3)]).coeffs],
+        Polynomial.from_roots([Fraction(1000, 7) + Fraction(i, 3) for i in range(4)]).coeffs,
+        Polynomial.from_roots([Fraction(3 * 2**50 + i, 2**20) for i in range(5)]).coeffs,
+    ]
+    for coeffs in clustered + others:
+        t, centred = quadrature._centred(Polynomial(coeffs))
+        assert t != 0.0
+        assert centred == _exact_shift(coeffs, t)
+        # 24 significant bits, give or take one: t = m 2^k with |m| < 2^25
+        mantissa, _ = math.frexp(t)
+        assert math.ldexp(mantissa, 25) == int(math.ldexp(mantissa, 25))
+
+
+def test_centre_is_the_rounded_centroid():
+    # unit-width root clusters 2^4..2^60 from the origin: t is the centroid
+    # -a1 / (n a0) of the float coefficients to 24 bits, moves to 2^-j t under
+    # f(2^j x) and stays under 2^k f
+    rng = random.Random(67)
+    fired = 0
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        centre = rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(4.0, 60.0)
+        roots = [centre + rng.uniform(-1.0, 1.0) for _ in range(n)]
+        leading = rng.uniform(0.5, 2.0)
+        coeffs = [float(c) for c in Polynomial.from_roots(roots, leading=leading).coeffs]
+        t, _ = quadrature._centred(Polynomial(coeffs))
+        if not t:
+            continue
+        fired += 1
+        centroid = -Fraction(coeffs[1]) / (n * Fraction(coeffs[0]))
+        assert abs(Fraction(t) - centroid) <= abs(centroid) * Fraction(1, 2**23)
+        j, k = rng.randint(-30, 30), rng.randint(-300, 300)
+        dilated = [math.ldexp(c, j * (n - i)) for i, c in enumerate(coeffs)]
+        assert quadrature._centred(Polynomial(dilated))[0] == math.ldexp(t, -j)
+        assert quadrature._centred(Polynomial([math.ldexp(c, k) for c in coeffs]))[0] == t
+    assert fired >= 150
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_shift_stays_off_for_spread_roots(k, signs):
+    # (10^-k, +-1, 0, -+1): roots near +-1 and one near -+10^k, so the
+    # centroid sits far from every root and the root bound does not shrink
+    b, d = signs
+    coeffs = [10.0**-k, float(b), 0.0, float(-d)]
+    assert quadrature._centred(Polynomial(coeffs)) == (0.0, coeffs)
+
+
+def test_shift_stays_off_without_a_linear_term_or_on_overflow():
+    assert quadrature._centred(Polynomial([1.0, 0.0, -1.0, 5.0])) == (0.0, [1.0, 0.0, -1.0, 5.0])
+    # f(y + t) would need coefficients near 2^1200, so f is integrated as it is
+    coeffs = [2.0**-600, 2.0**400, 1.0]
+    assert quadrature._centred(Polynomial(coeffs)) == (0.0, coeffs)
+
+
+def test_centring_keeps_dilations_exact():
+    for n, plus, m in _CLUSTERED_FORMS[::6]:
+        coeffs = [float(c) for c in _image(n, plus, m)]
+        base = integral_numeric_general(Polynomial(coeffs))
+        for j in (-37, 5, 90):
+            dilated = [math.ldexp(c, j * (n - i)) for i, c in enumerate(coeffs)]
+            result = integral_numeric_general(Polynomial(dilated))
+            assert result.value == math.ldexp(base.value, -j)
+            assert result.error_estimate == math.ldexp(base.error_estimate, -j)
+
+
+def test_errors_name_the_centre():
+    # (x - 1000)^2 (x - 999)(x - 1001): a double root at 1000, with n = 4
+    f = Polynomial.from_roots([1000, 1000, 999, 1001])
+    with pytest.raises(RepeatedRootDivergence, match=r"\(in y = \(x - 1000\.0\)\)"):
+        integral_numeric_general(f)
+    # (x + 1000)^4 + 2^-40: the roots sit 2^-10 from -1000
+    g = Polynomial([*Polynomial.from_roots([-1000] * 4).coeffs[:4], 10**12 + Fraction(1, 2**40)])
+    with pytest.raises(NoConvergence, match=r"\(in y = \(x \+ 1000\.0\) / 2\^-\d+\)"):
+        integral_numeric_general(g, QuadratureConfig(rel_tol=1e-30, max_levels=4))
+    # without a shift the coordinates stay x / 2^s
+    with pytest.raises(NoConvergence, match=r"\(in y = x / 2\^-\d+\)"):
+        integral_numeric_general(Polynomial([1, 0, 0, 0, 2**-40]), QuadratureConfig(rel_tol=1e-30))
+
+
+# --- seeded root sets that are not SL(2, Z) images --------------------------
+
+def _dyadic(x, bits=20):
+    return Fraction(round(x * 2**bits), 2**bits)
+
+
+def _product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _from_roots(centre, reals, pairs):
+    """Exact coefficients of prod (x - c - r) * prod ((x - c - u)^2 + v^2)."""
+    out = [Fraction(1)]
+    for r in reals:
+        out = _product(out, [1, -(centre + r)])
+    for u, v in pairs:
+        out = _product(out, [1, -2 * (centre + u), (centre + u) ** 2 + v * v])
+    return out
+
+
+def _reference(reals, pairs):
+    """mpmath at 40 digits on the product form about the cluster's centre:
+    F is translation invariant, and no cancellation enters."""
+    mpmath.mp.dps = 40
+    n = len(reals) + 2 * len(pairs)
+    def mpf(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    rs = [mpf(r) for r in reals]
+    cs = [(mpf(u), mpf(v)) for u, v in pairs]
+    power = mpmath.mpf(-2) / n
+
+    def integrand(x):
+        p = mpmath.mpf(1)
+        for r in rs:
+            p *= abs(x - r)
+        for u, v in cs:
+            p *= (x - u) ** 2 + v * v
+        return p**power
+
+    points = sorted(set(rs + [u for u, _ in cs]))
+    return mpmath.quad(integrand, [-mpmath.inf] + points + [mpmath.inf])
+
+
+def _far_clusters(count):
+    """Degree 4-8 clusters centred at 10^1..10^4 with radius 0.1..3: real
+    roots mixed with close conjugate pairs, at least one pair each."""
+    rng = random.Random(71)
+    for _ in range(count):
+        centre = _dyadic(10 ** rng.uniform(1, 4), 8) * rng.choice((-1, 1))
+        n = rng.randint(4, 8)
+        radius = 10 ** rng.uniform(-1, math.log10(3))
+        npairs = rng.randint(1, n // 2)
+        reals = [_dyadic(rng.uniform(-radius, radius)) for _ in range(n - 2 * npairs)]
+        pairs = [
+            (_dyadic(rng.uniform(-radius, radius)), _dyadic(radius * 10 ** rng.uniform(-2, -0.5)))
+            for _ in range(npairs)
+        ]
+        yield centre, reals, pairs
+
+
+@pytest.mark.parametrize("centre, reals, pairs", list(_far_clusters(12)))
+def test_far_clusters_match_mpmath(centre, reals, pairs):
+    coeffs = _from_roots(centre, reals, pairs)
+    assert quadrature._centred(Polynomial(coeffs))[0] != 0.0
+    value = _outcome(coeffs)
+    expected = _reference(reals, pairs)
+    assert abs(value - expected) <= 1e-10 * expected
+
+
+def _near_pairs(count):
+    """A conjugate pair u +- iv with v = 10^-8..10^-2 among unit-size roots,
+    all about the origin: no translation separates the pair."""
+    rng = random.Random(73)
+    for _ in range(count):
+        n = rng.randint(4, 8)
+        pairs = [(_dyadic(rng.uniform(-1, 1)), _dyadic(10 ** rng.uniform(-8, -2), 40))]
+        reals = []
+        while len(reals) + 2 * len(pairs) < n:
+            if n - len(reals) - 2 * len(pairs) >= 2 and rng.random() < 0.5:
+                pairs.append((_dyadic(rng.uniform(-2, 2)), _dyadic(10 ** rng.uniform(-2, 0.3))))
+            else:
+                reals.append(_dyadic(rng.uniform(-2, 2)))
+        yield reals, pairs
+
+
+@pytest.mark.parametrize("reals, pairs", list(_near_pairs(8)))
+def test_close_pairs_near_the_origin_are_right_or_unresolved(reals, pairs):
+    # the exact D is nonzero, so the pair is never taken for a double root
+    value = _outcome(_from_roots(Fraction(0), reals, pairs))
+    if value is not NoConvergence:
+        expected = _reference(reals, pairs)
+        assert abs(value - expected) <= 1e-8 * expected

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from nongauss import (
     CubicCoeffs,
@@ -28,6 +28,7 @@ from nongauss import (
     closed_form_integral,
     discriminant_from_coeffs,
     integral_numeric,
+    integral_numeric_general,
 )
 
 # coefficients m * 2^k with a dyadic mantissa |m| < 2 and k log-uniform in
@@ -175,3 +176,26 @@ def test_closed_form_is_sl2_invariant(coeffs, m, k):
     image = _sl2_image(coeffs, m)
     assert _closed_form_outcome(image) == _closed_form_outcome(coeffs)
     assert _closed_form_outcome(_scaled(image, k)) == _closed_form_outcome(_scaled(coeffs, k))
+
+
+def _general_outcome(coeffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        try:
+            return integral_numeric_general(Polynomial(coeffs)).value
+        except NonGaussError as exc:
+            return type(exc)
+
+
+@_SETTINGS
+@given(_forms(4, 8), st.sampled_from(_SL2))
+def test_numeric_integral_is_sl2_invariant(coeffs, m):
+    # F(f o M) = F(f) for det M = 1: x -> (alpha x + beta) / (gamma x + delta)
+    # maps the line onto itself with dx / (gamma x + delta)^2 = d(Mx)
+    image = _sl2_image(coeffs, m)
+    assume(image[0] != 0)  # a root at infinity changes the degree
+    base, moved = _general_outcome(coeffs), _general_outcome(image)
+    if isinstance(base, type):
+        assert moved is base
+    else:
+        assert abs(moved - base) <= 1e-12 * base

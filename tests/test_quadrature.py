@@ -579,3 +579,42 @@ def test_unit_pair_with_far_root(k):
     numeric = integral_numeric(cubic).value
     closed = closed_form_integral(cubic).value
     assert abs(numeric - closed) <= 1e-8 * closed
+
+
+def test_integrand_is_the_log_space_form_as_one_power():
+    # the power |f(x)|^(-2/n) against exp(-(2/n) log|f(x)|), with |f(x)| from
+    # 2^-300 to 2^300 through 2^k-scaled coefficients
+    rng = random.Random(79)
+    for i in range(600):
+        n = rng.randint(2, 8)
+        k = rng.choice((-300, 300)) if i % 3 == 0 else rng.randint(-300, 300)
+        f = Polynomial([math.ldexp(rng.uniform(-2.0, 2.0), k) for _ in range(n + 1)])
+        x = rng.uniform(-3.0, 3.0)
+        family = max(3, f.degree)
+        value = abs(f(x))
+        expected = math.exp(-(2.0 / family) * math.log(value))
+        assert abs(integrand(f, x) - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [(5e-324, 0, 5e-324), (10**400, 0, 10**400), (10**400, 1, 1), (5e-324, 0.0, 1e-300)],
+)
+def test_gaussian_numeric_beyond_the_float_range_is_a_domain_error(a, b, c):
+    with pytest.raises(DomainError):
+        gaussian_integral_numeric(a, b, c)
+
+
+def test_cubic_numeric_with_a_coefficient_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError):
+        integral_numeric(CubicCoeffs(10**400, 0, 0, 1))
+
+
+def test_roots_that_coalesce_only_in_floats_are_unresolved_not_divergent():
+    # ((x - 1)^2 + 2^-60)(x^2 + 1) has D != 0, but its float coefficients are
+    # those of (x - 1)^2 (x^2 + 1), whose double root would diverge at n = 4
+    f = Polynomial([1, -2, 2 + Fraction(1, 2**60), -2, 1 + Fraction(1, 2**60)])
+    with pytest.raises(NoConvergence, match="discriminant is nonzero"):
+        integral_numeric_general(f)
+    with pytest.raises(RepeatedRootDivergence):
+        integral_numeric_general(Polynomial([1, -2, 2, -2, 1]))
