@@ -12,6 +12,14 @@ repeated real root and a divergent integral, as does a = b = 0 (the tail
 The four renormalized moments are minus the log-derivatives of F with
 respect to the coefficients; they reduce to rational expressions in
 (a, b, c, d, D) and are verified here against central finite differences.
+
+The finite-difference verifiers divide the coefficients by a power of two
+and move each one by 0, +h or -h, so every stencil point lies on one grid of
+twelve floats.  That grid is cleared to integers over one power-of-two
+denominator once per stencil; a point's D is then the five-term expansion
+on four looked-up integers, its sign is decided exactly, and its log F is
+the closed form's to the last bit.  The moment formulas at the center are
+evaluated on the same integers.
 """
 
 from __future__ import annotations
@@ -66,9 +74,10 @@ class ExpectationSet:
         return (self.x3, self.x2y, self.xy2, self.y3)
 
 
-def _ln_abs_fraction(value: Fraction) -> float:
-    # math.log takes big ints directly, so huge |D| never overflows a float
-    return math.log(abs(value.numerator)) - math.log(value.denominator)
+def _ln_abs(num: int, den: int) -> float:
+    """ln(|num| / den) for integers num != 0 and den > 0; math.log takes big
+    ints directly, so a huge |num| or den never overflows a float."""
+    return math.log(abs(num)) - math.log(den)
 
 
 def _checked_discriminant(coeffs: CubicCoeffs) -> DiscriminantResult:
@@ -80,21 +89,22 @@ def _checked_discriminant(coeffs: CubicCoeffs) -> DiscriminantResult:
     return disc
 
 
+def _beta_constant(sign: Sign) -> float:
+    """C+ for D > 0, C- for D < 0."""
+    k = constants()
+    return k.c_plus if sign is Sign.POSITIVE else k.c_minus
+
+
 def _closed_form_parts(disc: DiscriminantResult) -> tuple:
     """(C+ or C- by the sign of the nonzero D, ln|D| / 6) for F = C * exp(-ln|D| / 6)."""
-    k = constants()
-    c = k.c_plus if disc.sign is Sign.POSITIVE else k.c_minus
-    return c, _ln_abs_fraction(disc.value) / 6.0
-
-
-def _log_closed_form_of(disc: DiscriminantResult) -> float:
-    c, log_root = _closed_form_parts(disc)
-    return math.log(c) - log_root
+    d = disc.value
+    return _beta_constant(disc.sign), _ln_abs(d.numerator, d.denominator) / 6.0
 
 
 def log_closed_form(coeffs: CubicCoeffs) -> float:
     """log F(a, b, c, d); fully in log space for scale robustness."""
-    return _log_closed_form_of(_checked_discriminant(coeffs))
+    c, log_root = _closed_form_parts(_checked_discriminant(coeffs))
+    return math.log(c) - log_root
 
 
 def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
@@ -145,14 +155,11 @@ def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
     return value
 
 
-def expectations(coeffs: CubicCoeffs) -> ExpectationSet:
-    """The four renormalized moments as rational expressions over 6*D.
-
-    Over one common denominator den, each moment is den * N_int / (6 * D_int).
-    Exact inputs stay exact; any float coefficient switches the whole set to
-    floating point, rounded once from the exact ratio.
-    """
-    (a, b, c, d), den = integer_coefficients(coeffs.as_tuple())
+def _moments(ints: list, den: int, exact: bool) -> ExpectationSet:
+    """den * N_int / (6 * D_int) for the four moment numerators N_int, on the
+    integers ``ints`` and ``den`` of ``integer_coefficients``: Fractions if
+    ``exact``, else floats rounded once from the exact ratio."""
+    a, b, c, d = ints
     six_d = 6 * cubic_discriminant_int(a, b, c, d)
     if six_d == 0:
         raise DivergentIntegral("moments are undefined at D = 0")
@@ -162,7 +169,7 @@ def expectations(coeffs: CubicCoeffs) -> ExpectationSet:
         2 * b * b * c + 18 * a * b * d - 12 * a * c * c,
         18 * a * b * c - 4 * b**3 - 54 * a * a * d,
     )
-    if coeffs.is_exact():
+    if exact:
         return ExpectationSet(*[Fraction(den * n, six_d) for n in numerators])
     try:
         # int / int true division rounds the exact quotient once, like float(Fraction)
@@ -173,38 +180,79 @@ def expectations(coeffs: CubicCoeffs) -> ExpectationSet:
         ) from None
 
 
-def _unit_stencil(coeffs: CubicCoeffs, default_step: float, step) -> tuple:
-    """(base, scale, h, log_f) for the finite-difference verifiers.
+def expectations(coeffs: CubicCoeffs) -> ExpectationSet:
+    """The four renormalized moments as rational expressions over 6*D.
 
-    ``base`` is the coefficients divided by 2^e, the power of two just below
-    their largest magnitude, ``scale`` the largest |base|, ``h`` the step in
-    those units: residuals are normalized by the scale, so none changes, and
-    stencils stay in float range.  ``log_f({index: delta})`` is log F at the
-    moved point; it raises if that point's D sign differs from the center's.
+    Over one common denominator den, each moment is den * N_int / (6 * D_int).
+    Exact inputs stay exact; any float coefficient switches the whole set to
+    floating point, rounded once from the exact ratio.
     """
-    center = _checked_discriminant(coeffs).sign
+    ints, den = integer_coefficients(coeffs.as_tuple())
+    return _moments(ints, den, coeffs.is_exact())
+
+
+def _in_caller_units(point: list, den: int, e: int) -> str:
+    """The stencil point ``point / den`` times 2^e, the caller's coefficients,
+    as a tuple; "(...) × 2^e" in stencil units where a coordinate would
+    overflow or lose bits on the way back."""
+    internal = tuple(n / den for n in point)  # exact: each is a float
+    try:
+        caller = tuple(math.ldexp(v, e) for v in internal)
+    except OverflowError:
+        caller = None
+    if caller is None or any(math.ldexp(v, -e) != w for v, w in zip(caller, internal)):
+        return f"{internal} × 2^{e}"
+    return str(caller)
+
+
+def _unit_stencil(coeffs: CubicCoeffs, default_step: float, step) -> tuple:
+    """(center, den, scale, h, log_f) for the finite-difference verifiers.
+
+    The stencil works on the coefficients divided by 2^e, the power of two
+    just below their largest magnitude; ``scale`` is the largest of them in
+    magnitude and ``h`` the step in those units: residuals are normalized by
+    the scale, so none changes, and stencils stay in float range.  Every
+    stencil point moves each coordinate by 0, +h or -h, so the twelve floats
+    ``base[i] + delta`` are cleared to integers over one power-of-two ``den``
+    once, by one ``integer_coefficients`` call; ``center`` holds the four at
+    delta = 0.  ``log_f({index: sign})``, each sign +1 or -1, looks up the
+    moved point's integers and evaluates D_int on them: it raises
+    StencilCrossesSingularity if D_int is zero or its sign differs from the
+    center's, and otherwise returns log C - ln(|D_int| / den^4) / 6.
+    """
+    center_sign = _checked_discriminant(coeffs).sign
     values = [float(v) for v in coeffs.as_tuple()]
     e = binary_exponent(values)
-    base = tuple(math.ldexp(v, -e) for v in values)
+    base = [math.ldexp(v, -e) for v in values]
     scale = max(abs(v) for v in base)
     h = default_step * scale if step is None else math.ldexp(float(step), -e)
     if not 0.0 < h * h < math.inf:
         raise DomainError(f"step {step} is zero, non-finite or out of range at this scale")
+    ints, den = integer_coefficients([v + delta for v in base for delta in (0.0, h, -h)])
+    # grid[i][s]: coordinate i moved by s * h, for s = 0, +1 and -1 (the last
+    # entry, so a negative index reaches it)
+    grid = [ints[3 * i : 3 * i + 3] for i in range(4)]
+    center = [row[0] for row in grid]
+    den4_bits = 4 * (den.bit_length() - 1)  # the grid is floats: den is a power of two
+    log_c = math.log(_beta_constant(center_sign))
+    positive = center_sign is Sign.POSITIVE
 
-    def log_f(deltas: dict) -> float:
-        moved = list(base)
-        for index, delta in deltas.items():
-            moved[index] += delta
-        point = CubicCoeffs(*moved)
-        disc = discriminant_cubic_explicit(point)
-        if disc.sign is not center:
+    def log_f(moves: dict) -> float:
+        point = center.copy()
+        for index, sign in moves.items():
+            point[index] = grid[index][sign]
+        d = cubic_discriminant_int(*point)
+        if d == 0 or (d > 0) != positive:
             raise StencilCrossesSingularity(
-                f"stencil point {point.as_tuple()} has discriminant sign "
-                f"{disc.sign.value}, center has {center.value}"
+                f"stencil point {_in_caller_units(point, den, e)} has discriminant sign "
+                f"{DiscriminantResult.from_value(d).sign.value}, center has {center_sign.value}"
             )
-        return _log_closed_form_of(disc)
+        # cancel the factors of two D_int shares with den^4, as Fraction(D_int,
+        # den^4) would: log F is then the closed form's, to the last bit
+        twos = min((d & -d).bit_length() - 1, den4_bits)
+        return log_c - _ln_abs(d >> twos, 1 << (den4_bits - twos)) / 6.0
 
-    return base, scale, h, log_f
+    return center, den, scale, h, log_f
 
 
 def expectations_fd_check(
@@ -214,14 +262,15 @@ def expectations_fd_check(
 
     Each residual is |fd - formula| / max(|formula|, 1e-3/scale); the floor
     keeps symmetry-forced zero moments from dividing by zero.  Default step
-    is 1e-4 * max|coefficient|.
+    is 1e-4 * max|coefficient|.  The formulas are evaluated on the stencil's
+    center integers.
     """
-    base, scale, h, log_f = _unit_stencil(coeffs, _FD_EXPECTATION_STEP, step)
+    center, den, scale, h, log_f = _unit_stencil(coeffs, _FD_EXPECTATION_STEP, step)
     residuals = []
-    for i, formula_value in enumerate(expectations(CubicCoeffs(*base)).as_tuple()):
-        fd = -(log_f({i: +h}) - log_f({i: -h})) / (2.0 * h)
-        denom = max(abs(float(formula_value)), _FD_DENOM_FLOOR / scale)
-        residuals.append(abs(fd - float(formula_value)) / denom)
+    for i, formula_value in enumerate(_moments(center, den, False).as_tuple()):
+        fd = -(log_f({i: +1}) - log_f({i: -1})) / (2.0 * h)
+        denom = max(abs(formula_value), _FD_DENOM_FLOOR / scale)
+        residuals.append(abs(fd - formula_value) / denom)
     return tuple(residuals)
 
 
@@ -237,23 +286,23 @@ def pde_identity_residuals(
     using second-order central stencils at step 1e-3 * max|coefficient| by
     default, each normalized by |F| / scale^2.
     """
-    _, scale, h, log_f = _unit_stencil(coeffs, _FD_IDENTITY_STEP, step)
+    *_, scale, h, log_f = _unit_stencil(coeffs, _FD_IDENTITY_STEP, step)
 
-    def value_at(deltas: dict) -> float:
-        return math.exp(log_f(deltas))
+    def value_at(moves: dict) -> float:
+        return math.exp(log_f(moves))
 
     f0 = value_at({})
 
     def mixed(i: int, j: int) -> float:
         return (
-            value_at({i: +h, j: +h})
-            - value_at({i: +h, j: -h})
-            - value_at({i: -h, j: +h})
-            + value_at({i: -h, j: -h})
+            value_at({i: +1, j: +1})
+            - value_at({i: +1, j: -1})
+            - value_at({i: -1, j: +1})
+            + value_at({i: -1, j: -1})
         ) / (4.0 * h * h)
 
     def second(i: int) -> float:
-        return (value_at({i: +h}) - 2.0 * f0 + value_at({i: -h})) / (h * h)
+        return (value_at({i: +1}) - 2.0 * f0 + value_at({i: -1})) / (h * h)
 
     norm = scale * scale / abs(f0)
     return (

@@ -119,6 +119,58 @@ def test_verify(capsys):
     assert max(record["result"]["residuals"].values()) <= 1e-5
 
 
+@pytest.mark.parametrize(
+    "argv, point, signs",
+    [
+        # the identity stencil's (a + h, d - h) corner, h = 1e-3 * 1024
+        (
+            ("verify", "0", "1024", "0", "1e-197"),
+            (1e-3 * 1024, 1024.0, 0.0, 1e-197 - 1e-3 * 1024),
+            ("Positive", "Negative"),
+        ),
+        # the moment stencil's a + h, h = 1e-4 * 1e100
+        (
+            ("expect", "1e100", "0", "-1e100", "3.849e99", "--fd-check"),
+            (1e100 + 1e-4 * 1e100, 0.0, -1e100, 3.849e99),
+            ("Negative", "Positive"),
+        ),
+    ],
+)
+def test_stencil_crossing_names_the_point_in_caller_units(capsys, argv, point, signs):
+    code, record = invoke(capsys, *argv)
+    assert code == 2
+    assert record["error_kind"] == "StencilCrossesSingularity"
+    assert record["result"]["message"] == (
+        f"stencil point {point} has discriminant sign {signs[0]}, center has {signs[1]}"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, step, exponent",
+    [
+        # a + h overflows the float range
+        (
+            ("expect", "1.7976931348623157e308", "0", "-1.7976931348623157e308", "6.9193e307", "--fd-check"),
+            1e-4,
+            1023,
+        ),
+        # a + h and d - h: d - h is subnormal in the caller's units, so it would lose bits
+        (("verify", "1e-306", "1e-306", "0", "1e-310"), 1e-3, -1017),
+    ],
+)
+def test_stencil_crossing_out_of_float_range_keeps_a_power_of_two(capsys, argv, step, exponent):
+    code, record = invoke(capsys, *argv)
+    assert code == 2
+    message = record["result"]["message"]
+    assert message.startswith("stencil point (") and f") × 2^{exponent} has" in message
+    internal = message[len("stencil point (") : message.index(")")].split(", ")
+    point = [Fraction(float(v)) * Fraction(2) ** exponent for v in internal]
+    caller = [Fraction(float(v)) for v in argv[1:5]]
+    h = Fraction(step) * max(abs(v) for v in caller)
+    offsets = [abs(u - v) / h for u, v in zip(point, caller)]
+    assert any(offsets) and all(t == 0 or abs(t - 1) < 1e-6 for t in offsets)
+
+
 def test_beta_check(capsys):
     code, record = invoke(capsys, "beta-check")
     assert code == 0

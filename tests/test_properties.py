@@ -7,7 +7,8 @@ the failures: an input and its image fail with the same error kind.
 
 The exact discriminant of a binary form of degree n = 3..8 is an oracle of
 the same kind: it is unchanged by SL(2, Z), reversal and translation, and
-scales by 2^(k(2n-2)) under f -> 2^k f, all as exact rationals.
+scales by 2^(k(2n-2)) under f -> 2^k f, all as exact rationals.  The
+finite-difference verifiers give bit-identical residuals for 2^k f.
 """
 
 import itertools
@@ -27,8 +28,10 @@ from nongauss import (
     Polynomial,
     closed_form_integral,
     discriminant_from_coeffs,
+    expectations_fd_check,
     integral_numeric,
     integral_numeric_general,
+    pde_identity_residuals,
 )
 
 # coefficients m * 2^k with a dyadic mantissa |m| < 2 and k log-uniform in
@@ -80,6 +83,26 @@ def test_power_of_two_homogeneity(coeffs, k):
     q, r = divmod(-2 * k, 3)
     expected = math.ldexp(base[0] * 2.0 ** (r / 3), q)
     assert abs(image[0] - expected) <= 1e-14 * expected
+
+
+def _verifier_outcome(coeffs, step):
+    out = []
+    for verifier in (expectations_fd_check, pde_identity_residuals):
+        try:
+            out.append(verifier(CubicCoeffs(*coeffs), step=step))
+        except NonGaussError as exc:
+            out.append(type(exc))
+    return out
+
+
+@_SETTINGS
+@given(_cubic, st.integers(-900, 900), st.sampled_from([None, 1e-4, 1e-3]))
+def test_fd_residuals_are_scale_free(coeffs, k, step):
+    # the stencil runs on the coefficients divided by a power of two, so 2^k f
+    # with a 2^k step gives the same residuals bit for bit, or the same error
+    scaled_step = None if step is None else math.ldexp(step, k)
+    base = _verifier_outcome(coeffs, step)
+    assert _verifier_outcome([math.ldexp(c, k) for c in coeffs], scaled_step) == base
 
 
 def _forms(low, high):

@@ -20,8 +20,8 @@ from nongauss import (
     gaussian_analogue,
     pde_identity_residuals,
 )
-from nongauss import discriminant
-from nongauss.polynomial import cubic_discriminant_exact
+from nongauss import discriminant, renorm
+from nongauss.polynomial import cubic_discriminant_exact, cubic_discriminant_int
 
 
 def test_closed_form_positive_discriminant():
@@ -219,21 +219,30 @@ def test_fd_divergent_center():
 
 
 def test_fd_stencil_points_evaluate_d_once(monkeypatch):
-    # one D for the center's sign, then one per stencil point: 1 + 8 moment
-    # points and 1 + 21 identity points
-    calls = []
+    # one exact D for the center's sign, then one integer D per distinct
+    # point of the shared grid: 8 moment points plus the center's moments,
+    # and 21 identity points, the center among them
+    exact_calls, int_calls = [], []
 
-    def counted(*args):
-        calls.append(args)
+    def counted_exact(*args):
+        exact_calls.append(args)
         return cubic_discriminant_exact(*args)
 
-    monkeypatch.setattr(discriminant, "cubic_discriminant_exact", counted)
+    def counted_int(*args):
+        int_calls.append(args)
+        return cubic_discriminant_int(*args)
+
+    monkeypatch.setattr(discriminant, "cubic_discriminant_exact", counted_exact)
+    monkeypatch.setattr(renorm, "cubic_discriminant_int", counted_int)
     cubic = CubicCoeffs(1.0, 2.0, 3.0, 5.0)
     expectations_fd_check(cubic)
-    assert len(calls) == 9
-    calls.clear()
+    assert len(exact_calls) == 1
+    assert len(int_calls) == len(set(int_calls)) == 9
+    exact_calls.clear()
+    int_calls.clear()
     pde_identity_residuals(cubic)
-    assert len(calls) == 22
+    assert len(exact_calls) == 1
+    assert len(int_calls) == len(set(int_calls)) == 21
 
 
 @pytest.mark.parametrize("zeros", [1846, 2000])
