@@ -46,6 +46,14 @@ def integer_coefficients(values: Sequence[Number]) -> tuple:
     return [p * (den // q) for p, q in ratios], den
 
 
+def float_coefficients(values: Sequence[Number]) -> list:
+    """``values`` as floats; a value beyond the float range raises DomainError."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise DomainError("a coefficient lies beyond the float range") from None
+
+
 def binary_exponent(values: Sequence[float]) -> int:
     """The e with 2**e <= max|v| < 2**(e+1): scaling every value by 2**-e puts
     the largest magnitude in [1, 2), changes no mantissa, and leaves input of

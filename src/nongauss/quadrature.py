@@ -34,10 +34,11 @@ Three implementation points matter for full double precision and speed:
   factors are rebuilt from the exact endpoint distances that the tanh-sinh
   transform provides.  Evaluating f directly next to a root would lose all
   relative accuracy to cancellation.
-* Each node costs one Horner evaluation and one power per factor,
-  |q(x)|**-p * d_lo**(-p m_lo) * d_hi**(-p m_hi), with the exponents fixed
-  per panel: no logarithm, and no exponential whose argument carries the
-  rounding of a sum of logarithms.
+* One node kernel evaluates |q(x)|**-p * d_lo**(-p m_lo) * d_hi**(-p m_hi),
+  q the quotient, with one inline Horner evaluation and one power per
+  nonzero factor, the exponents fixed per panel: no Python call per node,
+  no logarithm, and no exponential whose argument carries the rounding of
+  a sum of logarithms.
 * Panels much wider than the distance of their nearest endpoint from the
   origin are subdivided dyadically.  A polynomial changes character on
   scales proportional to |x|, so this keeps every sub-panel resolvable by a
@@ -61,7 +62,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .discriminant import discriminant_general
 from .errors import (
@@ -77,6 +78,7 @@ from .polynomial import (
     Polynomial,
     cubic_roots,
     derivative_coeffs,
+    float_coefficients,
     fujiwara_exponent,
     horner,
     integer_coefficients,
@@ -142,20 +144,6 @@ def _synthetic_quotient(coeffs: Sequence[float], root: float) -> list:
     for c in coeffs[1:-1]:
         out.append(c + root * out[-1])
     return out
-
-
-def integrand(f: Polynomial, x: float, family_degree: Optional[int] = None) -> float:
-    """(f(x)**2)**(-1/n) as the one power |f(x)|**(-2/n), the form the panel
-    kernel integrates.
-
-    ``family_degree`` defaults to max(3, deg f): quadratics are always the
-    degenerate a = 0 member of the cubic family.
-    """
-    n = family_degree if family_degree is not None else max(3, f.degree)
-    value = float(f(float(x)))
-    if value == 0.0:
-        raise SingularPoint(f"f({x}) = 0")
-    return abs(value) ** (-2.0 / n)
 
 
 def _bisect_root(coeffs: Sequence[float], lo: float, hi: float) -> float:
@@ -379,67 +367,6 @@ def _node_table(h: float, only_odd: bool) -> tuple:
     return one_minus, one_plus, weights, tail_start
 
 
-def _tanh_sinh_panel(
-    fn: Callable[[float, float, float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig,
-) -> Tuple[float, float, bool]:
-    """Level-doubling tanh-sinh rule on [lo, hi].
-
-    ``fn(x, d_lo, d_hi)`` receives the node along with its exact distances to
-    both endpoints, computed cancellation-free from the transform itself.
-    Returns (value, error_estimate, converged).
-    """
-    hs = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    if hs == 0.0:
-        return 0.0, 0.0, True
-
-    def side_sum(h: float, only_odd: bool) -> float:
-        one_minus, one_plus, weights, tail_start = _node_table(h, only_odd)
-        total = 0.0
-        for upper in (True, False):
-            negligible = 0
-            for i in range(len(weights)):
-                weight = weights[i] * hs
-                if upper:
-                    d_hi = hs * one_minus[i]
-                    d_lo = hs * one_plus[i]
-                    x = hi - d_hi
-                else:
-                    d_lo = hs * one_minus[i]
-                    d_hi = hs * one_plus[i]
-                    x = lo + d_lo
-                if d_lo == 0.0 or d_hi == 0.0 or weight == 0.0:
-                    break
-                term = weight * fn(x, d_lo, d_hi)
-                total += term
-                # no term is negative, so total is its own absolute value
-                if term <= total * 1e-17:
-                    negligible += 1
-                    if negligible >= 2 and i >= tail_start:
-                        break
-                else:
-                    negligible = 0
-        return total
-
-    node_sum = _HALF_PI * hs * fn(mid, hs, hs) + side_sum(1.0, only_odd=False)
-    previous = node_sum
-    value = previous
-    error = math.inf
-    h = 1.0
-    for _ in range(cfg.max_levels):
-        h *= 0.5
-        node_sum += side_sum(h, only_odd=True)
-        value = h * node_sum
-        error = abs(value - previous)
-        if error <= cfg.rel_tol * abs(value):
-            return value, error, True
-        previous = value
-    return value, error, False
-
-
 def _panel_value(
     coeffs: Sequence[float],
     exponent: float,
@@ -448,25 +375,89 @@ def _panel_value(
     m_lo: int,
     m_hi: int,
     cfg: QuadratureConfig,
-) -> Tuple[float, float, bool]:
-    """Tanh-sinh value of |p|**(-exponent) on [lo, hi], p the polynomial with
-    ``coeffs`` and roots of multiplicity m_lo at lo and m_hi at hi."""
+) -> Tuple[float, float, bool, int]:
+    """Level-doubling tanh-sinh value of |p|**(-exponent) on [lo, hi], p the
+    polynomial with ``coeffs`` and roots of multiplicity m_lo at lo and m_hi
+    at hi: (value, error estimate, converged, integrand evaluations).
+
+    The endpoint roots are divided out into q, and a node at distances d_lo
+    and d_hi from the endpoints, both exact from the transform, is worth
+    |q(x)|**-exponent * d_lo**(-exponent m_lo) * d_hi**(-exponent m_hi): one
+    inline Horner evaluation and one power per factor, none for an endpoint
+    that is not a root.  Each side of a level walks the level's node table
+    outwards until a distance or a weight underflows, or past t = 3 once two
+    terms in a row are negligible.
+    """
+    hs = 0.5 * (hi - lo)
+    if hs == 0.0:
+        return 0.0, 0.0, True, 0
     q = list(coeffs)
     for _ in range(m_lo):
         q = _synthetic_quotient(q, lo)
     for _ in range(m_hi):
         q = _synthetic_quotient(q, hi)
-
-    # one power per factor: x**0.0 is 1.0 without a libm call
+    lead, rest = q[0], q[1:]
     p, p_lo, p_hi = -exponent, -exponent * m_lo, -exponent * m_hi
 
-    def fn(x: float, d_lo: float, d_hi: float) -> float:
-        value = horner(q, x)
-        if value == 0.0:
-            raise SingularPoint(f"unexpected interior zero at {x}")
-        return abs(value) ** p * d_lo**p_lo * d_hi**p_hi
-
-    return _tanh_sinh_panel(fn, lo, hi, cfg)
+    x = 0.5 * (lo + hi)
+    v = lead
+    for c in rest:
+        v = v * x + c
+    if v == 0.0:
+        raise SingularPoint(f"unexpected interior zero at {x}")
+    # the midpoint, at distance hs from both ends; hs**0.0 is 1.0
+    node_sum = _HALF_PI * hs * (abs(v) ** p * hs**p_lo * hs**p_hi)
+    nodes = 1
+    h, only_odd = 1.0, False
+    for level in range(cfg.max_levels + 1):
+        one_minus, one_plus, weights, tail_start = _node_table(h, only_odd)
+        total = 0.0
+        # A node lies hs * (1 - tanh z) from its own side's endpoint and
+        # hs * (1 + tanh z) from the other: x = hi - hs * (1 - tanh z) on the
+        # upper side, x = lo - (-hs) * (1 - tanh z) = lo + d_lo on the lower.
+        for anchor, toward, lo_col, hi_col in (
+            (hi, hs, one_plus, one_minus),
+            (lo, -hs, one_minus, one_plus),
+        ):
+            negligible = 0
+            for i, (om, a, b, w) in enumerate(zip(one_minus, lo_col, hi_col, weights)):
+                offset = toward * om
+                weight = w * hs
+                if offset == 0.0 or weight == 0.0:
+                    break
+                x = anchor - offset
+                v = lead
+                for c in rest:
+                    v = v * x + c
+                if v == 0.0:
+                    raise SingularPoint(f"unexpected interior zero at {x}")
+                term = abs(v) ** p
+                if m_lo:
+                    term *= (hs * a) ** p_lo
+                if m_hi:
+                    term *= (hs * b) ** p_hi
+                term = weight * term
+                total += term
+                # no term is negative, so total is its own absolute value
+                if term <= total * 1e-17:
+                    negligible += 1
+                    if negligible >= 2 and i >= tail_start:
+                        i += 1  # node i was evaluated
+                        break
+                else:
+                    negligible = 0
+            else:
+                i = len(weights)
+            nodes += i
+        node_sum += total
+        value = h * node_sum
+        if level:
+            error = abs(value - previous)
+            if error <= cfg.rel_tol * abs(value):
+                return value, error, True, nodes
+        previous = value
+        h, only_odd = 0.5 * h, True
+    return value, error, False, nodes
 
 
 def _unit_root_scale(values: Sequence[float]) -> Tuple[int, int]:
@@ -494,13 +485,6 @@ def _unit_root_scale(values: Sequence[float]) -> Tuple[int, int]:
     return s, max(dilated) - 1
 
 
-def _float_coefficients(values: Sequence) -> list:
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise DomainError("a coefficient lies beyond the float range") from None
-
-
 def _centred(f: Polynomial) -> Tuple[float, list]:
     """(t, coefficients of f(x + t)), leading first, with t the root centroid
     -a1 / (n a0) rounded to a dyadic m * 2^k with a 24-bit m; (0.0, f's own
@@ -513,7 +497,7 @@ def _centred(f: Polynomial) -> Tuple[float, list]:
     of significant bits commutes with dilations f(2^j x) (t moves to 2^-j t)
     and with scalings 2^k f (t stays), so both stay exact.
     """
-    values = _float_coefficients(f.coeffs)
+    values = float_coefficients(f.coeffs)
     ints, den = integer_coefficients(f.coeffs)
     a0, a1 = ints[0], ints[1]
     if a1 == 0:
@@ -577,7 +561,7 @@ def _integrate_at_unit_scale(
             coeffs, lo, hi, m_lo = reversal, 0.0, 1.0 / panel.lo, origin
         elif panel.kind == "lower-tail":
             coeffs, lo, hi, m_hi = reversal, 1.0 / panel.hi, 0.0, origin
-        value, error, converged = _panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
+        value, error, converged, _ = _panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
         if not converged:
             raise NoConvergence(
                 f"panel [{panel.lo}, {panel.hi}]{units} did not reach rel_tol={cfg.rel_tol} "
@@ -611,7 +595,7 @@ def integral_numeric(
     cfg = config or QuadratureConfig()
     disc = _checked_discriminant(coeffs)
     # |D| < band * scale^4 in integers: band = band_int / den, scale = scale_int / den
-    scale = max(map(abs, _float_coefficients(coeffs.as_tuple())))
+    scale = max(map(abs, float_coefficients(coeffs.as_tuple())))
     (band_int, scale_int), den = integer_coefficients((_DISCRIMINANT_CONDITION_BAND, scale))
     d_num, d_den = abs(disc.value.numerator), disc.value.denominator
     if d_num * den**5 < band_int * scale_int**4 * d_den:
@@ -650,7 +634,7 @@ def gaussian_integral_numeric(
     """
     cfg = config or QuadratureConfig()
     _checked_gaussian(a, b, c)
-    poly = Polynomial(_float_coefficients((a, b, c)))
+    poly = Polynomial(float_coefficients((a, b, c)))
     value, error = _integrate_at_unit_scale(poly, 2, cfg)
     disc = discriminant_general(poly)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

@@ -37,6 +37,7 @@ from .polynomial import (
     Number,
     binary_exponent,
     cubic_discriminant_int,
+    float_coefficients,
     integer_coefficients,
 )
 from .special import constants
@@ -80,12 +81,22 @@ def _ln_abs(num: int, den: int) -> float:
     return math.log(abs(num)) - math.log(den)
 
 
-def _checked_discriminant(coeffs: CubicCoeffs) -> DiscriminantResult:
+def _tail_checked(coeffs: CubicCoeffs) -> CubicCoeffs:
     if coeffs.a == 0 and coeffs.b == 0:
         raise DivergentIntegral("a = b = 0: the integrand tail is not integrable")
-    disc = discriminant_cubic_explicit(coeffs)
-    if disc.sign is Sign.ZERO:
+    return coeffs
+
+
+def _checked_sign(d: int) -> Sign:
+    """The sign of D, read from an integer of the same sign."""
+    if d == 0:
         raise DivergentIntegral("D = 0: repeated real root makes the integral diverge")
+    return Sign.POSITIVE if d > 0 else Sign.NEGATIVE
+
+
+def _checked_discriminant(coeffs: CubicCoeffs) -> DiscriminantResult:
+    disc = discriminant_cubic_explicit(_tail_checked(coeffs))
+    _checked_sign(disc.value.numerator)
     return disc
 
 
@@ -218,10 +229,13 @@ def _unit_stencil(coeffs: CubicCoeffs, default_step: float, step) -> tuple:
     delta = 0.  ``log_f({index: sign})``, each sign +1 or -1, looks up the
     moved point's integers and evaluates D_int on them: it raises
     StencilCrossesSingularity if D_int is zero or its sign differs from the
-    center's, and otherwise returns log C - ln(|D_int| / den^4) / 6.
+    center's, and otherwise returns log C - ln(|D_int| / den^4) / 6.  The
+    center's sign is decided on the exact integers of the caller's own
+    coefficients, which may not be floats.
     """
-    center_sign = _checked_discriminant(coeffs).sign
-    values = [float(v) for v in coeffs.as_tuple()]
+    exact, _ = integer_coefficients(_tail_checked(coeffs).as_tuple())
+    center_sign = _checked_sign(cubic_discriminant_int(*exact))
+    values = float_coefficients(coeffs.as_tuple())
     e = binary_exponent(values)
     base = [math.ldexp(v, -e) for v in values]
     scale = max(abs(v) for v in base)

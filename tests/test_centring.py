@@ -25,7 +25,6 @@ from nongauss import (
     integral_numeric_general,
 )
 from nongauss import quadrature
-from nongauss.polynomial import horner
 
 # SL(2, Z) matrices (alpha, beta, gamma, delta) whose images
 # (alpha x + beta)^n +- (gamma x + delta)^n of x^n +- 1 have a close complex
@@ -95,20 +94,19 @@ def test_clustered_images_match_beta(n, plus, m):
     assert abs(value - expected) <= 1e-8 * expected
 
 
-def _counted_calls(monkeypatch, coeffs):
-    calls = [0]
-
-    def counted(cs, x):
-        calls[0] += 1
-        return horner(cs, x)
-
-    monkeypatch.setattr(quadrature, "horner", counted)
-    integral_numeric_general(Polynomial(coeffs))
-    monkeypatch.undo()
-    return calls[0]
+def _evaluations(count_evaluations, coeffs):
+    return count_evaluations(integral_numeric_general, Polynomial(coeffs))
 
 
-def test_clustered_images_cost_about_what_their_base_costs(monkeypatch):
+def test_named_forms_keep_their_evaluation_counts(count_evaluations):
+    # root-locator evaluations plus tanh-sinh nodes, pinned: a change here
+    # means other nodes, another order or other stops
+    assert _evaluations(count_evaluations, _base(8, False)) == 462
+    assert _evaluations(count_evaluations, _base(8, True)) == 622
+    assert _evaluations(count_evaluations, _image(8, False, (3, -2, 2, -1))) == 1494
+
+
+def test_clustered_images_cost_about_what_their_base_costs(count_evaluations):
     # Counted are all polynomial evaluations: integrand nodes and root
     # location.  Centred, the 48 forms cost 1.73x their bases in total and at
     # most 3.24x each (1494 against 462 for x^8 - 1): the panels are sized by
@@ -118,8 +116,8 @@ def test_clustered_images_cost_about_what_their_base_costs(monkeypatch):
     base_cost, total, total_base = {}, 0, 0
     for n, plus, m in _CLUSTERED_FORMS:
         if (n, plus) not in base_cost:
-            base_cost[n, plus] = _counted_calls(monkeypatch, _base(n, plus))
-        cost = _counted_calls(monkeypatch, _image(n, plus, m))
+            base_cost[n, plus] = _evaluations(count_evaluations, _base(n, plus))
+        cost = _evaluations(count_evaluations, _image(n, plus, m))
         assert cost <= 3.5 * base_cost[n, plus], (n, plus, m)
         total += cost
         total_base += base_cost[n, plus]

@@ -321,6 +321,16 @@ def test_fuzz_findings(capsys, argv, code, kind):
         assert record["error_kind"] == kind
 
 
+@pytest.mark.parametrize("command", [["verify"], ["expect", "--fd-check"]])
+def test_fd_checks_beyond_the_float_range_are_domain_errors(capsys, command):
+    # float() of the 10^310 coefficient raised OverflowError: a traceback
+    argv = command[:1] + ["1" + "0" * 310, "0", "-1", "0"] + command[1:]
+    assert run(argv) == 2
+    record = strict_json(capsys.readouterr().out)
+    assert record["status"] == "error"
+    assert record["error_kind"] == "DomainError"
+
+
 _FUZZ_COMMANDS = ("disc", "integral", "gauss", "expect", "verify", "beta-check")
 _FUZZ_FLAGS = (
     "--plain", "--numeric", "--check", "--fd-check", "--degree", "--rel-tol",

@@ -26,10 +26,23 @@ from nongauss import (
     gaussian_integral_numeric,
     integral_numeric,
     integral_numeric_general,
-    integrand,
 )
 from nongauss import quadrature
-from nongauss.polynomial import cubic_discriminant_exact, horner
+from nongauss.polynomial import cubic_discriminant_exact
+
+
+def integrand(f, x, family_degree=None):
+    """Reference integrand: (f(x)**2)**(-1/n) as the one power |f(x)|**(-2/n),
+    evaluated per node by ``_direct_panel_value``.
+
+    ``family_degree`` defaults to max(3, deg f): quadratics are always the
+    degenerate a = 0 member of the cubic family.
+    """
+    n = family_degree if family_degree is not None else max(3, f.degree)
+    value = float(f(float(x)))
+    if value == 0.0:
+        raise SingularPoint(f"f({x}) = 0")
+    return abs(value) ** (-2.0 / n)
 
 
 def test_integrand_examples():
@@ -359,31 +372,47 @@ def _direct_tanh_sinh_panel(fn, lo, hi, cfg):
     return value, error, False
 
 
+def _direct_panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
+    """Reference for ``quadrature._panel_value``: the endpoint roots divided
+    out into q, then |q|**(-exponent) from ``integrand`` times one power per
+    endpoint factor at every node of the direct rule; with the count of
+    evaluated nodes."""
+    q = list(coeffs)
+    for _ in range(m_lo):
+        q = quadrature._synthetic_quotient(q, lo)
+    for _ in range(m_hi):
+        q = quadrature._synthetic_quotient(q, hi)
+    quotient, family_degree = Polynomial(q), 2.0 / exponent
+    assert 2.0 / family_degree == exponent
+    p_lo, p_hi = -exponent * m_lo, -exponent * m_hi
+    nodes = []
+
+    def fn(x, d_lo, d_hi):
+        nodes.append(x)
+        return integrand(quotient, x, family_degree) * d_lo**p_lo * d_hi**p_hi
+
+    return (*_direct_tanh_sinh_panel(fn, lo, hi, cfg), len(nodes))
+
+
 @pytest.mark.parametrize(
-    "fn",
+    "integrand_at",  # (coefficients, n, m_lo) of |f|^(-2/n) on a panel from lo
     [
-        lambda x, d_lo, d_hi: 1.0,
-        lambda x, d_lo, d_hi: math.exp(-1e4 * x * x),  # negligible from t ~ 1 on
-        # endpoint singularities: terms stay large until the distances underflow
-        lambda x, d_lo, d_hi: min(d_lo, d_hi) ** -0.9,
+        lambda lo: ([1.0], 3, 0),  # constant
+        # (1 + 1e4 x^2)^-4: negligible from t ~ 1 on, an early stop
+        lambda lo: ([1e4, 0.0, 1.0], 0.5, 0),
+        # |x - lo|^-0.91: terms stay large until the distances underflow
+        lambda lo: ([1.0, -lo], 2.2, 1),
     ],
 )
 @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1e-300), (2.0, 2.0 + 2.0**-40), (-3e5, 7.0)])
-def test_tanh_sinh_panel_walks_the_direct_nodes(fn, lo, hi):
-    # the same nodes in the same order, so also the same stops on the scaled
-    # values; an early stop among negligible terms would not show in the value
+def test_tanh_sinh_panel_walks_the_direct_nodes(integrand_at, lo, hi):
+    # the same value, error, convergence and number of evaluated nodes as the
+    # direct rule; an early stop among negligible terms would show only in
+    # the count
     cfg = QuadratureConfig(max_levels=8)
-    walks = ([], [])
-
-    def walk(rule, seen):
-        def logged(x, d_lo, d_hi):
-            seen.append((x, d_lo, d_hi))
-            return fn(x, d_lo, d_hi)
-
-        return rule(logged, lo, hi, cfg)
-
-    assert walk(quadrature._tanh_sinh_panel, walks[0]) == walk(_direct_tanh_sinh_panel, walks[1])
-    assert walks[0] == walks[1]
+    coeffs, family_degree, m_lo = integrand_at(lo)
+    args = (coeffs, 2.0 / family_degree, lo, hi, m_lo, 0, cfg)
+    assert quadrature._panel_value(*args) == _direct_panel_value(*args)
 
 
 def _outcome(call, *args):
@@ -421,7 +450,7 @@ def test_node_tables_give_direct_evaluation_values(monkeypatch):
         # dilations leave the |D| >= 1e-3 * scale^4 band
         warnings.simplefilter("ignore", IllConditionedWarning)
         tabulated = outcomes()
-        monkeypatch.setattr(quadrature, "_tanh_sinh_panel", _direct_tanh_sinh_panel)
+        monkeypatch.setattr(quadrature, "_panel_value", _direct_panel_value)
         direct = outcomes()
     assert tabulated == direct
 
@@ -492,24 +521,15 @@ def test_compressing_dilations_match_closed_form():
             assert abs(numeric - closed) <= 1e-8 * closed
 
 
-def test_dilated_cubic_costs_what_its_base_costs(monkeypatch):
-    calls = []
-
-    def counted(coeffs, x):
-        calls.append(x)
-        return horner(coeffs, x)
-
-    monkeypatch.setattr(quadrature, "horner", counted)
+def test_dilated_cubic_costs_what_its_base_costs(count_evaluations):
     base = [1.0, 2.0, 3.0, 5.0]
-    integral_numeric(CubicCoeffs(*base))
-    expected = len(calls)
-    assert expected > 0
+    expected = count_evaluations(integral_numeric, CubicCoeffs(*base))
+    assert expected == 483
     for j in (-30, -7, 6, 23):
-        calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
-            integral_numeric(CubicCoeffs(*_dilated(base, j)))
-        assert len(calls) == expected
+            cost = count_evaluations(integral_numeric, CubicCoeffs(*_dilated(base, j)))
+        assert cost == expected
 
 
 def _band_predicate(coeffs):

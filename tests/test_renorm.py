@@ -216,12 +216,20 @@ def test_fd_residuals_do_not_depend_on_scale(coeffs):
 def test_fd_divergent_center():
     with pytest.raises(DivergentIntegral):
         expectations_fd_check(CubicCoeffs(1.0, -3.0, 3.0, -1.0))
+    # decided on the caller's exact coefficients: x (x - 1/3)^2 has D = 0,
+    # though its float rounding does not
+    for verifier in (expectations_fd_check, pde_identity_residuals):
+        with pytest.raises(DivergentIntegral, match="a = b = 0"):
+            verifier(CubicCoeffs(0, 0, 1, 2))
+        with pytest.raises(DivergentIntegral, match="D = 0"):
+            verifier(CubicCoeffs(1, Fraction(-2, 3), Fraction(1, 9), 0))
 
 
 def test_fd_stencil_points_evaluate_d_once(monkeypatch):
-    # one exact D for the center's sign, then one integer D per distinct
-    # point of the shared grid: 8 moment points plus the center's moments,
-    # and 21 identity points, the center among them
+    # one integer D on the caller's own coefficients for the center's sign,
+    # with no Fraction D, then one integer D per distinct point of the shared
+    # grid: 8 moment points plus the center's moments, and 21 identity
+    # points, the center among them
     exact_calls, int_calls = [], []
 
     def counted_exact(*args):
@@ -236,13 +244,14 @@ def test_fd_stencil_points_evaluate_d_once(monkeypatch):
     monkeypatch.setattr(renorm, "cubic_discriminant_int", counted_int)
     cubic = CubicCoeffs(1.0, 2.0, 3.0, 5.0)
     expectations_fd_check(cubic)
-    assert len(exact_calls) == 1
-    assert len(int_calls) == len(set(int_calls)) == 9
-    exact_calls.clear()
+    assert exact_calls == []
+    assert int_calls[0] == (1, 2, 3, 5)
+    assert len(int_calls[1:]) == len(set(int_calls[1:])) == 9
     int_calls.clear()
     pde_identity_residuals(cubic)
-    assert len(exact_calls) == 1
-    assert len(int_calls) == len(set(int_calls)) == 21
+    assert exact_calls == []
+    assert int_calls[0] == (1, 2, 3, 5)
+    assert len(int_calls[1:]) == len(set(int_calls[1:])) == 21
 
 
 @pytest.mark.parametrize("zeros", [1846, 2000])
