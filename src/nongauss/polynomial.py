@@ -127,9 +127,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,) or self.coeffs == (0.0,)
-
     def __call__(self, x: Number) -> Number:
         """Evaluate at ``x`` by nested (Horner) multiplication."""
         return horner(self.coeffs, x)
@@ -156,31 +153,6 @@ class Polynomial:
     def reverse(self) -> "Polynomial":
         """Reciprocal polynomial x**n * p(1/x): the coefficient list reversed."""
         return Polynomial(tuple(reversed(self.coeffs)))
-
-    def scale_bound(self, x: Number) -> float:
-        """Sum of |coeff| * |x|**power; magnitude reference for residual tests."""
-        return magnitude_at(self.coeffs, x)
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[Number], leading: Number = 1) -> "Polynomial":
-        cs: list = [leading]
-        for r in roots:
-            nxt = [cs[0]]
-            for i in range(1, len(cs)):
-                nxt.append(cs[i] - r * cs[i - 1])
-            nxt.append(-r * cs[-1])
-            cs = nxt
-        return cls(cs)
-
-    def coefficient_strings(self) -> list:
-        """Serialized form: list of coefficient strings, leading-first."""
-        if self.exact:
-            return [str(Fraction(c)) for c in self.coeffs]
-        return [repr(float(c)) for c in self.coeffs]
-
-    @classmethod
-    def from_coefficient_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls([parse_number(s) for s in items])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -224,12 +196,6 @@ class CubicCoeffs:
     def scale(self) -> float:
         return max(abs(float(v)) for v in self.as_tuple())
 
-    def reversed(self) -> "CubicCoeffs":
-        return CubicCoeffs(self.d, self.c, self.b, self.a)
-
-    def negated(self) -> "CubicCoeffs":
-        return CubicCoeffs(-self.a, -self.b, -self.c, -self.d)
-
     def as_polynomial(self) -> Polynomial:
         """Drop leading zeros, so a = 0 inputs come out as true quadratics."""
         return Polynomial(self.as_tuple())
@@ -256,9 +222,6 @@ class RootSet:
 
     roots: tuple
     classification: RootClassification
-
-    def values(self) -> tuple:
-        return tuple(r for r, _ in self.roots)
 
 
 def cubic_discriminant_int(a: int, b: int, c: int, d: int) -> int:

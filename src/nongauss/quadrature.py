@@ -62,9 +62,10 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .discriminant import discriminant_general
+from .discriminant import DiscriminantResult, discriminant_general
 from .errors import (
     DegreeTooLow,
     DomainError,
@@ -123,14 +124,6 @@ class Panel:
     lo_multiplicity: int = 0
     hi_multiplicity: int = 0
     kind: str = "finite"  # "finite" | "lower-tail" | "upper-tail"
-
-    @property
-    def singular_lo(self) -> bool:
-        return self.lo_multiplicity > 0
-
-    @property
-    def singular_hi(self) -> bool:
-        return self.hi_multiplicity > 0
 
 
 @dataclass(frozen=True)
@@ -630,11 +623,12 @@ def gaussian_integral_numeric(
     """Quadrature cross-check for the Gaussian analogue 1/(a*x^2 + b*x + c).
 
     This is the n = 2 member of the same family (exponent -2/n = -1), so the
-    panel machinery applies unchanged; requires a > 0 and b^2 - 4ac < 0.
+    panel machinery applies unchanged; requires a > 0 and b^2 - 4ac < 0.  The
+    discriminant is the exact b^2 - 4ac of the coefficients given.
     """
     cfg = config or QuadratureConfig()
-    _checked_gaussian(a, b, c)
+    den, n = _checked_gaussian(a, b, c)
     poly = Polynomial(float_coefficients((a, b, c)))
     value, error = _integrate_at_unit_scale(poly, 2, cfg)
-    disc = discriminant_general(poly)
+    disc = DiscriminantResult.from_value(Fraction(-n, den * den))
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

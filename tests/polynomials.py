@@ -1,0 +1,35 @@
+"""Polynomial helpers that only the tests use.
+
+``from_roots`` expands a product of linear factors, so a test can build a form
+whose roots it knows.  ``coefficient_strings`` and ``from_coefficient_strings``
+are a text round trip through ``parse_number``, the parser the CLI reads
+coefficients with.
+"""
+
+from fractions import Fraction
+
+from nongauss import Polynomial
+from nongauss.polynomial import parse_number
+
+
+def from_roots(roots, leading=1) -> Polynomial:
+    """leading * (x - r_1) * ... * (x - r_k), expanded leading-first."""
+    cs = [leading]
+    for r in roots:
+        nxt = [cs[0]]
+        for i in range(1, len(cs)):
+            nxt.append(cs[i] - r * cs[i - 1])
+        nxt.append(-r * cs[-1])
+        cs = nxt
+    return Polynomial(cs)
+
+
+def coefficient_strings(p: Polynomial) -> list:
+    """Serialized form: list of coefficient strings, leading-first."""
+    if p.exact:
+        return [str(Fraction(c)) for c in p.coeffs]
+    return [repr(float(c)) for c in p.coeffs]
+
+
+def from_coefficient_strings(items) -> Polynomial:
+    return Polynomial([parse_number(s) for s in items])

@@ -14,6 +14,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from polynomials import from_roots
+
 from nongauss import (
     IllConditionedWarning,
     NoConvergence,
@@ -154,9 +156,9 @@ def test_shifted_coefficients_are_rounded_once():
     # clusters of a float form, a Fraction form, and dyadic roots 2^-20 apart
     # around 3 * 2^30
     others = [
-        [float(c) for c in Polynomial.from_roots([3 * 2**30 + i for i in range(-2, 3)]).coeffs],
-        Polynomial.from_roots([Fraction(1000, 7) + Fraction(i, 3) for i in range(4)]).coeffs,
-        Polynomial.from_roots([Fraction(3 * 2**50 + i, 2**20) for i in range(5)]).coeffs,
+        [float(c) for c in from_roots([3 * 2**30 + i for i in range(-2, 3)]).coeffs],
+        from_roots([Fraction(1000, 7) + Fraction(i, 3) for i in range(4)]).coeffs,
+        from_roots([Fraction(3 * 2**50 + i, 2**20) for i in range(5)]).coeffs,
     ]
     for coeffs in clustered + others:
         t, centred = quadrature._centred(Polynomial(coeffs))
@@ -178,7 +180,7 @@ def test_centre_is_the_rounded_centroid():
         centre = rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(4.0, 60.0)
         roots = [centre + rng.uniform(-1.0, 1.0) for _ in range(n)]
         leading = rng.uniform(0.5, 2.0)
-        coeffs = [float(c) for c in Polynomial.from_roots(roots, leading=leading).coeffs]
+        coeffs = [float(c) for c in from_roots(roots, leading=leading).coeffs]
         t, _ = quadrature._centred(Polynomial(coeffs))
         if not t:
             continue
@@ -222,11 +224,11 @@ def test_centring_keeps_dilations_exact():
 
 def test_errors_name_the_centre():
     # (x - 1000)^2 (x - 999)(x - 1001): a double root at 1000, with n = 4
-    f = Polynomial.from_roots([1000, 1000, 999, 1001])
+    f = from_roots([1000, 1000, 999, 1001])
     with pytest.raises(RepeatedRootDivergence, match=r"\(in y = \(x - 1000\.0\)\)"):
         integral_numeric_general(f)
     # (x + 1000)^4 + 2^-40: the roots sit 2^-10 from -1000
-    g = Polynomial([*Polynomial.from_roots([-1000] * 4).coeffs[:4], 10**12 + Fraction(1, 2**40)])
+    g = Polynomial([*from_roots([-1000] * 4).coeffs[:4], 10**12 + Fraction(1, 2**40)])
     with pytest.raises(NoConvergence, match=r"\(in y = \(x \+ 1000\.0\) / 2\^-\d+\)"):
         integral_numeric_general(g, QuadratureConfig(rel_tol=1e-30, max_levels=4))
     # without a shift the coordinates stay x / 2^s

@@ -2,10 +2,14 @@
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nongauss
 from nongauss.cli import run, _CHECK_AGREEMENT_BOUND
 
 
@@ -366,3 +370,18 @@ def test_cli_fuzz_exit_codes_and_strict_json(capsys):
         assert code in (0, 1, 2, 3), argv
         if code != 1 and "--help" not in argv and "--plain" not in argv:
             strict_json(out)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # a fresh interpreter without site-packages (-I -S) imports the package
+    # and the CLI; "__main__" is the -c command itself
+    src = str(Path(nongauss.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nongauss, nongauss.cli; "
+        "print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+    )
+    argv = [sys.executable, "-I", "-S", "-c", code, src]
+    loaded = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
+    assert "nongauss" in loaded
+    outside = set(loaded) - set(sys.stdlib_module_names) - {"__main__", "nongauss"}
+    assert not outside, sorted(outside)

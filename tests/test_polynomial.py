@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from polynomials import coefficient_strings, from_coefficient_strings, from_roots
+
 from nongauss import (
     CubicCoeffs,
     DomainError,
@@ -20,6 +22,7 @@ from nongauss.polynomial import (
     cubic_discriminant_exact,
     fujiwara_exponent,
     integer_coefficients,
+    magnitude_at,
 )
 
 
@@ -65,7 +68,7 @@ def test_derivative_cubic_shape():
 
 
 def test_derivative_trivial_cases():
-    assert Polynomial([7]).derivative().is_zero()
+    assert Polynomial([7]).derivative() == Polynomial([0])
     assert Polynomial([1, 0, 0, 0, 0, 0]).derivative() == Polynomial([5, 0, 0, 0, 0])
 
 
@@ -123,19 +126,19 @@ def test_reverse_involution_nonzero_constant():
 
 def test_exact_serialization_roundtrip():
     p = Polynomial([Fraction(3, 2), -4, Fraction(0), Fraction(7, 5)])
-    assert Polynomial.from_coefficient_strings(p.coefficient_strings()) == p
+    assert from_coefficient_strings(coefficient_strings(p)) == p
 
 
 def test_float_serialization_roundtrip():
     p = Polynomial([0.1, -2.75, 3e-17])
-    q = Polynomial.from_coefficient_strings(p.coefficient_strings())
+    q = from_coefficient_strings(coefficient_strings(p))
     assert q.coeffs == p.coeffs
 
 
 def test_cubic_roots_three_distinct():
     rs = cubic_roots(CubicCoeffs(1, 0, -1, 0))
     assert rs.classification is RootClassification.THREE_DISTINCT_REAL
-    assert rs.values() == pytest.approx((-1.0, 0.0, 1.0), abs=1e-14)
+    assert tuple(r for r, _ in rs.roots) == pytest.approx((-1.0, 0.0, 1.0), abs=1e-14)
 
 
 def test_cubic_roots_one_real():
@@ -174,7 +177,7 @@ def test_cubic_roots_far_beyond_unit_scale(coeffs, roots):
     # dilation x = 2^j y instead of overflowing
     rs = cubic_roots(CubicCoeffs(*coeffs))
     assert [m for _, m in rs.roots] == [m for _, m in roots]
-    assert rs.values() == pytest.approx(tuple(r for r, _ in roots), rel=1e-15)
+    assert tuple(r for r, _ in rs.roots) == pytest.approx(tuple(r for r, _ in roots), rel=1e-15)
 
 
 def test_cubic_roots_root_beyond_float_range():
@@ -220,7 +223,7 @@ def test_roots_polish_to_tiny_residual():
         p = c.as_polynomial()
         for root, mult in cubic_roots(c).roots:
             if mult == 1:
-                assert abs(p(root)) <= 1e-12 * p.scale_bound(root)
+                assert abs(p(root)) <= 1e-12 * magnitude_at(p.coeffs, root)
 
 
 def test_factor_out_root_examples():
@@ -312,7 +315,7 @@ def test_fujiwara_exponent_bounds_every_root():
     for _ in range(300):
         degree = rng.randint(1, 7)
         roots = [math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-60, 60)) for _ in range(degree)]
-        coeffs = Polynomial.from_roots(roots, leading=rng.uniform(-4.0, 4.0) or 1.0).coeffs
+        coeffs = from_roots(roots, leading=rng.uniform(-4.0, 4.0) or 1.0).coeffs
         assert max(abs(r) for r in roots) < 2.0 ** (fujiwara_exponent(coeffs) + 2)
     assert fujiwara_exponent([3.0, 0.0, 0.0]) == 0
 

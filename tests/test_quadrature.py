@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from polynomials import from_roots
+
 from nongauss import (
     CubicCoeffs,
     DegreeTooLow,
@@ -18,6 +20,7 @@ from nongauss import (
     Polynomial,
     QuadratureConfig,
     RepeatedRootDivergence,
+    Sign,
     SingularPoint,
     beta,
     closed_form_integral,
@@ -71,8 +74,8 @@ def test_decompose_breakpoints_and_tiling():
     for left, right in zip(d.panels[:-1], d.panels[1:]):
         assert left.hi == right.lo
     # singular points appear only as endpoints, each exactly twice
-    singular_points = [p.lo for p in d.panels if p.singular_lo]
-    singular_points += [p.hi for p in d.panels if p.singular_hi]
+    singular_points = [p.lo for p in d.panels if p.lo_multiplicity > 0]
+    singular_points += [p.hi for p in d.panels if p.hi_multiplicity > 0]
     assert sorted(singular_points) == [-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]
 
 
@@ -101,7 +104,7 @@ def test_decompose_quintic_double_root_is_integrable():
 
 
 def test_decompose_clearance_warning():
-    p = Polynomial.from_roots([0.0, 1e-7, 1.0], leading=1.0)
+    p = from_roots([0.0, 1e-7, 1.0], leading=1.0)
     with pytest.warns(IllConditionedWarning):
         decompose(Polynomial([float(c) for c in p.coeffs]))
 
@@ -154,7 +157,7 @@ def test_numeric_divergent_and_illconditioned():
         integral_numeric(CubicCoeffs(1.0, -3.0, 3.0, -1.0))
     with pytest.warns(IllConditionedWarning):
         # roots at 0, 1e-2, 1: D = 9.7e-5 < 1e-3 * scale^4
-        p = Polynomial.from_roots([0.0, 1e-2, 1.0])
+        p = from_roots([0.0, 1e-2, 1.0])
         integral_numeric(CubicCoeffs(*[float(c) for c in p.coeffs]))
 
 
@@ -172,7 +175,7 @@ def test_numeric_reversal_invariance():
     cfg = QuadratureConfig()
     base = CubicCoeffs(2.0, -3.0, -5.0, 1.5)
     v0 = integral_numeric(base, cfg).value
-    v1 = integral_numeric(base.reversed(), cfg).value
+    v1 = integral_numeric(CubicCoeffs(*reversed(base.as_tuple())), cfg).value
     assert abs(v1 - v0) <= 2.0 * cfg.rel_tol * v0
 
 
@@ -255,6 +258,16 @@ def test_gaussian_quadrature_cross_check():
     assert abs(result.value - math.pi) <= 1e-10 * math.pi
     result = gaussian_integral_numeric(2.0, 2.0, 1.0)
     assert result.value == pytest.approx(math.pi, rel=1e-9)
+
+
+def test_gaussian_quadrature_discriminant_is_the_callers_exact_d():
+    # D = b^2 - 4ac of the coefficients given, not of their float roundings
+    assert gaussian_integral_numeric(Fraction(1, 3), 0, 1).discriminant.value == Fraction(-4, 3)
+    big = gaussian_integral_numeric(10**20 + 1, 0, 1).discriminant
+    assert big.value == -400000000000000000004 and big.sign is Sign.NEGATIVE
+    a, b, c = 0.1, 0.3, 0.7
+    d = Fraction(b) ** 2 - 4 * Fraction(a) * Fraction(c)
+    assert gaussian_integral_numeric(a, b, c).discriminant.value == d
 
 
 def test_gaussian_quadrature_rejects_non_finite():
@@ -575,7 +588,7 @@ def test_unit_root_scale_finds_the_smallest_root():
         roots = [rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-40.0, 40.0) for _ in range(n)]
         if rng.random() < 0.2:
             roots[0] = 0.0
-        coeffs = [float(c) for c in Polynomial.from_roots(roots, leading=1.0).coeffs]
+        coeffs = [float(c) for c in from_roots(roots, leading=1.0).coeffs]
         s, e = quadrature._unit_root_scale(coeffs)
         smallest = min(abs(r) for r in roots if r)
         assert 0.25 <= math.ldexp(smallest, -s) <= 2 * n

@@ -100,3 +100,28 @@ def test_duplication_at_two_thirds():
     lhs = gamma(x / 2.0) * gamma((x + 1.0) / 2.0)
     rhs = 2.0 ** (1.0 - x) * gamma(0.5) * gamma(x)
     assert abs(lhs / rhs - 1.0) <= 1e-11
+
+
+def test_gamma_against_mpmath_up_to_the_overflow_edge():
+    # Gamma(171.6) = 1.59e308 is the last stretch below the float range
+    mpmath.mp.dps = 30
+    worst = 0.0
+    for i in range(161):
+        x = 170.0 + i / 100.0
+        exact = mpmath.gamma(x)
+        worst = max(worst, abs((mpmath.mpf(gamma(x)) - exact) / exact))
+    assert worst <= 1e-13
+
+
+def test_ln_gamma_of_a_subnormal_argument():
+    # Gamma(1e-310) overflows; log Gamma(1e-310) = -log(1e-310) - O(1e-310) does not
+    assert ln_gamma(1e-310) == pytest.approx(713.8013788281542, rel=1e-15)
+
+
+def test_gamma_beyond_the_float_range_is_inf():
+    assert gamma(172.0) == math.inf
+    assert gamma(1e-310) == math.inf
+    assert ln_gamma(1e308) == math.inf
+    # B(p, q) ~ (p + q) / (p q) for small p, q: 2e310 and 1e320
+    assert beta(1e-310, 1e-310) == math.inf
+    assert beta(1e-320, 1.0) == math.inf
