@@ -9,6 +9,7 @@ pure functions of immutable values and safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -85,13 +86,53 @@ def derivative_coeffs(coeffs: Sequence[Number]) -> list:
     return [(n - i) * c for i, c in enumerate(coeffs[:-1])]
 
 
-def magnitude_at(coeffs: Sequence[Number], x: Number) -> float:
-    """Sum of |coeff| * |x|**power; magnitude reference for residual tests."""
-    acc = 0.0
-    ax = abs(float(x))
-    for c in coeffs:
-        acc = acc * ax + abs(float(c))
-    return acc
+def _primitive(cs: Sequence[int]) -> list:
+    """Integer coefficients over their content, the leading one positive; [] for 0."""
+    cs = list(itertools.dropwhile(lambda c: c == 0, cs))
+    content = math.gcd(*cs) if cs and cs[0] > 0 else -math.gcd(*cs)
+    return [c // content for c in cs]
+
+
+def _integer_gcd(a: list, b: list) -> list:
+    """Primitive gcd of integer polynomials: Euclid's algorithm on remainders
+    taken up to a constant factor and reduced to their primitive parts."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r = a
+        while len(r) >= len(b):
+            r = _primitive([b[0] * u - r[0] * v for u, v in zip(r[1:], b[1:] + [0] * len(r))])
+        a, b = b, r
+    return a
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b, len(a) - len(b) + 1 coefficients, for a primitive b dividing a;
+    each is an integer by Gauss's lemma."""
+    q = []
+    while len(a) >= len(b):
+        q.append(a[0] // b[0])
+        a = [u - q[-1] * v for u, v in zip(a[1:], b[1:] + [0] * len(a))]
+    return q
+
+
+def squarefree_factors(f: "Polynomial") -> list:
+    """Yun's square-free decomposition of f's exact integers (Yun, SYMSAC 1976):
+    pairs (f_k, k) by ascending k with f = c * prod f_k^k, c rational, each
+    f_k a non-constant primitive integer Polynomial, square-free and coprime
+    to the others, so its roots are exactly the roots of multiplicity k of f.
+    """
+    a = _primitive(integer_coefficients(f.coeffs)[0])
+    da = derivative_coeffs(a)
+    c = _integer_gcd(a, da)
+    w, y = _exact_quotient(a, c), _exact_quotient(da, c)
+    out, k = [], 1
+    while len(w) > 1:
+        z = [u - v for u, v in zip(y, derivative_coeffs(w))]
+        factor = _integer_gcd(w, z)
+        if len(factor) > 1:
+            out.append((Polynomial(factor), k))
+        w, y, k = _exact_quotient(w, factor), _exact_quotient(z, factor), k + 1
+    return out
 
 
 def _cbrt(x: float) -> float:

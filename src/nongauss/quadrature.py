@@ -1,58 +1,34 @@
 """Direct numerical evaluation of integral over R of |f(x)|**(-2/n) dx.
 
-Strategy: split the line at the real roots of f, then integrate each panel
-with tanh-sinh (double-exponential) quadrature.  The double-exponential map
-absorbs the algebraic |x - r|**(-2m/n) endpoint singularities, and the two
-unbounded tails are folded onto finite intervals with the reciprocal
-substitution u = 1/x.  A tail is then one more panel, of the degree-n
-reversal G(u) = u^n f(1/u) on (0, 1/cut] or [-1/cut, 0): G has a root of
-multiplicity n - deg f at u = 0 (none when deg f = n), and that endpoint
-root is divided out like any other.  One panel builder serves every panel.
+The line is split at the real roots of f, and each panel is integrated with
+tanh-sinh (double-exponential) quadrature, whose map absorbs the algebraic
+|x - r|**(-2k/n) endpoint singularities (Takahasi & Mori 1974; Bailey,
+Jeyabalan & Li 2005).  Endpoint roots are divided out of f and their factors
+rebuilt from the exact endpoint distances of the transform, so no node loses
+accuracy to cancellation next to a root.  A panel with both ends at
+|x| >= 1, the two unbounded tails included, is integrated in u = 1/x on the
+degree-n reversal u^n f(1/u); one panel builder serves every panel.
 
-Every integral runs at unit root scale, centred first.  A cluster of roots far
-from the origin, relative to its own size, is first moved onto the origin:
-when the shift shrinks Fujiwara's root bound at least 4x, the panels
-integrate f(x + t), t the root centroid -a1 / (n a0) rounded to a 24-bit
-dyadic.  F is translation invariant, so the value needs no correction; the
-shift runs in exact integers and each coefficient is rounded to float once.
-Then, with 2^s a binary lower bound on the smallest modulus of the nonzero
-roots (read from the exponents of the coefficients alone) and 2^e the power
-of two just below the largest coefficient of f(2^s y + t), the panels
-integrate g(y) = 2^-e f(2^s y + t) and F(f) = 2^s * 2^(-2e/n) * F(g).  All
-of this commutes with dilations: f(2^j x) normalizes to the very same g for
-every j, so a dilated form costs what the form itself costs, and its value
-and error estimate are those of f times 2^-j, to the last bit.
+Root multiplicities are exact, never read from floats.  With the exact
+discriminant D != 0 every root is simple; with D = 0, the roots of f_k from
+Yun's square-free decomposition of f's integers are those of multiplicity k.
+The float forms only locate simple roots, so a close complex pair is never
+taken for a double real root; distinct roots that land on one float raise
+NoConvergence, and a root with 2k >= n raises RepeatedRootDivergence.
 
-The degree >= 4 route passes on what its exact discriminant proves: with
-D != 0 every root is simple, so only an exact zero of the float form at a
-critical point is taken for a root, and a close complex pair is never
-mistaken for a double real root.
+Every integral runs at unit root scale: a root cluster far from the origin,
+relative to its size, is first centred on it by an exact shift, then a
+dilation and a scaling by powers of two bring the smallest nonzero root and
+the largest coefficient to unit size.  F is translation invariant and
+changes by an exact factor under the other two, so f(2^j x) costs what f
+costs, and its value and error estimate are those of f times 2^-j, to the
+last bit.
 
-Three implementation points matter for full double precision and speed:
-
-* Endpoint roots are divided out of f (synthetic division), and the root
-  factors are rebuilt from the exact endpoint distances that the tanh-sinh
-  transform provides.  Evaluating f directly next to a root would lose all
-  relative accuracy to cancellation.
-* One node kernel evaluates |q(x)|**-p * d_lo**(-p m_lo) * d_hi**(-p m_hi),
-  q the quotient, with one inline Horner evaluation and one power per
-  nonzero factor, the exponents fixed per panel: no Python call per node,
-  no logarithm, and no exponential whose argument carries the rounding of
-  a sum of logarithms.
-* Panels much wider than the distance of their nearest endpoint from the
-  origin are subdivided dyadically.  A polynomial changes character on
-  scales proportional to |x|, so this keeps every sub-panel resolvable by a
-  single affine map; without it, coefficient sets with widely separated
-  roots stall below the requested tolerance.
-
-The tanh-sinh abscissae and weights depend only on the level, not on the
-panel: each level's node table is built once, on first use, and every panel
-of every call scales it by its half-width (Takahasi & Mori 1974; Bailey,
-Jeyabalan & Li 2005).  ``QuadratureConfig.max_levels`` is limited to 4..16,
-which bounds the cached tables at about 0.4M nodes.
-
-Panels are independent and each panel evaluation is pure, so callers may
-evaluate them concurrently and sum; this module does so sequentially.
+Each level's tanh-sinh node table is built once, on first use, and shared by
+every panel of every call; ``QuadratureConfig.max_levels`` is limited to
+4..16, which bounds the cached tables at about 0.4M nodes.  Panels are
+independent and each panel evaluation is pure, so callers may evaluate them
+concurrently and sum; this module does so sequentially.
 """
 
 from __future__ import annotations
@@ -63,7 +39,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .discriminant import DiscriminantResult, discriminant_general
 from .errors import (
@@ -83,15 +59,13 @@ from .polynomial import (
     fujiwara_exponent,
     horner,
     integer_coefficients,
-    magnitude_at,
+    squarefree_factors,
 )
 from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _checked_gaussian
 
 _HALF_PI = math.pi / 2.0
 # |D| below this multiple of scale**4 still computes but is flagged.
 _DISCRIMINANT_CONDITION_BAND = 1e-3
-# relative |f'(root)| threshold treating a located root as repeated
-_MULTIPLICITY_RTOL = 1e-8
 # roots closer than this, relative to max(1, |largest root|), are flagged
 _SINGULARITY_CLEARANCE = 1e-6
 # Levels 0..16 of cached node tables hold about 0.4M nodes (10 MB); each
@@ -117,13 +91,12 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class Panel:
-    """One integration interval; tails are integrated in the u = 1/x variable."""
+    """One integration interval, with the multiplicities of its endpoint roots."""
 
     lo: float
     hi: float
     lo_multiplicity: int = 0
     hi_multiplicity: int = 0
-    kind: str = "finite"  # "finite" | "lower-tail" | "upper-tail"
 
 
 @dataclass(frozen=True)
@@ -139,92 +112,67 @@ def _synthetic_quotient(coeffs: Sequence[float], root: float) -> list:
     return out
 
 
-def _bisect_root(coeffs: Sequence[float], lo: float, hi: float) -> float:
-    flo = horner(coeffs, lo)
-    for _ in range(200):
+def _bracketed_root(coeffs: list, deriv: list, lo: float, hi: float, flo: float, fhi: float):
+    """The root in (lo, hi), where f changes sign once (f(lo) = flo and f(hi) =
+    fhi, both nonzero), by Newton steps kept inside the shrinking bracket: a
+    step that leaves it or fails to halve the step before becomes a bisection,
+    and one below half an ulp tries the next float toward the root.  Returns
+    an exact zero of the float form, or the end of smaller |f| once the
+    bracket is two adjacent floats: within one ulp of a sign change."""
+    x, last = 0.5 * (lo + hi), hi - lo
+    while True:
+        fx = horner(coeffs, x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (flo < 0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        fmid = horner(coeffs, mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    deriv = derivative_coeffs(coeffs)
-    for _ in range(3):
+            return lo if abs(flo) <= abs(fhi) else hi
         fp = horner(deriv, x)
-        if fp == 0.0:
-            break
-        x -= horner(coeffs, x) / fp
-    return x
+        new = x - fx / fp if fp else mid
+        if new == x:
+            new = math.nextafter(x, hi if x == lo else lo)
+        if not (lo < new < hi and abs(new - x) <= 0.5 * last):
+            new = mid
+        x, last = new, abs(new - x)
 
 
-def _real_roots_with_multiplicity(
-    coeffs: Sequence[float], tangency_rtol: float = _MULTIPLICITY_RTOL
-) -> list:
-    """Sorted (root, multiplicity) pairs of a float-coefficient polynomial.
-
-    Degree <= 3 uses closed forms; above that the real line is split at the
-    recursively computed critical points, giving one monotone bracket per
-    sign change plus tangency detection at the critical points themselves:
-    a critical point where |f| is at most ``tangency_rtol`` times the
-    magnitude of its terms counts as a root.
+def _real_roots(coeffs: Sequence[float]) -> list:
+    """Sorted real roots of a float-coefficient polynomial whose exact roots are
+    simple: closed forms up to degree 3; above, inside the Fujiwara bound
+    2^(j + 2), one root per sign change between the recursively located
+    critical points, and an exact zero at a critical point.  A root the float
+    form makes multiple (a zero at a critical point, a double closed-form
+    root) comes out repeated: double precision did not resolve it.
     """
-    cs = [float(c) for c in coeffs]
-    while len(cs) > 1 and cs[0] == 0.0:
-        cs.pop(0)
+    cs = Polynomial(coeffs).coeffs
     deg = len(cs) - 1
     if deg <= 0:
         return []
     if deg == 1:
-        return [(-cs[1] / cs[0], 1)]
+        return [-cs[1] / cs[0]]
     if deg == 2:
         a, b, c = cs
         disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return []
-        if disc == 0.0:
-            return [(-b / (2.0 * a), 2)]
-        s = math.sqrt(disc)
-        q = -(b + math.copysign(s, b)) / 2.0 if b != 0.0 else math.copysign(s, 1.0) / 2.0
-        r1, r2 = q / a, c / q
-        return [(min(r1, r2), 1), (max(r1, r2), 1)]
+        if disc <= 0.0:
+            return [] if disc < 0.0 else [-b / (2.0 * a)] * 2
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return sorted((q / a, c / q))
     if deg == 3:
-        rs = cubic_roots(CubicCoeffs(*cs))
-        return [(float(r), int(m)) for r, m in rs.roots]
+        return [float(r) for r, m in cubic_roots(CubicCoeffs(*cs)).roots for _ in range(m)]
 
     deriv = derivative_coeffs(cs)
-    crits = [r for r, _ in _real_roots_with_multiplicity(deriv)]
-    bound = 1.0 + max(abs(c / cs[0]) for c in cs[1:])
-    points = [-bound] + sorted(c for c in crits if -bound < c < bound) + [bound]
-
-    found: list = []
-    for crit in points[1:-1]:
-        if abs(horner(cs, crit)) <= tangency_rtol * magnitude_at(cs, crit):
-            found.append(crit)
-    for lo, hi in zip(points[:-1], points[1:]):
-        flo, fhi = horner(cs, lo), horner(cs, hi)
-        if flo == 0.0 or fhi == 0.0:
-            continue  # endpoint roots were caught by the tangency test
-        if (flo < 0) != (fhi < 0):
-            found.append(_bisect_root(cs, lo, hi))
-
-    out = []
-    for root in sorted(found):
-        if out and abs(root - out[-1][0]) <= 1e-12 * max(1.0, abs(root)):
-            continue
-        mult = 1
-        d = derivative_coeffs(cs)
-        while mult < deg:
-            if abs(horner(d, root)) > _MULTIPLICITY_RTOL * magnitude_at(d, root):
-                break
-            mult += 1
-            d = derivative_coeffs(d)
-        out.append((root, mult))
-    return out
+    bound = math.ldexp(4.0, min(fujiwara_exponent(cs), 1021))
+    points = [-bound] + [c for c in _real_roots(deriv) if -bound < c < bound] + [bound]
+    values = [horner(cs, x) for x in points]
+    found = [x for x, v in zip(points, values) if v == 0.0] * 2
+    for lo, hi, flo, fhi in zip(points, points[1:], values, values[1:]):
+        if flo and fhi and (flo < 0) != (fhi < 0):
+            found.append(_bracketed_root(cs, deriv, lo, hi, flo, fhi))
+    return sorted(found)
 
 
 def _refined_spans(lo: float, hi: float) -> list:
@@ -249,80 +197,57 @@ def _refined_spans(lo: float, hi: float) -> list:
     return out
 
 
-def decompose(
-    f: Polynomial, family_degree: Optional[int] = None, simple_roots: bool = False
-) -> PanelDecomposition:
+def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomposition:
     """Panel decomposition of the real line for integral over R of |f|**(-2/n).
 
-    Real roots become panel endpoints (never interior points), the tails are
-    marked for the reciprocal transform, and a root of multiplicity m with
-    2m/n >= 1 raises RepeatedRootDivergence.
-
-    ``simple_roots`` states that every root of f is simple, as a nonzero
-    exact discriminant proves.  A critical point is then a root only where f
-    vanishes exactly, so a close complex pair is never taken for a double
-    root, and a root that still comes out multiple (simple roots closer than
-    the float spacing) raises NoConvergence: the integral is finite, but the
-    float form cannot resolve it.
+    Real roots become panel endpoints (never interior points).  Their
+    multiplicities are exact: the roots of f_k from ``squarefree_factors(f)``
+    are those of multiplicity k, which raise RepeatedRootDivergence when
+    2k >= n; the float forms of the f_k only locate them.  Two distinct
+    roots that land on one float raise NoConvergence.
     """
     deg = f.degree
     if deg < 2:
         raise DegreeTooLow(f"need degree >= 2, got {deg}")
     n = family_degree if family_degree is not None else max(3, deg)
+    return _panels([(_rounded_image(p.coeffs, 0.0, 0), k) for p, k in squarefree_factors(f)], n)
 
-    tangency_rtol = 0.0 if simple_roots else _MULTIPLICITY_RTOL
-    roots = _real_roots_with_multiplicity([float(c) for c in f.coeffs], tangency_rtol)
-    # roots that collapse to the same float are one numerical root; merging
-    # lets the integrability rule treat them honestly
-    merged: List[tuple] = []
-    for root, mult in roots:
-        if merged and merged[-1][0] == root:
-            merged[-1] = (root, merged[-1][1] + mult)
-        else:
-            merged.append((root, mult))
-    roots = merged
-    for root, mult in roots:
-        if simple_roots and mult > 1:
-            raise NoConvergence(
-                f"roots within rounding of each other at {root}; the exact discriminant "
-                "is nonzero, so the integral is finite, but double precision does not resolve it"
-            )
-        if 2 * mult >= n:
+
+def _panels(factors: list, n: int) -> PanelDecomposition:
+    """Panels over the line between the real roots of each float form in
+    ``factors``, pairs (coefficients, k) whose simple roots have multiplicity k."""
+    roots = sorted((r, k) for coeffs, k in factors for r in _real_roots(coeffs))
+    for root, k in roots:
+        if 2 * k >= n:
             raise RepeatedRootDivergence(
-                f"root {root} has multiplicity {mult}; |x - r|**(-{2 * mult}/{n}) "
-                "is not integrable"
+                f"root {root} has multiplicity {k}; |x - r|**(-{2 * k}/{n}) is not integrable"
             )
-    if len(roots) >= 2:
-        norm = max(1.0, max(abs(r) for r, _ in roots))
-        gaps = [b[0] - a[0] for a, b in zip(roots[:-1], roots[1:])]
-        if min(gaps) < _SINGULARITY_CLEARANCE * norm:
-            warnings.warn(
-                f"two roots are within {min(gaps):.3e} of each other; "
-                "quadrature error may exceed the requested tolerance",
-                IllConditionedWarning,
-                stacklevel=2,
-            )
+    gaps = [b - a for (a, _), (b, _) in zip(roots, roots[1:])]
+    if 0.0 in gaps:
+        raise NoConvergence(
+            f"roots within rounding of each other at {roots[gaps.index(0.0)][0]}; the exact "
+            "discriminant is nonzero on the square-free part, so the roots are distinct and "
+            "the integral is finite, but double precision does not resolve it"
+        )
+    if gaps and min(gaps) < _SINGULARITY_CLEARANCE * max(1.0, abs(roots[0][0]), abs(roots[-1][0])):
+        warnings.warn(
+            f"two roots are within {min(gaps):.3e} of each other; "
+            "quadrature error may exceed the requested tolerance",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
 
     # Cut the tails at twice the root radius so the reciprocal images of the
     # roots stay well away from the transformed tail panels.
     cut = 2.0 * max(1.0, max((abs(r) for r, _ in roots), default=0.0))
     if cut == math.inf:
         raise DomainError("a real root beyond half the float range leaves no room for the tails")
-    marks = [(-cut, 0)] + [(r, m) for r, m in roots] + [(cut, 0)]
-
-    panels: List[Panel] = [Panel(-math.inf, -cut, kind="lower-tail")]
+    marks = [(-cut, 0)] + roots + [(cut, 0)]
+    panels = [Panel(-math.inf, -cut)]
     for (lo, m_lo), (hi, m_hi) in zip(marks[:-1], marks[1:]):
-        spans = _refined_spans(lo, hi)
-        for s_lo, s_hi in spans:
-            panels.append(
-                Panel(
-                    s_lo,
-                    s_hi,
-                    lo_multiplicity=m_lo if s_lo == lo else 0,
-                    hi_multiplicity=m_hi if s_hi == hi else 0,
-                )
-            )
-    panels.append(Panel(cut, math.inf, kind="upper-tail"))
+        for s_lo, s_hi in _refined_spans(lo, hi):
+            panels.append(Panel(s_lo, s_hi, m_lo if s_lo == lo else 0, m_hi if s_hi == hi else 0))
+    panels.append(Panel(cut, math.inf))
     return PanelDecomposition(breakpoints=tuple(r for r, _ in roots), panels=tuple(panels))
 
 
@@ -502,13 +427,9 @@ def _centred(f: Polynomial) -> Tuple[float, list]:
     big_k = max(0, -k)
     # m = t / 2^k = num 2^K / (d 2^(k+K)), rounded half up in integers
     m = ((num << (big_k + 1)) // (d << (k + big_k)) + 1) >> 1
-    # f(y + m 2^k) = sum Q_i 2^(-K i) / den y^(n-i), Q the shift by the integer
-    # m 2^(k+K) of the polynomial with coefficients ints[i] 2^(K i), K = max(0, -k)
-    scaled = Polynomial([c << (big_k * i) for i, c in enumerate(ints)])
-    shifted = scaled.taylor_shift(m << (k + big_k)).coeffs
     try:
         t = math.ldexp(m, k)
-        centred = [c / (den << (big_k * i)) for i, c in enumerate(shifted)]
+        centred = _rounded_image(ints, t, 0, den)
     except OverflowError:
         return 0.0, values
     if fujiwara_exponent(centred) <= fujiwara_exponent(values) - 2:
@@ -516,18 +437,39 @@ def _centred(f: Polynomial) -> Tuple[float, list]:
     return 0.0, values
 
 
+def _rounded_image(ints: Sequence[int], t: float, s: int, den: Optional[int] = None) -> list:
+    """Float coefficients of p(2^s y + t) / den, p the polynomial with integer
+    coefficients ``ints`` and t a float, each rounded once from exact
+    integers; den = None scales the largest into [1, 2) instead.  A
+    coefficient beyond the float range raises OverflowError."""
+    num, q = t.as_integer_ratio()  # q = 2^j
+    deg, j = len(ints) - 1, q.bit_length() - 1
+    # q^deg p(y + t) = P(q y + num) for P(X) = sum ints[i] q^i X^(deg - i), so
+    # coefficient i of p(2^s y + t) is Q_i 2^(s (deg - i) - j i), Q = P(X + num)
+    shifted = Polynomial([c << (j * i) for i, c in enumerate(ints)]).taylor_shift(num).coeffs
+    powers = [s * (deg - i) - j * i for i in range(deg + 1)]
+    if den is None:
+        den, top = 1, max(abs(c).bit_length() + x for c, x in zip(shifted, powers) if c) - 1
+        powers = [x - top for x in powers]
+    return [(c << x) / den if x >= 0 else c / (den << -x) for c, x in zip(shifted, powers)]
+
+
 def _integrate_at_unit_scale(
-    f: Polynomial, family_degree: int, cfg: QuadratureConfig, simple_roots: bool = False
+    f: Polynomial, family_degree: int, cfg: QuadratureConfig, factors: Optional[list] = None
 ) -> Tuple[float, float]:
     """(value, error estimate) of integral over R of |f|**(-2/n), computed on
     g(y) = 2^-e f(2^s y + t) with t from ``_centred`` and (s, e) from
-    ``_unit_root_scale`` of the centred form.
+    ``_unit_root_scale`` of the centred form: F(f) = 2^s * 2^(-2e/n) * F(g).
 
-    The panel rule resolves features of unit size near the origin, and no
-    root of g is much smaller.  All three maps leave F unchanged up to the
-    exact factor 2^s * 2^(-2e/n) = F(f) / F(g); as f(2^j x) has the same g as
-    f, its value and error estimate are those of f times 2^-j, to the last
-    bit, for the same work.
+    ``factors`` is None when the caller's exact discriminant is nonzero, so
+    every root is simple and is located on g itself; otherwise it is
+    ``squarefree_factors(f)``, and the roots of each f_k, moved by the same
+    exact shift and dilation as g, are g's roots of multiplicity k.
+
+    A panel with both ends at |y| >= 1 is integrated in u = 1/y on the
+    degree-n reversal over [1/hi, 1/lo], so no polynomial is evaluated
+    beyond |y| = 5; an infinite end maps to u = 0, where the reversal has a
+    root of multiplicity n - deg g.
     """
     t, values = _centred(f)
     s, e = _unit_root_scale(values)
@@ -536,13 +478,14 @@ def _integrate_at_unit_scale(
     shift = f"(x {'-' if t > 0 else '+'} {abs(t)!r})" if t else "x"
     units = f" (in y = {shift} / 2^{s})" if s else f" (in y = {shift})" if t else ""
 
+    located = [(g, 1)] if factors is None else [
+        (_rounded_image(p.coeffs, t, s), k) for p, k in factors
+    ]
     try:
-        decomposition = decompose(Polynomial(g), family_degree, simple_roots)
+        decomposition = _panels(located, family_degree)
     except (RepeatedRootDivergence, NoConvergence) as exc:
         raise type(exc)(f"{exc}{units}") from None
     exponent = 2.0 / family_degree
-    # u = 1/x maps a tail onto a panel of the degree-n reversal, whose root at
-    # u = 0 has multiplicity n - deg g
     origin = family_degree - deg
     reversal = g[::-1] + [0.0] * origin
     total = 0.0
@@ -550,10 +493,10 @@ def _integrate_at_unit_scale(
     for panel in decomposition.panels:
         coeffs, lo, hi = g, panel.lo, panel.hi
         m_lo, m_hi = panel.lo_multiplicity, panel.hi_multiplicity
-        if panel.kind == "upper-tail":
-            coeffs, lo, hi, m_lo = reversal, 0.0, 1.0 / panel.lo, origin
-        elif panel.kind == "lower-tail":
-            coeffs, lo, hi, m_hi = reversal, 1.0 / panel.hi, 0.0, origin
+        if lo >= 1.0 or hi <= -1.0:
+            coeffs, lo, hi = reversal, 1.0 / hi, 1.0 / lo
+            m_lo = origin if math.isinf(panel.hi) else panel.hi_multiplicity
+            m_hi = origin if math.isinf(panel.lo) else panel.lo_multiplicity
         value, error, converged, _ = _panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
         if not converged:
             raise NoConvergence(
@@ -613,7 +556,8 @@ def integral_numeric_general(
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
     disc = discriminant_general(f)
-    value, error = _integrate_at_unit_scale(f, f.degree, cfg, disc.value != 0)
+    factors = None if disc.value else squarefree_factors(f)
+    value, error = _integrate_at_unit_scale(f, f.degree, cfg, factors)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 

@@ -43,16 +43,30 @@ def ln_gamma(x: float) -> float:
     return _positive("ln_gamma", math.lgamma, x)
 
 
+def _stirling_series(z: float) -> float:
+    """1/(12z) - 1/(360z^3) + 1/(1260z^5): ln Gamma(z) less (z - 1/2) ln z - z
+    + ln(2 pi) / 2, to 1e-17 for z >= 100."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w / 1260.0)) / z
+
+
 def beta(p: float, q: float) -> float:
     """Euler Beta via exp(ln_gamma(p) + ln_gamma(q) - ln_gamma(p + q)).
 
-    The symmetric formula makes beta(p, q) and beta(q, p) bitwise equal.  A
+    The symmetric formula makes beta(p, q) and beta(q, p) bitwise equal.  From
+    a larger argument L >= 100 on, where ln Gamma(L) and ln Gamma(L + s) would
+    cancel, their difference is taken in Stirling's form instead: -s ln L -
+    (L + s - 1/2) log1p(s/L) + s plus the series at L less that at L + s.  A
     value beyond the float range is inf, as for gamma.
     """
     if not (p > 0 and q > 0):
         raise DomainError(f"beta requires p, q > 0, got ({p}, {q})")
+    s, big = sorted((float(p), float(q)))
     try:
-        return math.exp(ln_gamma(float(p)) + ln_gamma(float(q)) - ln_gamma(float(p) + float(q)))
+        if big < 100.0:
+            return math.exp(ln_gamma(s) + ln_gamma(big) - ln_gamma(s + big))
+        ratio = s - s * math.log(big) - (big + s - 0.5) * math.log1p(s / big)
+        return math.exp(ln_gamma(s) + ratio + (_stirling_series(big) - _stirling_series(big + s)))
     except OverflowError:
         return math.inf
 

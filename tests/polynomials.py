@@ -1,7 +1,8 @@
 """Polynomial helpers that only the tests use.
 
 ``from_roots`` expands a product of linear factors, so a test can build a form
-whose roots it knows.  ``coefficient_strings`` and ``from_coefficient_strings``
+whose roots it knows, and ``magnitude_at`` is the scale a residual at a root is
+measured against.  ``coefficient_strings`` and ``from_coefficient_strings``
 are a text round trip through ``parse_number``, the parser the CLI reads
 coefficients with.
 """
@@ -22,6 +23,15 @@ def from_roots(roots, leading=1) -> Polynomial:
         nxt.append(-r * cs[-1])
         cs = nxt
     return Polynomial(cs)
+
+
+def magnitude_at(coeffs, x) -> float:
+    """Sum of |coeff| * |x|**power; magnitude reference for residual tests."""
+    acc = 0.0
+    ax = abs(float(x))
+    for c in coeffs:
+        acc = acc * ax + abs(float(c))
+    return acc
 
 
 def coefficient_strings(p: Polynomial) -> list:

@@ -305,7 +305,8 @@ def test_non_finite_input_is_domain_error(capsys, argv, bad):
         # b**3 / p**3 overflowed in cubic_roots; the panels next to the origin
         # then cannot resolve the integrand, which quadrature reports
         (["integral", "9/3", "1e300", "1", "5.0", "--numeric"], 3, "NoConvergence"),
-        (["integral", "1e-300", "-1.06", "0", "-1/7", "--numeric"], 3, "NoConvergence"),
+        # the far panels overflowed Horner; they are integrated in u = 1/x
+        (["integral", "1e-300", "-1.06", "0", "-1/7", "--numeric"], 0, None),
         (["integral", "1/1" + "0" * 2000, "0", "-1", "0"], 2, "DomainError"),
         (["integral", "1", "0", "-1", "0", "--numeric", "--max-levels", "17"], 2, "DomainError"),
         # F = C / (4 * 10^2000)^(1/6) underflowed to a status-ok 0.0
@@ -323,6 +324,17 @@ def test_fuzz_findings(capsys, argv, code, kind):
     if code != 1:
         record = strict_json(capsys.readouterr().out)
         assert record["error_kind"] == kind
+
+
+def test_far_panels_match_the_closed_form(capsys):
+    # the root near -1.06e300 put panels at |x| ~ 1e154, beyond Horner's range
+    argv = ["integral", "1e-300", "-1.06", "0", "-1/7"]
+    assert run(argv) == 0
+    closed = strict_json(capsys.readouterr().out)["result"]["value"]
+    assert closed == 9.78775394636733
+    assert run(argv + ["--numeric"]) == 0
+    numeric = strict_json(capsys.readouterr().out)["result"]["value"]
+    assert abs(numeric - closed) <= 1e-12
 
 
 @pytest.mark.parametrize("command", [["verify"], ["expect", "--fd-check"]])

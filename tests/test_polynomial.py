@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from polynomials import coefficient_strings, from_coefficient_strings, from_roots
+from polynomials import coefficient_strings, from_coefficient_strings, from_roots, magnitude_at
 
 from nongauss import (
     CubicCoeffs,
@@ -22,7 +22,6 @@ from nongauss.polynomial import (
     cubic_discriminant_exact,
     fujiwara_exponent,
     integer_coefficients,
-    magnitude_at,
 )
 
 

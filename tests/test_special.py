@@ -1,6 +1,7 @@
 """Gamma/Beta kernel accuracy and the classical identities behind it."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -125,3 +126,42 @@ def test_gamma_beyond_the_float_range_is_inf():
     # B(p, q) ~ (p + q) / (p q) for small p, q: 2e310 and 1e320
     assert beta(1e-310, 1e-310) == math.inf
     assert beta(1e-320, 1.0) == math.inf
+
+
+def _mp_beta(p, q):
+    """mpmath's Beta with enough digits that p + q keeps every bit of both."""
+    with mpmath.workdps(30 + int(math.log10(max(p, q, 1.0)))):
+        return mpmath.beta(mpmath.mpf(p), mpmath.mpf(q))
+
+
+@pytest.mark.parametrize(
+    "p, q", [(1e20, 2.0), (1e8, 2.5), (1e308, 0.5), (150.0, 200.0), (1e300, 1e-300)]
+)
+def test_beta_with_one_large_argument(p, q):
+    # exp(lnG(p) + lnG(q) - lnG(p + q)) cancelled: B(1e20, 2) = 1e-40 came out
+    # 1.0, B(1e8, 2.5) 2.1e-7 off and B(1e308, 1) nan
+    expected = _mp_beta(p, q)
+    assert abs(beta(p, q) / expected - 1) <= 2e-13
+    assert beta(p, q) == beta(q, p)
+
+
+def test_beta_against_mpmath_with_a_large_argument():
+    rng = random.Random(101)
+    checked = 0
+    while checked < 40:
+        big, small = 10 ** rng.uniform(2, 300), 10 ** rng.uniform(-3, 1.7)
+        expected = _mp_beta(big, small)
+        if not 1e-300 < expected < 1e300:
+            continue
+        assert abs(beta(big, small) / expected - 1) <= 2e-13, (big, small)
+        checked += 1
+
+
+def test_beta_with_unit_argument_is_the_reciprocal():
+    # B(p, 1) = 1/p exactly; the exp of a log of size up to 709 rounds to
+    # about 1.6e-13 relative
+    for k in range(2, 309):
+        p = 10.0**k
+        assert abs(beta(p, 1.0) * p - 1) <= 2e-13, p
+        assert abs(beta(1.0, p) * p - 1) <= 2e-13, p
+    assert beta(1e308, 1.0) > 0.0
