@@ -7,10 +7,13 @@ follows from
     D = (-1)**(n*(n-1)/2) * R(f, f') / a0.
 
 Everything here is exact: inputs are cleared once to integers over a common
-denominator den (floats convert losslessly), the Sylvester rows are built on
-those integers, and fraction-free Bareiss elimination runs on them directly.
-The integer determinant is den^(2n-1) * R(f, f'), divided out once at the
-end.  Cubics use the explicit five-term expansion instead.
+denominator den (floats convert losslessly), and R(den f, den f') =
+den^(2n-1) * R(f, f') comes from the subresultant polynomial remainder
+sequence on those integers (Collins 1967; Brown & Traub 1971): integer
+pseudo-remainders, each divided exactly by a known factor, in O(n^2)
+big-integer steps where elimination on the Sylvester matrix takes O(n^3).
+The den powers are divided out once at the end.  Cubics use the explicit
+five-term expansion instead.
 """
 
 from __future__ import annotations
@@ -77,68 +80,69 @@ class ResolventData:
     C: Fraction
 
 
-def _sylvester_rows(f: Polynomial) -> tuple:
-    """(rows, den) from ``ints, den = integer_coefficients(f.coeffs)``: row
-    r < n-1 holds ints (den * f) shifted r places, the other n rows den * f'
-    shifted likewise, so their determinant is den^(2n-1) * R(f, f')."""
-    n = f.degree
-    if n < 2:
-        raise DegreeTooLow(f"need degree >= 2, got {n}")
-    ints, den = integer_coefficients(f.coeffs)
-    ds = derivative_coeffs(ints)
-    size = 2 * n - 1
-    rows = [[0] * r + ints + [0] * (size - r - n - 1) for r in range(n - 1)]
-    rows += [[0] * r + ds + [0] * (size - r - n) for r in range(n)]
-    return rows, den
+def _cleared(f: Polynomial) -> tuple:
+    """(ints, den) from ``integer_coefficients(f.coeffs)``: den * f has the
+    integer coefficients ``ints``; degree below 2 raises DegreeTooLow."""
+    if f.degree < 2:
+        raise DegreeTooLow(f"need degree >= 2, got {f.degree}")
+    return integer_coefficients(f.coeffs)
 
 
 def sylvester_matrix(f: Polynomial) -> SylvesterMatrix:
     """The band matrix whose determinant is R(f, f'), as exact Fractions."""
-    rows, den = _sylvester_rows(f)
-    return SylvesterMatrix(tuple(tuple(Fraction(v, den) for v in row) for row in rows), f.degree)
+    ints, den = _cleared(f)
+    ds = derivative_coeffs(ints)
+    n = f.degree
+    size = 2 * n - 1
+    rows = [[0] * r + ints + [0] * (size - r - n - 1) for r in range(n - 1)]
+    rows += [[0] * r + ds + [0] * (size - r - n) for r in range(n)]
+    return SylvesterMatrix(tuple(tuple(Fraction(v, den) for v in row) for row in rows), n)
 
 
-def _bareiss_determinant_int(m: list) -> int:
-    """Fraction-free elimination; entries must be Python ints."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _subresultant(a: list, b: list) -> int:
+    """R(a, b) for integer polynomials, leading-first, deg a > deg b >= 1,
+    by the subresultant PRS (Cohen, GTM 138, Algorithm 3.3.7): each
+    pseudo-remainder lc(b)^(delta+1) a mod b, delta = deg a - deg b >= 1,
+    is divided exactly by g h^delta, and each step from R(a, b) to R(b, r)
+    takes the sign (-1)^(deg a deg b)."""
+    sign, g, h = 1, 1, 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        lead, tail = b[0], b[1:]
+        r = a
+        for _ in range(delta + 1):
+            head = r[0]
+            r = [lead * u - head * v for u, v in zip(r[1:], tail + [0] * (len(r) - len(b)))]
+        while r and r[0] == 0:
+            del r[0]
+        if not r:
+            return 0
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r]
+        g = a[0]
+        h = g**delta // h ** (delta - 1)
+        if len(b) == 1:
+            da = len(a) - 1
+            return sign * (b[0] ** da // h ** (da - 1))
 
 
 def resultant(f: Polynomial) -> Fraction:
     """R(f, f') as an exact rational; for cubics R/a = -D."""
-    rows, den = _sylvester_rows(f)
-    return Fraction(_bareiss_determinant_int(rows), den ** (2 * f.degree - 1))
+    ints, den = _cleared(f)
+    return Fraction(_subresultant(ints, derivative_coeffs(ints)), den ** (2 * f.degree - 1))
 
 
 def discriminant_general(f: Polynomial) -> DiscriminantResult:
     """Discriminant of any degree >= 2 polynomial via the resultant."""
     n = f.degree
-    rows, den = _sylvester_rows(f)
-    lead = rows[0][0]  # den * a0
+    ints, den = _cleared(f)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    # D = sign * R / a0 with R = det / den^(2n-1) and a0 = lead / den
-    det = _bareiss_determinant_int(rows)
-    return DiscriminantResult.from_value(Fraction(sign * det, lead * den ** (2 * n - 2)))
+    # D = sign * R / a0 with R = R_int / den^(2n-1) and a0 = ints[0] / den
+    r_int = _subresultant(ints, derivative_coeffs(ints))
+    return DiscriminantResult.from_value(Fraction(sign * r_int, ints[0] * den ** (2 * n - 2)))
 
 
 def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:
@@ -152,9 +156,10 @@ def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:
 def discriminant_from_coeffs(values: Sequence[Number]) -> DiscriminantResult:
     """Discriminant of the degree len(values) - 1 form with these coefficients.
 
-    Cubics use the explicit expansion, other degrees Bareiss.  A leading zero
-    keeps the declared degree through D_n(0, a1, ..., an) = a1^2 *
-    D_{n-1}(a1, ..., an), the rule the cubic expansion follows at a = 0.
+    Cubics use the explicit expansion, other degrees the subresultant PRS.
+    A leading zero keeps the declared degree through D_n(0, a1, ..., an) =
+    a1^2 * D_{n-1}(a1, ..., an), the rule the cubic expansion follows at
+    a = 0.
     """
     n = len(values) - 1
     if n == 3:

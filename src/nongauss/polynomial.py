@@ -124,6 +124,8 @@ def squarefree_factors(f: "Polynomial") -> list:
     a = _primitive(integer_coefficients(f.coeffs)[0])
     da = derivative_coeffs(a)
     c = _integer_gcd(a, da)
+    if len(c) == 1:  # gcd(f, f') is constant: f is square-free
+        return [(Polynomial(a), 1)] if len(a) > 1 else []
     w, y = _exact_quotient(a, c), _exact_quotient(da, c)
     out, k = [], 1
     while len(w) > 1:
@@ -339,7 +341,8 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
         raise DegenerateLeadingCoefficient(
             "cubic_roots requires a != 0; use the quadratic path for a = 0"
         )
-    disc = cubic_discriminant_exact(*coeffs.as_tuple())
+    # the sign of D on the cleared integers is the sign of D
+    disc = cubic_discriminant_int(*integer_coefficients(coeffs.as_tuple())[0])
     cs = tuple(float(v) for v in coeffs.as_tuple())
     a, b, c, d = cs
 

@@ -26,7 +26,14 @@ last bit.
 
 Each level's tanh-sinh node table is built once, on first use, and shared by
 every panel of every call; ``QuadratureConfig.max_levels`` is limited to
-4..16, which bounds the cached tables at about 0.4M nodes.  Panels are
+4..16, which bounds the cached tables at about 0.4M nodes.  An endpoint root
+of multiplicity m contributes (hs * (1 -+ tanh z))**(-2m/n) at each node;
+its hs power is applied once per panel, and the weight times the (1 -+
+tanh z) powers is a column cached per (level, near power, far power).  At
+most 128 columns are kept, least recently used out first, each no longer
+than its level's table: at most 13 MB at the default 12 levels and 0.2 GB
+at the 16-level limit, were every column of the top level.  The benchmark's
+degree 3-8 forms use about 100 columns, 30 kB in all.  Panels are
 independent and each panel evaluation is pure, so callers may evaluate them
 concurrently and sum; this module does so sequentially.
 """
@@ -73,6 +80,8 @@ _SINGULARITY_CLEARANCE = 1e-6
 _MAX_LEVELS = 16
 # significant bits of the rounded root centroid that _centred shifts by
 _CENTRE_BITS = 24
+# endpoint-factor columns kept by _endpoint_column, each one level long
+_COLUMN_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -115,11 +124,13 @@ def _synthetic_quotient(coeffs: Sequence[float], root: float) -> list:
 def _bracketed_root(coeffs: list, deriv: list, lo: float, hi: float, flo: float, fhi: float):
     """The root in (lo, hi), where f changes sign once (f(lo) = flo and f(hi) =
     fhi, both nonzero), by Newton steps kept inside the shrinking bracket: a
-    step that leaves it or fails to halve the step before becomes a bisection,
-    and one below half an ulp tries the next float toward the root.  Returns
-    an exact zero of the float form, or the end of smaller |f| once the
-    bracket is two adjacent floats: within one ulp of a sign change."""
-    x, last = 0.5 * (lo + hi), hi - lo
+    step that leaves it or fails to halve the step before becomes a bisection.
+    Once a step is within an ulp, Newton has converged on one end while the
+    other may still be far, so the next points probe toward the other end at
+    1, 2, 4, ... ulps until the sign changes.  Returns an exact zero of the
+    float form, or the end of smaller |f| once the bracket is two adjacent
+    floats: within one ulp of a sign change."""
+    x, last, reach = 0.5 * (lo + hi), hi - lo, 0.0
     while True:
         fx = horner(coeffs, x)
         if fx == 0.0:
@@ -133,9 +144,14 @@ def _bracketed_root(coeffs: list, deriv: list, lo: float, hi: float, flo: float,
             return lo if abs(flo) <= abs(fhi) else hi
         fp = horner(deriv, x)
         new = x - fx / fp if fp else mid
-        if new == x:
-            new = math.nextafter(x, hi if x == lo else lo)
-        if not (lo < new < hi and abs(new - x) <= 0.5 * last):
+        if abs(new - x) <= math.ulp(x):
+            reach = max(2.0 * reach, math.ulp(x))
+            new = x + reach if x == lo else x - reach
+        else:
+            reach = 0.0
+            if abs(new - x) > 0.5 * last:
+                new = mid
+        if not lo < new < hi:
             new = mid
         x, last = new, abs(new - x)
 
@@ -166,7 +182,7 @@ def _real_roots(coeffs: Sequence[float]) -> list:
 
     deriv = derivative_coeffs(cs)
     bound = math.ldexp(4.0, min(fujiwara_exponent(cs), 1021))
-    points = [-bound] + [c for c in _real_roots(deriv) if -bound < c < bound] + [bound]
+    points = [-bound] + sorted({c for c in _real_roots(deriv) if -bound < c < bound}) + [bound]
     values = [horner(cs, x) for x in points]
     found = [x for x, v in zip(points, values) if v == 0.0] * 2
     for lo, hi, flo, fhi in zip(points, points[1:], values, values[1:]):
@@ -257,8 +273,9 @@ def _node_table(h: float, only_odd: bool) -> tuple:
     ``only_odd``): (1 - tanh z, 1 + tanh z, pi/2 * cosh t * (1 - tanh z) *
     (1 + tanh z), index of the first node with t > 3), z = pi/2 * sinh t.
 
-    A panel of half-width hs scales the three columns by hs, which is
-    bit-identical to evaluating the node formulas per panel.  The table ends
+    A panel of half-width hs places its nodes hs * (1 - tanh z) from an
+    end, bit-identical to evaluating the node formulas per panel, and
+    scales its sums by hs once (see ``_endpoint_column``).  The table ends
     before the first node whose 1 - tanh z underflows to zero (t ~ 6.16),
     since that node is zero on every panel; the weight is at least
     1 - tanh z, so it is not zero first.  Built on first use; about 25k
@@ -285,6 +302,31 @@ def _node_table(h: float, only_odd: bool) -> tuple:
     return one_minus, one_plus, weights, tail_start
 
 
+@functools.lru_cache(maxsize=_COLUMN_CACHE_SIZE)
+def _endpoint_column(h: float, only_odd: bool, p_near: float, p_far: float) -> array:
+    """The weights of ``_node_table(h, only_odd)`` times the endpoint factors
+    of a unit panel, w * (1 - tanh z)**p_near * (1 + tanh z)**p_far, for the
+    nodes of the side whose own endpoint carries the power p_near; the
+    weight column itself when both powers are zero.
+
+    A panel of half-width hs multiplies every term by hs * hs**(p_near +
+    p_far), once, so each node costs one multiply by this column.  The
+    column ends early at a subnormal 1 - tanh z whose power overflows (an
+    endpoint power near -1, degree 23 and above); those nodes are
+    negligible.
+    """
+    one_minus, one_plus, weights, _ = _node_table(h, only_odd)
+    if not (p_near or p_far):
+        return weights
+    column = array("d")
+    for om, op, w in zip(one_minus, one_plus, weights):
+        try:
+            column.append(w * om**p_near * op**p_far)
+        except OverflowError:
+            break
+    return column
+
+
 def _panel_value(
     coeffs: Sequence[float],
     exponent: float,
@@ -298,13 +340,15 @@ def _panel_value(
     polynomial with ``coeffs`` and roots of multiplicity m_lo at lo and m_hi
     at hi: (value, error estimate, converged, integrand evaluations).
 
-    The endpoint roots are divided out into q, and a node at distances d_lo
-    and d_hi from the endpoints, both exact from the transform, is worth
-    |q(x)|**-exponent * d_lo**(-exponent m_lo) * d_hi**(-exponent m_hi): one
-    inline Horner evaluation and one power per factor, none for an endpoint
-    that is not a root.  Each side of a level walks the level's node table
-    outwards until a distance or a weight underflows, or past t = 3 once two
-    terms in a row are negligible.
+    The endpoint roots are divided out into q, and a node at distances
+    hs * (1 -+ tanh z) from the endpoints is worth |q(x)|**-exponent times
+    the endpoint factors (hs * (1 -+ tanh z))**(-exponent m).  Each factor
+    splits into hs**(-exponent m), applied once per panel, and a power of
+    1 -+ tanh z, folded with the weight into ``_endpoint_column``: one
+    inline Horner evaluation, one power and one multiply-add per node.
+    Each side of a level walks the level's node table outwards until a
+    distance underflows, or past t = 3 once two terms in a row are
+    negligible.
     """
     hs = 0.5 * (hi - lo)
     if hs == 0.0:
@@ -316,6 +360,12 @@ def _panel_value(
         q = _synthetic_quotient(q, hi)
     lead, rest = q[0], q[1:]
     p, p_lo, p_hi = -exponent, -exponent * m_lo, -exponent * m_hi
+    try:
+        scale = hs * hs**p_lo * hs**p_hi  # hs**0.0 is 1.0
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise DomainError(f"panel [{lo}, {hi}] is too narrow for its endpoint powers")
 
     x = 0.5 * (lo + hi)
     v = lead
@@ -323,25 +373,25 @@ def _panel_value(
         v = v * x + c
     if v == 0.0:
         raise SingularPoint(f"unexpected interior zero at {x}")
-    # the midpoint, at distance hs from both ends; hs**0.0 is 1.0
-    node_sum = _HALF_PI * hs * (abs(v) ** p * hs**p_lo * hs**p_hi)
+    # the midpoint, where 1 -+ tanh z = 1 and the weight is pi/2
+    node_sum = _HALF_PI * abs(v) ** p
     nodes = 1
     h, only_odd = 1.0, False
     for level in range(cfg.max_levels + 1):
-        one_minus, one_plus, weights, tail_start = _node_table(h, only_odd)
+        one_minus, _, _, tail_start = _node_table(h, only_odd)
         total = 0.0
-        # A node lies hs * (1 - tanh z) from its own side's endpoint and
-        # hs * (1 + tanh z) from the other: x = hi - hs * (1 - tanh z) on the
-        # upper side, x = lo - (-hs) * (1 - tanh z) = lo + d_lo on the lower.
-        for anchor, toward, lo_col, hi_col in (
-            (hi, hs, one_plus, one_minus),
-            (lo, -hs, one_minus, one_plus),
+        # A node lies hs * (1 - tanh z) from its own side's endpoint: x =
+        # hi - hs * (1 - tanh z) on the upper side, x = lo - (-hs) * (1 -
+        # tanh z) on the lower.  The table's weight w is at least 1 - tanh z,
+        # so hs * w cannot underflow before that distance does.
+        for anchor, toward, column in (
+            (hi, hs, _endpoint_column(h, only_odd, p_hi, p_lo)),
+            (lo, -hs, _endpoint_column(h, only_odd, p_lo, p_hi)),
         ):
             negligible = 0
-            for i, (om, a, b, w) in enumerate(zip(one_minus, lo_col, hi_col, weights)):
+            for i, (om, weight) in enumerate(zip(one_minus, column)):
                 offset = toward * om
-                weight = w * hs
-                if offset == 0.0 or weight == 0.0:
+                if offset == 0.0:
                     break
                 x = anchor - offset
                 v = lead
@@ -349,12 +399,7 @@ def _panel_value(
                     v = v * x + c
                 if v == 0.0:
                     raise SingularPoint(f"unexpected interior zero at {x}")
-                term = abs(v) ** p
-                if m_lo:
-                    term *= (hs * a) ** p_lo
-                if m_hi:
-                    term *= (hs * b) ** p_hi
-                term = weight * term
+                term = abs(v) ** p * weight
                 total += term
                 # no term is negative, so total is its own absolute value
                 if term <= total * 1e-17:
@@ -365,17 +410,17 @@ def _panel_value(
                 else:
                     negligible = 0
             else:
-                i = len(weights)
+                i = len(column)
             nodes += i
         node_sum += total
         value = h * node_sum
         if level:
             error = abs(value - previous)
             if error <= cfg.rel_tol * abs(value):
-                return value, error, True, nodes
+                return value * scale, error * scale, True, nodes
         previous = value
         h, only_odd = 0.5 * h, True
-    return value, error, False, nodes
+    return value * scale, error * scale, False, nodes
 
 
 def _unit_root_scale(values: Sequence[float]) -> Tuple[int, int]:

@@ -3,7 +3,7 @@
 The term tables in ``discriminant_expansions.json`` list each monomial of the
 16-term quartic and 59-term quintic discriminant as a coefficient and an
 exponent vector over (a0, ..., an).  Evaluating them term by term over
-Fractions is independent of the Sylvester/Bareiss route the package uses.
+Fractions is independent of the subresultant route the package uses.
 """
 
 import json

@@ -1,5 +1,6 @@
 """Exact resultants, discriminants, and the algebraic identities among them."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,36 @@ def fraction_gauss_determinant(rows):
             if factor:
                 m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
     return det
+
+
+def bareiss_determinant(rows):
+    """Independent oracle: fraction-free (Bareiss) elimination on integers."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - factor * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def sylvester_determinant(p):
+    """det of ``sylvester_matrix(p)``: Bareiss on its rows cleared to integers."""
+    entries = sylvester_matrix(p).entries
+    den = math.lcm(*(v.denominator for row in entries for v in row))
+    rows = [[v.numerator * (den // v.denominator) for v in row] for row in entries]
+    return Fraction(bareiss_determinant(rows), den ** len(rows))
 
 
 def expand_roots(roots, leading=1):
@@ -241,3 +272,54 @@ def test_fractional_coefficients_stay_exact():
     assert discriminant_general(p).value == discriminant_cubic_explicit(
         CubicCoeffs(*coeffs)
     ).value
+
+
+def _seeded_forms(rng, degree):
+    """Five forms of one degree: small integers, a trinomial, Fractions,
+    floats scaled by 2^-300 or 2^300, and a repeated root (D = 0).
+
+    The trinomial is a x^n + b x + c for even n, a x^n + b x^(n-1) + c for
+    odd n: its remainder sequence skips degrees, and from n = 4 on it meets
+    two odd degrees, where the resultant changes sign."""
+    ints = [rng.randint(-30, 30) for _ in range(degree + 1)]
+    ints[0] = ints[0] or 1
+    a, b, c = (rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3))
+    middle = [0] * (degree - 2) + [b] if degree % 2 == 0 else [b] + [0] * (degree - 2)
+    sparse = [a] + middle + [c]
+    fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
+    fractions[0] = fractions[0] or Fraction(1, 7)
+    scale = rng.choice((-300, 300))
+    floats = [math.ldexp(rng.uniform(-1.0, 1.0), scale) for _ in range(degree + 1)]
+    roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(degree - 1)]
+    repeated = expand_roots(roots + roots[:1], leading=rng.randint(1, 5))
+    return [ints, sparse, fractions, floats, repeated]
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_resultant_equals_the_sylvester_determinant(degree):
+    # the subresultant PRS against Bareiss on the Sylvester matrix itself
+    rng = random.Random(100 + degree)
+    sign = -1 if degree * (degree - 1) // 2 % 2 else 1
+    zeros = 0
+    for _ in range(6):
+        for coeffs in _seeded_forms(rng, degree):
+            p = Polynomial(coeffs)
+            det = sylvester_determinant(p)
+            assert resultant(p) == det
+            expected = sign * det / Fraction(coeffs[0])
+            assert discriminant_general(p).value == expected
+            assert discriminant_from_coeffs(coeffs).value == expected
+            zeros += expected == 0
+    assert zeros >= 6
+
+
+@pytest.mark.parametrize("degree", range(4, 11))
+def test_leading_zeros_follow_the_sylvester_determinant(degree):
+    # D_n(0, a1, ..., an) = a1^2 * D_{n-1}(a1, ..., an), with the inner D
+    # from the Sylvester determinant
+    rng = random.Random(200 + degree)
+    sign = -1 if (degree - 1) * (degree - 2) // 2 % 2 else 1
+    for coeffs in _seeded_forms(rng, degree - 1):
+        inner = sign * sylvester_determinant(Polynomial(coeffs)) / Fraction(coeffs[0])
+        expected = Fraction(coeffs[0]) ** 2 * inner
+        assert discriminant_from_coeffs([0] + list(coeffs)).value == expected

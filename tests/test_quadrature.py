@@ -321,7 +321,8 @@ def test_node_table_matches_direct_formula(level):
     ts = [(1 + step * i) * h for i in range(len(weights))]
     for t, om, op, w in zip(ts, one_minus, one_plus, weights):
         assert (om, op, w) == _direct_node(t)
-        assert om != 0.0 and w != 0.0
+        # the panel walk stops on the distance alone because w >= 1 - tanh z
+        assert w >= om > 0.0
     assert tail_start == sum(1 for t in ts if t <= 3.0)
     # a unit panel's walk ended at the same node: the one after the last
     # entry is zero, or the last entry is the first beyond t = 7.5
@@ -336,12 +337,64 @@ def test_node_tables_are_built_once_and_stay_small():
     assert sum(len(quadrature._node_table(*_level_key(L))[2]) for L in levels) <= 26_000
 
 
-def _direct_tanh_sinh_panel(fn, lo, hi, cfg):
-    """Reference: the level-doubling rule evaluating every node per panel."""
+def test_endpoint_columns_are_built_once_and_stay_bounded():
+    column = quadrature._endpoint_column
+    key = (0.25, True, -2.0 / 3.0, 0.0)
+    column(*key)
+    built = column.cache_info().misses
+    assert column(*key) is column(*key)
+    assert column.cache_info().misses == built
+    # real roots of multiplicity 1 and 2 on forms of degree 2..12
+    rng = random.Random(61)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        integral_numeric(CubicCoeffs(0, 1, 0, -1))
+        for n in range(3, 13):
+            roots = rng.sample(range(-6, 7), n)
+            integral_numeric_general(from_roots(roots))
+            if n >= 5:
+                integral_numeric_general(from_roots(roots[1:] + roots[:1]))
+    info = column.cache_info()
+    assert info.maxsize == quadrature._COLUMN_CACHE_SIZE
+    assert info.currsize <= info.maxsize < info.misses
+
+
+def test_endpoint_column_ends_where_a_power_overflows():
+    # 1 - tanh z reaches the subnormals; its power -22/23 (degree 23, a
+    # root of multiplicity 11) overflows there and the column stops short
+    one_minus, one_plus, weights, _ = quadrature._node_table(2.0**-12, True)
+    assert min(one_minus) < 1e-320
+    column = quadrature._endpoint_column(2.0**-12, True, -22.0 / 23.0, 0.0)
+    assert 0 < len(column) < len(weights)
+    assert all(0.0 <= v < math.inf for v in column)
+    assert len(quadrature._endpoint_column(2.0**-12, True, -20.0 / 21.0, 0.0)) == len(weights)
+    # so a panel next to that root walks to level 8 without an OverflowError
+    x11_x_plus_1 = [1.0, 1.0] + [0.0] * 11
+    cfg = QuadratureConfig(rel_tol=1e-17, max_levels=8)
+    args = (x11_x_plus_1, 2.0 / 23.0, 0.0, 0.5, 11, 0, cfg)
+    value, error, converged, _ = quadrature._panel_value(*args)
+    assert 0.0 < value < math.inf and error < 1e-12 * value and not converged
+
+
+def test_panel_too_narrow_for_its_endpoint_powers_is_a_domain_error():
+    # hs**(-0.99) overflows for a half-width of 1e-316
+    cfg = QuadratureConfig()
+    with pytest.raises(DomainError, match="too narrow"):
+        quadrature._panel_value([1.0, -2e-316, 0.0], 0.99, 0.0, 2e-316, 1, 1, cfg)
+
+
+def _direct_tanh_sinh_panel(fn, lo, hi, p_lo, p_hi, cfg):
+    """Reference: the level-doubling rule for fn(x) * (x - lo)**p_lo *
+    (hi - x)**p_hi, evaluating every node per panel.  A node at distances
+    hs * u_lo and hs * u_hi from the ends folds each factor (hs * u)**p as
+    hs**p * u**p: the weight times the u powers, its own side's first,
+    multiplies fn(x), and hs * hs**p_lo * hs**p_hi scales the panel's sums
+    once."""
     hs = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     if hs == 0.0:
         return 0.0, 0.0, True
+    scale = hs * hs**p_lo * hs**p_hi
 
     def side_sum(h, only_odd):
         total = 0.0
@@ -351,14 +404,13 @@ def _direct_tanh_sinh_panel(fn, lo, hi, cfg):
             while True:
                 t = k * h
                 one_minus, one_plus, w = _direct_node(t)
-                weight = w * hs
-                if sign > 0:
-                    d_hi, d_lo, x = hs * one_minus, hs * one_plus, hi - hs * one_minus
-                else:
-                    d_lo, d_hi, x = hs * one_minus, hs * one_plus, lo + hs * one_minus
-                if d_lo == 0.0 or d_hi == 0.0 or weight == 0.0:
+                if hs * one_minus == 0.0 or hs * one_plus == 0.0 or w * hs == 0.0:
                     break
-                term = weight * fn(x, d_lo, d_hi)
+                if sign > 0:
+                    x, weight = hi - hs * one_minus, w * one_minus**p_hi * one_plus**p_lo
+                else:
+                    x, weight = lo + hs * one_minus, w * one_minus**p_lo * one_plus**p_hi
+                term = fn(x) * weight
                 total += term
                 if term <= abs(total) * 1e-17:
                     negligible += 1
@@ -371,7 +423,7 @@ def _direct_tanh_sinh_panel(fn, lo, hi, cfg):
                     break
         return total
 
-    node_sum = math.pi / 2.0 * hs * fn(mid, hs, hs) + side_sum(1.0, False)
+    node_sum = math.pi / 2.0 * fn(mid) + side_sum(1.0, False)
     previous = value = node_sum
     error = math.inf
     h = 1.0
@@ -381,16 +433,16 @@ def _direct_tanh_sinh_panel(fn, lo, hi, cfg):
         value = h * node_sum
         error = abs(value - previous)
         if error <= cfg.rel_tol * abs(value):
-            return value, error, True
+            return value * scale, error * scale, True
         previous = value
-    return value, error, False
+    return value * scale, error * scale, False
 
 
 def _direct_panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
     """Reference for ``quadrature._panel_value``: the endpoint roots divided
-    out into q, then |q|**(-exponent) from ``integrand`` times one power per
-    endpoint factor at every node of the direct rule; with the count of
-    evaluated nodes."""
+    out into q, then |q|**(-exponent) from ``integrand`` times the endpoint
+    factors at every node of the direct rule; with the count of evaluated
+    nodes."""
     q = list(coeffs)
     for _ in range(m_lo):
         q = quadrature._synthetic_quotient(q, lo)
@@ -398,14 +450,14 @@ def _direct_panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
         q = quadrature._synthetic_quotient(q, hi)
     quotient, family_degree = Polynomial(q), 2.0 / exponent
     assert 2.0 / family_degree == exponent
-    p_lo, p_hi = -exponent * m_lo, -exponent * m_hi
     nodes = []
 
-    def fn(x, d_lo, d_hi):
+    def fn(x):
         nodes.append(x)
-        return integrand(quotient, x, family_degree) * d_lo**p_lo * d_hi**p_hi
+        return integrand(quotient, x, family_degree)
 
-    return (*_direct_tanh_sinh_panel(fn, lo, hi, cfg), len(nodes))
+    p_lo, p_hi = -exponent * m_lo, -exponent * m_hi
+    return (*_direct_tanh_sinh_panel(fn, lo, hi, p_lo, p_hi, cfg), len(nodes))
 
 
 @pytest.mark.parametrize(
