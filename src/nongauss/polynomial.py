@@ -327,12 +327,37 @@ def _undilated(y: float, j: int) -> float:
         raise DomainError(f"a real root lies beyond the float range: {y} * 2**{j}") from None
 
 
+def _deflated_pair(cs: tuple, alpha: float) -> tuple:
+    """The roots of a*x**2 + k*x + l = f / (x - alpha), for the real root
+    alpha of largest modulus when all three roots are real.  The constant
+    end of the synthetic division, l = -d/alpha and k = (l - c)/alpha, loses
+    no digits to the cancellation in b + a*alpha; the pair's sum -k/a and
+    product l/a go into the sign-stable quadratic formula, its square root
+    taken as |s/2| * sqrt(1 - p/(s/2)**2) once s/2 is large, so that
+    neither (s/2)**2 nor the roots overflow.
+    """
+    a, _, c, d = cs
+    a_alpha = a * alpha
+    s = (c + d / alpha) / a_alpha
+    p = -d / a_alpha
+    half = 0.5 * s
+    if abs(half) >= 1.0:
+        root = abs(half) * math.sqrt(max(0.0, 1.0 - p / half / half))
+    else:
+        root = math.sqrt(max(0.0, half * half - p))
+    big = half + math.copysign(root, half)
+    return (big, p / big) if big else (0.0, 0.0)
+
+
 def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     """All real roots of a true cubic (a != 0).
 
     Closed forms locate the roots (trigonometric when all three are real,
     Cardano otherwise) and Newton polishing restores full precision on the
-    simple ones.  The classification follows the exact discriminant sign.
+    simple ones.  With three real roots, the two besides the largest come
+    from the quadratic that deflating the largest leaves, so roots many
+    orders of magnitude below it are not lost to cancellation.  The
+    classification follows the exact discriminant sign.
     Roots too large for the closed forms are located at unit size after the
     exact dilation x = 2**j * y; a root beyond the float range raises
     DomainError.
@@ -371,7 +396,11 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
             arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
             theta = math.acos(arg)
             raw = [m * math.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
-        polished = sorted(_polish_root(cs, _undilated(y, j)) for y in raw)
+        # the closed forms cancel on the roots much smaller than the largest;
+        # those are the roots of the quadratic left by deflating the largest
+        alpha = _polish_root(cs, _undilated(max(raw, key=abs), j))
+        pair = (_polish_root(cs, x) for x in _deflated_pair(cs, alpha))
+        polished = sorted((alpha, *pair))
         return RootSet(tuple((x, 1) for x in polished), RootClassification.THREE_DISTINCT_REAL)
 
     if disc < 0:

@@ -1,20 +1,20 @@
 """Direct numerical evaluation of integral over R of |f(x)|**(-2/n) dx.
 
-The line is split at the real roots of f, and each panel is integrated with
-tanh-sinh (double-exponential) quadrature, whose map absorbs the algebraic
-|x - r|**(-2k/n) endpoint singularities (Takahasi & Mori 1974; Bailey,
-Jeyabalan & Li 2005).  Endpoint roots are divided out of f and their factors
-rebuilt from the exact endpoint distances of the transform, so no node loses
-accuracy to cancellation next to a root.  A panel with both ends at
-|x| >= 1, the two unbounded tails included, is integrated in u = 1/x on the
-degree-n reversal u^n f(1/u); one panel builder serves every panel.
+|f|**(-2/n) dx is a density on the projective line (hence F's SL(2)
+invariance): the panels are the arcs between consecutive real roots, the arc
+through infinity included, each in a chart where it is bounded, y or u = 1/y
+(on the reversal u^n f(1/u)), and graded toward its nearest other root.
+Tanh-sinh quadrature absorbs the |x - r|**(-2k/n) endpoint singularities
+(Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005); endpoint roots are
+divided out and their factors rebuilt from the exact endpoint distances of
+the transform, so no node loses accuracy to cancellation next to a root.
 
-Root multiplicities are exact, never read from floats.  With the exact
+Root multiplicities are exact, never read from floats: with the exact
 discriminant D != 0 every root is simple; with D = 0, the roots of f_k from
 Yun's square-free decomposition of f's integers are those of multiplicity k.
-The float forms only locate simple roots, so a close complex pair is never
-taken for a double real root; distinct roots that land on one float raise
-NoConvergence, and a root with 2k >= n raises RepeatedRootDivergence.
+So a close complex pair is never taken for a double real root; distinct
+roots that land on one float raise NoConvergence, and a root with 2k >= n
+raises RepeatedRootDivergence.
 
 Every integral runs at unit root scale: a root cluster far from the origin,
 relative to its size, is first centred on it by an exact shift, then a
@@ -24,18 +24,14 @@ changes by an exact factor under the other two, so f(2^j x) costs what f
 costs, and its value and error estimate are those of f times 2^-j, to the
 last bit.
 
-Each level's tanh-sinh node table is built once, on first use, and shared by
-every panel of every call; ``QuadratureConfig.max_levels`` is limited to
-4..16, which bounds the cached tables at about 0.4M nodes.  An endpoint root
-of multiplicity m contributes (hs * (1 -+ tanh z))**(-2m/n) at each node;
-its hs power is applied once per panel, and the weight times the (1 -+
-tanh z) powers is a column cached per (level, near power, far power).  At
-most 128 columns are kept, least recently used out first, each no longer
-than its level's table: at most 13 MB at the default 12 levels and 0.2 GB
-at the 16-level limit, were every column of the top level.  The benchmark's
-degree 3-8 forms use about 100 columns, 30 kB in all.  Panels are
-independent and each panel evaluation is pure, so callers may evaluate them
-concurrently and sum; this module does so sequentially.
+Each level's tanh-sinh node table is built once and shared by every panel
+of every call; ``QuadratureConfig.max_levels`` is 4..16, so the tables hold
+at most about 0.4M nodes.  An endpoint root of multiplicity m contributes
+(hs * (1 -+ tanh z))**(-2m/n) at each node: its hs power is applied once per
+panel, and the weight times the (1 -+ tanh z) powers is a column cached per
+(level, near power, far power), at most 128 of them, least recently used
+out first: 13 MB at most at the default 12 levels, 0.2 GB at 16.  Panels are
+independent and pure, so callers may evaluate them concurrently and sum.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .discriminant import DiscriminantResult, discriminant_general
 from .errors import (
@@ -60,7 +56,6 @@ from .errors import (
 from .polynomial import (
     CubicCoeffs,
     Polynomial,
-    cubic_roots,
     derivative_coeffs,
     float_coefficients,
     fujiwara_exponent,
@@ -82,6 +77,9 @@ _MAX_LEVELS = 16
 _CENTRE_BITS = 24
 # endpoint-factor columns kept by _endpoint_column, each one level long
 _COLUMN_CACHE_SIZE = 128
+_GRADE_RATIO = 16.0  # ratio of consecutive cut distances in _graded
+_GRADE_REACH = 4.0  # _graded cuts while a panel reaches this far beyond the cut
+_CUT_CLEARANCE = 2.0**-40  # least cut distance, relative to the point cut toward
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,14 @@ class QuadratureConfig:
             )
 
 
-@dataclass(frozen=True)
-class Panel:
-    """One integration interval, with the multiplicities of its endpoint roots."""
+class Panel(NamedTuple):
+    """An integration interval, in u = 1/y if ``reciprocal``, and its ends' root multiplicities."""
 
     lo: float
     hi: float
     lo_multiplicity: int = 0
     hi_multiplicity: int = 0
+    reciprocal: bool = False
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ def _bracketed_root(coeffs: list, deriv: list, lo: float, hi: float, flo: float,
     1, 2, 4, ... ulps until the sign changes.  Returns an exact zero of the
     float form, or the end of smaller |f| once the bracket is two adjacent
     floats: within one ulp of a sign change."""
-    x, last, reach = 0.5 * (lo + hi), hi - lo, 0.0
+    x, last, reach = 0.5 * lo + 0.5 * hi, hi - lo, 0.0
     while True:
         fx = horner(coeffs, x)
         if fx == 0.0:
@@ -139,7 +137,7 @@ def _bracketed_root(coeffs: list, deriv: list, lo: float, hi: float, flo: float,
             lo, flo = x, fx
         else:
             hi, fhi = x, fx
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # no overflow next to the float range
         if mid == lo or mid == hi:
             return lo if abs(flo) <= abs(fhi) else hi
         fp = horner(deriv, x)
@@ -158,10 +156,10 @@ def _bracketed_root(coeffs: list, deriv: list, lo: float, hi: float, flo: float,
 
 def _real_roots(coeffs: Sequence[float]) -> list:
     """Sorted real roots of a float-coefficient polynomial whose exact roots are
-    simple: closed forms up to degree 3; above, inside the Fujiwara bound
+    simple: closed forms up to degree 2; above, inside the Fujiwara bound
     2^(j + 2), one root per sign change between the recursively located
     critical points, and an exact zero at a critical point.  A root the float
-    form makes multiple (a zero at a critical point, a double closed-form
+    form makes multiple (a zero at a critical point, a double quadratic
     root) comes out repeated: double precision did not resolve it.
     """
     cs = Polynomial(coeffs).coeffs
@@ -177,11 +175,10 @@ def _real_roots(coeffs: Sequence[float]) -> list:
             return [] if disc < 0.0 else [-b / (2.0 * a)] * 2
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         return sorted((q / a, c / q))
-    if deg == 3:
-        return [float(r) for r, m in cubic_roots(CubicCoeffs(*cs)).roots for _ in range(m)]
 
     deriv = derivative_coeffs(cs)
-    bound = math.ldexp(4.0, min(fujiwara_exponent(cs), 1021))
+    j = fujiwara_exponent(cs)
+    bound = math.ldexp(4.0, j) if j < 1022 else math.nextafter(math.inf, 0.0)  # the largest float
     points = [-bound] + sorted({c for c in _real_roots(deriv) if -bound < c < bound}) + [bound]
     values = [horner(cs, x) for x in points]
     found = [x for x, v in zip(points, values) if v == 0.0] * 2
@@ -191,80 +188,112 @@ def _real_roots(coeffs: Sequence[float]) -> list:
     return sorted(found)
 
 
-def _refined_spans(lo: float, hi: float) -> list:
-    """Dyadic subdivision: each sub-span's width stays within twice
-    (1 + distance of its nearer endpoint from the origin).
+def _complex_reach(g: list, roots: list) -> float:
+    """1/rho, rho the largest modulus of a non-real root of g (0.0 if none): in
+    u = 1/y all of them lie within 1/rho of 0.  Moduli are Newton-polygon
+    estimates (Bini 1996): an edge of the upper hull of the points (k,
+    log2|c_k|) from power k1 to k2 stands for k2 - k1 roots of modulus
+    (|c_k1|/|c_k2|)^(1/(k2 - k1)); each nonzero real root takes out the nearest."""
+    points = [(k, math.log2(abs(c))) for k, c in enumerate(reversed(g)) if c]
+    moduli, (k1, l1) = [], points[0]
+    while k1 < points[-1][0]:  # the hull vertex after k1: steepest, then farthest
+        right = [p for p in points if p[0] > k1]
+        k2, l2 = max(right, key=lambda p: ((p[1] - l1) / (p[0] - k1), p[0]))
+        moduli += [(l1 - l2) / (k2 - k1)] * (k2 - k1)
+        k1, l1 = k2, l2
+    for log_r in [math.log2(abs(r)) for r, k in roots if r for _ in range(k)][: len(moduli)]:
+        moduli.remove(min(moduli, key=lambda m: abs(m - log_r)))
+    return 2.0 ** min(-max(moduli), 1000.0) if moduli else 0.0
 
-    A finite span meets that rule within about log2(hi - lo) halvings, so
-    there is no depth limit: a span cut off early stays wider than the rule
-    and can hide the integrand's features near the origin from every node.
-    """
-    out = []
-    stack = [(lo, hi)]
-    while stack:
-        a, b = stack.pop()
-        if (b - a) <= 2.0 * (1.0 + min(abs(a), abs(b))):
-            out.append((a, b))
-        else:
-            mid = 0.5 * (a + b)
-            stack.append((mid, b))
-            stack.append((a, mid))
-    out.sort()
-    return out
+
+def _graded(panel: Panel, images: list, reach: float) -> list:
+    """``panel`` cut d, R d, R^2 d, ... from its point nearest its nearest
+    feature, d away, while it reaches beyond _GRADE_REACH times the next: a
+    root in ``images`` (the chart's) that is not an end, or the non-real
+    roots, within ``reach`` of u = 0.  Each piece then ends a distance of its
+    own order from the feature, and no cut is within rounding of the point."""
+    lo, hi, m_lo, m_hi, reciprocal = panel
+    features = [(z, 0.0) for z in images if not lo <= z <= hi] + [(0.0, reach)] * (reach > 0)
+    nearest = ((max(abs(z - p), least), p) for z, least in features for p in [min(max(z, lo), hi)])
+    d, point = min(nearest, default=(math.inf, lo))
+    cuts = []
+    for end in (lo, hi):
+        step = max(d, _CUT_CLEARANCE * abs(point))
+        while abs(end - point) > _GRADE_REACH * step:
+            cuts.append(point + math.copysign(step, end - point))
+            step *= _GRADE_RATIO
+    ends = [lo] + sorted(cuts) + [hi]
+    return [
+        Panel(a, b, m_lo if a == lo else 0, m_hi if b == hi else 0, reciprocal)
+        for a, b in zip(ends, ends[1:])
+    ]
 
 
 def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomposition:
-    """Panel decomposition of the real line for integral over R of |f|**(-2/n).
-
-    Real roots become panel endpoints (never interior points).  Their
-    multiplicities are exact: the roots of f_k from ``squarefree_factors(f)``
-    are those of multiplicity k, which raise RepeatedRootDivergence when
-    2k >= n; the float forms of the f_k only locate them.  Two distinct
-    roots that land on one float raise NoConvergence.
-    """
-    deg = f.degree
-    if deg < 2:
-        raise DegreeTooLow(f"need degree >= 2, got {deg}")
-    n = family_degree if family_degree is not None else max(3, deg)
-    return _panels([(_rounded_image(p.coeffs, 0.0, 0), k) for p, k in squarefree_factors(f)], n)
+    """The panels on which the quadrature evaluates the integral over R of
+    |f|**(-2/n), n = ``family_degree`` (default max(3, deg f)), and the real
+    roots as breakpoints, in y of ``_unit_scale_layout`` (u = 1/y for a
+    ``reciprocal`` panel); root multiplicities come from Yun's factors."""
+    if f.degree < 2:
+        raise DegreeTooLow(f"need degree >= 2, got {f.degree}")
+    n = family_degree if family_degree is not None else max(3, f.degree)
+    return _unit_scale_layout(f, n, squarefree_factors(f))[-1]
 
 
-def _panels(factors: list, n: int) -> PanelDecomposition:
-    """Panels over the line between the real roots of each float form in
-    ``factors``, pairs (coefficients, k) whose simple roots have multiplicity k."""
-    roots = sorted((r, k) for coeffs, k in factors for r in _real_roots(coeffs))
+def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list]) -> tuple:
+    """(g, s, e, units, panels) of the integral of |f|**(-2/n) at unit root
+    scale, g(y) = 2^-e f(2^s y + t) (``units`` names y).  ``factors`` is
+    ``squarefree_factors(f)``, or None when the exact D != 0: the simple
+    roots of a square-free f are located on g, else those of each f_k, moved
+    as g is, are its roots of multiplicity k.  A root with 2k >= n raises
+    RepeatedRootDivergence, distinct roots on one float NoConvergence."""
+    t, values = _centred(f)
+    s, e = _unit_root_scale(values)
+    deg = len(values) - 1
+    g = [math.ldexp(v, s * (deg - i) - e) for i, v in enumerate(values)]
+    shift = f"(x {'-' if t > 0 else '+'} {abs(t)!r})" if t else "x"
+    units = f" (in y = {shift} / 2^{s})" if s else f" (in y = {shift})" if t else ""
+
+    located = [(g, 1)] if factors is None or [k for _, k in factors] == [1] else [
+        (_rounded_image(p.coeffs, t, s), k) for p, k in factors
+    ]
+    roots = sorted((r, k) for coeffs, k in located for r in _real_roots(coeffs))
     for root, k in roots:
         if 2 * k >= n:
             raise RepeatedRootDivergence(
-                f"root {root} has multiplicity {k}; |x - r|**(-{2 * k}/{n}) is not integrable"
+                f"root {root}{units} has multiplicity {k}; "
+                f"|x - r|**(-{2 * k}/{n}) is not integrable"
             )
     gaps = [b - a for (a, _), (b, _) in zip(roots, roots[1:])]
     if 0.0 in gaps:
         raise NoConvergence(
-            f"roots within rounding of each other at {roots[gaps.index(0.0)][0]}; the exact "
-            "discriminant is nonzero on the square-free part, so the roots are distinct and "
-            "the integral is finite, but double precision does not resolve it"
+            f"roots within rounding of each other at {roots[gaps.index(0.0)][0]}{units}: "
+            "the exact discriminant is nonzero on the square-free part, so they are distinct "
+            "and the integral is finite, but double precision does not resolve it"
         )
     if gaps and min(gaps) < _SINGULARITY_CLEARANCE * max(1.0, abs(roots[0][0]), abs(roots[-1][0])):
         warnings.warn(
-            f"two roots are within {min(gaps):.3e} of each other; "
+            f"two roots are within {min(gaps):.3e} of each other{units}; "
             "quadrature error may exceed the requested tolerance",
             IllConditionedWarning,
             stacklevel=3,
         )
-
-    # Cut the tails at twice the root radius so the reciprocal images of the
-    # roots stay well away from the transformed tail panels.
-    cut = 2.0 * max(1.0, max((abs(r) for r, _ in roots), default=0.0))
-    if cut == math.inf:
-        raise DomainError("a real root beyond half the float range leaves no room for the tails")
-    marks = [(-cut, 0)] + roots + [(cut, 0)]
-    panels = [Panel(-math.inf, -cut)]
-    for (lo, m_lo), (hi, m_hi) in zip(marks[:-1], marks[1:]):
-        for s_lo, s_hi in _refined_spans(lo, hi):
-            panels.append(Panel(s_lo, s_hi, m_lo if s_lo == lo else 0, m_hi if s_hi == hi else 0))
-    panels.append(Panel(cut, math.inf))
-    return PanelDecomposition(breakpoints=tuple(r for r, _ in roots), panels=tuple(panels))
+    # Arcs between the roots, u = 0 when deg g < n (a root of multiplicity
+    # n - deg g), and y = 2 (-2) unless a root in [1, 4] ([-4, -1]) stands in
+    # its place: each has |y| >= 1 on it (in u = 1/y) or lies in [-4, 4] (in y).
+    origin = n - deg
+    cuts = [(y, 0) for y in (-2.0, 2.0) if not any(0.5 <= r / y <= 2.0 for r, _ in roots)]
+    marks = sorted(roots + cuts + [(math.inf, origin)] * (origin > 0))
+    in_y = [r for r, _ in roots]
+    in_u = [1.0 / r for r in in_y if r] + [0.0] * (origin > 0)
+    reach = _complex_reach(g, roots)
+    panels = []
+    for (lo, m_lo), (hi, m_hi) in zip(marks, marks[1:] + marks[:1]):
+        if lo >= hi or lo >= 1.0 or hi <= -1.0:  # through infinity, or beyond y = +-1
+            panels += _graded(Panel(1.0 / hi, 1.0 / lo, m_hi, m_lo, reciprocal=True), in_u, reach)
+        else:
+            panels += _graded(Panel(lo, hi, m_lo, m_hi), in_y, 0.0)
+    return g, s, e, units, PanelDecomposition(tuple(in_y), tuple(panels))
 
 
 @functools.cache
@@ -502,51 +531,21 @@ def _rounded_image(ints: Sequence[int], t: float, s: int, den: Optional[int] = N
 def _integrate_at_unit_scale(
     f: Polynomial, family_degree: int, cfg: QuadratureConfig, factors: Optional[list] = None
 ) -> Tuple[float, float]:
-    """(value, error estimate) of integral over R of |f|**(-2/n), computed on
-    g(y) = 2^-e f(2^s y + t) with t from ``_centred`` and (s, e) from
-    ``_unit_root_scale`` of the centred form: F(f) = 2^s * 2^(-2e/n) * F(g).
-
-    ``factors`` is None when the caller's exact discriminant is nonzero, so
-    every root is simple and is located on g itself; otherwise it is
-    ``squarefree_factors(f)``, and the roots of each f_k, moved by the same
-    exact shift and dilation as g, are g's roots of multiplicity k.
-
-    A panel with both ends at |y| >= 1 is integrated in u = 1/y on the
-    degree-n reversal over [1/hi, 1/lo], so no polynomial is evaluated
-    beyond |y| = 5; an infinite end maps to u = 0, where the reversal has a
-    root of multiplicity n - deg g.
-    """
-    t, values = _centred(f)
-    s, e = _unit_root_scale(values)
-    deg = len(values) - 1
-    g = [math.ldexp(v, s * (deg - i) - e) for i, v in enumerate(values)]
-    shift = f"(x {'-' if t > 0 else '+'} {abs(t)!r})" if t else "x"
-    units = f" (in y = {shift} / 2^{s})" if s else f" (in y = {shift})" if t else ""
-
-    located = [(g, 1)] if factors is None else [
-        (_rounded_image(p.coeffs, t, s), k) for p, k in factors
-    ]
-    try:
-        decomposition = _panels(located, family_degree)
-    except (RepeatedRootDivergence, NoConvergence) as exc:
-        raise type(exc)(f"{exc}{units}") from None
+    """(value, error estimate) of integral over R of |f|**(-2/n), summed over
+    the panels of ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A
+    panel in u = 1/y is integrated on the degree-n reversal u^n g(1/u)."""
+    g, s, e, units, layout = _unit_scale_layout(f, family_degree, factors)
     exponent = 2.0 / family_degree
-    origin = family_degree - deg
-    reversal = g[::-1] + [0.0] * origin
+    reversal = g[::-1] + [0.0] * (family_degree + 1 - len(g))
     total = 0.0
     total_error = 0.0
-    for panel in decomposition.panels:
-        coeffs, lo, hi = g, panel.lo, panel.hi
-        m_lo, m_hi = panel.lo_multiplicity, panel.hi_multiplicity
-        if lo >= 1.0 or hi <= -1.0:
-            coeffs, lo, hi = reversal, 1.0 / hi, 1.0 / lo
-            m_lo = origin if math.isinf(panel.hi) else panel.hi_multiplicity
-            m_hi = origin if math.isinf(panel.lo) else panel.lo_multiplicity
+    for lo, hi, m_lo, m_hi, reciprocal in layout.panels:
+        coeffs = reversal if reciprocal else g
         value, error, converged, _ = _panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
         if not converged:
             raise NoConvergence(
-                f"panel [{panel.lo}, {panel.hi}]{units} did not reach rel_tol={cfg.rel_tol} "
-                f"within {cfg.max_levels} levels (last delta {error:.3e})"
+                f"panel [{lo}, {hi}] of {'u = 1/y' if reciprocal else 'y'}{units} did not reach "
+                f"rel_tol={cfg.rel_tol} within {cfg.max_levels} levels (last delta {error:.3e})"
             )
         total += value
         total_error += error

@@ -103,18 +103,18 @@ def _evaluations(count_evaluations, coeffs):
 def test_named_forms_keep_their_evaluation_counts(count_evaluations):
     # root-locator evaluations plus tanh-sinh nodes, pinned: a change here
     # means other nodes, another order or other stops
-    assert _evaluations(count_evaluations, _base(8, False)) == 462
-    assert _evaluations(count_evaluations, _base(8, True)) == 594
-    assert _evaluations(count_evaluations, _image(8, False, (3, -2, 2, -1))) == 1115
+    assert _evaluations(count_evaluations, _base(8, False)) == 318
+    assert _evaluations(count_evaluations, _base(8, True)) == 584
+    assert _evaluations(count_evaluations, _image(8, False, (3, -2, 2, -1))) == 724
 
 
 def test_clustered_images_cost_about_what_their_base_costs(count_evaluations):
     # Counted are all polynomial evaluations: integrand nodes and root
-    # location.  Centred, the 48 forms cost 1.39x their bases in total and at
-    # most 2.41x each: the panels are sized by the distance from the origin in
-    # units of a Fujiwara bound on the smallest root, and the real roots are
-    # found by bracketed Newton steps.  Integrated where they lie, with the
-    # tangency test off, they cost about 11x.
+    # location.  Centred, the 48 forms cost 1.37x their bases in total and at
+    # most 2.28x each: the panels are the arcs between the real roots, graded
+    # toward the nearest other root, and the real roots are found by
+    # bracketed Newton steps.  Integrated where they lie, with the tangency
+    # test off, they cost about 11x.
     base_cost, total, total_base = {}, 0, 0
     for n, plus, m in _CLUSTERED_FORMS:
         if (n, plus) not in base_cost:

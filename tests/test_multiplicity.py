@@ -20,6 +20,7 @@ from nongauss import (
     IllConditionedWarning,
     NoConvergence,
     Polynomial,
+    closed_form_integral,
     discriminant_general,
     integral_numeric,
     integral_numeric_general,
@@ -175,15 +176,15 @@ def test_squarefree_factors_of_float_and_square_free_input():
 
 
 def test_dilated_path_has_no_false_double_root():
-    # D != 0, so no root is multiple; the cubic closed forms misplace two
-    # roots onto one float here (a known fault), which now reads as
-    # unresolved, not as divergent
+    # D != 0, so no root is multiple: the locator separates all three roots,
+    # -1e-4, 1e-4 and the one near -1e308 at the top of the float range
+    cubic = CubicCoeffs(1e-300, 1e8, 0, -1)
+    assert len(quadrature._real_roots([1e-300, 1e8, 0.0, -1.0])) == 3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        try:
-            integral_numeric(CubicCoeffs(1e-300, 1e8, 0, -1))
-        except NoConvergence:
-            pass
+        numeric = integral_numeric(cubic).value
+    closed = closed_form_integral(cubic).value
+    assert abs(numeric - closed) <= 1e-12 * closed
 
 
 # --- the locator --------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from polynomials import coefficient_strings, from_coefficient_strings, from_roots, magnitude_at
@@ -177,6 +178,22 @@ def test_cubic_roots_far_beyond_unit_scale(coeffs, roots):
     rs = cubic_roots(CubicCoeffs(*coeffs))
     assert [m for _, m in rs.roots] == [m for _, m in roots]
     assert tuple(r for r, _ in rs.roots) == pytest.approx(tuple(r for r, _ in roots), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(10.0**-k, 1.0, 0.0, -1.0) for k in range(9, 16)] + [(1e-300, 1e8, 0.0, -1.0)],
+)
+def test_cubic_roots_far_below_the_largest(coeffs):
+    # the trigonometric closed form cancels on the roots near +-1 (near
+    # +-1e-4) next to one near -b/a; they come from the deflated quadratic
+    with mpmath.workdps(60):
+        expected = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=400, extraprec=2000)
+    expected = sorted(float(z.real) for z in expected)
+    rs = cubic_roots(CubicCoeffs(*coeffs))
+    assert rs.classification is RootClassification.THREE_DISTINCT_REAL
+    for (root, mult), r in zip(rs.roots, expected):
+        assert mult == 1 and abs(root - r) <= 1e-12 * abs(r)
 
 
 def test_cubic_roots_root_beyond_float_range():

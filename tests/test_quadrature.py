@@ -66,18 +66,65 @@ def test_integrand_respects_family_degree():
     assert integrand(p, 1.0, family_degree=3) == pytest.approx(2.0 ** (-2.0 / 3.0), rel=1e-15)
 
 
+def _arc(panel):
+    """The panel as the arc (start, end) of the projective line it covers, in
+    y: a ``reciprocal`` panel [lo, hi] of u = 1/y runs from 1/hi to 1/lo."""
+    if not panel.reciprocal:
+        return panel.lo, panel.hi
+    return tuple(math.inf if u == 0.0 else 1.0 / u for u in (panel.hi, panel.lo))
+
+
 def test_decompose_breakpoints_and_tiling():
     d = decompose(Polynomial([1.0, 0.0, -1.0, 0.0]))
     assert d.breakpoints == pytest.approx((-1.0, 0.0, 1.0), abs=1e-14)
-    tails = [p for p in d.panels if math.inf in (abs(p.lo), abs(p.hi))]
-    assert tails == [d.panels[0], d.panels[-1]]
-    assert d.panels[0].lo == -math.inf and d.panels[-1].hi == math.inf
-    for left, right in zip(d.panels[:-1], d.panels[1:]):
-        assert left.hi == right.lo
+    # the arc through infinity, from y = 1 to y = -1, is one panel in u = 1/y,
+    # and no panel is infinite
+    assert [p for p in d.panels if p.reciprocal] == [quadrature.Panel(-1.0, 1.0, 1, 1, True)]
+    assert all(math.isfinite(p.lo) and math.isfinite(p.hi) for p in d.panels)
+    # the panels tile the projective line: each arc starts where the last ended
+    arcs = [_arc(p) for p in d.panels]
+    for (_, end), (start, _) in zip(arcs, arcs[1:] + arcs[:1]):
+        assert end == start
     # singular points appear only as endpoints, each exactly twice
-    singular_points = [p.lo for p in d.panels if p.lo_multiplicity > 0]
-    singular_points += [p.hi for p in d.panels if p.hi_multiplicity > 0]
+    singular_points = [a for p, (a, _) in zip(d.panels, arcs) if p.lo_multiplicity > 0]
+    singular_points += [b for p, (_, b) in zip(d.panels, arcs) if p.hi_multiplicity > 0]
     assert sorted(singular_points) == [-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]
+
+
+_DILATED = Polynomial([math.ldexp(c, -30 * (3 - i)) for i, c in enumerate([1.0, 2.0, 3.0, 5.0])])
+_CLUSTERED = from_roots([999.5, 1000.25, 1000.5, 1001.0])
+_DOUBLE_ROOT = Polynomial([1, -2, 2, -2, 1, 0])  # (x - 1)^2 x (x^2 + 1), D = 0
+
+
+@pytest.mark.parametrize(
+    "f, n, call",
+    [
+        # (1, 2, 3, 5) dilated by 2^-30: two panels at unit root scale
+        (_DILATED, 3, lambda: integral_numeric(CubicCoeffs(*_DILATED.coeffs))),
+        # roots clustered about 1000, integrated after centring
+        (_CLUSTERED, 4, lambda: integral_numeric_general(_CLUSTERED)),
+        # D = 0: multiplicities from the square-free factors
+        (_DOUBLE_ROOT, 5, lambda: integral_numeric_general(_DOUBLE_ROOT)),
+        # the a = 0 member of the cubic family: u = 0 is a root of the reversal
+        (Polynomial([1, 0, 1]), 3, lambda: integral_numeric(CubicCoeffs(0, 1, 0, 1))),
+    ],
+)
+def test_decompose_reports_the_panels_that_are_integrated(f, n, call, monkeypatch):
+    evaluated = []
+
+    def recorded(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
+        evaluated.append((lo, hi, m_lo, m_hi))
+        return panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
+
+    panel_value = quadrature._panel_value
+    monkeypatch.setattr(quadrature, "_panel_value", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        call()
+        layout = decompose(f, n)
+    assert len(layout.panels) == len(evaluated)
+    assert [(p.lo, p.hi, p.lo_multiplicity, p.hi_multiplicity) for p in layout.panels] == evaluated
+    assert quadrature._centred(_CLUSTERED)[0] == 1000.3125
 
 
 def test_decompose_single_root():
@@ -590,7 +637,7 @@ def test_compressing_dilations_match_closed_form():
 def test_dilated_cubic_costs_what_its_base_costs(count_evaluations):
     base = [1.0, 2.0, 3.0, 5.0]
     expected = count_evaluations(integral_numeric, CubicCoeffs(*base))
-    assert expected == 482
+    assert expected == 299
     for j in (-30, -7, 6, 23):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
