@@ -1,10 +1,19 @@
-"""Dense polynomials, cubic coefficient quadruples, and real cubic roots.
+"""Dense polynomials, cubic coefficient quadruples, and the one real-root locator.
 
 Coefficients are stored leading-first: ``(a0, a1, ..., an)`` represents
 ``a0*x**n + a1*x**(n-1) + ... + an``.  Every object supports dual arithmetic:
 it is *exact* when all coefficients are ``int``/``Fraction`` and floating
 otherwise, chosen per call site rather than globally.  All operations are
 pure functions of immutable values and safe to call concurrently.
+
+``_real_roots`` is the only code that locates float roots: the sign-stable
+quadratic formula at degree 2, formed on mantissas so that it neither
+overflows nor underflows, and above that bracketed Newton steps between the
+recursively located critical points.  The quadrature runs it at unit root
+scale; ``cubic_roots`` runs it on a cubic's own float coefficients, takes
+the number of real roots from the sign of the exact discriminant, and
+relocates a close pair the float form does not resolve on a shifted form
+rounded once from the exact integers (``_rounded_image``).
 """
 
 from __future__ import annotations
@@ -14,16 +23,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DegenerateLeadingCoefficient, DomainError, NotARoot
 
 Number = Union[int, Fraction, float]
 
 _ROOT_RESIDUAL_FACTOR = 1e-10
-# Roots up to 2^160 keep the powers cubic_roots takes (p**3 and q*q grow like
-# (b/a)**6) inside the float range.
-_ROOT_SCALE = 2.0**160
 
 
 def is_exact_number(value: Number) -> bool:
@@ -137,12 +143,6 @@ def squarefree_factors(f: "Polynomial") -> list:
     return out
 
 
-def _cbrt(x: float) -> float:
-    if hasattr(math, "cbrt"):
-        return math.cbrt(x)
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 class Polynomial:
     """Immutable dense polynomial with leading-first coefficients."""
 
@@ -236,9 +236,6 @@ class CubicCoeffs:
     def is_exact(self) -> bool:
         return all(is_exact_number(v) for v in self.as_tuple())
 
-    def scale(self) -> float:
-        return max(abs(float(v)) for v in self.as_tuple())
-
     def as_polynomial(self) -> Polynomial:
         """Drop leading zeros, so a = 0 inputs come out as true quadratics."""
         return Polynomial(self.as_tuple())
@@ -289,143 +286,199 @@ def cubic_discriminant_exact(a: Number, b: Number, c: Number, d: Number) -> Frac
     return Fraction(cubic_discriminant_int(*ints), den**4)
 
 
-def _polish_root(cs: tuple, x: float) -> float:
-    """A few guarded Newton steps on the original cubic."""
-    deriv = derivative_coeffs(cs)
-    best, best_abs = x, abs(horner(cs, x))
-    for _ in range(3):
+def _bracketed_root(coeffs: list, deriv: list, lo: float, hi: float, flo: float, fhi: float):
+    """The root in (lo, hi), where f changes sign once (f(lo) = flo and f(hi) =
+    fhi, both nonzero), by Newton steps kept inside the shrinking bracket: a
+    step that leaves it or fails to halve the step before becomes a bisection.
+    Once a step is within an ulp, Newton has converged on one end while the
+    other may still be far, so the next points probe toward the other end at
+    1, 2, 4, ... ulps until the sign changes.  Returns an exact zero of the
+    float form, or the end of smaller |f| once the bracket is two adjacent
+    floats: within one ulp of a sign change."""
+    x, last, reach = 0.5 * lo + 0.5 * hi, hi - lo, 0.0
+    while True:
+        fx = horner(coeffs, x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (flo < 0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        mid = 0.5 * lo + 0.5 * hi  # no overflow next to the float range
+        if mid == lo or mid == hi:
+            return lo if abs(flo) <= abs(fhi) else hi
         fp = horner(deriv, x)
-        if fp == 0.0 or not math.isfinite(fp):
-            break
-        step = horner(cs, x) / fp
-        x -= step
-        fabs = abs(horner(cs, x))
-        if fabs < best_abs:
-            best, best_abs = x, fabs
-        if step == 0.0:
-            break
-    return best
+        new = x - fx / fp if fp else mid
+        if abs(new - x) <= math.ulp(x):
+            reach = max(2.0 * reach, math.ulp(x))
+            new = x + reach if x == lo else x - reach
+        else:
+            reach = 0.0
+            if abs(new - x) > 0.5 * last:
+                new = mid
+        if not lo < new < hi:
+            new = mid
+        x, last = new, abs(new - x)
 
 
-def _dilated_monic(cs: tuple) -> tuple:
-    """(j, B, C, D) with y**3 + B*y**2 + C*y + D = f(2**j * y) / (a * 8**j),
-    j = fujiwara_exponent(cs): the roots come to unit size.  The quotients
-    are formed from mantissas and exponents, so b/a is never formed and
-    cannot overflow.
-    """
-    ma, ea = math.frexp(cs[0])
-    parts = [math.frexp(v) for v in cs[1:]]
-    j = fujiwara_exponent(cs)
-    return (j, *(math.ldexp(m / ma, e - ea - i * j) for i, (m, e) in enumerate(parts, 1)))
-
-
-def _undilated(y: float, j: int) -> float:
-    """The root x = 2**j * y of f for the root y of _dilated_monic's cubic."""
-    try:
-        return math.ldexp(y, j)
-    except OverflowError:
-        raise DomainError(f"a real root lies beyond the float range: {y} * 2**{j}") from None
-
-
-def _deflated_pair(cs: tuple, alpha: float) -> tuple:
-    """The roots of a*x**2 + k*x + l = f / (x - alpha), for the real root
-    alpha of largest modulus when all three roots are real.  The constant
-    end of the synthetic division, l = -d/alpha and k = (l - c)/alpha, loses
-    no digits to the cancellation in b + a*alpha; the pair's sum -k/a and
-    product l/a go into the sign-stable quadratic formula, its square root
-    taken as |s/2| * sqrt(1 - p/(s/2)**2) once s/2 is large, so that
-    neither (s/2)**2 nor the roots overflow.
-    """
-    a, _, c, d = cs
-    a_alpha = a * alpha
-    s = (c + d / alpha) / a_alpha
-    p = -d / a_alpha
-    half = 0.5 * s
-    if abs(half) >= 1.0:
-        root = abs(half) * math.sqrt(max(0.0, 1.0 - p / half / half))
+def _quadratic_roots(a: float, b: float, c: float) -> list:
+    """Sorted real roots of a*x**2 + b*x + c (a != 0) by the sign-stable
+    formula q = -(b + sgn(b) sqrt(b*b - 4*a*c)) / 2, roots q/a and c/q, at any
+    float scale: every step runs on the ``math.frexp`` mantissas, b*b - 4*a*c
+    over one power of two 2^e, and ``math.ldexp`` puts each root back.
+    Powers of two scale exactly, so unless a step is subnormal the roots are
+    bit for bit those of the formula on a, b and c.  A root beyond the float
+    range is dropped; a double root comes out twice."""
+    (ma, ea), (mb, eb), (mc, ec) = math.frexp(a), math.frexp(b), math.frexp(c)
+    e = max(2 * eb if b else ea + ec, ea + ec if c else 2 * eb)
+    disc = math.ldexp(mb * mb, 2 * eb - e) - math.ldexp(4.0 * ma * mc, ea + ec - e)
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        scaled = [(-mb / (2.0 * ma), eb - ea)] * 2
     else:
-        root = math.sqrt(max(0.0, half * half - p))
-    big = half + math.copysign(root, half)
-    return (big, p / big) if big else (0.0, 0.0)
+        h = e >> 1  # q is scaled by 2^-h
+        root = math.sqrt(math.ldexp(disc, e - 2 * h))
+        q = -0.5 * (math.ldexp(mb, eb - h) + math.copysign(root, mb))
+        scaled = [(q / ma, h - ea), (mc / q, ec - h)]
+    roots = []
+    for m, k in scaled:
+        try:
+            roots.append(math.ldexp(m, k))
+        except OverflowError:
+            pass  # beyond the float range
+    return sorted(roots)
+
+
+def _real_roots(coeffs: Sequence[float]) -> list:
+    """Sorted real roots of a float-coefficient polynomial whose exact roots are
+    simple: closed forms up to degree 2; above, inside the Fujiwara bound
+    2^(j + 2), one root per sign change between the recursively located
+    critical points, and an exact zero at a critical point.  A root the float
+    form makes multiple (a zero at a critical point, a double quadratic
+    root) comes out repeated: double precision did not resolve it.
+    """
+    cs = Polynomial(coeffs).coeffs
+    deg = len(cs) - 1
+    if deg <= 0:
+        return []
+    if deg == 1:
+        return [-cs[1] / cs[0]]
+    if deg == 2:
+        return _quadratic_roots(*cs)
+
+    deriv = derivative_coeffs(cs)
+    j = fujiwara_exponent(cs)
+    bound = math.ldexp(4.0, j) if j < 1022 else math.nextafter(math.inf, 0.0)  # the largest float
+    points = [-bound] + sorted({c for c in _real_roots(deriv) if -bound < c < bound}) + [bound]
+    values = [horner(cs, x) for x in points]
+    found = [x for x, v in zip(points, values) if v == 0.0] * 2
+    for lo, hi, flo, fhi in zip(points, points[1:], values, values[1:]):
+        if flo and fhi and (flo < 0) != (fhi < 0):
+            found.append(_bracketed_root(cs, deriv, lo, hi, flo, fhi))
+    return sorted(found)
+
+
+def _rounded_image(ints: Sequence[int], t: float, s: int, den: Optional[int] = None) -> list:
+    """Float coefficients of p(2^s y + t) / den, p the polynomial with integer
+    coefficients ``ints`` and t a float, each rounded once from exact
+    integers; den = None scales the largest into [1, 2) instead.  A
+    coefficient beyond the float range raises OverflowError."""
+    num, q = t.as_integer_ratio()  # q = 2^j
+    deg, j = len(ints) - 1, q.bit_length() - 1
+    # q^deg p(y + t) = P(q y + num) for P(X) = sum ints[i] q^i X^(deg - i), so
+    # coefficient i of p(2^s y + t) is Q_i 2^(s (deg - i) - j i), Q = P(X + num)
+    shifted = Polynomial([c << (j * i) for i, c in enumerate(ints)]).taylor_shift(num).coeffs
+    powers = [s * (deg - i) - j * i for i in range(deg + 1)]
+    if den is None:
+        den, top = 1, max(abs(c).bit_length() + x for c, x in zip(shifted, powers) if c) - 1
+        powers = [x - top for x in powers]
+    return [(c << x) / den if x >= 0 else c / (den << -x) for c, x in zip(shifted, powers)]
+
+
+def _sign_at(ints: Sequence[int], x: float) -> int:
+    """The sign of the polynomial with integer coefficients ``ints`` at the
+    float x = p/q, exactly: the sign of q^n f(p/q), q > 0, by Horner in
+    integers."""
+    p, q = x.as_integer_ratio()
+    acc, power = 0, 1
+    for c in ints:
+        acc, power = acc * p + c * power, power * q
+    return (acc > 0) - (acc < 0)
+
+
+def _certified(ints: Sequence[int], x: float) -> bool:
+    """True if the exact polynomial with integer coefficients ``ints`` changes
+    sign, or vanishes, within one ulp of x."""
+    near = (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+    signs = [_sign_at(ints, v) for v in near if math.isfinite(v)]
+    return 0 in signs or len(set(signs)) > 1
+
+
+def _locations(cs: list, ints: Sequence[int]):
+    """The real roots of the cubic f located on its float coefficients
+    ``cs``, then, for each critical point t and the inflection point, located
+    on f(y + t) with coefficients rounded once from f's exact integers
+    ``ints`` and moved back by t."""
+    yield _real_roots(cs)
+    deriv = derivative_coeffs(cs)
+    for t in _real_roots(deriv) + [-deriv[1] / (2.0 * deriv[0])]:
+        if math.isfinite(t):
+            moved = (y + t for y in _real_roots(_rounded_image(ints, t, 0)))
+            yield [x for x in moved if math.isfinite(x)]
 
 
 def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
-    """All real roots of a true cubic (a != 0).
+    """All real roots of a true cubic (a != 0), sorted, with multiplicities.
 
-    Closed forms locate the roots (trigonometric when all three are real,
-    Cardano otherwise) and Newton polishing restores full precision on the
-    simple ones.  With three real roots, the two besides the largest come
-    from the quadratic that deflating the largest leaves, so roots many
-    orders of magnitude below it are not lost to cancellation.  The
-    classification follows the exact discriminant sign.
-    Roots too large for the closed forms are located at unit size after the
-    exact dilation x = 2**j * y; a root beyond the float range raises
-    DomainError.
+    The sign of the exact discriminant D classifies the roots.  For D = 0 the
+    roots of Yun's factor f_k (``squarefree_factors``; linear for a cubic)
+    have multiplicity k, each rounded once from exact integers.  For D != 0
+    there are 3 real roots (D > 0) or 1 (D < 0).  The locator runs on f's
+    float coefficients, and a root is certified when the exact f changes
+    sign or vanishes within one ulp of it; a float form with more roots than
+    D allows keeps its certified ones.  While a root is not certified, a
+    close pair the float form does not resolve, f(y + t) is located again for
+    each critical point t and the inflection point (``_locations``), and a
+    certified root of a relocation with the right count takes its place.
+    No location with the right count: a root lies beyond the float range,
+    and DomainError.
     """
     if coeffs.a == 0:
         raise DegenerateLeadingCoefficient(
             "cubic_roots requires a != 0; use the quadratic path for a = 0"
         )
-    # the sign of D on the cleared integers is the sign of D
-    disc = cubic_discriminant_int(*integer_coefficients(coeffs.as_tuple())[0])
-    cs = tuple(float(v) for v in coeffs.as_tuple())
-    a, b, c, d = cs
+    ints = integer_coefficients(coeffs.as_tuple())[0]
+    disc = cubic_discriminant_int(*ints)
+    if disc == 0:
+        factors = squarefree_factors(Polynomial(ints))
+        try:
+            roots = sorted((-p.coeffs[1] / p.coeffs[0], k) for p, k in factors)
+        except OverflowError:
+            raise DomainError("a real root lies beyond the float range") from None
+        return RootSet(tuple(roots), RootClassification.REPEATED_ROOT)
 
-    big_b = b / a
-    big_c = c / a
-    big_d = d / a
-    j = 0
-    if not (
-        abs(big_b) <= _ROOT_SCALE
-        and abs(big_c) <= _ROOT_SCALE**2
-        and abs(big_d) <= _ROOT_SCALE**3
-    ):
-        j, big_b, big_c, big_d = _dilated_monic(cs)
-    p = big_c - big_b * big_b / 3.0
-    q = 2.0 * big_b**3 / 27.0 - big_b * big_c / 3.0 + big_d
-    shift = -big_b / 3.0
-
-    if disc > 0:
-        # three distinct real roots force p < 0; rounding can still push the
-        # float p to 0 in the triple-root corner, where all roots collapse
-        # onto the inflection point
-        if p >= 0.0:
-            raw = [shift, shift, shift]
-        else:
-            m = 2.0 * math.sqrt(-p / 3.0)
-            arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
-            theta = math.acos(arg)
-            raw = [m * math.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
-        # the closed forms cancel on the roots much smaller than the largest;
-        # those are the roots of the quadratic left by deflating the largest
-        alpha = _polish_root(cs, _undilated(max(raw, key=abs), j))
-        pair = (_polish_root(cs, x) for x in _deflated_pair(cs, alpha))
-        polished = sorted((alpha, *pair))
-        return RootSet(tuple((x, 1) for x in polished), RootClassification.THREE_DISTINCT_REAL)
-
+    want = 3 if disc > 0 else 1
+    roots, certified = [], []
+    for located in _locations(float_coefficients(coeffs.as_tuple()), ints):
+        flags = [_certified(ints, x) for x in located]
+        if len(located) > want:  # the float form made a complex pair real
+            located = [x for x, ok in zip(located, flags) if ok]
+            flags = [True] * len(located)
+        if len(located) != want:
+            continue
+        if not roots:
+            roots, certified = located, flags
+        for i, (x, ok) in enumerate(zip(located, flags)):
+            if ok and not certified[i]:
+                roots[i], certified[i] = x, True
+        if all(certified):
+            break
+    if not roots:
+        raise DomainError(f"fewer than {want} real roots located: one is beyond the float range")
     if disc < 0:
-        if p == 0.0:
-            t = _cbrt(-q)
-        else:
-            s = math.sqrt(max(0.0, q * q / 4.0 + p**3 / 27.0))
-            u = -q / 2.0 - s if q >= 0.0 else -q / 2.0 + s
-            u = _cbrt(u)
-            t = u - p / (3.0 * u) if u != 0.0 else 0.0
-        x = _polish_root(cs, _undilated(t + shift, j))
-        return RootSet(((x, 1),), RootClassification.ONE_REAL_ONE_COMPLEX_PAIR)
-
-    # D = 0: triple root exactly when b^2 = 3ac; otherwise the double root is
-    # rational in the coefficients, so compute it without rounding
-    at, bt, ct, dt = (Fraction(v) for v in coeffs.as_tuple())
-    if bt * bt == 3 * at * ct:
-        return RootSet(((_undilated(shift, j), 3),), RootClassification.REPEATED_ROOT)
-    shift_ex = -bt / (3 * at)
-    p_ex = ct / at - (bt / at) ** 2 / 3
-    q_ex = 2 * (bt / at) ** 3 / 27 - (bt / at) * (ct / at) / 3 + dt / at
-    double = float(-3 * q_ex / (2 * p_ex) + shift_ex)
-    simple = _polish_root(cs, float(3 * q_ex / p_ex + shift_ex))
-    roots = sorted([(double, 2), (simple, 1)])
-    return RootSet(tuple(roots), RootClassification.REPEATED_ROOT)
+        return RootSet(((roots[0], 1),), RootClassification.ONE_REAL_ONE_COMPLEX_PAIR)
+    return RootSet(tuple((x, 1) for x in sorted(roots)), RootClassification.THREE_DISTINCT_REAL)
 
 
 def factor_out_root(coeffs: CubicCoeffs, alpha: Number) -> CubicFactorization:
@@ -433,7 +486,9 @@ def factor_out_root(coeffs: CubicCoeffs, alpha: Number) -> CubicFactorization:
 
     Synthetic division gives k = b + a*alpha and l = c + k*alpha.  In exact
     mode the residual f(alpha) must vanish identically; in floating mode it
-    must pass a scale-aware tolerance.
+    must be within 1e-10 of the sum of the magnitudes of the terms Horner's
+    rule adds up, sum |c_i| |alpha|^(3 - i).  A term beyond the float range,
+    or a non-finite alpha, raises DomainError.
     """
     a, b, c, d = coeffs.as_tuple()
     exact = coeffs.is_exact() and is_exact_number(alpha)
@@ -443,10 +498,12 @@ def factor_out_root(coeffs: CubicCoeffs, alpha: Number) -> CubicFactorization:
             raise NotARoot(f"f({alpha}) = {residual} != 0 in exact mode")
         return CubicFactorization(alpha, b + a * alpha, c + (b + a * alpha) * alpha)
 
-    af, bf, cf, df = (float(v) for v in (a, b, c, d))
-    alpha_f = float(alpha)
+    af, bf, cf, df, alpha_f = float_coefficients((a, b, c, d, alpha))
     residual = horner((af, bf, cf, df), alpha_f)
-    tol = _ROOT_RESIDUAL_FACTOR * (1.0 + coeffs.scale() * max(1.0, abs(alpha_f)) ** 3)
+    size = horner((abs(af), abs(bf), abs(cf), abs(df)), abs(alpha_f))
+    if not math.isfinite(size):
+        raise DomainError(f"the terms of f({alpha_f}) are not finite floats")
+    tol = _ROOT_RESIDUAL_FACTOR * size
     if abs(residual) > tol:
         raise NotARoot(f"|f({alpha_f})| = {abs(residual):.3e} exceeds tolerance {tol:.3e}")
     k = bf + af * alpha_f

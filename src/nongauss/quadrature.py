@@ -56,10 +56,10 @@ from .errors import (
 from .polynomial import (
     CubicCoeffs,
     Polynomial,
-    derivative_coeffs,
+    _real_roots,
+    _rounded_image,
     float_coefficients,
     fujiwara_exponent,
-    horner,
     integer_coefficients,
     squarefree_factors,
 )
@@ -68,7 +68,7 @@ from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _chec
 _HALF_PI = math.pi / 2.0
 # |D| below this multiple of scale**4 still computes but is flagged.
 _DISCRIMINANT_CONDITION_BAND = 1e-3
-# roots closer than this, relative to max(1, |largest root|), are flagged
+# adjacent roots a < b closer than this times max(1, |a|, |b|), in x, are flagged
 _SINGULARITY_CLEARANCE = 1e-6
 # Levels 0..16 of cached node tables hold about 0.4M nodes (10 MB); each
 # further level would double that.
@@ -117,75 +117,6 @@ def _synthetic_quotient(coeffs: Sequence[float], root: float) -> list:
     for c in coeffs[1:-1]:
         out.append(c + root * out[-1])
     return out
-
-
-def _bracketed_root(coeffs: list, deriv: list, lo: float, hi: float, flo: float, fhi: float):
-    """The root in (lo, hi), where f changes sign once (f(lo) = flo and f(hi) =
-    fhi, both nonzero), by Newton steps kept inside the shrinking bracket: a
-    step that leaves it or fails to halve the step before becomes a bisection.
-    Once a step is within an ulp, Newton has converged on one end while the
-    other may still be far, so the next points probe toward the other end at
-    1, 2, 4, ... ulps until the sign changes.  Returns an exact zero of the
-    float form, or the end of smaller |f| once the bracket is two adjacent
-    floats: within one ulp of a sign change."""
-    x, last, reach = 0.5 * lo + 0.5 * hi, hi - lo, 0.0
-    while True:
-        fx = horner(coeffs, x)
-        if fx == 0.0:
-            return x
-        if (fx < 0) == (flo < 0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        mid = 0.5 * lo + 0.5 * hi  # no overflow next to the float range
-        if mid == lo or mid == hi:
-            return lo if abs(flo) <= abs(fhi) else hi
-        fp = horner(deriv, x)
-        new = x - fx / fp if fp else mid
-        if abs(new - x) <= math.ulp(x):
-            reach = max(2.0 * reach, math.ulp(x))
-            new = x + reach if x == lo else x - reach
-        else:
-            reach = 0.0
-            if abs(new - x) > 0.5 * last:
-                new = mid
-        if not lo < new < hi:
-            new = mid
-        x, last = new, abs(new - x)
-
-
-def _real_roots(coeffs: Sequence[float]) -> list:
-    """Sorted real roots of a float-coefficient polynomial whose exact roots are
-    simple: closed forms up to degree 2; above, inside the Fujiwara bound
-    2^(j + 2), one root per sign change between the recursively located
-    critical points, and an exact zero at a critical point.  A root the float
-    form makes multiple (a zero at a critical point, a double quadratic
-    root) comes out repeated: double precision did not resolve it.
-    """
-    cs = Polynomial(coeffs).coeffs
-    deg = len(cs) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [-cs[1] / cs[0]]
-    if deg == 2:
-        a, b, c = cs
-        disc = b * b - 4.0 * a * c
-        if disc <= 0.0:
-            return [] if disc < 0.0 else [-b / (2.0 * a)] * 2
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        return sorted((q / a, c / q))
-
-    deriv = derivative_coeffs(cs)
-    j = fujiwara_exponent(cs)
-    bound = math.ldexp(4.0, j) if j < 1022 else math.nextafter(math.inf, 0.0)  # the largest float
-    points = [-bound] + sorted({c for c in _real_roots(deriv) if -bound < c < bound}) + [bound]
-    values = [horner(cs, x) for x in points]
-    found = [x for x, v in zip(points, values) if v == 0.0] * 2
-    for lo, hi, flo, fhi in zip(points, points[1:], values, values[1:]):
-        if flo and fhi and (flo < 0) != (fhi < 0):
-            found.append(_bracketed_root(cs, deriv, lo, hi, flo, fhi))
-    return sorted(found)
 
 
 def _complex_reach(g: list, roots: list) -> float:
@@ -271,9 +202,17 @@ def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list]) -> tuple:
             "the exact discriminant is nonzero on the square-free part, so they are distinct "
             "and the integral is finite, but double precision does not resolve it"
         )
-    if gaps and min(gaps) < _SINGULARITY_CLEARANCE * max(1.0, abs(roots[0][0]), abs(roots[-1][0])):
+    in_x = []  # x = 2^s y + t, a root beyond the float range at infinity
+    for r, _ in roots:
+        try:
+            in_x.append(math.ldexp(r, s) + t)
+        except OverflowError:
+            in_x.append(math.copysign(math.inf, r))
+    pairs = zip(in_x, in_x[1:])
+    close = [b - a for a, b in pairs if b - a < _SINGULARITY_CLEARANCE * max(1.0, abs(a), abs(b))]
+    if close:
         warnings.warn(
-            f"two roots are within {min(gaps):.3e} of each other{units}; "
+            f"two roots are within {min(close):.3e} of each other; "
             "quadrature error may exceed the requested tolerance",
             IllConditionedWarning,
             stacklevel=3,
@@ -509,23 +448,6 @@ def _centred(f: Polynomial) -> Tuple[float, list]:
     if fujiwara_exponent(centred) <= fujiwara_exponent(values) - 2:
         return t, centred
     return 0.0, values
-
-
-def _rounded_image(ints: Sequence[int], t: float, s: int, den: Optional[int] = None) -> list:
-    """Float coefficients of p(2^s y + t) / den, p the polynomial with integer
-    coefficients ``ints`` and t a float, each rounded once from exact
-    integers; den = None scales the largest into [1, 2) instead.  A
-    coefficient beyond the float range raises OverflowError."""
-    num, q = t.as_integer_ratio()  # q = 2^j
-    deg, j = len(ints) - 1, q.bit_length() - 1
-    # q^deg p(y + t) = P(q y + num) for P(X) = sum ints[i] q^i X^(deg - i), so
-    # coefficient i of p(2^s y + t) is Q_i 2^(s (deg - i) - j i), Q = P(X + num)
-    shifted = Polynomial([c << (j * i) for i, c in enumerate(ints)]).taylor_shift(num).coeffs
-    powers = [s * (deg - i) - j * i for i in range(deg + 1)]
-    if den is None:
-        den, top = 1, max(abs(c).bit_length() + x for c, x in zip(shifted, powers) if c) - 1
-        powers = [x - top for x in powers]
-    return [(c << x) / den if x >= 0 else c / (den << -x) for c, x in zip(shifted, powers)]
 
 
 def _integrate_at_unit_scale(

@@ -2,8 +2,7 @@
 
 import pytest
 
-from nongauss import quadrature
-from nongauss.polynomial import horner
+from nongauss import polynomial, quadrature
 
 
 @pytest.fixture
@@ -25,9 +24,9 @@ def count_evaluations(monkeypatch):
             calls[0] += result[3]
             return result
 
-        panel_value = quadrature._panel_value
+        horner, panel_value = polynomial.horner, quadrature._panel_value
         with monkeypatch.context() as patch:
-            patch.setattr(quadrature, "horner", counted_horner)
+            patch.setattr(polynomial, "horner", counted_horner)
             patch.setattr(quadrature, "_panel_value", counted_panel_value)
             call(*args)
         return calls[0]

@@ -302,8 +302,8 @@ def test_non_finite_input_is_domain_error(capsys, argv, bad):
         (["integral", "--rel-tol", "0", "1", "0", "-1", "0"], 2, "DomainError"),
         (["integral", "1e100", "-2.0000001e100", "1e100", "0", "--numeric"], 0, None),
         (["disc", "0", "1e-300", "-1e300", "3.0", "0", "-4", "1e-300", "2/7"], 0, None),
-        # b**3 / p**3 overflowed in cubic_roots; the panels next to the origin
-        # then cannot resolve the integrand, which quadrature reports
+        # the panels next to the origin cannot resolve the integrand, which
+        # quadrature reports
         (["integral", "9/3", "1e300", "1", "5.0", "--numeric"], 3, "NoConvergence"),
         # the far panels overflowed Horner; they are integrated in u = 1/x
         (["integral", "1e-300", "-1.06", "0", "-1/7", "--numeric"], 0, None),

@@ -20,6 +20,7 @@ from nongauss import (
     factor_out_root,
 )
 from nongauss.polynomial import (
+    _real_roots,
     cubic_discriminant_exact,
     fujiwara_exponent,
     integer_coefficients,
@@ -173,8 +174,8 @@ _R = 2.0**300
     ],
 )
 def test_cubic_roots_far_beyond_unit_scale(coeffs, roots):
-    # p**3 and q*q grow like (b/a)**6; the roots are located after an exact
-    # dilation x = 2^j y instead of overflowing
+    # b*b - 4*a*c of the derivative and f near its roots leave the float range
+    # unless they are formed on mantissas
     rs = cubic_roots(CubicCoeffs(*coeffs))
     assert [m for _, m in rs.roots] == [m for _, m in roots]
     assert tuple(r for r, _ in rs.roots) == pytest.approx(tuple(r for r, _ in roots), rel=1e-15)
@@ -185,8 +186,8 @@ def test_cubic_roots_far_beyond_unit_scale(coeffs, roots):
     [(10.0**-k, 1.0, 0.0, -1.0) for k in range(9, 16)] + [(1e-300, 1e8, 0.0, -1.0)],
 )
 def test_cubic_roots_far_below_the_largest(coeffs):
-    # the trigonometric closed form cancels on the roots near +-1 (near
-    # +-1e-4) next to one near -b/a; they come from the deflated quadratic
+    # roots near +-1 (near +-1e-4) next to one near -b/a, as the closed forms
+    # lost them to cancellation
     with mpmath.workdps(60):
         expected = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=400, extraprec=2000)
     expected = sorted(float(z.real) for z in expected)
@@ -194,6 +195,63 @@ def test_cubic_roots_far_below_the_largest(coeffs):
     assert rs.classification is RootClassification.THREE_DISTINCT_REAL
     for (root, mult), r in zip(rs.roots, expected):
         assert mult == 1 and abs(root - r) <= 1e-12 * abs(r)
+
+
+def _within_ulps_of_sign_change(coeffs, x, ulps):
+    """True if the exact cubic changes sign or vanishes among the floats
+    within ``ulps`` of x, evaluated in Fractions."""
+    near = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            near.append(y)
+    exact = [Fraction(c) for c in coeffs]
+    signs = []
+    for y in sorted(v for v in near if math.isfinite(v)):
+        value = sum(c * Fraction(y) ** (3 - i) for i, c in enumerate(exact))
+        signs.append((value > 0) - (value < 0))
+    return 0 in signs or len(set(signs)) > 1
+
+
+@pytest.mark.parametrize("e", [5, 40, 300])
+def test_cubic_roots_are_within_four_ulps_of_a_sign_change(e):
+    # coefficients +-10^U(-E, E); D != 0 for every draw
+    rng = random.Random(600 + e)
+    checked = 0
+    for _ in range(200):
+        coeffs = [rng.choice((-1, 1)) * 10 ** rng.uniform(-e, e) for _ in range(4)]
+        try:
+            rs = cubic_roots(CubicCoeffs(*coeffs))
+        except DomainError:  # a root beyond the float range
+            continue
+        for x, _ in rs.roots:
+            assert _within_ulps_of_sign_change(coeffs, x, 4), (coeffs, x)
+            checked += 1
+    assert checked >= 200
+
+
+def test_cubic_roots_of_a_near_tangent_exact_cubic():
+    # (x - 1)((x - 2)^2 + 10^-16): the float form (1, -5, 8, -4) has a double
+    # root at 2, and D < 0 leaves the one real root 1
+    tiny = Fraction(1, 10**16)
+    rs = cubic_roots(CubicCoeffs(1, -5, 8 + tiny, -4 - tiny))
+    assert rs.classification is RootClassification.ONE_REAL_ONE_COMPLEX_PAIR
+    [(root, mult)] = rs.roots
+    assert mult == 1 and abs(root - 1.0) <= math.ulp(1.0)
+
+
+def test_quadratic_roots_scale_exactly_across_the_float_range():
+    rng = random.Random(41)
+    for _ in range(50):
+        a, b, c = (rng.uniform(-2, 2) for _ in range(3))
+        base = _real_roots([a, b, c])
+        for k in range(-1000, 1001, 125):
+            assert _real_roots([math.ldexp(v, k) for v in (a, b, c)]) == base
+        for j in range(-496, 497, 62):
+            k = -j if j > 0 else -2 * j  # every exponent within +-1000
+            dilated = [math.ldexp(a, 2 * j + k), math.ldexp(b, j + k), math.ldexp(c, k)]
+            assert _real_roots(dilated) == [math.ldexp(r, -j) for r in base]
 
 
 def test_cubic_roots_root_beyond_float_range():
@@ -261,6 +319,22 @@ def test_factor_out_root_exact_mode():
 def test_factor_out_root_rejects_non_root():
     with pytest.raises(NotARoot):
         factor_out_root(CubicCoeffs(1.0, 0.0, -1.0, 0.0), 0.5)
+
+
+def test_factor_out_root_tolerance_follows_the_terms():
+    # f(0.5) = -3.75e-21 is not small beside the terms of 1e-20 * (x^3 - x)
+    with pytest.raises(NotARoot):
+        factor_out_root(CubicCoeffs(1e-20, 0.0, -1e-20, 0.0), 0.5)
+
+
+def test_factor_out_root_rejects_nan():
+    with pytest.raises(DomainError):
+        factor_out_root(CubicCoeffs(1.0, 0.0, -1.0, 0.0), math.nan)
+
+
+def test_factor_out_root_terms_beyond_the_float_range():
+    with pytest.raises(DomainError):
+        factor_out_root(CubicCoeffs(1.0, 0.0, -1.0, 0.0), 1e200)
 
 
 def test_factorization_reconstructs_cubic():

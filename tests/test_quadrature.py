@@ -157,6 +157,18 @@ def test_decompose_clearance_warning():
         decompose(Polynomial([float(c) for c in p.coeffs]))
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [(10.0**-k, 1.0, 0.0, -1.0) for k in range(9, 16)] + [(1e-300, 1e8, 0.0, -1.0)],
+)
+def test_far_apart_roots_are_not_flagged_as_close(coeffs):
+    # roots +-1 (+-1e-4) beside one near -b/a: no pair is close relative to its ends
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decompose(Polynomial(list(coeffs)))
+    assert not [w for w in caught if "roots are within" in str(w.message)]
+
+
 def test_decompose_degree_too_low():
     with pytest.raises(DegreeTooLow):
         decompose(Polynomial([1.0, 2.0]))
