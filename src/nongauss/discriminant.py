@@ -9,7 +9,8 @@ follows from
 Everything here is exact: inputs are cleared once to integers over a common
 denominator den (floats convert losslessly), and R(den f, den f') =
 den^(2n-1) * R(f, f') comes from the subresultant polynomial remainder
-sequence on those integers (Collins 1967; Brown & Traub 1971): integer
+sequence on those integers, ``polynomial._subresultant``, the one kernel
+that also gives Yun's square-free split its gcds: integer
 pseudo-remainders, each divided exactly by a known factor, in O(n^2)
 big-integer steps where elimination on the Sylvester matrix takes O(n^3).
 The den powers are divided out once at the end.  Cubics use the explicit
@@ -28,6 +29,7 @@ from .polynomial import (
     CubicCoeffs,
     Number,
     Polynomial,
+    _subresultant,
     cubic_discriminant_exact,
     cubic_discriminant_int,
     derivative_coeffs,
@@ -99,40 +101,10 @@ def sylvester_matrix(f: Polynomial) -> SylvesterMatrix:
     return SylvesterMatrix(tuple(tuple(Fraction(v, den) for v in row) for row in rows), n)
 
 
-def _subresultant(a: list, b: list) -> int:
-    """R(a, b) for integer polynomials, leading-first, deg a > deg b >= 1,
-    by the subresultant PRS (Cohen, GTM 138, Algorithm 3.3.7): each
-    pseudo-remainder lc(b)^(delta+1) a mod b, delta = deg a - deg b >= 1,
-    is divided exactly by g h^delta, and each step from R(a, b) to R(b, r)
-    takes the sign (-1)^(deg a deg b)."""
-    sign, g, h = 1, 1, 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da & db & 1:
-            sign = -sign
-        lead, tail = b[0], b[1:]
-        r = a
-        for _ in range(delta + 1):
-            head = r[0]
-            r = [lead * u - head * v for u, v in zip(r[1:], tail + [0] * (len(r) - len(b)))]
-        while r and r[0] == 0:
-            del r[0]
-        if not r:
-            return 0
-        divisor = g * h**delta
-        a, b = b, [c // divisor for c in r]
-        g = a[0]
-        h = g**delta // h ** (delta - 1)
-        if len(b) == 1:
-            da = len(a) - 1
-            return sign * (b[0] ** da // h ** (da - 1))
-
-
 def resultant(f: Polynomial) -> Fraction:
     """R(f, f') as an exact rational; for cubics R/a = -D."""
     ints, den = _cleared(f)
-    return Fraction(_subresultant(ints, derivative_coeffs(ints)), den ** (2 * f.degree - 1))
+    return Fraction(_subresultant(ints, derivative_coeffs(ints))[0], den ** (2 * f.degree - 1))
 
 
 def discriminant_general(f: Polynomial) -> DiscriminantResult:
@@ -141,7 +113,7 @@ def discriminant_general(f: Polynomial) -> DiscriminantResult:
     ints, den = _cleared(f)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     # D = sign * R / a0 with R = R_int / den^(2n-1) and a0 = ints[0] / den
-    r_int = _subresultant(ints, derivative_coeffs(ints))
+    r_int = _subresultant(ints, derivative_coeffs(ints))[0]
     return DiscriminantResult.from_value(Fraction(sign * r_int, ints[0] * den ** (2 * n - 2)))
 
 

@@ -6,6 +6,10 @@ it is *exact* when all coefficients are ``int``/``Fraction`` and floating
 otherwise, chosen per call site rather than globally.  All operations are
 pure functions of immutable values and safe to call concurrently.
 
+``_subresultant`` is the one exact remainder sequence: on the integers of
+``integer_coefficients`` it gives R(f, f') for ``discriminant`` and every
+gcd of Yun's ``squarefree_factors``.
+
 ``_real_roots`` is the only code that locates float roots: the sign-stable
 quadratic formula at degree 2, formed on mantissas so that it neither
 overflows nor underflows, and above that bracketed Newton steps between the
@@ -99,16 +103,35 @@ def _primitive(cs: Sequence[int]) -> list:
     return [c // content for c in cs]
 
 
-def _integer_gcd(a: list, b: list) -> list:
-    """Primitive gcd of integer polynomials: Euclid's algorithm on remainders
-    taken up to a constant factor and reduced to their primitive parts."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
+def _subresultant(a: list, b: list) -> tuple:
+    """(R(a, b), primitive gcd(a, b)) for integer polynomials, leading-first,
+    deg a > deg b, b constant or zero ([]) allowed, by the subresultant PRS
+    (Collins 1967; Brown & Traub 1971; Cohen, GTM 138, Algorithm 3.3.7): each
+    pseudo-remainder lc(b)^(delta+1) a mod b, delta = deg a - deg b >= 1,
+    is divided exactly by g h^delta, and each step from R(a, b) to R(b, r)
+    takes the sign (-1)^(deg a deg b).  The last nonzero remainder is the
+    gcd up to a constant, so R = 0 exactly when the gcd is not constant."""
+    sign, g, h = 1, 1, 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db <= 0:  # b = 0: gcd a; b = c constant: R = sign c^da / h^(da - 1), gcd 1
+            return (sign * (b[0] ** da // h ** (da - 1)), [1]) if b else (0, _primitive(a))
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        lead, tail = b[0], b[1:] + [0] * delta
         r = a
-        while len(r) >= len(b):
-            r = _primitive([b[0] * u - r[0] * v for u, v in zip(r[1:], b[1:] + [0] * len(r))])
-        a, b = b, r
-    return a
+        for _ in range(delta + 1):
+            head = r[0]
+            r = [lead * u - head * v for u, v in zip(r[1:], tail)]
+        while r and r[0] == 0:
+            del r[0]
+        if not r:
+            return 0, _primitive(b)
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r]
+        g = a[0]
+        h = g**delta // h ** (delta - 1)
 
 
 def _exact_quotient(a: list, b: list) -> list:
@@ -129,14 +152,14 @@ def squarefree_factors(f: "Polynomial") -> list:
     """
     a = _primitive(integer_coefficients(f.coeffs)[0])
     da = derivative_coeffs(a)
-    c = _integer_gcd(a, da)
+    c = _subresultant(a, da)[1]
     if len(c) == 1:  # gcd(f, f') is constant: f is square-free
         return [(Polynomial(a), 1)] if len(a) > 1 else []
     w, y = _exact_quotient(a, c), _exact_quotient(da, c)
     out, k = [], 1
     while len(w) > 1:
         z = [u - v for u, v in zip(y, derivative_coeffs(w))]
-        factor = _integer_gcd(w, z)
+        factor = _subresultant(w, _primitive(z))[1]
         if len(factor) > 1:
             out.append((Polynomial(factor), k))
         w, y, k = _exact_quotient(w, factor), _exact_quotient(z, factor), k + 1

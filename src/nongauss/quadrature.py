@@ -168,16 +168,18 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     if f.degree < 2:
         raise DegreeTooLow(f"need degree >= 2, got {f.degree}")
     n = family_degree if family_degree is not None else max(3, f.degree)
-    return _unit_scale_layout(f, n, squarefree_factors(f))[-1]
+    return _unit_scale_layout(f, n, squarefree_factors(f), 3)[-1]
 
 
-def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list]) -> tuple:
+def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list], stacklevel: int) -> tuple:
     """(g, s, e, units, panels) of the integral of |f|**(-2/n) at unit root
     scale, g(y) = 2^-e f(2^s y + t) (``units`` names y).  ``factors`` is
     ``squarefree_factors(f)``, or None when the exact D != 0: the simple
     roots of a square-free f are located on g, else those of each f_k, moved
     as g is, are its roots of multiplicity k.  A root with 2k >= n raises
-    RepeatedRootDivergence, distinct roots on one float NoConvergence."""
+    RepeatedRootDivergence, distinct roots on one float NoConvergence.  The
+    close-roots warning goes to the frame ``stacklevel`` up, the public
+    function's caller."""
     t, values = _centred(f)
     s, e = _unit_root_scale(values)
     deg = len(values) - 1
@@ -215,7 +217,7 @@ def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list]) -> tuple:
             f"two roots are within {min(close):.3e} of each other; "
             "quadrature error may exceed the requested tolerance",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     # Arcs between the roots, u = 0 when deg g < n (a root of multiplicity
     # n - deg g), and y = 2 (-2) unless a root in [1, 4] ([-4, -1]) stands in
@@ -456,7 +458,8 @@ def _integrate_at_unit_scale(
     """(value, error estimate) of integral over R of |f|**(-2/n), summed over
     the panels of ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A
     panel in u = 1/y is integrated on the degree-n reversal u^n g(1/u)."""
-    g, s, e, units, layout = _unit_scale_layout(f, family_degree, factors)
+    # the frames up to the caller: layout, this function, the public integral
+    g, s, e, units, layout = _unit_scale_layout(f, family_degree, factors, 4)
     exponent = 2.0 / family_degree
     reversal = g[::-1] + [0.0] * (family_degree + 1 - len(g))
     total = 0.0

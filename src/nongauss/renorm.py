@@ -172,8 +172,7 @@ def _moments(ints: list, den: int, exact: bool) -> ExpectationSet:
     ``exact``, else floats rounded once from the exact ratio."""
     a, b, c, d = ints
     six_d = 6 * cubic_discriminant_int(a, b, c, d)
-    if six_d == 0:
-        raise DivergentIntegral("moments are undefined at D = 0")
+    _checked_sign(six_d)
     numerators = (
         18 * b * c * d - 4 * c**3 - 54 * a * d * d,
         2 * b * c * c + 18 * a * c * d - 12 * b * b * d,
@@ -196,9 +195,10 @@ def expectations(coeffs: CubicCoeffs) -> ExpectationSet:
 
     Over one common denominator den, each moment is den * N_int / (6 * D_int).
     Exact inputs stay exact; any float coefficient switches the whole set to
-    floating point, rounded once from the exact ratio.
+    floating point, rounded once from the exact ratio.  a = b = 0 and D = 0
+    raise DivergentIntegral with the messages of ``closed_form_integral``.
     """
-    ints, den = integer_coefficients(coeffs.as_tuple())
+    ints, den = integer_coefficients(_tail_checked(coeffs).as_tuple())
     return _moments(ints, den, coeffs.is_exact())
 
 

@@ -75,6 +75,13 @@ def test_integral_divergent_exit_code(capsys):
     assert record["error_kind"] == "DivergentIntegral"
 
 
+def test_expect_divergent_tail_message(capsys):
+    code, record = invoke(capsys, "expect", "0", "0", "1", "2")
+    assert code == 2
+    assert record["error_kind"] == "DivergentIntegral"
+    assert record["result"]["message"].startswith("a = b = 0")
+
+
 def test_integral_numeric_flag(capsys):
     code, record = invoke(capsys, "integral", "1", "0", "0", "1", "--numeric", "--rel-tol", "1e-9")
     assert code == 0

@@ -22,6 +22,7 @@ from nongauss import (
     sylvester_matrix,
     vandermonde_delta_sq,
 )
+from nongauss.polynomial import _primitive, _subresultant
 
 
 def fraction_gauss_determinant(rows):
@@ -323,3 +324,77 @@ def test_leading_zeros_follow_the_sylvester_determinant(degree):
         inner = sign * sylvester_determinant(Polynomial(coeffs)) / Fraction(coeffs[0])
         expected = Fraction(coeffs[0]) ** 2 * inner
         assert discriminant_from_coeffs([0] + list(coeffs)).value == expected
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+def _integer_quotient(a, b):
+    """a / b by long division over the rationals; asserts that b divides a
+    and that the quotient has integer coefficients."""
+    a, q = [Fraction(c) for c in a], []
+    while len(a) >= len(b):
+        q.append(a[0] / b[0])
+        a = [u - q[-1] * v for u, v in zip(a[1:], b[1:] + [0] * len(a))]
+    assert not any(a)
+    assert all(c.denominator == 1 for c in q)
+    return [int(c) for c in q]
+
+
+def _sylvester_resultant(a, b):
+    """R(a, b): Bareiss on deg b shifted rows of a over deg a shifted rows of b."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+    return bareiss_determinant(rows)
+
+
+def _random_factor(rng, degree):
+    return [rng.choice((-1, 1)) * rng.randint(1, 6)] + [rng.randint(-7, 7) for _ in range(degree)]
+
+
+def _kernel_pairs(rng, count):
+    """(a, b, g) with g a common factor of the integer polynomials a and b,
+    deg a > deg b >= deg g; g is 1, square-free or a square, and a has a
+    repeated linear factor of its own every other draw."""
+    for i in range(count):
+        h = _random_factor(rng, rng.randint(0, 2))
+        g = _times(h, h) if i % 3 == 2 else h
+        u = _random_factor(rng, rng.randint(1, 4))
+        if i % 2:
+            r = _random_factor(rng, 1)
+            u = _times(u, _times(r, r))
+        v = _random_factor(rng, rng.randint(0, len(u) - 2))
+        yield _times(g, u), _times(g, v), g
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subresultant_kernel_gives_the_resultant_and_the_gcd(seed):
+    rng = random.Random(500 + seed)
+    shared = 0
+    for a, b, g in _kernel_pairs(rng, 60):
+        r, gcd = _subresultant(a, b)
+        # primitive with a positive leading coefficient
+        assert gcd[0] > 0 and math.gcd(*gcd) == 1
+        # a common divisor, and the greatest: the cofactors are coprime
+        cofactor_a, cofactor_b = _integer_quotient(a, gcd), _integer_quotient(b, gcd)
+        assert _times(gcd, cofactor_a) == a and _times(gcd, cofactor_b) == b
+        _integer_quotient(gcd, _primitive(g))
+        assert _sylvester_resultant(cofactor_a, cofactor_b) != 0
+        assert (r == 0) == (len(gcd) > 1)
+        assert r == _sylvester_resultant(a, b)
+        shared += len(gcd) > 1
+    assert 30 <= shared < 60
+
+
+@pytest.mark.parametrize("a", [[3, 0, -1], [-2, 5, 1, 7], [1, -4, 6, -4, 1]])
+def test_subresultant_kernel_on_a_constant_or_zero_b(a):
+    for c in (1, -3, 5):
+        assert _subresultant(a, [c]) == (c ** (len(a) - 1), [1])
+        assert _subresultant(a, [c])[0] == _sylvester_resultant(a, [c])
+    assert _subresultant(a, []) == (0, _primitive(a))

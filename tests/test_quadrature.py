@@ -157,6 +157,30 @@ def test_decompose_clearance_warning():
         decompose(Polynomial([float(c) for c in p.coeffs]))
 
 
+@pytest.mark.parametrize("route", ["decompose", "integral_numeric", "integral_numeric_general"])
+def test_clearance_warning_names_the_callers_line(route):
+    coeffs = (1.0, -(1 + 1e-7), 1e-7, 0.0)  # roots 0, 1e-7 and 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if route == "decompose":
+            decompose(Polynomial(list(coeffs)))
+        elif route == "integral_numeric":
+            integral_numeric(CubicCoeffs(*coeffs))
+        else:
+            integral_numeric_general(Polynomial(list(coeffs)))
+    assert [w for w in caught if "roots are within" in str(w.message)]
+    assert [w.filename for w in caught] == [__file__] * len(caught)
+
+
+def test_close_real_pair_is_flagged_by_the_band():
+    # a real pair 1.3e-6 apart, just clear of the clearance warning: the
+    # value is 2.7e-7 off the closed form, about 5000 times the error
+    # estimate, and the |D| / scale^4 band is the only flag
+    with pytest.warns(IllConditionedWarning, match=r"scale\^4") as caught:
+        integral_numeric(CubicCoeffs(1.0, -1.3499153687516232, 0.5823706707342634, -0.08136095369013266))
+    assert all(w.filename == __file__ for w in caught)
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [(10.0**-k, 1.0, 0.0, -1.0) for k in range(9, 16)] + [(1e-300, 1e8, 0.0, -1.0)],

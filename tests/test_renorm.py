@@ -163,6 +163,16 @@ def test_expectations_divergent_at_zero_discriminant():
         expectations(CubicCoeffs(1, -3, 3, -1))
 
 
+@pytest.mark.parametrize("coeffs", [(0, 0, 1, 2), (0.0, 0.0, 1.0, 2.0)])
+def test_expectations_report_the_divergent_tail(coeffs):
+    # D = 0 here too, but the reason given is the one closed_form_integral
+    # and the FD verifiers give
+    with pytest.raises(DivergentIntegral, match="a = b = 0"):
+        expectations(CubicCoeffs(*coeffs))
+    with pytest.raises(DivergentIntegral, match="a = b = 0"):
+        closed_form_integral(CubicCoeffs(*coeffs))
+
+
 def test_expectations_float_mode():
     moments = expectations(CubicCoeffs(1.0, 0.0, -1.0, 0.0))
     assert moments.x3 == pytest.approx(1.0 / 6.0, rel=1e-15)
