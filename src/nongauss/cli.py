@@ -153,6 +153,8 @@ def _run_disc(args) -> dict:
 
 
 def _run_integral(args) -> dict:
+    if args.degree is not None and args.check:
+        raise UsageError("--check compares with the cubic closed form; it does not take --degree")
     cfg = QuadratureConfig(rel_tol=args.rel_tol, max_levels=args.max_levels)
     if args.degree is not None:
         values = _parse_coeffs(args.coeffs)

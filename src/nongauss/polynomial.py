@@ -13,9 +13,10 @@ gcd of Yun's ``squarefree_factors``.
 ``_real_roots`` is the only code that locates float roots: the sign-stable
 quadratic formula at degree 2, formed on mantissas so that it neither
 overflows nor underflows, and above that bracketed Newton steps between the
-recursively located critical points.  The quadrature runs it at unit root
-scale; ``cubic_roots`` runs it on a cubic's own float coefficients, takes
-the number of real roots from the sign of the exact discriminant, and
+recursively located critical points, on the float list it is given, its
+leading coefficient nonzero (``_stripped``).  The quadrature runs it at unit
+root scale; ``cubic_roots`` runs it on a cubic's own float coefficients,
+takes the number of real roots from the sign of the exact discriminant, and
 relocates a close pair the float form does not resolve on a shifted form
 rounded once from the exact integers (``_rounded_image``).
 """
@@ -180,7 +181,7 @@ class Polynomial:
             cs = [0]
         exact = all(is_exact_number(c) for c in cs)
         if not exact:
-            cs = [float(c) for c in cs]
+            cs = float_coefficients(cs)
         while len(cs) > 1 and cs[0] == 0:
             cs.pop(0)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -373,15 +374,21 @@ def _quadratic_roots(a: float, b: float, c: float) -> list:
     return sorted(roots)
 
 
-def _real_roots(coeffs: Sequence[float]) -> list:
-    """Sorted real roots of a float-coefficient polynomial whose exact roots are
-    simple: closed forms up to degree 2; above, inside the Fujiwara bound
-    2^(j + 2), one root per sign change between the recursively located
-    critical points, and an exact zero at a critical point.  A root the float
-    form makes multiple (a zero at a critical point, a double quadratic
-    root) comes out repeated: double precision did not resolve it.
+def _stripped(cs: Sequence[float]) -> list:
+    """Float coefficients without the leading ones that underflowed to 0.0,
+    each a root beyond the float range: the form ``_real_roots`` reads."""
+    return list(itertools.dropwhile(lambda c: c == 0.0, cs))
+
+
+def _real_roots(cs: Sequence[float]) -> list:
+    """Sorted real roots of a float-coefficient polynomial, leading coefficient
+    nonzero (see ``_stripped``), whose exact roots are simple: closed forms up
+    to degree 2; above, inside the Fujiwara bound 2^(j + 2), one root per sign
+    change between the recursively located critical points, and an exact zero
+    at a critical point.  A root the float form makes multiple (a zero at a
+    critical point, a double quadratic root) comes out repeated: double
+    precision did not resolve it.
     """
-    cs = Polynomial(coeffs).coeffs
     deg = len(cs) - 1
     if deg <= 0:
         return []
@@ -442,12 +449,14 @@ def _locations(cs: list, ints: Sequence[int]):
     """The real roots of the cubic f located on its float coefficients
     ``cs``, then, for each critical point t and the inflection point, located
     on f(y + t) with coefficients rounded once from f's exact integers
-    ``ints`` and moved back by t."""
+    ``ints`` and moved back by t; critical points and all, of ``_stripped``
+    forms."""
+    cs = _stripped(cs)
     yield _real_roots(cs)
     deriv = derivative_coeffs(cs)
-    for t in _real_roots(deriv) + [-deriv[1] / (2.0 * deriv[0])]:
+    for t in _real_roots(deriv) + _real_roots(derivative_coeffs(deriv)):
         if math.isfinite(t):
-            moved = (y + t for y in _real_roots(_rounded_image(ints, t, 0)))
+            moved = (y + t for y in _real_roots(_stripped(_rounded_image(ints, t, 0))))
             yield [x for x in moved if math.isfinite(x)]
 
 

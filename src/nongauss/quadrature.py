@@ -14,7 +14,8 @@ discriminant D != 0 every root is simple; with D = 0, the roots of f_k from
 Yun's square-free decomposition of f's integers are those of multiplicity k.
 So a close complex pair is never taken for a double real root; distinct
 roots that land on one float raise NoConvergence, and a root with 2k >= n
-raises RepeatedRootDivergence.
+raises RepeatedRootDivergence (at infinity, k = n - deg f).  A real root of
+the float form where the exact D < 0 allows none is NoConvergence too.
 
 Every integral runs at unit root scale: a root cluster far from the origin,
 relative to its size, is first centred on it by an exact shift, then a
@@ -22,7 +23,9 @@ dilation and a scaling by powers of two bring the smallest nonzero root and
 the largest coefficient to unit size.  F is translation invariant and
 changes by an exact factor under the other two, so f(2^j x) costs what f
 costs, and its value and error estimate are those of f times 2^-j, to the
-last bit.
+last bit.  That g is the integral's one float form: the caller's
+coefficients rounded once, stripped once of leading ones that underflow
+(a root at infinity), and read as it is by the locator and the panels.
 
 Each level's tanh-sinh node table is built once and shared by every panel
 of every call; ``QuadratureConfig.max_levels`` is 4..16, so the tables hold
@@ -58,6 +61,7 @@ from .polynomial import (
     Polynomial,
     _real_roots,
     _rounded_image,
+    _stripped,
     float_coefficients,
     fujiwara_exponent,
     integer_coefficients,
@@ -88,11 +92,11 @@ class QuadratureConfig:
     max_levels: int = 12
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not 4 <= self.max_levels <= _MAX_LEVELS:
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        if not (type(self.max_levels) is int and 4 <= self.max_levels <= _MAX_LEVELS):
             raise DomainError(
-                f"max_levels must be in 4..{_MAX_LEVELS}, got {self.max_levels}"
+                f"max_levels must be an int in 4..{_MAX_LEVELS}, got {self.max_levels!r}"
             )
 
 
@@ -164,39 +168,57 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     """The panels on which the quadrature evaluates the integral over R of
     |f|**(-2/n), n = ``family_degree`` (default max(3, deg f)), and the real
     roots as breakpoints, in y of ``_unit_scale_layout`` (u = 1/y for a
-    ``reciprocal`` panel); root multiplicities come from Yun's factors."""
+    ``reciprocal`` panel); root multiplicities come from Yun's factors.  n is
+    an int >= deg f, and u^n f(1/u) has a root of multiplicity n - deg f at
+    u = 0, the root at infinity, which diverges like any other root."""
     if f.degree < 2:
         raise DegreeTooLow(f"need degree >= 2, got {f.degree}")
     n = family_degree if family_degree is not None else max(3, f.degree)
+    if not (type(n) is int and n >= f.degree):  # not a bool either
+        raise DomainError(f"family_degree must be an int >= deg f = {f.degree}, got {n!r}")
+    if 2 * (n - f.degree) >= n:
+        raise RepeatedRootDivergence(
+            f"the root at infinity has multiplicity {n - f.degree}; "
+            f"|x|**(-{2 * f.degree}/{n}) is not integrable there"
+        )
     return _unit_scale_layout(f, n, squarefree_factors(f), 3)[-1]
 
 
 def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list], stacklevel: int) -> tuple:
     """(g, s, e, units, panels) of the integral of |f|**(-2/n) at unit root
-    scale, g(y) = 2^-e f(2^s y + t) (``units`` names y).  ``factors`` is
-    ``squarefree_factors(f)``, or None when the exact D != 0: the simple
-    roots of a square-free f are located on g, else those of each f_k, moved
-    as g is, are its roots of multiplicity k.  A root with 2k >= n raises
-    RepeatedRootDivergence, distinct roots on one float NoConvergence.  The
+    scale, g(y) = 2^-e f(2^s y + t) (``units`` names y), ``_stripped``: its
+    degree, its root at infinity and the reversal all come from that list.
+    ``factors`` is ``squarefree_factors(f)``, or None when the exact D != 0:
+    the simple roots of a square-free f are located on g, else those of each
+    f_k, moved as g is, are its roots of multiplicity k.  A root with 2k >= n
+    raises RepeatedRootDivergence (NoConvergence when D != 0: the float form
+    is at fault), distinct roots on one float NoConvergence.  The
     close-roots warning goes to the frame ``stacklevel`` up, the public
     function's caller."""
     t, values = _centred(f)
     s, e = _unit_root_scale(values)
     deg = len(values) - 1
-    g = [math.ldexp(v, s * (deg - i) - e) for i, v in enumerate(values)]
+    # a leading coefficient that underflows to 0.0 leaves g a root at infinity
+    g = _stripped([math.ldexp(v, s * (deg - i) - e) for i, v in enumerate(values)])
     shift = f"(x {'-' if t > 0 else '+'} {abs(t)!r})" if t else "x"
     units = f" (in y = {shift} / 2^{s})" if s else f" (in y = {shift})" if t else ""
 
     located = [(g, 1)] if factors is None or [k for _, k in factors] == [1] else [
-        (_rounded_image(p.coeffs, t, s), k) for p, k in factors
+        (_stripped(_rounded_image(p.coeffs, t, s)), k) for p, k in factors
     ]
     roots = sorted((r, k) for coeffs, k in located for r in _real_roots(coeffs))
     for root, k in roots:
-        if 2 * k >= n:
-            raise RepeatedRootDivergence(
-                f"root {root}{units} has multiplicity {k}; "
-                f"|x - r|**(-{2 * k}/{n}) is not integrable"
+        if 2 * k < n:
+            continue
+        if factors is None:  # every root simple, so n = 2, where the exact D < 0
+            raise NoConvergence(
+                f"the float form has a real root at {root}{units}, which the exact "
+                "discriminant rules out: double precision does not resolve the integral"
             )
+        raise RepeatedRootDivergence(
+            f"root {root}{units} has multiplicity {k}; "
+            f"|x - r|**(-{2 * k}/{n}) is not integrable"
+        )
     gaps = [b - a for (a, _), (b, _) in zip(roots, roots[1:])]
     if 0.0 in gaps:
         raise NoConvergence(
@@ -222,7 +244,7 @@ def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list], stackleve
     # Arcs between the roots, u = 0 when deg g < n (a root of multiplicity
     # n - deg g), and y = 2 (-2) unless a root in [1, 4] ([-4, -1]) stands in
     # its place: each has |y| >= 1 on it (in u = 1/y) or lies in [-4, 4] (in y).
-    origin = n - deg
+    origin = n - (len(g) - 1)
     cuts = [(y, 0) for y in (-2.0, 2.0) if not any(0.5 <= r / y <= 2.0 for r, _ in roots)]
     marks = sorted(roots + cuts + [(math.inf, origin)] * (origin > 0))
     in_y = [r for r, _ in roots]
@@ -432,9 +454,9 @@ def _centred(f: Polynomial) -> Tuple[float, list]:
     """
     values = float_coefficients(f.coeffs)
     ints, den = integer_coefficients(f.coeffs)
-    a0, a1 = ints[0], ints[1]
-    if a1 == 0:
+    if f.degree < 1 or ints[1] == 0:  # a float form rounded to a constant has no centroid
         return 0.0, values
+    a0, a1 = ints[0], ints[1]
     num, d = -a1, (len(ints) - 1) * a0  # t = num / d
     if d < 0:
         num, d = -num, -d
@@ -537,11 +559,11 @@ def gaussian_integral_numeric(
 
     This is the n = 2 member of the same family (exponent -2/n = -1), so the
     panel machinery applies unchanged; requires a > 0 and b^2 - 4ac < 0.  The
-    discriminant is the exact b^2 - 4ac of the coefficients given.
+    discriminant is the exact b^2 - 4ac of the coefficients given, and the
+    quadrature integrates those same coefficients.
     """
     cfg = config or QuadratureConfig()
     den, n = _checked_gaussian(a, b, c)
-    poly = Polynomial(float_coefficients((a, b, c)))
-    value, error = _integrate_at_unit_scale(poly, 2, cfg)
+    value, error = _integrate_at_unit_scale(Polynomial((a, b, c)), 2, cfg)
     disc = DiscriminantResult.from_value(Fraction(-n, den * den))
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

@@ -1,6 +1,7 @@
 """CLI grammar, JSON output contract, and exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -248,6 +249,24 @@ def test_integral_degree_three_routes_numeric(capsys):
     assert record["result"]["value"] == pytest.approx(12.6196389479, rel=1e-8)
 
 
+def test_integral_check_with_degree_is_usage_error(capsys):
+    # --check compares with the cubic closed form; it was dropped without a word
+    code = run(["integral", "--degree", "3", "1", "0", "-1", "0", "--check"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--check" in captured.err and "usage: nongauss" in captured.err
+
+
+def test_module_entry_point_runs():
+    # python -m nongauss.cli goes through main(), which exits with run()'s code
+    src = str(Path(nongauss.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "nongauss.cli", "disc", "1", "2", "3", "5"]
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert '"D": "-367"' in proc.stdout
+
+
 def test_disc_general_rejects_zero_leading(capsys):
     # a leading zero no longer drops the degree: D_6(0, 1, 0, 0, 0, 0, 1) =
     # 1^2 * D_5(1, 0, 0, 0, 0, 1) = 3125
@@ -324,6 +343,8 @@ def test_non_finite_input_is_domain_error(capsys, argv, bad):
         # OverflowError tracebacks)
         (["gauss", "1" + "0" * 400, "0", "1" + "0" * 400], 2, "DomainError"),
         (["gauss", "5e-324", "0", "5e-324"], 2, "DomainError"),
+        # rel_tol = inf accepted every first estimate: 12.619645, status ok
+        (["integral", "1", "0", "-1", "0", "--numeric", "--rel-tol", "inf"], 2, "DomainError"),
     ],
 )
 def test_fuzz_findings(capsys, argv, code, kind):

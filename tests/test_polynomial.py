@@ -260,6 +260,13 @@ def test_cubic_roots_root_beyond_float_range():
         cubic_roots(CubicCoeffs(1e-300, 1e10, 0.0, 1.0))
 
 
+def test_cubic_roots_leading_coefficient_that_underflows():
+    # 10^-400 x^3 + x^2 - 1: the root near -10^400 has no float; the float
+    # form is the quadratic x^2 - 1, located with its own critical points
+    with pytest.raises(DomainError, match="beyond the float range"):
+        cubic_roots(CubicCoeffs(Fraction(1, 10**400), 1, 0, -1))
+
+
 def test_cubic_roots_rejects_a_zero():
     with pytest.raises(DegenerateLeadingCoefficient):
         cubic_roots(CubicCoeffs(0, 1, 0, 1))

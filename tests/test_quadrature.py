@@ -17,6 +17,7 @@ from nongauss import (
     IllConditionedWarning,
     IntegralMethod,
     NoConvergence,
+    NonGaussError,
     Polynomial,
     QuadratureConfig,
     RepeatedRootDivergence,
@@ -193,6 +194,23 @@ def test_far_apart_roots_are_not_flagged_as_close(coeffs):
     assert not [w for w in caught if "roots are within" in str(w.message)]
 
 
+@pytest.mark.parametrize(
+    "coeffs, family_degree",
+    [([1, 0, 0, 0, -1], 3), ([1, 0, 0, 0, -1], 0), ([1, 0, 0, 0, -1], True), ([1, 0, 0, -1], 3.5)],
+)
+def test_decompose_family_degree_is_an_int_at_least_deg_f(coeffs, family_degree):
+    # below deg f, u^n f(1/u) is not a polynomial
+    with pytest.raises(DomainError, match="family_degree"):
+        decompose(Polynomial(coeffs), family_degree)
+
+
+def test_decompose_root_at_infinity_diverges_at_half_the_family_degree():
+    # x^2 + 1 at n = 4: |x|**(-1) at infinity; n = 3 converges
+    with pytest.raises(RepeatedRootDivergence, match="root at infinity"):
+        decompose(Polynomial([1, 0, 1]), 4)
+    assert decompose(Polynomial([1, 0, 1]), 3).panels
+
+
 def test_decompose_degree_too_low():
     with pytest.raises(DegreeTooLow):
         decompose(Polynomial([1.0, 2.0]))
@@ -354,6 +372,73 @@ def test_gaussian_quadrature_discriminant_is_the_callers_exact_d():
     assert gaussian_integral_numeric(a, b, c).discriminant.value == d
 
 
+def _gaussian_forms(rng, count):
+    """``count`` exact forms a((x - r)^2 + s^2), a, r and s^2 drawn over wide
+    magnitudes, with r^2 < 10^16 s^2: a 24-bit centre leaves the residual
+    shift within about 6 s, so double precision resolves the pair r +- i s."""
+    forms = []
+    while len(forms) < count:
+        a = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        r = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 99)) * 10 ** rng.randint(0, 12)
+        s2 = Fraction(rng.randint(1, 99), rng.randint(1, 99)) * Fraction(10) ** rng.randint(-6, 6)
+        if r * r < 10**16 * s2:
+            forms.append((a, -2 * a * r, a * (r * r + s2)))
+    return forms
+
+
+def test_gaussian_quadrature_integrates_the_callers_exact_coefficients():
+    # rounding the exact coefficients to floats before the exact centring
+    # shift lost s^2 next to r^2: 101 of these 150 came back wrong, status ok
+    for a, b, c in _gaussian_forms(random.Random(2027), 150):
+        closed = gaussian_analogue(a, b, c)
+        assert gaussian_integral_numeric(a, b, c).value == pytest.approx(closed, rel=1e-8)
+
+
+def test_gaussian_quadrature_reproducers():
+    # 9/7 ((x - 10^9)^2 + 1): once 0.137, status ok
+    a, b, c = Fraction(9, 7), Fraction(-18 * 10**9, 7), Fraction(9 * (10**18 + 1), 7)
+    assert abs(gaussian_integral_numeric(a, b, c).value - 2.443460952792061) <= 1e-12
+    # (x - 10^8)^2 + 1: its float form was (x - 10^8)^2, a double root
+    assert abs(gaussian_integral_numeric(1, -2 * 10**8, 10**16 + 1).value - math.pi) <= 1e-12
+
+
+def test_gaussian_real_root_of_the_float_form_is_unresolved_not_divergent():
+    # (x - 10^20)^2 + 1 has no real root, but the float form of its centred
+    # image has two: once 5.7e-12 with status ok, where the value is pi
+    with pytest.raises(NoConvergence, match="exact discriminant rules out"):
+        gaussian_integral_numeric(1, -2 * 10**20, 10**40 + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # pi 10^200, but the form is rounded before the unit root scale is chosen
+        lambda: gaussian_integral_numeric(Fraction(1, 10**400), 0, 1),
+        # mixed input whose float form is a constant (were IndexError in _centred)
+        lambda: gaussian_integral_numeric(Fraction(7, 10**330), Fraction(-3, 10**400), 5e-324),
+        lambda: integral_numeric(CubicCoeffs(0, Fraction(-3, 10**400), Fraction(-3, 10**400), 1e300)),
+    ],
+)
+def test_float_form_that_loses_its_leading_coefficients_fails_cleanly(call):
+    with pytest.raises(NonGaussError):
+        call()
+
+
+@pytest.mark.parametrize("coeffs", [(Fraction(1, 10**400), 1, 0, -1), (1e-300, 1e300, 1, -1)])
+def test_cubic_leading_coefficient_that_underflows_is_a_root_at_infinity(coeffs):
+    # the leading coefficient of the unit-scale form underflows to 0.0: its
+    # root lies beyond the float range, at u = 0 of the reversal
+    closed = closed_form_integral(CubicCoeffs(*coeffs)).value
+    assert integral_numeric(CubicCoeffs(*coeffs)).value == pytest.approx(closed, rel=1e-12)
+
+
+def test_general_leading_coefficient_that_underflows_is_a_root_at_infinity():
+    value = integral_numeric_general(Polynomial([Fraction(1, 10**400), 1, 0, 0, -1])).value
+    assert value == pytest.approx(6.635196963863946, rel=1e-12)
+    leading_1e_30 = integral_numeric_general(Polynomial([1e-30, 1, 0, 0, -1])).value
+    assert leading_1e_30 == pytest.approx(value, rel=1e-12)
+
+
 def test_gaussian_quadrature_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
@@ -381,6 +466,18 @@ def test_config_validation():
     assert QuadratureConfig(max_levels=16).max_levels == 16
     with pytest.raises(DomainError):
         QuadratureConfig(max_levels=17)
+
+
+@pytest.mark.parametrize("max_levels", [5.5, True, 8.0])
+def test_config_max_levels_is_an_int(max_levels):
+    with pytest.raises(DomainError, match="max_levels"):
+        QuadratureConfig(max_levels=max_levels)
+
+
+@pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -1e-10])
+def test_config_rel_tol_is_positive_and_finite(rel_tol):
+    with pytest.raises(DomainError, match="rel_tol"):
+        QuadratureConfig(rel_tol=rel_tol)
 
 
 def _direct_node(t):
@@ -767,7 +864,13 @@ def test_integrand_is_the_log_space_form_as_one_power():
 
 @pytest.mark.parametrize(
     "a, b, c",
-    [(5e-324, 0, 5e-324), (10**400, 0, 10**400), (10**400, 1, 1), (5e-324, 0.0, 1e-300)],
+    [
+        (5e-324, 0, 5e-324),
+        (10**400, 0, 10**400),
+        (10**400, 1, 1),
+        (5e-324, 0.0, 1e-300),
+        (10**400, 0, 1.0),  # mixed: its Polynomial rounds 10^400 to float
+    ],
 )
 def test_gaussian_numeric_beyond_the_float_range_is_a_domain_error(a, b, c):
     with pytest.raises(DomainError):
