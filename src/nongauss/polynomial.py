@@ -13,12 +13,12 @@ gcd of Yun's ``squarefree_factors``.
 ``_real_roots`` is the only code that locates float roots: the sign-stable
 quadratic formula at degree 2, formed on mantissas so that it neither
 overflows nor underflows, and above that bracketed Newton steps between the
-recursively located critical points, on the float list it is given, its
-leading coefficient nonzero (``_stripped``).  The quadrature runs it at unit
-root scale; ``cubic_roots`` runs it on a cubic's own float coefficients,
-takes the number of real roots from the sign of the exact discriminant, and
-relocates a close pair the float form does not resolve on a shifted form
-rounded once from the exact integers (``_rounded_image``).
+recursively located critical points.  ``_chart`` is the only code that
+builds the float forms it reads: each coefficient rounded once from the
+exact integers at unit root scale.  The quadrature and ``cubic_roots`` both
+locate on such charts; ``cubic_roots`` takes the number of real roots from
+the sign of the exact discriminant and relocates a close pair on a chart
+centred on it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .errors import DegenerateLeadingCoefficient, DomainError, NotARoot
 Number = Union[int, Fraction, float]
 
 _ROOT_RESIDUAL_FACTOR = 1e-10
+# significant bits of the rounded root centroid that _chart shifts by
+_CENTRE_BITS = 24
 
 
 def is_exact_number(value: Number) -> bool:
@@ -73,14 +75,14 @@ def binary_exponent(values: Sequence[float]) -> int:
     return math.frexp(max(abs(v) for v in values))[1] - 1
 
 
-def fujiwara_exponent(values: Sequence[float]) -> int:
+def fujiwara_exponent(values: Sequence[Number]) -> int:
     """The least integer j >= (e_i - e_0) / i over the nonzero non-leading
-    ``values[i]`` (leading first, e_i the ``math.frexp`` exponent), 0 if none:
-    2^(j + 1) exceeds each |v_i / v_0|^(1/i), so by Fujiwara's bound every
-    root of f(2^j y) has modulus below 4."""
-    e0 = math.frexp(values[0])[1]
-    ceilings = [-((e0 - math.frexp(v)[1]) // i) for i, v in enumerate(values[1:], 1) if v]
-    return max(ceilings, default=0)
+    ``values[i]`` (leading first; e_i the bit length of an int, the
+    ``math.frexp`` exponent of a float), 0 if none: 2^(j + 1) exceeds each
+    |v_i / v_0|^(1/i), so by Fujiwara's bound every root of f(2^j y) has
+    modulus below 4."""
+    e = [v.bit_length() if isinstance(v, int) else math.frexp(v)[1] for v in values]
+    return max((-((e[0] - e[i]) // i) for i in range(1, len(e)) if values[i]), default=0)
 
 
 def horner(coeffs: Sequence[Number], x: Number) -> Number:
@@ -151,9 +153,15 @@ def squarefree_factors(f: "Polynomial") -> list:
     f_k a non-constant primitive integer Polynomial, square-free and coprime
     to the others, so its roots are exactly the roots of multiplicity k of f.
     """
+    return _squarefree(f, None)
+
+
+def _squarefree(f: "Polynomial", c: Optional[list]) -> list:
+    """``squarefree_factors(f)``, given c = gcd(f, f') from ``_subresultant``, or None."""
     a = _primitive(integer_coefficients(f.coeffs)[0])
     da = derivative_coeffs(a)
-    c = _subresultant(a, da)[1]
+    if c is None:
+        c = _subresultant(a, da)[1]
     if len(c) == 1:  # gcd(f, f') is constant: f is square-free
         return [(Polynomial(a), 1)] if len(a) > 1 else []
     w, y = _exact_quotient(a, c), _exact_quotient(da, c)
@@ -374,9 +382,10 @@ def _quadratic_roots(a: float, b: float, c: float) -> list:
     return sorted(roots)
 
 
-def _stripped(cs: Sequence[float]) -> list:
-    """Float coefficients without the leading ones that underflowed to 0.0,
-    each a root beyond the float range: the form ``_real_roots`` reads."""
+def _stripped(cs: Sequence[Number]) -> list:
+    """Coefficients without their leading zeros: in a float form, each one
+    that underflowed to 0.0 is a root beyond the float range.  The form
+    ``_real_roots`` reads."""
     return list(itertools.dropwhile(lambda c: c == 0.0, cs))
 
 
@@ -409,21 +418,73 @@ def _real_roots(cs: Sequence[float]) -> list:
     return sorted(found)
 
 
-def _rounded_image(ints: Sequence[int], t: float, s: int, den: Optional[int] = None) -> list:
-    """Float coefficients of p(2^s y + t) / den, p the polynomial with integer
-    coefficients ``ints`` and t a float, each rounded once from exact
-    integers; den = None scales the largest into [1, 2) instead.  A
-    coefficient beyond the float range raises OverflowError."""
-    num, q = t.as_integer_ratio()  # q = 2^j
-    deg, j = len(ints) - 1, q.bit_length() - 1
-    # q^deg p(y + t) = P(q y + num) for P(X) = sum ints[i] q^i X^(deg - i), so
-    # coefficient i of p(2^s y + t) is Q_i 2^(s (deg - i) - j i), Q = P(X + num)
-    shifted = Polynomial([c << (j * i) for i, c in enumerate(ints)]).taylor_shift(num).coeffs
-    powers = [s * (deg - i) - j * i for i in range(deg + 1)]
-    if den is None:
-        den, top = 1, max(abs(c).bit_length() + x for c, x in zip(shifted, powers) if c) - 1
-        powers = [x - top for x in powers]
-    return [(c << x) / den if x >= 0 else c / (den << -x) for c, x in zip(shifted, powers)]
+def _chart(values: Sequence[Number], t=None, s=None, e=None) -> tuple:
+    """(t, s, e, g): the float form g(y) = 2^-e f(2^s y + t) of the polynomial
+    f with coefficients ``values`` (leading first and nonzero; exact or
+    float), each rounded once from f's exact integers, ``_stripped`` of a
+    leading one that underflows (a root beyond the float range).  Unless
+    given, the float t is the root centroid -a1 / (n a0) rounded half up to
+    m 2^k with a 24-bit m if that lowers ``fujiwara_exponent`` by 2 or more
+    (a 4x smaller root bound), else 0.0; the int s is minus
+    ``fujiwara_exponent`` of the reversal of f(y + t) from its lowest
+    nonzero power on, so every nonzero root of g has modulus above 1/4, or 0
+    where that leaves a coefficient of g subnormal; the int e puts the
+    largest coefficient of g in [1, 2).  All three read exact bit lengths,
+    so f(2^j x) moves t to 2^-j t and s to s - j, 2^k f moves e to e + k,
+    and g stays the same, bit for bit.  A given e that leaves a coefficient
+    beyond the float range raises DomainError."""
+    ints, den = integer_coefficients(values)
+    deg = len(ints) - 1
+    centre = t
+    if t is None and deg >= 1 and ints[1]:
+        num, d = (-ints[1], deg * ints[0]) if ints[0] > 0 else (ints[1], -deg * ints[0])
+        k = abs(num).bit_length() - d.bit_length() - _CENTRE_BITS
+        big_k = max(0, -k)
+        # m = t / 2^k = num 2^K / (d 2^(k+K)), rounded half up in integers
+        m = ((num << (big_k + 1)) // (d << (k + big_k)) + 1) >> 1
+        try:
+            centre = math.ldexp(m, k)
+        except OverflowError:  # a centre beyond the float range
+            centre = None
+    if centre:
+        num, q = centre.as_integer_ratio()  # q = 2^j
+        j = q.bit_length() - 1
+        # q^deg f(y + t) = P(q y + num) for P(X) = sum ints[i] q^i X^(deg - i), so
+        # coefficient i of den q^deg f(y + t) is that of P(X + num) times q^(deg - i)
+        moved = Polynomial([c << (j * i) for i, c in enumerate(ints)]).taylor_shift(num).coeffs
+        moved = [c << (j * (deg - i)) for i, c in enumerate(moved)]
+        if t is not None or fujiwara_exponent(moved) <= fujiwara_exponent(ints) - 2:
+            t, ints, den = centre, moved, den << (j * deg)
+    if s is None:
+        exponents = [(deg - i, c.bit_length()) for i, c in enumerate(ints) if c]
+        s = -fujiwara_exponent(ints[::-1][exponents[-1][0]:])
+        dilated = [ex + s * p for p, ex in exponents]
+        # 2^-1022 is the smallest normal float; g's largest coefficient is in [1, 2)
+        s = 0 if min(dilated) - max(dilated) < -1022 else s
+    powers = [s * (deg - i) for i in range(deg + 1)]
+    if e is None:  # floor(log2(top / den)) - low, top the largest |ints[i]| 2^(powers[i] + low)
+        low = den.bit_length() - min(powers)
+        top = max(abs(c) << (x + low) for c, x in zip(ints, powers))
+        e = (top // den).bit_length() - 1 - low
+    powers = [x - e for x in powers]
+    try:
+        g = [(c << x) / den if x >= 0 else c / (den << -x) for c, x in zip(ints, powers)]
+    except OverflowError:
+        raise DomainError("a coefficient lies beyond the float range") from None
+    return t or 0.0, s, e, _stripped(g)
+
+
+def _moved(ys: Iterable[float], s: int, t: float) -> list:
+    """x = 2^s y + t for each y of a chart, those beyond the float range dropped."""
+    xs = []
+    for y in ys:
+        try:
+            x = math.ldexp(y, s) + t
+        except OverflowError:
+            continue
+        if math.isfinite(x):
+            xs.append(x)
+    return xs
 
 
 def _sign_at(ints: Sequence[int], x: float) -> int:
@@ -445,19 +506,18 @@ def _certified(ints: Sequence[int], x: float) -> bool:
     return 0 in signs or len(set(signs)) > 1
 
 
-def _locations(cs: list, ints: Sequence[int]):
-    """The real roots of the cubic f located on its float coefficients
-    ``cs``, then, for each critical point t and the inflection point, located
-    on f(y + t) with coefficients rounded once from f's exact integers
-    ``ints`` and moved back by t; critical points and all, of ``_stripped``
-    forms."""
-    cs = _stripped(cs)
-    yield _real_roots(cs)
-    deriv = derivative_coeffs(cs)
-    for t in _real_roots(deriv) + _real_roots(derivative_coeffs(deriv)):
-        if math.isfinite(t):
-            moved = (y + t for y in _real_roots(_stripped(_rounded_image(ints, t, 0))))
-            yield [x for x in moved if math.isfinite(x)]
+def _locations(values: Sequence[Number]):
+    """Real roots of the cubic with coefficients ``values``, moved back to x,
+    those beyond the float range dropped: on ``_chart(values)``, on the
+    charts centred on its critical points and inflection point, and last at
+    the caller's scale, which keeps what no dilation keeps normal."""
+    t, s, _, g = _chart(values)
+    yield _moved(_real_roots(g), s, t)
+    deriv = derivative_coeffs(g)
+    for centre in _moved(_real_roots(deriv) + _real_roots(derivative_coeffs(deriv)), s, t):
+        _, dilation, _, h = _chart(values, centre)
+        yield _moved(_real_roots(h), dilation, centre)
+    yield [x for x in _real_roots(_chart(values, 0.0, 0, 0)[3]) if math.isfinite(x)]
 
 
 def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
@@ -467,12 +527,12 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     roots of Yun's factor f_k (``squarefree_factors``; linear for a cubic)
     have multiplicity k, each rounded once from exact integers.  For D != 0
     there are 3 real roots (D > 0) or 1 (D < 0).  The locator runs on f's
-    float coefficients, and a root is certified when the exact f changes
-    sign or vanishes within one ulp of it; a float form with more roots than
-    D allows keeps its certified ones.  While a root is not certified, a
-    close pair the float form does not resolve, f(y + t) is located again for
-    each critical point t and the inflection point (``_locations``), and a
-    certified root of a relocation with the right count takes its place.
+    chart at unit root scale, and a root is certified when the exact f
+    changes sign or vanishes within one ulp of it; a float form with more
+    roots than D allows keeps its certified ones.  While a root is not
+    certified, a close pair the chart does not resolve, f is located again
+    on the charts of ``_locations``, and a certified root of a relocation
+    with the right count takes its place.
     No location with the right count: a root lies beyond the float range,
     and DomainError.
     """
@@ -492,7 +552,7 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
 
     want = 3 if disc > 0 else 1
     roots, certified = [], []
-    for located in _locations(float_coefficients(coeffs.as_tuple()), ints):
+    for located in _locations(coeffs.as_tuple()):
         flags = [_certified(ints, x) for x in located]
         if len(located) > want:  # the float form made a complex pair real
             located = [x for x, ok in zip(located, flags) if ok]

@@ -17,15 +17,15 @@ roots that land on one float raise NoConvergence, and a root with 2k >= n
 raises RepeatedRootDivergence (at infinity, k = n - deg f).  A real root of
 the float form where the exact D < 0 allows none is NoConvergence too.
 
-Every integral runs at unit root scale: a root cluster far from the origin,
-relative to its size, is first centred on it by an exact shift, then a
-dilation and a scaling by powers of two bring the smallest nonzero root and
-the largest coefficient to unit size.  F is translation invariant and
+Every integral runs at unit root scale, on the one float form g(y) = 2^-e
+f(2^s y + t) of ``polynomial._chart``: a root cluster far from the origin,
+relative to its size, is centred on it, and the smallest nonzero root and
+the largest coefficient come to unit size.  F is translation invariant and
 changes by an exact factor under the other two, so f(2^j x) costs what f
 costs, and its value and error estimate are those of f times 2^-j, to the
-last bit.  That g is the integral's one float form: the caller's
-coefficients rounded once, stripped once of leading ones that underflow
-(a root at infinity), and read as it is by the locator and the panels.
+last bit.  g is rounded once from the exact integers at unit root scale,
+stripped once of leading coefficients that underflow (a root at infinity),
+and read as it is by the locator and the panels.
 
 Each level's tanh-sinh node table is built once and shared by every panel
 of every call; ``QuadratureConfig.max_levels`` is 4..16, so the tables hold
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .discriminant import DiscriminantResult, discriminant_general
+from .discriminant import DiscriminantResult, _discriminant_and_gcd
 from .errors import (
     DegreeTooLow,
     DomainError,
@@ -59,11 +59,12 @@ from .errors import (
 from .polynomial import (
     CubicCoeffs,
     Polynomial,
+    _chart,
+    _moved,
     _real_roots,
-    _rounded_image,
+    _squarefree,
     _stripped,
     float_coefficients,
-    fujiwara_exponent,
     integer_coefficients,
     squarefree_factors,
 )
@@ -77,8 +78,6 @@ _SINGULARITY_CLEARANCE = 1e-6
 # Levels 0..16 of cached node tables hold about 0.4M nodes (10 MB); each
 # further level would double that.
 _MAX_LEVELS = 16
-# significant bits of the rounded root centroid that _centred shifts by
-_CENTRE_BITS = 24
 # endpoint-factor columns kept by _endpoint_column, each one level long
 _COLUMN_CACHE_SIZE = 128
 _GRADE_RATIO = 16.0  # ratio of consecutive cut distances in _graded
@@ -181,13 +180,15 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
             f"the root at infinity has multiplicity {n - f.degree}; "
             f"|x|**(-{2 * f.degree}/{n}) is not integrable there"
         )
-    return _unit_scale_layout(f, n, squarefree_factors(f), 3)[-1]
+    return _unit_scale_layout(f.coeffs, n, squarefree_factors(f), 3)[-1]
 
 
-def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list], stacklevel: int) -> tuple:
+def _unit_scale_layout(
+    values: Sequence, n: int, factors: Optional[list], stacklevel: int
+) -> tuple:
     """(g, s, e, units, panels) of the integral of |f|**(-2/n) at unit root
-    scale, g(y) = 2^-e f(2^s y + t) (``units`` names y), ``_stripped``: its
-    degree, its root at infinity and the reversal all come from that list.
+    scale, (t, s, e, g) = ``_chart(values)`` for f's coefficients ``values``
+    (``units`` names y): g's degree, root at infinity and reversal come from it.
     ``factors`` is ``squarefree_factors(f)``, or None when the exact D != 0:
     the simple roots of a square-free f are located on g, else those of each
     f_k, moved as g is, are its roots of multiplicity k.  A root with 2k >= n
@@ -195,16 +196,12 @@ def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list], stackleve
     is at fault), distinct roots on one float NoConvergence.  The
     close-roots warning goes to the frame ``stacklevel`` up, the public
     function's caller."""
-    t, values = _centred(f)
-    s, e = _unit_root_scale(values)
-    deg = len(values) - 1
-    # a leading coefficient that underflows to 0.0 leaves g a root at infinity
-    g = _stripped([math.ldexp(v, s * (deg - i) - e) for i, v in enumerate(values)])
+    t, s, e, g = _chart(values)
     shift = f"(x {'-' if t > 0 else '+'} {abs(t)!r})" if t else "x"
     units = f" (in y = {shift} / 2^{s})" if s else f" (in y = {shift})" if t else ""
 
     located = [(g, 1)] if factors is None or [k for _, k in factors] == [1] else [
-        (_stripped(_rounded_image(p.coeffs, t, s)), k) for p, k in factors
+        (_chart(p.coeffs, t, s)[3], k) for p, k in factors
     ]
     roots = sorted((r, k) for coeffs, k in located for r in _real_roots(coeffs))
     for root, k in roots:
@@ -226,12 +223,7 @@ def _unit_scale_layout(f: Polynomial, n: int, factors: Optional[list], stackleve
             "the exact discriminant is nonzero on the square-free part, so they are distinct "
             "and the integral is finite, but double precision does not resolve it"
         )
-    in_x = []  # x = 2^s y + t, a root beyond the float range at infinity
-    for r, _ in roots:
-        try:
-            in_x.append(math.ldexp(r, s) + t)
-        except OverflowError:
-            in_x.append(math.copysign(math.inf, r))
+    in_x = _moved([r for r, _ in roots], s, t)
     pairs = zip(in_x, in_x[1:])
     close = [b - a for a, b in pairs if b - a < _SINGULARITY_CLEARANCE * max(1.0, abs(a), abs(b))]
     if close:
@@ -415,73 +407,15 @@ def _panel_value(
     return value * scale, error * scale, False, nodes
 
 
-def _unit_root_scale(values: Sequence[float]) -> Tuple[int, int]:
-    """(s, e) such that g(y) = 2^-e f(2^s y) has its smallest nonzero root and
-    its largest coefficient at unit size; ``values`` are f's float
-    coefficients, leading first.
-
-    s is minus ``fujiwara_exponent`` of the reversal, the coefficients from
-    the lowest-power nonzero one c_L up to c_n: its roots are the reciprocals
-    of f's nonzero roots, so every nonzero root of g has modulus above 1/4.
-    e puts the largest coefficient of g in [1, 2).  Dilating f to f(2^j x)
-    moves s to s - j and leaves e and g as they were.  When the dilation
-    would make a coefficient of g subnormal, s = 0.
-    """
-    deg = len(values) - 1
-    exponents = [(deg - i, math.frexp(v)[1]) for i, v in enumerate(values) if v]
-    if not exponents:
-        raise DomainError("every coefficient rounds to zero as a float")
-    s = -fujiwara_exponent(values[::-1][exponents[-1][0]:])
-    dilated = [ex + s * p for p, ex in exponents]
-    # 2^-1022 is the smallest normal float; g's largest coefficient is in [1, 2)
-    if min(dilated) - max(dilated) < -1022:
-        s = 0
-        dilated = [ex for _, ex in exponents]
-    return s, max(dilated) - 1
-
-
-def _centred(f: Polynomial) -> Tuple[float, list]:
-    """(t, coefficients of f(x + t)), leading first, with t the root centroid
-    -a1 / (n a0) rounded to a dyadic m * 2^k with a 24-bit m; (0.0, f's own
-    float coefficients) when that does not lower ``fujiwara_exponent`` by 2
-    or more, i.e. shrink the root bound at least 4x, or when a shifted
-    coefficient leaves the float range.
-
-    The shift runs on the exact integers of ``integer_coefficients`` and
-    each coefficient is rounded to float once.  Rounding t to a fixed number
-    of significant bits commutes with dilations f(2^j x) (t moves to 2^-j t)
-    and with scalings 2^k f (t stays), so both stay exact.
-    """
-    values = float_coefficients(f.coeffs)
-    ints, den = integer_coefficients(f.coeffs)
-    if f.degree < 1 or ints[1] == 0:  # a float form rounded to a constant has no centroid
-        return 0.0, values
-    a0, a1 = ints[0], ints[1]
-    num, d = -a1, (len(ints) - 1) * a0  # t = num / d
-    if d < 0:
-        num, d = -num, -d
-    k = abs(num).bit_length() - d.bit_length() - _CENTRE_BITS
-    big_k = max(0, -k)
-    # m = t / 2^k = num 2^K / (d 2^(k+K)), rounded half up in integers
-    m = ((num << (big_k + 1)) // (d << (k + big_k)) + 1) >> 1
-    try:
-        t = math.ldexp(m, k)
-        centred = _rounded_image(ints, t, 0, den)
-    except OverflowError:
-        return 0.0, values
-    if fujiwara_exponent(centred) <= fujiwara_exponent(values) - 2:
-        return t, centred
-    return 0.0, values
-
-
 def _integrate_at_unit_scale(
-    f: Polynomial, family_degree: int, cfg: QuadratureConfig, factors: Optional[list] = None
+    values: Sequence, family_degree: int, cfg: QuadratureConfig, factors: Optional[list] = None
 ) -> Tuple[float, float]:
-    """(value, error estimate) of integral over R of |f|**(-2/n), summed over
-    the panels of ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A
-    panel in u = 1/y is integrated on the degree-n reversal u^n g(1/u)."""
+    """(value, error estimate) of integral over R of |f|**(-2/n), f with the
+    caller's exact coefficients ``values``, summed over the panels of
+    ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A panel in u =
+    1/y is integrated on the degree-n reversal u^n g(1/u)."""
     # the frames up to the caller: layout, this function, the public integral
-    g, s, e, units, layout = _unit_scale_layout(f, family_degree, factors, 4)
+    g, s, e, units, layout = _unit_scale_layout(values, family_degree, factors, 4)
     exponent = 2.0 / family_degree
     reversal = g[::-1] + [0.0] * (family_degree + 1 - len(g))
     total = 0.0
@@ -532,7 +466,7 @@ def integral_numeric(
             IllConditionedWarning,
             stacklevel=2,
         )
-    value, error = _integrate_at_unit_scale(coeffs.as_polynomial(), 3, cfg)
+    value, error = _integrate_at_unit_scale(_stripped(coeffs.as_tuple()), 3, cfg)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
@@ -546,9 +480,9 @@ def integral_numeric_general(
     cfg = config or QuadratureConfig()
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
-    disc = discriminant_general(f)
-    factors = None if disc.value else squarefree_factors(f)
-    value, error = _integrate_at_unit_scale(f, f.degree, cfg, factors)
+    disc, gcd = _discriminant_and_gcd(f)
+    factors = None if disc.value else _squarefree(f, gcd)
+    value, error = _integrate_at_unit_scale(f.coeffs, f.degree, cfg, factors)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
@@ -564,6 +498,6 @@ def gaussian_integral_numeric(
     """
     cfg = config or QuadratureConfig()
     den, n = _checked_gaussian(a, b, c)
-    value, error = _integrate_at_unit_scale(Polynomial((a, b, c)), 2, cfg)
+    value, error = _integrate_at_unit_scale((a, b, c), 2, cfg)
     disc = DiscriminantResult.from_value(Fraction(-n, den * den))
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

@@ -27,6 +27,7 @@ from nongauss import (
     integral_numeric_general,
 )
 from nongauss import quadrature
+from nongauss.polynomial import _chart
 
 # SL(2, Z) matrices (alpha, beta, gamma, delta) whose images
 # (alpha x + beta)^n +- (gamma x + delta)^n of x^n +- 1 have a close complex
@@ -90,7 +91,7 @@ def test_there_are_48_clustered_forms():
 @pytest.mark.parametrize("n, plus, m", _CLUSTERED_FORMS)
 def test_clustered_images_match_beta(n, plus, m):
     coeffs = _image(n, plus, m)
-    assert quadrature._centred(Polynomial(coeffs))[0] != 0.0
+    assert _chart(coeffs)[0] != 0.0
     value = integral_numeric_general(Polynomial(coeffs)).value
     expected = _beta_value(n, plus)
     assert abs(value - expected) <= 1e-8 * expected
@@ -130,7 +131,7 @@ def test_clustered_images_without_the_shift_are_right_or_unresolved(monkeypatch)
     # The nonzero exact D, not the shift, keeps the close pair from being
     # taken for a double root: integrated where they lie, the forms come out
     # right (28 of 48) or as NoConvergence, never as the old wrong values.
-    monkeypatch.setattr(quadrature, "_centred", lambda f: (0.0, [float(c) for c in f.coeffs]))
+    monkeypatch.setattr(quadrature, "_chart", lambda values, t=0.0, s=None: _chart(values, t, s))
     right = 0
     for n, plus, m in _CLUSTERED_FORMS:
         value = _outcome(_image(n, plus, m))
@@ -141,10 +142,17 @@ def test_clustered_images_without_the_shift_are_right_or_unresolved(monkeypatch)
     assert right >= 24
 
 
-def _exact_shift(coeffs, t):
-    """f(y + t) in exact rationals, each coefficient rounded to float once."""
-    shifted = Polynomial([Fraction(c) for c in coeffs]).taylor_shift(Fraction(t))
-    return [float(c) for c in shifted.coeffs]
+def _exact_image(coeffs, t, s, e):
+    """2^-e f(2^s y + t) in exact rationals, each coefficient rounded to float once."""
+    shifted = Polynomial([Fraction(c) for c in coeffs]).taylor_shift(Fraction(t)).coeffs
+    n = len(shifted) - 1
+    return [float(c * Fraction(2) ** (s * (n - i) - e)) for i, c in enumerate(shifted)]
+
+
+def _rescaled(coeffs, s, e):
+    """2^-e f(2^s y) on the float coefficients of f: exact powers of two."""
+    n = len(coeffs) - 1
+    return [math.ldexp(c, s * (n - i) - e) for i, c in enumerate(coeffs)]
 
 
 def test_shifted_coefficients_are_rounded_once():
@@ -161,9 +169,10 @@ def test_shifted_coefficients_are_rounded_once():
         from_roots([Fraction(3 * 2**50 + i, 2**20) for i in range(5)]).coeffs,
     ]
     for coeffs in clustered + others:
-        t, centred = quadrature._centred(Polynomial(coeffs))
+        t, s, e, g = _chart(coeffs)
         assert t != 0.0
-        assert centred == _exact_shift(coeffs, t)
+        assert g == _exact_image(coeffs, t, s, e)
+        assert 1.0 <= max(map(abs, g)) <= 2.0
         # 24 significant bits, give or take one: t = m 2^k with |m| < 2^25
         mantissa, _ = math.frexp(t)
         assert math.ldexp(mantissa, 25) == int(math.ldexp(mantissa, 25))
@@ -171,8 +180,9 @@ def test_shifted_coefficients_are_rounded_once():
 
 def test_centre_is_the_rounded_centroid():
     # unit-width root clusters 2^4..2^60 from the origin: t is the centroid
-    # -a1 / (n a0) of the float coefficients to 24 bits, moves to 2^-j t under
-    # f(2^j x) and stays under 2^k f
+    # -a1 / (n a0) of the float coefficients to 24 bits, moves to 2^-j t (and
+    # s to s - j) under f(2^j x) and stays under 2^k f (e moves to e + k),
+    # and the float form is the same, bit for bit
     rng = random.Random(67)
     fired = 0
     for _ in range(200):
@@ -181,7 +191,7 @@ def test_centre_is_the_rounded_centroid():
         roots = [centre + rng.uniform(-1.0, 1.0) for _ in range(n)]
         leading = rng.uniform(0.5, 2.0)
         coeffs = [float(c) for c in from_roots(roots, leading=leading).coeffs]
-        t, _ = quadrature._centred(Polynomial(coeffs))
+        t, s, e, g = _chart(coeffs)
         if not t:
             continue
         fired += 1
@@ -189,8 +199,8 @@ def test_centre_is_the_rounded_centroid():
         assert abs(Fraction(t) - centroid) <= abs(centroid) * Fraction(1, 2**23)
         j, k = rng.randint(-30, 30), rng.randint(-300, 300)
         dilated = [math.ldexp(c, j * (n - i)) for i, c in enumerate(coeffs)]
-        assert quadrature._centred(Polynomial(dilated))[0] == math.ldexp(t, -j)
-        assert quadrature._centred(Polynomial([math.ldexp(c, k) for c in coeffs]))[0] == t
+        assert _chart(dilated) == (math.ldexp(t, -j), s - j, e, g)
+        assert _chart([math.ldexp(c, k) for c in coeffs]) == (t, s, e + k, g)
     assert fired >= 150
 
 
@@ -201,14 +211,21 @@ def test_shift_stays_off_for_spread_roots(k, signs):
     # centroid sits far from every root and the root bound does not shrink
     b, d = signs
     coeffs = [10.0**-k, float(b), 0.0, float(-d)]
-    assert quadrature._centred(Polynomial(coeffs)) == (0.0, coeffs)
+    t, s, e, g = _chart(coeffs)
+    assert t == 0.0 and g == _rescaled(coeffs, s, e)
 
 
 def test_shift_stays_off_without_a_linear_term_or_on_overflow():
-    assert quadrature._centred(Polynomial([1.0, 0.0, -1.0, 5.0])) == (0.0, [1.0, 0.0, -1.0, 5.0])
-    # f(y + t) would need coefficients near 2^1200, so f is integrated as it is
+    coeffs = [1.0, 0.0, -1.0, 5.0]
+    t, s, e, g = _chart(coeffs)
+    assert t == 0.0 and g == _rescaled(coeffs, s, e)
+    # f(y + t) has coefficients near 2^1400 and its root bound is not 4x
+    # smaller, so f is charted as it is
     coeffs = [2.0**-600, 2.0**400, 1.0]
-    assert quadrature._centred(Polynomial(coeffs)) == (0.0, coeffs)
+    t, s, e, g = _chart(coeffs)
+    assert t == 0.0 and g == _rescaled(coeffs, s, e)
+    # the centroid -10^400 / 2 lies beyond the float range
+    assert _chart([Fraction(1, 10**400), 1, 1])[0] == 0.0
 
 
 def test_centring_keeps_dilations_exact():
@@ -304,7 +321,7 @@ def _far_clusters(count):
 @pytest.mark.parametrize("centre, reals, pairs", list(_far_clusters(12)))
 def test_far_clusters_match_mpmath(centre, reals, pairs):
     coeffs = _from_roots(centre, reals, pairs)
-    assert quadrature._centred(Polynomial(coeffs))[0] != 0.0
+    assert _chart(coeffs)[0] != 0.0
     value = _outcome(coeffs)
     expected = _reference(reals, pairs)
     assert abs(value - expected) <= 1e-10 * expected

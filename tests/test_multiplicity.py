@@ -25,7 +25,7 @@ from nongauss import (
     integral_numeric,
     integral_numeric_general,
 )
-from nongauss import polynomial
+from nongauss import discriminant, polynomial, quadrature
 from nongauss.polynomial import squarefree_factors
 
 
@@ -173,6 +173,26 @@ def test_squarefree_factors_of_float_and_square_free_input():
     ]
     assert squarefree_factors(Polynomial([1, 0, 0, 0])) == [(Polynomial([1, 0]), 3)]
     assert squarefree_factors(Polynomial([2.5, 0, 0, 1])) == [(Polynomial([5, 0, 0, 2]), 1)]
+
+
+def test_double_root_runs_the_remainder_sequence_of_f_and_f_prime_once(monkeypatch):
+    # at D = 0 the gcd of the discriminant's sequence is Yun's first: once
+    # (6, 5), (6, 5), (5, 4), (2, 0) in (len a, len b)
+    f = Polynomial([1, -2, 2, -2, 1, 0])  # (x - 1)^2 x (x^2 + 1)
+    factors = squarefree_factors(f)
+    calls, used, kernel, split = [], [], polynomial._subresultant, polynomial._squarefree
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return kernel(a, b)
+
+    monkeypatch.setattr(polynomial, "_subresultant", counted)
+    monkeypatch.setattr(discriminant, "_subresultant", counted)
+    monkeypatch.setattr(quadrature, "_squarefree", lambda f, c: used.append(split(f, c)) or used[-1])
+    result = integral_numeric_general(f)
+    assert calls == [(6, 5), (5, 4), (2, 0)]
+    assert result.discriminant.value == 0 and used == [factors]
+    assert factors == [(Polynomial([1, 0, 1, 0]), 1), (Polynomial([1, -1]), 2)]
 
 
 def test_dilated_path_has_no_false_double_root():

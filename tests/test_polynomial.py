@@ -231,6 +231,16 @@ def test_cubic_roots_are_within_four_ulps_of_a_sign_change(e):
     assert checked >= 200
 
 
+def test_cubic_roots_whose_derivative_overflows_at_the_callers_scale():
+    # 3 * 1.7e308, the derivative's leading coefficient, is no float: the
+    # roots are located at unit root scale (once DomainError, "fewer than 3
+    # real roots located")
+    rs = cubic_roots(CubicCoeffs(1.7e308, -1.7e308, 1, 1))
+    assert rs.roots == ((-7.669649888473705e-155, 1), (7.669649888473705e-155, 1), (1.0, 1))
+    for x, _ in rs.roots:
+        assert _within_ulps_of_sign_change((1.7e308, -1.7e308, 1, 1), x, 1)
+
+
 def test_cubic_roots_of_a_near_tangent_exact_cubic():
     # (x - 1)((x - 2)^2 + 10^-16): the float form (1, -5, 8, -4) has a double
     # root at 2, and D < 0 leaves the one real root 1

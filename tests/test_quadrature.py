@@ -32,7 +32,7 @@ from nongauss import (
     integral_numeric_general,
 )
 from nongauss import quadrature
-from nongauss.polynomial import cubic_discriminant_exact
+from nongauss.polynomial import _chart, cubic_discriminant_exact
 
 
 def integrand(f, x, family_degree=None):
@@ -125,7 +125,7 @@ def test_decompose_reports_the_panels_that_are_integrated(f, n, call, monkeypatc
         layout = decompose(f, n)
     assert len(layout.panels) == len(evaluated)
     assert [(p.lo, p.hi, p.lo_multiplicity, p.hi_multiplicity) for p in layout.panels] == evaluated
-    assert quadrature._centred(_CLUSTERED)[0] == 1000.3125
+    assert _chart(_CLUSTERED.coeffs)[0] == 1000.3125
 
 
 def test_decompose_single_root():
@@ -412,9 +412,7 @@ def test_gaussian_real_root_of_the_float_form_is_unresolved_not_divergent():
 @pytest.mark.parametrize(
     "call",
     [
-        # pi 10^200, but the form is rounded before the unit root scale is chosen
-        lambda: gaussian_integral_numeric(Fraction(1, 10**400), 0, 1),
-        # mixed input whose float form is a constant (were IndexError in _centred)
+        # mixed input whose float form is a constant (were IndexError when centred)
         lambda: gaussian_integral_numeric(Fraction(7, 10**330), Fraction(-3, 10**400), 5e-324),
         lambda: integral_numeric(CubicCoeffs(0, Fraction(-3, 10**400), Fraction(-3, 10**400), 1e300)),
     ],
@@ -422,6 +420,45 @@ def test_gaussian_real_root_of_the_float_form_is_unresolved_not_divergent():
 def test_float_form_that_loses_its_leading_coefficients_fails_cleanly(call):
     with pytest.raises(NonGaussError):
         call()
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        # pi 10^200: rounded at the caller's scale, the form was the constant 1
+        (Fraction(1, 10**400), 0, 1),
+        # pi 10^-200: rounded at the caller's scale, 10^400 was no float
+        (10**400, 1, 1),
+        (10**400, 0, 1.0),
+    ],
+)
+def test_gaussian_numeric_rounds_at_unit_root_scale(a, b, c):
+    # the coefficients are rounded once from the exact integers, after the
+    # dilation that brings the roots to unit size
+    value = gaussian_integral_numeric(a, b, c).value
+    assert value == pytest.approx(gaussian_analogue(a, b, c), rel=1e-14)
+
+
+def test_cubic_below_the_float_range_matches_the_closed_form():
+    # every coefficient is 0.0 at the caller's scale (was DomainError)
+    tiny = Fraction(1, 10**400)
+    cubic = CubicCoeffs(tiny, tiny, 0, tiny)
+    value = integral_numeric(cubic).value
+    assert value == pytest.approx(closed_form_integral(cubic).value, rel=1e-12)
+
+
+def test_subnormal_cubic_is_right_or_unresolved():
+    # the constant 10^-400 rounded to 0.0 at the caller's scale, which made
+    # the complex pair of modulus ~7e-201 real: once 1.9e107, status ok,
+    # where F = 2.39e67
+    cubic = CubicCoeffs(Fraction(-3, 10**400), 2, -1e-310, Fraction(1, 10**400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        try:
+            value = integral_numeric(cubic).value
+        except NoConvergence:
+            return
+    assert value == pytest.approx(closed_form_integral(cubic).value, rel=1e-9)
 
 
 @pytest.mark.parametrize("coeffs", [(Fraction(1, 10**400), 1, 0, -1), (1e-300, 1e300, 1, -1)])
@@ -813,8 +850,8 @@ def test_condition_band_is_the_exact_predicate(monkeypatch):
 
 def test_unit_root_scale_finds_the_smallest_root():
     # roots r with log-uniform moduli, a zero root (the x^k factor) among them
-    # at times: the smallest nonzero |r| / 2^s stays of order one, and a
-    # dilation by 2^j moves s by -j alone
+    # at times: with the centre held at 0, the smallest nonzero |r| / 2^s of
+    # the chart stays of order one, and a dilation by 2^j moves s by -j alone
     rng = random.Random(59)
     for _ in range(200):
         n = rng.randint(2, 8)
@@ -822,18 +859,17 @@ def test_unit_root_scale_finds_the_smallest_root():
         if rng.random() < 0.2:
             roots[0] = 0.0
         coeffs = [float(c) for c in from_roots(roots, leading=1.0).coeffs]
-        s, e = quadrature._unit_root_scale(coeffs)
+        _, s, e, _ = _chart(coeffs, 0.0)
         smallest = min(abs(r) for r in roots if r)
         assert 0.25 <= math.ldexp(smallest, -s) <= 2 * n
         j = rng.randint(-20, 20)
-        assert quadrature._unit_root_scale(_dilated(coeffs, j)) == (s - j, e)
+        assert _chart(_dilated(coeffs, j), 0.0)[1:3] == (s - j, e)
 
 
 def test_unit_root_scale_keeps_coefficients_normal():
     # at s = -510 the x^3 coefficient of g would be 2^-1530 (below the float
     # range) while x^2 and 1 are of unit size, so s falls back to 0
-    s, e = quadrature._unit_root_scale([1.0, 2.0**520, 0.0, 2.0**-500])
-    assert (s, e) == (0, 520)
+    assert _chart([1.0, 2.0**520, 0.0, 2.0**-500])[:3] == (0.0, 0, 520)
 
 
 @pytest.mark.parametrize("k", [30, 100, 300])
@@ -867,9 +903,7 @@ def test_integrand_is_the_log_space_form_as_one_power():
     [
         (5e-324, 0, 5e-324),
         (10**400, 0, 10**400),
-        (10**400, 1, 1),
         (5e-324, 0.0, 1e-300),
-        (10**400, 0, 1.0),  # mixed: its Polynomial rounds 10^400 to float
     ],
 )
 def test_gaussian_numeric_beyond_the_float_range_is_a_domain_error(a, b, c):
