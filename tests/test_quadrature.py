@@ -412,6 +412,8 @@ def test_gaussian_real_root_of_the_float_form_is_unresolved_not_divergent():
 @pytest.mark.parametrize(
     "call",
     [
+        # a and b below the float range, the value 5e361 above it
+        lambda: gaussian_integral_numeric(Fraction(7, 10**400), Fraction(-3, 10**400), 5e-324),
         # mixed input whose float form is a constant (were IndexError when centred)
         lambda: gaussian_integral_numeric(Fraction(7, 10**330), Fraction(-3, 10**400), 5e-324),
         lambda: integral_numeric(CubicCoeffs(0, Fraction(-3, 10**400), Fraction(-3, 10**400), 1e300)),
