@@ -14,11 +14,11 @@ gcd of Yun's ``squarefree_factors``.
 quadratic formula at degree 2, formed on mantissas so that it neither
 overflows nor underflows, and above that bracketed Newton steps between the
 recursively located critical points.  ``_chart`` is the only code that
-builds the float forms it reads: each coefficient rounded once from the
-exact integers at unit root scale.  The quadrature and ``cubic_roots`` both
-locate on such charts; ``cubic_roots`` takes the number of real roots from
-the sign of the exact discriminant and relocates a close pair on a chart
-centred on it.
+builds the float forms it reads: the centre and each coefficient are
+rounded once from the exact integers, at unit root scale.  The quadrature
+and ``cubic_roots`` both locate on such charts; ``cubic_roots`` takes the
+number of real roots from the sign of the exact discriminant and relocates
+a close pair on a chart centred on its critical point.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .errors import DegenerateLeadingCoefficient, DomainError, NotARoot
 Number = Union[int, Fraction, float]
 
 _ROOT_RESIDUAL_FACTOR = 1e-10
-# significant bits of the rounded root centroid that _chart shifts by
-_CENTRE_BITS = 24
 
 
 def is_exact_number(value: Number) -> bool:
@@ -423,9 +421,9 @@ def _chart(values: Sequence[Number], t=None, s=None, e=None) -> tuple:
     f with coefficients ``values`` (leading first and nonzero; exact or
     float), each rounded once from f's exact integers, ``_stripped`` of a
     leading one that underflows (a root beyond the float range).  Unless
-    given, the float t is the root centroid -a1 / (n a0) rounded half up to
-    m 2^k with a 24-bit m if that lowers ``fujiwara_exponent`` by 2 or more
-    (a 4x smaller root bound), else 0.0; the int s is minus
+    given, the float t is the root centroid -a1 / (n a0), rounded once from
+    f's exact integers, if that lowers ``fujiwara_exponent`` by 2 or more (a
+    4x smaller root bound), else 0.0; the int s is minus
     ``fujiwara_exponent`` of the reversal of f(y + t) from its lowest
     nonzero power on, so every nonzero root of g has modulus above 1/4, or 0
     where that leaves a coefficient of g subnormal; the int e puts the
@@ -436,14 +434,9 @@ def _chart(values: Sequence[Number], t=None, s=None, e=None) -> tuple:
     ints, den = integer_coefficients(values)
     deg = len(ints) - 1
     centre = t
-    if t is None and deg >= 1 and ints[1]:
-        num, d = (-ints[1], deg * ints[0]) if ints[0] > 0 else (ints[1], -deg * ints[0])
-        k = abs(num).bit_length() - d.bit_length() - _CENTRE_BITS
-        big_k = max(0, -k)
-        # m = t / 2^k = num 2^K / (d 2^(k+K)), rounded half up in integers
-        m = ((num << (big_k + 1)) // (d << (k + big_k)) + 1) >> 1
+    if t is None and deg >= 1:
         try:
-            centre = math.ldexp(m, k)
+            centre = -ints[1] / (deg * ints[0])  # int / int: rounded once
         except OverflowError:  # a centre beyond the float range
             centre = None
     if centre:
@@ -508,13 +501,13 @@ def _certified(ints: Sequence[int], x: float) -> bool:
 
 def _locations(values: Sequence[Number]):
     """Real roots of the cubic with coefficients ``values``, moved back to x,
-    those beyond the float range dropped: on ``_chart(values)``, on the
-    charts centred on its critical points and inflection point, and last at
-    the caller's scale, which keeps what no dilation keeps normal."""
+    those beyond the float range dropped: on ``_chart(values)``, whose exact
+    centroid resolves a near-triple cluster, on the charts centred on its
+    critical points, for a close pair beside a far root, and last at the
+    caller's scale, which keeps what no dilation keeps normal."""
     t, s, _, g = _chart(values)
     yield _moved(_real_roots(g), s, t)
-    deriv = derivative_coeffs(g)
-    for centre in _moved(_real_roots(deriv) + _real_roots(derivative_coeffs(deriv)), s, t):
+    for centre in _moved(_real_roots(derivative_coeffs(g)), s, t):
         _, dilation, _, h = _chart(values, centre)
         yield _moved(_real_roots(h), dilation, centre)
     yield [x for x in _real_roots(_chart(values, 0.0, 0, 0)[3]) if math.isfinite(x)]
@@ -531,8 +524,9 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     changes sign or vanishes within one ulp of it; a float form with more
     roots than D allows keeps its certified ones.  While a root is not
     certified, a close pair the chart does not resolve, f is located again
-    on the charts of ``_locations``, and a certified root of a relocation
-    with the right count takes its place.
+    on the charts of ``_locations``: a certified root of a relocation takes
+    the place of an uncertified one, the same by order if the count is
+    right, else the nearest (a real pair the float form made complex).
     No location with the right count: a root lies beyond the float range,
     and DomainError.
     """
@@ -551,20 +545,25 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
         return RootSet(tuple(roots), RootClassification.REPEATED_ROOT)
 
     want = 3 if disc > 0 else 1
-    roots, certified = [], []
+    roots, certified, lone = [], [], []
     for located in _locations(coeffs.as_tuple()):
         flags = [_certified(ints, x) for x in located]
         if len(located) > want:  # the float form made a complex pair real
             located = [x for x, ok in zip(located, flags) if ok]
             flags = [True] * len(located)
-        if len(located) != want:
-            continue
-        if not roots:
-            roots, certified = located, flags
-        for i, (x, ok) in enumerate(zip(located, flags)):
-            if ok and not certified[i]:
+        if len(located) == want:
+            if not roots:
+                roots, certified = located, flags
+            for i, (x, ok) in enumerate(zip(located, flags)):
+                if ok and not certified[i]:
+                    roots[i], certified[i] = x, True
+        else:  # or a real pair complex
+            lone += [x for x, ok in zip(located, flags) if ok]
+        for x in lone if roots else ():  # each in the place of the nearest root
+            i = min(range(want), key=lambda i: abs(roots[i] - x))
+            if not certified[i]:
                 roots[i], certified[i] = x, True
-        if all(certified):
+        if roots and all(certified):
             break
     if not roots:
         raise DomainError(f"fewer than {want} real roots located: one is beyond the float range")

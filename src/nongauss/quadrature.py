@@ -19,13 +19,13 @@ the float form where the exact D < 0 allows none is NoConvergence too.
 
 Every integral runs at unit root scale, on the one float form g(y) = 2^-e
 f(2^s y + t) of ``polynomial._chart``: a root cluster far from the origin,
-relative to its size, is centred on it, and the smallest nonzero root and
-the largest coefficient come to unit size.  F is translation invariant and
-changes by an exact factor under the other two, so f(2^j x) costs what f
-costs, and its value and error estimate are those of f times 2^-j, to the
-last bit.  g is rounded once from the exact integers at unit root scale,
-stripped once of leading coefficients that underflow (a root at infinity),
-and read as it is by the locator and the panels.
+relative to its size, is centred on its centroid, rounded once, and the
+smallest nonzero root and the largest coefficient come to unit size.  F is
+translation invariant and changes by an exact factor under the other two,
+so f(2^j x) costs what f costs, and its value and error estimate are those
+of f times 2^-j, to the last bit.  g is rounded once from the exact
+integers, stripped once of leading coefficients that underflow (a root at
+infinity), and read as it is by the locator and the panels.
 
 Each level's tanh-sinh node table is built once and shared by every panel
 of every call; ``QuadratureConfig.max_levels`` is 4..16, so the tables hold

@@ -197,19 +197,28 @@ def test_cubic_roots_far_below_the_largest(coeffs):
         assert mult == 1 and abs(root - r) <= 1e-12 * abs(r)
 
 
+def _cleared_or_rounded(cs, as_floats):
+    """Fraction coefficients cleared to integers, or each rounded to a float."""
+    if as_floats:
+        return [float(c) for c in cs]
+    den = math.lcm(*(c.denominator for c in cs))
+    return [int(c * den) for c in cs]
+
+
 def _within_ulps_of_sign_change(coeffs, x, ulps):
     """True if the exact cubic changes sign or vanishes among the floats
-    within ``ulps`` of x, evaluated in Fractions."""
+    within ``ulps`` of x, evaluated exactly in integers."""
     near = [x]
     for direction in (-math.inf, math.inf):
         y = x
         for _ in range(ulps):
             y = math.nextafter(y, direction)
             near.append(y)
-    exact = [Fraction(c) for c in coeffs]
+    ints = _cleared_or_rounded([Fraction(c) for c in coeffs], False)
     signs = []
     for y in sorted(v for v in near if math.isfinite(v)):
-        value = sum(c * Fraction(y) ** (3 - i) for i, c in enumerate(exact))
+        p, q = y.as_integer_ratio()  # the sign of q^3 f(p / q), q > 0
+        value = sum(c * p ** (3 - i) * q**i for i, c in enumerate(ints))
         signs.append((value > 0) - (value < 0))
     return 0 in signs or len(set(signs)) > 1
 
@@ -229,6 +238,71 @@ def test_cubic_roots_are_within_four_ulps_of_a_sign_change(e):
             assert _within_ulps_of_sign_change(coeffs, x, 4), (coeffs, x)
             checked += 1
     assert checked >= 200
+
+
+def _cubic_from(leading, real, u, v2):
+    """leading * (x - real) * ((x - u)^2 + v2), expanded in Fractions."""
+    p, q = -2 * u, u * u + v2
+    return [leading, leading * (p - real), leading * (q - real * p), -leading * real * q]
+
+
+def _within_ulps_of_the_roots(coeffs, xs, ulps):
+    """True if the sorted xs are each within ``ulps`` of the matching exact
+    real root, the real roots being the len(xs) roots nearest the real
+    axis (mpmath at 100 digits)."""
+    with mpmath.workdps(100):
+        zs = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=200, extraprec=200)
+        reals = sorted(float(z.real) for z in sorted(zs, key=lambda z: abs(z.imag))[: len(xs)])
+    return all(abs(x - r) <= ulps * math.ulp(r) for x, r in zip(sorted(xs), reals))
+
+
+def _assert_roots_certified(forms):
+    for coeffs in forms:
+        xs = [x for x, _ in cubic_roots(CubicCoeffs(*coeffs)).roots]  # DomainError fails the test
+        if not all(_within_ulps_of_sign_change(coeffs, x, 2) for x in xs):
+            # two roots between adjacent floats change no sign on the float grid
+            assert _within_ulps_of_the_roots(coeffs, xs, 2), (coeffs, xs)
+
+
+def test_cubic_roots_of_near_tangent_cubics():
+    # a (x - r)((x - s)^2 +- 10^-2k): a real pair s +- 10^-k, or a complex
+    # pair that far from the real axis, which the first chart does not
+    # resolve; the charts centred on the critical points do
+    rng = random.Random(83)
+    forms = []
+    for i in range(300):
+        leading = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        r, s = Fraction(rng.uniform(-20, 20)), Fraction(rng.uniform(-20, 20))
+        width = Fraction(rng.choice((-1, 1)), 10 ** (2 * rng.randint(1, 20)))
+        forms.append(_cleared_or_rounded(_cubic_from(leading, r, s, width), i % 2))
+    _assert_roots_certified(forms)
+
+
+def test_cubic_roots_of_near_triple_clusters():
+    # three roots within 10^-k of r: all real, or one real and a complex
+    # pair; the centroid chart brings the cluster to unit scale
+    rng = random.Random(89)
+    forms = []
+    for i in range(300):
+        leading = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        r, width = Fraction(rng.uniform(-20, 20)), Fraction(1, 10 ** rng.randint(2, 16))
+        real, u = (r + width * Fraction(rng.uniform(-1, 1)) for _ in range(2))
+        v = width * Fraction(rng.uniform(0.01, 1))
+        v2 = -v * v if i % 4 < 2 else v * v  # three real roots, or one
+        forms.append(_cleared_or_rounded(_cubic_from(leading, real, u, v2), i % 2))
+    _assert_roots_certified(forms)
+
+
+def test_cubic_roots_keep_a_certified_root_of_a_location_with_too_few():
+    # 7e14 (x + 5/7)((x + 10)^2 - 10^-14): the first chart makes the pair
+    # complex but has -5/7 to an ulp; the chart centred on the pair's
+    # critical point resolves the pair and has -5/7 9 ulps off
+    coeffs = (7 * 10**14, 145 * 10**14, 8 * 10**16 - 7, 5 * 10**16 - 5)
+    (low, _), (high, _), (alone, _) = cubic_roots(CubicCoeffs(*coeffs)).roots
+    assert (low, high) == (-10.0000001, -9.9999999)
+    assert abs(alone + 5 / 7) <= math.ulp(5 / 7)
+    for x in (low, high, alone):
+        assert _within_ulps_of_sign_change(coeffs, x, 1)
 
 
 def test_cubic_roots_whose_derivative_overflows_at_the_callers_scale():

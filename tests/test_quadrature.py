@@ -175,11 +175,21 @@ def test_clearance_warning_names_the_callers_line(route):
 
 def test_close_real_pair_is_flagged_by_the_band():
     # a real pair 1.3e-6 apart, just clear of the clearance warning: the
-    # value is 2.7e-7 off the closed form, about 5000 times the error
-    # estimate, and the |D| / scale^4 band is the only flag
+    # |D| / scale^4 band warns first, then the panel between the pair does
+    # not converge (once a value 2.7e-7 off, 5000 times its estimate)
     with pytest.warns(IllConditionedWarning, match=r"scale\^4") as caught:
-        integral_numeric(CubicCoeffs(1.0, -1.3499153687516232, 0.5823706707342634, -0.08136095369013266))
+        with pytest.raises(NoConvergence):
+            integral_numeric(CubicCoeffs(1.0, -1.3499153687516232, 0.5823706707342634, -0.08136095369013266))
     assert all(w.filename == __file__ for w in caught)
+    # the band is the only flag on this status-ok value, 2e-9 off the closed
+    # form where its error estimate is about 1e-11
+    coeffs = CubicCoeffs(1.33514404296875e-05, 5.525945723005751e-05, 7.82875389059157e-06, -0.00011891701876319992)
+    with pytest.warns(IllConditionedWarning, match=r"scale\^4") as caught:
+        result = integral_numeric(coeffs)
+    assert all(w.filename == __file__ for w in caught)
+    closed = closed_form_integral(coeffs).value
+    assert 1e-9 < abs(result.value - closed) / closed < 1e-8
+    assert result.error_estimate < 1e-10 * closed
 
 
 @pytest.mark.parametrize(
@@ -374,21 +384,20 @@ def test_gaussian_quadrature_discriminant_is_the_callers_exact_d():
 
 def _gaussian_forms(rng, count):
     """``count`` exact forms a((x - r)^2 + s^2), a, r and s^2 drawn over wide
-    magnitudes, with r^2 < 10^16 s^2: a 24-bit centre leaves the residual
-    shift within about 6 s, so double precision resolves the pair r +- i s."""
+    magnitudes."""
     forms = []
-    while len(forms) < count:
+    for _ in range(count):
         a = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         r = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 99)) * 10 ** rng.randint(0, 12)
         s2 = Fraction(rng.randint(1, 99), rng.randint(1, 99)) * Fraction(10) ** rng.randint(-6, 6)
-        if r * r < 10**16 * s2:
-            forms.append((a, -2 * a * r, a * (r * r + s2)))
+        forms.append((a, -2 * a * r, a * (r * r + s2)))
     return forms
 
 
 def test_gaussian_quadrature_integrates_the_callers_exact_coefficients():
     # rounding the exact coefficients to floats before the exact centring
-    # shift lost s^2 next to r^2: 101 of these 150 came back wrong, status ok
+    # shift lost s^2 next to r^2, and a centre rounded to 24 bits left a
+    # residual shift that lost it too: 62 of these 150 ended in NoConvergence
     for a, b, c in _gaussian_forms(random.Random(2027), 150):
         closed = gaussian_analogue(a, b, c)
         assert gaussian_integral_numeric(a, b, c).value == pytest.approx(closed, rel=1e-8)
@@ -400,13 +409,29 @@ def test_gaussian_quadrature_reproducers():
     assert abs(gaussian_integral_numeric(a, b, c).value - 2.443460952792061) <= 1e-12
     # (x - 10^8)^2 + 1: its float form was (x - 10^8)^2, a double root
     assert abs(gaussian_integral_numeric(1, -2 * 10**8, 10**16 + 1).value - math.pi) <= 1e-12
+    # (x - 10^20)^2 + 1: a 24-bit centre left the float form two real roots
+    assert abs(gaussian_integral_numeric(1, -2 * 10**20, 10**40 + 1).value - math.pi) <= 1e-12
 
 
 def test_gaussian_real_root_of_the_float_form_is_unresolved_not_divergent():
-    # (x - 10^20)^2 + 1 has no real root, but the float form of its centred
-    # image has two: once 5.7e-12 with status ok, where the value is pi
+    # (x - 10^25)^2 + 1 has no real root, but the float form of its centred
+    # image has two: 10^25 is not a float, so the centre misses it by about
+    # 9e8, and the pair's width 1 is lost in rounding.  Once 5.7e-12 with
+    # status ok (at 10^20), where the value is pi
     with pytest.raises(NoConvergence, match="exact discriminant rules out"):
-        gaussian_integral_numeric(1, -2 * 10**20, 10**40 + 1)
+        gaussian_integral_numeric(1, -2 * 10**25, 10**50 + 1)
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_far_cubic_cluster_matches_the_closed_form(k):
+    # roots 10^k and 10^k +- i: a 24-bit centre left the cluster a close
+    # pair at unit scale, 2.3e-9 off with status ok (k = 12) or NoConvergence
+    coeffs = CubicCoeffs(1, -3 * 10**k, 3 * 10 ** (2 * k) + 1, -(10 ** (3 * k)) - 10**k)
+    closed = closed_form_integral(coeffs).value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)  # the |D| / scale^4 band
+        value = integral_numeric(coeffs).value
+    assert abs(value - closed) <= 1e-13 * closed
 
 
 @pytest.mark.parametrize(
