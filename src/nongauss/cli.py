@@ -44,7 +44,7 @@ commands:
   beta-check                             Gamma/Beta identity residuals
 
 coefficients accept decimals or exact "p/q" rationals; rational input keeps
-exact arithmetic end to end.  Add --plain for a human-readable table.
+exact arithmetic end to end, next to decimals too.  Add --plain for a readable table.
 """
 
 

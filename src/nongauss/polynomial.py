@@ -1,10 +1,11 @@
 """Dense polynomials, cubic coefficient quadruples, and the one real-root locator.
 
 Coefficients are stored leading-first: ``(a0, a1, ..., an)`` represents
-``a0*x**n + a1*x**(n-1) + ... + an``.  Every object supports dual arithmetic:
-it is *exact* when all coefficients are ``int``/``Fraction`` and floating
-otherwise, chosen per call site rather than globally.  All operations are
-pure functions of immutable values and safe to call concurrently.
+``a0*x**n + a1*x**(n-1) + ... + an``.  Each coefficient is kept as given,
+``int``, ``Fraction`` or float, next to any of the others: exact code reads
+them through ``integer_coefficients`` without loss, and ``_chart`` is the
+only code that rounds them.  All operations are pure functions of immutable
+values and safe to call concurrently.
 
 ``_subresultant`` is the one exact remainder sequence: on the integers of
 ``integer_coefficients`` it gives R(f, f') for ``discriminant`` and every
@@ -174,7 +175,9 @@ def _squarefree(f: "Polynomial", c: Optional[list]) -> list:
 
 
 class Polynomial:
-    """Immutable dense polynomial with leading-first coefficients."""
+    """Immutable dense polynomial with leading-first coefficients, each kept
+    as given (int, Fraction or float), leading zeros dropped; ``exact`` when
+    every one is an int or Fraction."""
 
     __slots__ = ("coeffs", "exact")
 
@@ -186,8 +189,6 @@ class Polynomial:
         if not cs:
             cs = [0]
         exact = all(is_exact_number(c) for c in cs)
-        if not exact:
-            cs = float_coefficients(cs)
         while len(cs) > 1 and cs[0] == 0:
             cs.pop(0)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -211,12 +212,11 @@ class Polynomial:
     def taylor_shift(self, t: Number) -> "Polynomial":
         """Return q with q(y) = p(y + t), by repeated synthetic division.
 
-        Exact when both the polynomial and ``t`` are exact.
+        Exact when both the polynomial and ``t`` are exact.  Otherwise an
+        exact operand is rounded where it meets a float: all-exact or
+        all-float coefficients give the bits of rounding every value first.
         """
         cs = list(self.coeffs)
-        if not is_exact_number(t) or not self.exact:
-            cs = [float(c) for c in cs]
-            t = float(t)
         n = len(cs) - 1
         for i in range(n):
             for j in range(1, n + 1 - i):
@@ -267,7 +267,8 @@ class CubicCoeffs:
         return all(is_exact_number(v) for v in self.as_tuple())
 
     def as_polynomial(self) -> Polynomial:
-        """Drop leading zeros, so a = 0 inputs come out as true quadratics."""
+        """The coefficients as given, leading zeros dropped, so a = 0 inputs
+        come out as true quadratics."""
         return Polynomial(self.as_tuple())
 
 
@@ -380,10 +381,10 @@ def _quadratic_roots(a: float, b: float, c: float) -> list:
     return sorted(roots)
 
 
-def _stripped(cs: Sequence[Number]) -> list:
-    """Coefficients without their leading zeros: in a float form, each one
-    that underflowed to 0.0 is a root beyond the float range.  The form
-    ``_real_roots`` reads."""
+def _stripped(cs: Sequence[float]) -> list:
+    """A chart's float form without its leading zeros, each one a coefficient
+    that underflowed (a root beyond the float range): the form ``_real_roots``
+    reads.  Only ``_chart`` strips."""
     return list(itertools.dropwhile(lambda c: c == 0.0, cs))
 
 

@@ -63,9 +63,6 @@ from .polynomial import (
     _moved,
     _real_roots,
     _squarefree,
-    _stripped,
-    float_coefficients,
-    integer_coefficients,
     squarefree_factors,
 )
 from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _checked_gaussian
@@ -451,22 +448,23 @@ def integral_numeric(
 
     Independent of the closed form: the value comes entirely from panel
     quadrature.  D = 0 and a = b = 0 raise DivergentIntegral; |D| below
-    1e-3 * scale**4 is computed but flagged IllConditioned.
+    1e-3 * scale**4, scale the largest |coefficient|, is computed but flagged
+    IllConditioned, decided exactly on the coefficients as given.
     """
     cfg = config or QuadratureConfig()
     disc = _checked_discriminant(coeffs)
-    # |D| < band * scale^4 in integers: band = band_int / den, scale = scale_int / den
-    scale = max(map(abs, float_coefficients(coeffs.as_tuple())))
-    (band_int, scale_int), den = integer_coefficients((_DISCRIMINANT_CONDITION_BAND, scale))
-    d_num, d_den = abs(disc.value.numerator), disc.value.denominator
-    if d_num * den**5 < band_int * scale_int**4 * d_den:
+    # |D| < band * scale^4, each side an exact ratio of integers, cross-multiplied
+    d_num, d_den = abs(disc.value).as_integer_ratio()
+    band_num, band_den = _DISCRIMINANT_CONDITION_BAND.as_integer_ratio()
+    s_num, s_den = max(map(abs, coeffs.as_tuple())).as_integer_ratio()
+    if d_num * band_den * s_den**4 < band_num * s_num**4 * d_den:
         warnings.warn(
-            f"|D| / scale^4 = {d_num * den**4 / (scale_int**4 * d_den):.3e} is below "
+            f"|D| / scale^4 = {d_num * s_den**4 / (s_num**4 * d_den):.3e} is below "
             f"{_DISCRIMINANT_CONDITION_BAND}; singularities nearly coalesce",
             IllConditionedWarning,
             stacklevel=2,
         )
-    value, error = _integrate_at_unit_scale(_stripped(coeffs.as_tuple()), 3, cfg)
+    value, error = _integrate_at_unit_scale(coeffs.as_polynomial().coeffs, 3, cfg)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from term_tables import discriminant_quartic_explicit
+
 import nongauss
 from nongauss.cli import run, _CHECK_AGREEMENT_BOUND
 
@@ -55,6 +57,13 @@ def test_disc_rational_input_stays_exact(capsys):
     assert code == 0
     # D(a, 0, c, 0) = -4ac^3 = 4/81
     assert Fraction(record["result"]["D"]) == Fraction(4, 81)
+
+
+def test_disc_rational_input_stays_exact_next_to_a_decimal(capsys):
+    code, record = invoke(capsys, "disc", "1/3", "0.5", "1", "1", "1")
+    assert code == 0
+    assert record["result"]["D"] == "895/432"
+    assert discriminant_quartic_explicit([Fraction(1, 3), Fraction(1, 2), 1, 1, 1]) == Fraction(895, 432)
 
 
 def test_disc_quartic_and_quintic(capsys):

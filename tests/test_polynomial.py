@@ -93,6 +93,27 @@ def test_taylor_shift_factored_cubic():
         assert cubic.taylor_shift(alpha) == expected
 
 
+def test_coefficients_are_kept_as_given():
+    # a float next to an exact value rounds neither; only zeros are dropped in front
+    p = Polynomial([1, 0.5])
+    assert type(p.coeffs[0]) is int and not p.exact
+    assert Polynomial([Fraction(1, 10**400), 1.0]).degree == 1
+    assert Polynomial([0, 0.0, 2, 1.0]).coeffs == (2, 1.0)
+
+
+def test_taylor_shift_by_a_float_rounds_as_the_float_form_does():
+    # exact coefficients meet a float shift with the bits of rounding them first
+    rng = random.Random(11)
+    for _ in range(200):
+        exact = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(rng.randint(2, 8))]
+        exact[0] = exact[0] or Fraction(1, 3)
+        t = rng.uniform(-4.0, 4.0)
+        shifted = Polynomial(exact).taylor_shift(t).coeffs
+        rounded = Polynomial([float(c) for c in exact]).taylor_shift(t).coeffs
+        assert shifted[0] == exact[0]
+        assert [c.hex() for c in shifted[1:]] == [c.hex() for c in rounded[1:]]
+
+
 def test_taylor_shift_identity():
     p = Polynomial([2, -1, 3])
     assert p.taylor_shift(0) == p

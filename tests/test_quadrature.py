@@ -26,6 +26,7 @@ from nongauss import (
     beta,
     closed_form_integral,
     decompose,
+    discriminant_general,
     gaussian_analogue,
     gaussian_integral_numeric,
     integral_numeric,
@@ -939,8 +940,65 @@ def test_gaussian_numeric_beyond_the_float_range_is_a_domain_error(a, b, c):
 
 
 def test_cubic_numeric_with_a_coefficient_beyond_the_float_range_is_a_domain_error():
-    with pytest.raises(DomainError):
-        integral_numeric(CubicCoeffs(10**400, 0, 0, 1))
+    # 10^-2000 (x^3 + 1): F is 10^(2000/3) F(x^3 + 1), beyond the float range
+    tiny = Fraction(1, 10**2000)
+    with pytest.raises(DomainError, match="the integral lies beyond the float range"):
+        integral_numeric(CubicCoeffs(tiny, 0, 0, tiny))
+
+
+@pytest.mark.filterwarnings("ignore::nongauss.IllConditionedWarning")
+def test_cubic_numeric_with_a_leading_coefficient_beyond_the_float_range():
+    # 10^400 x^3 + 1 has its roots near 10^-133: the chart brings them to unit size
+    cubic = CubicCoeffs(10**400, 0, 0, 1)
+    closed = closed_form_integral(cubic).value
+    assert abs(integral_numeric(cubic).value - closed) <= 1e-13 * closed
+
+
+def test_exact_coefficients_beyond_the_float_range_next_to_a_float():
+    # 10^-400 x^5 + x^4 + 1: the root near -10^400 is beyond the float range,
+    # its power 2/5 integrable, so F is that of x^4 + 1 at n = 5, 1/2 B(1/4, 3/20)
+    quintic = integral_numeric_general(Polynomial([Fraction(1, 10**400), 1, 0, 0, 0, 1.0]))
+    assert abs(quintic.value - 0.5 * beta(0.25, 0.15)) <= 1e-13 * quintic.value
+    # 10^400 x^4 + 1 = g(10^100 x), g = x^4 + 1: F is 10^-100 * 1/2 B(1/4, 1/4)
+    mixed = integral_numeric_general(Polynomial([10**400, 0, 0, 0, 1.0])).value
+    assert mixed == integral_numeric_general(Polynomial([10**400, 0, 0, 0, 1])).value
+    assert abs(mixed - 0.5e-100 * beta(0.25, 0.25)) <= 1e-13 * mixed
+
+
+def _reported(call, *args):
+    """repr of call(*args) and of its warnings, or the error it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(call(*args))
+        except NonGaussError as exc:
+            result = f"{type(exc).__name__}: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+def test_results_do_not_depend_on_how_a_coefficient_is_written():
+    # floats next to one or two non-dyadic Fractions, against the same values
+    # all as Fractions: F and its panels depend only on the exact values, so
+    # values, error estimates, D and panels agree to the last bit
+    rng = random.Random(19)
+    for n in range(3, 9):
+        for _ in range(4):
+            mixed = [1.0] + [rng.uniform(-2.0, 2.0) for _ in range(n)]
+            for i in rng.sample(range(n + 1), rng.randint(1, 2)):
+                mixed[i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((3, 5, 7, 10)))
+            exact = [Fraction(c) for c in mixed]
+            for call, args in (
+                (integral_numeric_general, ()),
+                (discriminant_general, ()),
+                (decompose, (n,)),
+            ):
+                assert _reported(call, Polynomial(mixed), *args) == _reported(
+                    call, Polynomial(exact), *args
+                ), (call.__name__, mixed)
+            if n == 3:
+                assert _reported(integral_numeric, CubicCoeffs(*mixed)) == _reported(
+                    integral_numeric, CubicCoeffs(*exact)
+                ), mixed
 
 
 def test_roots_that_coalesce_only_in_floats_are_unresolved_not_divergent():
