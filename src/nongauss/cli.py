@@ -35,9 +35,8 @@ usage: nongauss <command> [options]
 
 commands:
   disc <coeffs...> [--degree n]          exact discriminant (any degree >= 2)
-  integral <a b c d> [--numeric] [--check] [--rel-tol t] [--max-levels m]
+  integral <a b c d> [--numeric] [--check] [--rel-tol t]
   integral --degree n <coeffs...>        numeric integral for degree n >= 3
-      --max-levels m                     tanh-sinh levels, 4..16 (default 12)
   gauss <a b c>                          closed form of 1/(a x^2 + b x + c)
   expect <a b c d> [--fd-check] [--step h]
   verify <a b c d> [--step h]            coefficient-identity residuals
@@ -71,12 +70,6 @@ def _build_parser() -> _Parser:
     integral.add_argument("--check", action="store_true")
     integral.add_argument("--degree", type=int, default=None)
     integral.add_argument("--rel-tol", type=float, default=QuadratureConfig.rel_tol)
-    integral.add_argument(
-        "--max-levels",
-        type=int,
-        default=QuadratureConfig.max_levels,
-        help="tanh-sinh levels per panel, 4..16",
-    )
 
     gauss = sub.add_parser("gauss")
     gauss.add_argument("coeffs", nargs=3)
@@ -155,7 +148,7 @@ def _run_disc(args) -> dict:
 def _run_integral(args) -> dict:
     if args.degree is not None and args.check:
         raise UsageError("--check compares with the cubic closed form; it does not take --degree")
-    cfg = QuadratureConfig(rel_tol=args.rel_tol, max_levels=args.max_levels)
+    cfg = QuadratureConfig(rel_tol=args.rel_tol)
     if args.degree is not None:
         values = _parse_coeffs(args.coeffs)
         _checked_degree(args.degree, values)

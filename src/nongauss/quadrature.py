@@ -15,7 +15,8 @@ Yun's square-free decomposition of f's integers are those of multiplicity k.
 So a close complex pair is never taken for a double real root; distinct
 roots that land on one float raise NoConvergence, and a root with 2k >= n
 raises RepeatedRootDivergence (at infinity, k = n - deg f).  A real root of
-the float form where the exact D < 0 allows none is NoConvergence too.
+the float form where the exact D < 0 allows none is NoConvergence too, and
+so is one at infinity that stripped leading coefficients leave it.
 
 Every integral runs at unit root scale, on the one float form g(y) = 2^-e
 f(2^s y + t) of ``polynomial._chart``: a root cluster far from the origin,
@@ -27,14 +28,14 @@ of f times 2^-j, to the last bit.  g is rounded once from the exact
 integers, stripped once of leading coefficients that underflow (a root at
 infinity), and read as it is by the locator and the panels.
 
-Each level's tanh-sinh node table is built once and shared by every panel
-of every call; ``QuadratureConfig.max_levels`` is 4..16, so the tables hold
-at most about 0.4M nodes.  An endpoint root of multiplicity m contributes
-(hs * (1 -+ tanh z))**(-2m/n) at each node: its hs power is applied once per
-panel, and the weight times the (1 -+ tanh z) powers is a column cached per
-(level, near power, far power), at most 128 of them, least recently used
-out first: 13 MB at most at the default 12 levels, 0.2 GB at 16.  Panels are
-independent and pure, so callers may evaluate them concurrently and sum.
+Each panel doubles its tanh-sinh levels up to the fixed 12, whose node
+tables (25,239 nodes) are built once and shared by every panel of every
+call.  An endpoint root of multiplicity m contributes (hs * (1 -+ tanh
+z))**(-2m/n) at each node: its hs power is applied once per panel, and the
+weight times the (1 -+ tanh z) powers is a column of at most 12,620 doubles
+cached per (level, near power, far power), at most 256 of them, least
+recently used out first: 25 MB at most.  Panels are independent and pure,
+so callers may evaluate them concurrently and sum.
 """
 
 from __future__ import annotations
@@ -72,11 +73,10 @@ _HALF_PI = math.pi / 2.0
 _DISCRIMINANT_CONDITION_BAND = 1e-3
 # adjacent roots a < b closer than this times max(1, |a|, |b|), in x, are flagged
 _SINGULARITY_CLEARANCE = 1e-6
-# Levels 0..16 of cached node tables hold about 0.4M nodes (10 MB); each
-# further level would double that.
-_MAX_LEVELS = 16
+# tanh-sinh levels per panel after level 0, each halving the node spacing
+_LEVELS = 12
 # endpoint-factor columns kept by _endpoint_column, each one level long
-_COLUMN_CACHE_SIZE = 128
+_COLUMN_CACHE_SIZE = 256
 _GRADE_RATIO = 16.0  # ratio of consecutive cut distances in _graded
 _GRADE_REACH = 4.0  # _graded cuts while a panel reaches this far beyond the cut
 _CUT_CLEARANCE = 2.0**-40  # least cut distance, relative to the point cut toward
@@ -85,15 +85,10 @@ _CUT_CLEARANCE = 2.0**-40  # least cut distance, relative to the point cut towar
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
-    max_levels: int = 12
 
     def __post_init__(self):
         if not 0 < self.rel_tol < math.inf:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if not (type(self.max_levels) is int and 4 <= self.max_levels <= _MAX_LEVELS):
-            raise DomainError(
-                f"max_levels must be an int in 4..{_MAX_LEVELS}, got {self.max_levels!r}"
-            )
 
 
 class Panel(NamedTuple):
@@ -172,11 +167,6 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     n = family_degree if family_degree is not None else max(3, f.degree)
     if not (type(n) is int and n >= f.degree):  # not a bool either
         raise DomainError(f"family_degree must be an int >= deg f = {f.degree}, got {n!r}")
-    if 2 * (n - f.degree) >= n:
-        raise RepeatedRootDivergence(
-            f"the root at infinity has multiplicity {n - f.degree}; "
-            f"|x|**(-{2 * f.degree}/{n}) is not integrable there"
-        )
     return _unit_scale_layout(f.coeffs, n, squarefree_factors(f), 3)[-1]
 
 
@@ -188,11 +178,18 @@ def _unit_scale_layout(
     (``units`` names y): g's degree, root at infinity and reversal come from it.
     ``factors`` is ``squarefree_factors(f)``, or None when the exact D != 0:
     the simple roots of a square-free f are located on g, else those of each
-    f_k, moved as g is, are its roots of multiplicity k.  A root with 2k >= n
-    raises RepeatedRootDivergence (NoConvergence when D != 0: the float form
-    is at fault), distinct roots on one float NoConvergence.  The
+    f_k, moved as g is, are its roots of multiplicity k.  A root with 2k >= n,
+    at infinity k = n - deg f, raises RepeatedRootDivergence, and
+    NoConvergence where only g has it (a real root where D != 0, or at
+    infinity k = n - deg g), as do distinct roots on one float.  The
     close-roots warning goes to the frame ``stacklevel`` up, the public
     function's caller."""
+    degree = len(values) - 1
+    if 2 * (n - degree) >= n:
+        raise RepeatedRootDivergence(
+            f"the root at infinity has multiplicity {n - degree}; "
+            f"|x|**(-{2 * degree}/{n}) is not integrable there"
+        )
     t, s, e, g = _chart(values)
     shift = f"(x {'-' if t > 0 else '+'} {abs(t)!r})" if t else "x"
     units = f" (in y = {shift} / 2^{s})" if s else f" (in y = {shift})" if t else ""
@@ -212,6 +209,13 @@ def _unit_scale_layout(
         raise RepeatedRootDivergence(
             f"root {root}{units} has multiplicity {k}; "
             f"|x - r|**(-{2 * k}/{n}) is not integrable"
+        )
+    origin = n - (len(g) - 1)
+    if 2 * origin >= n:
+        raise NoConvergence(
+            f"the float form has a root of multiplicity {origin} at infinity{units}: "
+            "leading coefficients beyond the float range were stripped, and double "
+            "precision does not resolve the integral"
         )
     gaps = [b - a for (a, _), (b, _) in zip(roots, roots[1:])]
     if 0.0 in gaps:
@@ -233,7 +237,6 @@ def _unit_scale_layout(
     # Arcs between the roots, u = 0 when deg g < n (a root of multiplicity
     # n - deg g), and y = 2 (-2) unless a root in [1, 4] ([-4, -1]) stands in
     # its place: each has |y| >= 1 on it (in u = 1/y) or lies in [-4, 4] (in y).
-    origin = n - (len(g) - 1)
     cuts = [(y, 0) for y in (-2.0, 2.0) if not any(0.5 <= r / y <= 2.0 for r, _ in roots)]
     marks = sorted(roots + cuts + [(math.inf, origin)] * (origin > 0))
     in_y = [r for r, _ in roots]
@@ -259,8 +262,8 @@ def _node_table(h: float, only_odd: bool) -> tuple:
     scales its sums by hs once (see ``_endpoint_column``).  The table ends
     before the first node whose 1 - tanh z underflows to zero (t ~ 6.16),
     since that node is zero on every panel; the weight is at least
-    1 - tanh z, so it is not zero first.  Built on first use; about 25k
-    nodes for levels 0-12 and 0.4M for 0-16, held as ``array('d')`` columns.
+    1 - tanh z, so it is not zero first.  Built on first use; 25,239 nodes
+    for levels 0-12, held as ``array('d')`` columns.
     """
     one_minus, one_plus, weights = array("d"), array("d"), array("d")
     tail_start = 0
@@ -358,7 +361,7 @@ def _panel_value(
     node_sum = _HALF_PI * abs(v) ** p
     nodes = 1
     h, only_odd = 1.0, False
-    for level in range(cfg.max_levels + 1):
+    for level in range(_LEVELS + 1):
         one_minus, _, _, tail_start = _node_table(h, only_odd)
         total = 0.0
         # A node lies hs * (1 - tanh z) from its own side's endpoint: x =
@@ -423,7 +426,7 @@ def _integrate_at_unit_scale(
         if not converged:
             raise NoConvergence(
                 f"panel [{lo}, {hi}] of {'u = 1/y' if reciprocal else 'y'}{units} did not reach "
-                f"rel_tol={cfg.rel_tol} within {cfg.max_levels} levels (last delta {error:.3e})"
+                f"rel_tol={cfg.rel_tol} within {_LEVELS} levels (last delta {error:.3e})"
             )
         total += value
         total_error += error

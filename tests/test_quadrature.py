@@ -1,5 +1,6 @@
 """Panel decomposition and tanh-sinh evaluation of the singular integrals."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -323,10 +324,10 @@ def test_extreme_coefficient_scale(k):
     assert abs(quartic.value - oracle) <= 1e-9 * oracle
 
 
-def test_no_convergence_when_tolerance_unreachable():
-    cfg = QuadratureConfig(rel_tol=1e-30, max_levels=4)
-    with pytest.raises(NoConvergence):
-        integral_numeric(CubicCoeffs(1.0, 2.0, 3.0, 5.0), cfg)
+def test_no_convergence_when_tolerance_unreachable(monkeypatch):
+    monkeypatch.setattr(quadrature, "_LEVELS", 4)
+    with pytest.raises(NoConvergence, match="within 4 levels"):
+        integral_numeric(CubicCoeffs(1.0, 2.0, 3.0, 5.0), QuadratureConfig(rel_tol=1e-30))
 
 
 def test_general_quartic_beta_oracle():
@@ -489,6 +490,37 @@ def test_subnormal_cubic_is_right_or_unresolved():
     assert value == pytest.approx(closed_form_integral(cubic).value, rel=1e-9)
 
 
+def test_subnormal_roots_next_to_unit_coefficients_are_right_or_unresolved():
+    # the s = 0 subnormal fallback of the chart leaves the float form zero at
+    # a panel node; F = 6.187162374611548 from the closed form
+    cubic = CubicCoeffs(-1e-310, 2, Fraction(1, 10**400), Fraction(1, 3))
+    closed = closed_form_integral(cubic).value
+    assert closed == pytest.approx(6.187162374611548, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        try:
+            value = integral_numeric(cubic).value
+        except (NoConvergence, SingularPoint):
+            return
+    assert value == pytest.approx(closed, rel=1e-9)
+
+
+def test_float_form_whose_root_at_infinity_diverges_fails_before_any_panel(monkeypatch):
+    # the two leading coefficients, e^2 = 10^-800, put two roots beyond the
+    # float range; stripped, they leave the float form of degree 2 with a
+    # double root at infinity, |u|^-1 for n = 4, while the exact f has none
+    calls = []
+    panel_value = quadrature._panel_value
+    monkeypatch.setattr(
+        quadrature, "_panel_value", lambda *args: calls.append(args) or panel_value(*args)
+    )
+    e = Fraction(1, 10**400)
+    f = Polynomial([e * e, -3 * e * e, 2 * e * e - 1, 3, -2])
+    with pytest.raises(NoConvergence, match="multiplicity 2 at infinity"):
+        integral_numeric_general(f)
+    assert calls == []
+
+
 @pytest.mark.parametrize("coeffs", [(Fraction(1, 10**400), 1, 0, -1), (1e-300, 1e300, 1, -1)])
 def test_cubic_leading_coefficient_that_underflows_is_a_root_at_infinity(coeffs):
     # the leading coefficient of the unit-scale form underflows to 0.0: its
@@ -525,18 +557,8 @@ def test_gaussian_domain_is_decided_exactly(a, b, c):
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_levels=3)
-    # the node tables of levels 0..16 hold about 0.4M nodes; 17 would double it
-    assert QuadratureConfig(max_levels=16).max_levels == 16
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_levels=17)
-
-
-@pytest.mark.parametrize("max_levels", [5.5, True, 8.0])
-def test_config_max_levels_is_an_int(max_levels):
-    with pytest.raises(DomainError, match="max_levels"):
-        QuadratureConfig(max_levels=max_levels)
+    # the level cap is fixed, not an option
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["rel_tol"]
 
 
 @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -1e-10])
@@ -578,12 +600,13 @@ def test_node_table_matches_direct_formula(level):
 
 def test_node_tables_are_built_once_and_stay_small():
     assert quadrature._node_table(0.25, True) is quadrature._node_table(0.25, True)
-    levels = range(QuadratureConfig().max_levels + 1)
-    assert sum(len(quadrature._node_table(*_level_key(L))[2]) for L in levels) <= 26_000
+    levels = range(quadrature._LEVELS + 1)
+    assert sum(len(quadrature._node_table(*_level_key(L))[2]) for L in levels) == 25_239
 
 
 def test_endpoint_columns_are_built_once_and_stay_bounded():
     column = quadrature._endpoint_column
+    column.cache_clear()
     key = (0.25, True, -2.0 / 3.0, 0.0)
     column(*key)
     built = column.cache_info().misses
@@ -599,12 +622,13 @@ def test_endpoint_columns_are_built_once_and_stay_bounded():
             integral_numeric_general(from_roots(roots))
             if n >= 5:
                 integral_numeric_general(from_roots(roots[1:] + roots[:1]))
+    # every column of the mix is built once and kept
     info = column.cache_info()
     assert info.maxsize == quadrature._COLUMN_CACHE_SIZE
-    assert info.currsize <= info.maxsize < info.misses
+    assert info.misses == info.currsize <= info.maxsize
 
 
-def test_endpoint_column_ends_where_a_power_overflows():
+def test_endpoint_column_ends_where_a_power_overflows(monkeypatch):
     # 1 - tanh z reaches the subnormals; its power -22/23 (degree 23, a
     # root of multiplicity 11) overflows there and the column stops short
     one_minus, one_plus, weights, _ = quadrature._node_table(2.0**-12, True)
@@ -614,9 +638,9 @@ def test_endpoint_column_ends_where_a_power_overflows():
     assert all(0.0 <= v < math.inf for v in column)
     assert len(quadrature._endpoint_column(2.0**-12, True, -20.0 / 21.0, 0.0)) == len(weights)
     # so a panel next to that root walks to level 8 without an OverflowError
+    monkeypatch.setattr(quadrature, "_LEVELS", 8)
     x11_x_plus_1 = [1.0, 1.0] + [0.0] * 11
-    cfg = QuadratureConfig(rel_tol=1e-17, max_levels=8)
-    args = (x11_x_plus_1, 2.0 / 23.0, 0.0, 0.5, 11, 0, cfg)
+    args = (x11_x_plus_1, 2.0 / 23.0, 0.0, 0.5, 11, 0, QuadratureConfig(rel_tol=1e-17))
     value, error, converged, _ = quadrature._panel_value(*args)
     assert 0.0 < value < math.inf and error < 1e-12 * value and not converged
 
@@ -672,7 +696,7 @@ def _direct_tanh_sinh_panel(fn, lo, hi, p_lo, p_hi, cfg):
     previous = value = node_sum
     error = math.inf
     h = 1.0
-    for _ in range(cfg.max_levels):
+    for _ in range(quadrature._LEVELS):
         h *= 0.5
         node_sum += side_sum(h, True)
         value = h * node_sum
@@ -716,13 +740,13 @@ def _direct_panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
     ],
 )
 @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1e-300), (2.0, 2.0 + 2.0**-40), (-3e5, 7.0)])
-def test_tanh_sinh_panel_walks_the_direct_nodes(integrand_at, lo, hi):
+def test_tanh_sinh_panel_walks_the_direct_nodes(integrand_at, lo, hi, monkeypatch):
     # the same value, error, convergence and number of evaluated nodes as the
     # direct rule; an early stop among negligible terms would show only in
     # the count
-    cfg = QuadratureConfig(max_levels=8)
+    monkeypatch.setattr(quadrature, "_LEVELS", 8)
     coeffs, family_degree, m_lo = integrand_at(lo)
-    args = (coeffs, 2.0 / family_degree, lo, hi, m_lo, 0, cfg)
+    args = (coeffs, 2.0 / family_degree, lo, hi, m_lo, 0, QuadratureConfig())
     assert quadrature._panel_value(*args) == _direct_panel_value(*args)
 
 
