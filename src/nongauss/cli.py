@@ -35,10 +35,10 @@ usage: nongauss <command> [options]
 
 commands:
   disc <coeffs...> [--degree n]          exact discriminant (any degree >= 2)
-  integral <a b c d> [--numeric] [--check] [--rel-tol t]
-  integral --degree n <coeffs...>        numeric integral for degree n >= 3
+  integral <a b c d> [(--numeric | --check) [--rel-tol t]]
+  integral --degree n <coeffs...> [--rel-tol t]  numeric integral, degree n >= 3
   gauss <a b c>                          closed form of 1/(a x^2 + b x + c)
-  expect <a b c d> [--fd-check] [--step h]
+  expect <a b c d> [--fd-check [--step h]]
   verify <a b c d> [--step h]            coefficient-identity residuals
   beta-check                             Gamma/Beta identity residuals
 
@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     integral.add_argument("--numeric", action="store_true")
     integral.add_argument("--check", action="store_true")
     integral.add_argument("--degree", type=int, default=None)
-    integral.add_argument("--rel-tol", type=float, default=QuadratureConfig.rel_tol)
+    integral.add_argument("--rel-tol", type=float, default=None)
 
     gauss = sub.add_parser("gauss")
     gauss.add_argument("coeffs", nargs=3)
@@ -148,7 +148,9 @@ def _run_disc(args) -> dict:
 def _run_integral(args) -> dict:
     if args.degree is not None and args.check:
         raise UsageError("--check compares with the cubic closed form; it does not take --degree")
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
+    cfg = QuadratureConfig() if args.rel_tol is None else QuadratureConfig(rel_tol=args.rel_tol)
+    if args.rel_tol is not None and not (args.numeric or args.check or args.degree is not None):
+        raise UsageError("--rel-tol is the quadrature's; it needs --numeric, --check or --degree")
     if args.degree is not None:
         values = _parse_coeffs(args.coeffs)
         _checked_degree(args.degree, values)
@@ -180,6 +182,8 @@ def _run_gauss(args) -> dict:
 
 
 def _run_expect(args) -> dict:
+    if args.step is not None and not args.fd_check:
+        raise UsageError("--step is the finite-difference step of --fd-check; it needs --fd-check")
     names = ("x3", "x2y", "xy2", "y3")
     cubic = _cubic_from(args.coeffs)
     moments = expectations(cubic)

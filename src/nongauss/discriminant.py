@@ -13,8 +13,9 @@ sequence on those integers, ``polynomial._subresultant``, the one kernel
 that also gives Yun's square-free split its gcds: integer
 pseudo-remainders, each divided exactly by a known factor, in O(n^2)
 big-integer steps where elimination on the Sylvester matrix takes O(n^3).
-The den powers are divided out once at the end.  Cubics use the explicit
-five-term expansion instead.
+The den powers are divided out once at the end.  ``discriminant_from_coeffs``
+takes quadratics as b^2 - 4ac and cubics as the explicit five-term expansion
+instead.
 """
 
 from __future__ import annotations
@@ -133,12 +134,16 @@ def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:
 def discriminant_from_coeffs(values: Sequence[Number]) -> DiscriminantResult:
     """Discriminant of the degree len(values) - 1 form with these coefficients.
 
-    Cubics use the explicit expansion, other degrees the subresultant PRS.
-    A leading zero keeps the declared degree through D_n(0, a1, ..., an) =
-    a1^2 * D_{n-1}(a1, ..., an), the rule the cubic expansion follows at
+    Quadratics use b^2 - 4ac and cubics the five-term expansion, exactly on
+    the integers of ``integer_coefficients``; other degrees the subresultant
+    PRS.  A leading zero keeps the declared degree through D_n(0, a1, ...,
+    an) = a1^2 * D_{n-1}(a1, ..., an), the rule both expansions follow at
     a = 0.
     """
     n = len(values) - 1
+    if n == 2:
+        (a, b, c), den = integer_coefficients(values)
+        return DiscriminantResult.from_value(Fraction(b * b - 4 * a * c, den * den))
     if n == 3:
         return DiscriminantResult.from_value(cubic_discriminant_exact(*values))
     if n > 3 and values[0] == 0:

@@ -15,11 +15,12 @@ gcd of Yun's ``squarefree_factors``.
 quadratic formula at degree 2, formed on mantissas so that it neither
 overflows nor underflows, and above that bracketed Newton steps between the
 recursively located critical points.  ``_chart`` is the only code that
-builds the float forms it reads: the centre and each coefficient are
-rounded once from the exact integers, at unit root scale.  The quadrature
-and ``cubic_roots`` both locate on such charts; ``cubic_roots`` takes the
-number of real roots from the sign of the exact discriminant and relocates
-a close pair on a chart centred on its critical point.
+builds the float forms it reads, each a ``Chart`` whose ``in_x`` maps its
+roots back to x: the centre and each coefficient are rounded once from the
+exact integers, at unit root scale.  The quadrature and ``cubic_roots``
+both locate on such charts; ``cubic_roots`` takes the number of real roots
+from the sign of the exact discriminant and relocates a close pair on a
+chart centred on its critical point.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DegenerateLeadingCoefficient, DomainError, NotARoot
 
@@ -96,6 +97,15 @@ def derivative_coeffs(coeffs: Sequence[Number]) -> list:
     """Power-rule derivative of leading-first ``coeffs``."""
     n = len(coeffs) - 1
     return [(n - i) * c for i, c in enumerate(coeffs[:-1])]
+
+
+def _synthetic_quotient(coeffs: Sequence[Number], root: Number) -> list:
+    """The quotient of leading-first ``coeffs`` by (x - root), the remainder
+    dropped: synthetic division, each step c + root * q."""
+    out = [coeffs[0]]
+    for c in coeffs[1:-1]:
+        out.append(c + root * out[-1])
+    return out
 
 
 def _primitive(cs: Sequence[int]) -> list:
@@ -417,11 +427,39 @@ def _real_roots(cs: Sequence[float]) -> list:
     return sorted(found)
 
 
-def _chart(values: Sequence[Number], t=None, s=None, e=None) -> tuple:
-    """(t, s, e, g): the float form g(y) = 2^-e f(2^s y + t) of the polynomial
+class Chart(NamedTuple):
+    """The float form g(y) = 2^-e f(2^s y + t) that ``_chart`` builds, and its map to x."""
+
+    t: float
+    s: int
+    e: int
+    g: list
+
+    @property
+    def units(self) -> str:
+        """What y is in x, for messages: " (in y = (x - t) / 2^s)", or "" for y = x."""
+        shift = f"(x {'-' if self.t > 0 else '+'} {abs(self.t)!r})" if self.t else "x"
+        scale = f" / 2^{self.s}" if self.s else ""
+        return f" (in y = {shift}{scale})" if self.s or self.t else ""
+
+    def in_x(self, ys: Iterable[float]) -> list:
+        """x = 2^s y + t for each y of the chart, those beyond the float range dropped."""
+        xs = []
+        for y in ys:
+            try:
+                x = math.ldexp(y, self.s) + self.t
+            except OverflowError:
+                continue
+            if math.isfinite(x):
+                xs.append(x)
+        return xs
+
+
+def _chart(values: Sequence[Number], t=None, s=None, e=None) -> Chart:
+    """The ``Chart`` (t, s, e, g), g(y) = 2^-e f(2^s y + t), of the polynomial
     f with coefficients ``values`` (leading first and nonzero; exact or
-    float), each rounded once from f's exact integers, ``_stripped`` of a
-    leading one that underflows (a root beyond the float range).  Unless
+    float): each coefficient of g is rounded once from f's exact integers,
+    and g is ``_stripped`` of a leading one that underflows.  Unless
     given, the float t is the root centroid -a1 / (n a0), rounded once from
     f's exact integers, if that lowers ``fujiwara_exponent`` by 2 or more (a
     4x smaller root bound), else 0.0; the int s is minus
@@ -465,20 +503,7 @@ def _chart(values: Sequence[Number], t=None, s=None, e=None) -> tuple:
         g = [(c << x) / den if x >= 0 else c / (den << -x) for c, x in zip(ints, powers)]
     except OverflowError:
         raise DomainError("a coefficient lies beyond the float range") from None
-    return t or 0.0, s, e, _stripped(g)
-
-
-def _moved(ys: Iterable[float], s: int, t: float) -> list:
-    """x = 2^s y + t for each y of a chart, those beyond the float range dropped."""
-    xs = []
-    for y in ys:
-        try:
-            x = math.ldexp(y, s) + t
-        except OverflowError:
-            continue
-        if math.isfinite(x):
-            xs.append(x)
-    return xs
+    return Chart(t or 0.0, s, e, _stripped(g))
 
 
 def _sign_at(ints: Sequence[int], x: float) -> int:
@@ -500,20 +525,6 @@ def _certified(ints: Sequence[int], x: float) -> bool:
     return 0 in signs or len(set(signs)) > 1
 
 
-def _locations(values: Sequence[Number]):
-    """Real roots of the cubic with coefficients ``values``, moved back to x,
-    those beyond the float range dropped: on ``_chart(values)``, whose exact
-    centroid resolves a near-triple cluster, on the charts centred on its
-    critical points, for a close pair beside a far root, and last at the
-    caller's scale, which keeps what no dilation keeps normal."""
-    t, s, _, g = _chart(values)
-    yield _moved(_real_roots(g), s, t)
-    for centre in _moved(_real_roots(derivative_coeffs(g)), s, t):
-        _, dilation, _, h = _chart(values, centre)
-        yield _moved(_real_roots(h), dilation, centre)
-    yield [x for x in _real_roots(_chart(values, 0.0, 0, 0)[3]) if math.isfinite(x)]
-
-
 def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     """All real roots of a true cubic (a != 0), sorted, with multiplicities.
 
@@ -521,15 +532,15 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     roots of Yun's factor f_k (``squarefree_factors``; linear for a cubic)
     have multiplicity k, each rounded once from exact integers.  For D != 0
     there are 3 real roots (D > 0) or 1 (D < 0).  The locator runs on f's
-    chart at unit root scale, and a root is certified when the exact f
-    changes sign or vanishes within one ulp of it; a float form with more
-    roots than D allows keeps its certified ones.  While a root is not
-    certified, a close pair the chart does not resolve, f is located again
-    on the charts of ``_locations``: a certified root of a relocation takes
-    the place of an uncertified one, the same by order if the count is
-    right, else the nearest (a real pair the float form made complex).
-    No location with the right count: a root lies beyond the float range,
-    and DomainError.
+    chart at unit root scale, and a root is certified when the exact f changes
+    sign or vanishes within one ulp of it; a float form with more roots than D
+    allows keeps its certified ones.  While a root is not certified, f is
+    located again on one chart centred on each critical point of the first (a
+    close pair beside a far root), then at the caller's scale: a certified
+    root of a relocation takes the place of an uncertified one, the same by
+    order if the count is right, else the nearest (a real pair the float form
+    made complex).  No location with the right count: a root lies beyond the
+    float range, and DomainError.
     """
     if coeffs.a == 0:
         raise DegenerateLeadingCoefficient(
@@ -547,7 +558,10 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
 
     want = 3 if disc > 0 else 1
     roots, certified, lone = [], [], []
-    for located in _locations(coeffs.as_tuple()):
+    places = [()]  # _chart's arguments after the coefficients: each chart is built on reaching it
+    for place in places:
+        chart = _chart(coeffs.as_tuple(), *place)
+        located = chart.in_x(_real_roots(chart.g))
         flags = [_certified(ints, x) for x in located]
         if len(located) > want:  # the float form made a complex pair real
             located = [x for x, ok in zip(located, flags) if ok]
@@ -566,6 +580,9 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
                 roots[i], certified[i] = x, True
         if roots and all(certified):
             break
+        if not place:  # the first chart: then one on each critical point, then the caller's scale
+            places += [(x,) for x in chart.in_x(_real_roots(derivative_coeffs(chart.g)))]
+            places.append((0.0, 0, 0))
     if not roots:
         raise DomainError(f"fewer than {want} real roots located: one is beyond the float range")
     if disc < 0:
@@ -588,7 +605,7 @@ def factor_out_root(coeffs: CubicCoeffs, alpha: Number) -> CubicFactorization:
         residual = horner((a, b, c, d), alpha)
         if residual != 0:
             raise NotARoot(f"f({alpha}) = {residual} != 0 in exact mode")
-        return CubicFactorization(alpha, b + a * alpha, c + (b + a * alpha) * alpha)
+        return CubicFactorization(alpha, *_synthetic_quotient((a, b, c, d), alpha)[1:])
 
     af, bf, cf, df, alpha_f = float_coefficients((a, b, c, d, alpha))
     residual = horner((af, bf, cf, df), alpha_f)
@@ -598,6 +615,4 @@ def factor_out_root(coeffs: CubicCoeffs, alpha: Number) -> CubicFactorization:
     tol = _ROOT_RESIDUAL_FACTOR * size
     if abs(residual) > tol:
         raise NotARoot(f"|f({alpha_f})| = {abs(residual):.3e} exceeds tolerance {tol:.3e}")
-    k = bf + af * alpha_f
-    l = cf + k * alpha_f
-    return CubicFactorization(alpha_f, k, l)
+    return CubicFactorization(alpha_f, *_synthetic_quotient((af, bf, cf, df), alpha_f)[1:])

@@ -58,12 +58,13 @@ from .errors import (
     SingularPoint,
 )
 from .polynomial import (
+    Chart,
     CubicCoeffs,
     Polynomial,
     _chart,
-    _moved,
     _real_roots,
     _squarefree,
+    _synthetic_quotient,
     squarefree_factors,
 )
 from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _checked_gaussian
@@ -105,13 +106,6 @@ class Panel(NamedTuple):
 class PanelDecomposition:
     breakpoints: tuple
     panels: tuple
-
-
-def _synthetic_quotient(coeffs: Sequence[float], root: float) -> list:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + root * out[-1])
-    return out
 
 
 def _complex_reach(g: list, roots: list) -> float:
@@ -167,15 +161,15 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     n = family_degree if family_degree is not None else max(3, f.degree)
     if not (type(n) is int and n >= f.degree):  # not a bool either
         raise DomainError(f"family_degree must be an int >= deg f = {f.degree}, got {n!r}")
-    return _unit_scale_layout(f.coeffs, n, squarefree_factors(f), 3)[-1]
+    return _unit_scale_layout(f.coeffs, n, squarefree_factors(f), 3)[1]
 
 
 def _unit_scale_layout(
     values: Sequence, n: int, factors: Optional[list], stacklevel: int
-) -> tuple:
-    """(g, s, e, units, panels) of the integral of |f|**(-2/n) at unit root
-    scale, (t, s, e, g) = ``_chart(values)`` for f's coefficients ``values``
-    (``units`` names y): g's degree, root at infinity and reversal come from it.
+) -> Tuple[Chart, PanelDecomposition]:
+    """(chart, panels) of the integral of |f|**(-2/n) at unit root scale, on
+    chart = ``_chart(values)`` for f's coefficients ``values``: the degree,
+    root at infinity and reversal of its float form g come from it.
     ``factors`` is ``squarefree_factors(f)``, or None when the exact D != 0:
     the simple roots of a square-free f are located on g, else those of each
     f_k, moved as g is, are its roots of multiplicity k.  A root with 2k >= n,
@@ -190,12 +184,10 @@ def _unit_scale_layout(
             f"the root at infinity has multiplicity {n - degree}; "
             f"|x|**(-{2 * degree}/{n}) is not integrable there"
         )
-    t, s, e, g = _chart(values)
-    shift = f"(x {'-' if t > 0 else '+'} {abs(t)!r})" if t else "x"
-    units = f" (in y = {shift} / 2^{s})" if s else f" (in y = {shift})" if t else ""
-
+    chart = _chart(values)
+    g = chart.g
     located = [(g, 1)] if factors is None or [k for _, k in factors] == [1] else [
-        (_chart(p.coeffs, t, s)[3], k) for p, k in factors
+        (_chart(p.coeffs, chart.t, chart.s).g, k) for p, k in factors
     ]
     roots = sorted((r, k) for coeffs, k in located for r in _real_roots(coeffs))
     for root, k in roots:
@@ -203,28 +195,28 @@ def _unit_scale_layout(
             continue
         if factors is None:  # every root simple, so n = 2, where the exact D < 0
             raise NoConvergence(
-                f"the float form has a real root at {root}{units}, which the exact "
+                f"the float form has a real root at {root}{chart.units}, which the exact "
                 "discriminant rules out: double precision does not resolve the integral"
             )
         raise RepeatedRootDivergence(
-            f"root {root}{units} has multiplicity {k}; "
+            f"root {root}{chart.units} has multiplicity {k}; "
             f"|x - r|**(-{2 * k}/{n}) is not integrable"
         )
     origin = n - (len(g) - 1)
     if 2 * origin >= n:
         raise NoConvergence(
-            f"the float form has a root of multiplicity {origin} at infinity{units}: "
+            f"the float form has a root of multiplicity {origin} at infinity{chart.units}: "
             "leading coefficients beyond the float range were stripped, and double "
             "precision does not resolve the integral"
         )
     gaps = [b - a for (a, _), (b, _) in zip(roots, roots[1:])]
     if 0.0 in gaps:
         raise NoConvergence(
-            f"roots within rounding of each other at {roots[gaps.index(0.0)][0]}{units}: "
+            f"roots within rounding of each other at {roots[gaps.index(0.0)][0]}{chart.units}: "
             "the exact discriminant is nonzero on the square-free part, so they are distinct "
             "and the integral is finite, but double precision does not resolve it"
         )
-    in_x = _moved([r for r, _ in roots], s, t)
+    in_x = chart.in_x([r for r, _ in roots])
     pairs = zip(in_x, in_x[1:])
     close = [b - a for a, b in pairs if b - a < _SINGULARITY_CLEARANCE * max(1.0, abs(a), abs(b))]
     if close:
@@ -248,7 +240,7 @@ def _unit_scale_layout(
             panels += _graded(Panel(1.0 / hi, 1.0 / lo, m_hi, m_lo, reciprocal=True), in_u, reach)
         else:
             panels += _graded(Panel(lo, hi, m_lo, m_hi), in_y, 0.0)
-    return g, s, e, units, PanelDecomposition(tuple(in_y), tuple(panels))
+    return chart, PanelDecomposition(tuple(in_y), tuple(panels))
 
 
 @functools.cache
@@ -415,33 +407,33 @@ def _integrate_at_unit_scale(
     ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A panel in u =
     1/y is integrated on the degree-n reversal u^n g(1/u)."""
     # the frames up to the caller: layout, this function, the public integral
-    g, s, e, units, layout = _unit_scale_layout(values, family_degree, factors, 4)
+    chart, layout = _unit_scale_layout(values, family_degree, factors, 4)
     exponent = 2.0 / family_degree
-    reversal = g[::-1] + [0.0] * (family_degree + 1 - len(g))
+    reversal = chart.g[::-1] + [0.0] * (family_degree + 1 - len(chart.g))
     total = 0.0
     total_error = 0.0
     for lo, hi, m_lo, m_hi, reciprocal in layout.panels:
-        coeffs = reversal if reciprocal else g
+        coeffs = reversal if reciprocal else chart.g
         value, error, converged, _ = _panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
         if not converged:
             raise NoConvergence(
-                f"panel [{lo}, {hi}] of {'u = 1/y' if reciprocal else 'y'}{units} did not reach "
-                f"rel_tol={cfg.rel_tol} within {_LEVELS} levels (last delta {error:.3e})"
+                f"panel [{lo}, {hi}] of {'u = 1/y' if reciprocal else 'y'}{chart.units} did not "
+                f"reach rel_tol={cfg.rel_tol} within {_LEVELS} levels (last delta {error:.3e})"
             )
         total += value
         total_error += error
     # 2^(-2e/n) = 2^(r/n) * 2^q: only the fractional power rounds
-    q, r = divmod(-2 * e, family_degree)
+    q, r = divmod(-2 * chart.e, family_degree)
     rescale = 2.0 ** (r / family_degree)
     try:
-        value = math.ldexp(total * rescale, q + s)
+        value = math.ldexp(total * rescale, q + chart.s)
     except OverflowError:
         value = math.inf
     if not 0.0 < value < math.inf:
         raise DomainError(
-            f"the integral lies beyond the float range (2^{q + s} * {total * rescale!r})"
+            f"the integral lies beyond the float range (2^{q + chart.s} * {total * rescale!r})"
         )
-    return value, math.ldexp(total_error * rescale, q + s)
+    return value, math.ldexp(total_error * rescale, q + chart.s)
 
 
 def integral_numeric(

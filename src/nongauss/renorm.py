@@ -9,6 +9,17 @@ positive and c_minus / (-D)**(1/6) when it is negative.  D = 0 means a
 repeated real root and a divergent integral, as does a = b = 0 (the tail
 |c*x + d|^(-2/3) is not integrable even though the D expression is finite).
 
+F is also the paper's two-dimensional integral.  For a binary form f(x, y)
+of degree n, with F = integral over R of |f(x, 1)|^(-2/n) dx,
+
+    integral over R^2 of exp(-|f(x, y)|) dx dy = (2/n) * Gamma(2/n) * F
+
+by polar coordinates: the radial integral is Gamma(2/n) / (n |f(cos t,
+sin t)|^(2/n)), and x = cot t turns the angle over [0, pi), which [0, 2 pi)
+covers twice, into F.  At n = 2 this is the Gaussian 2 pi / sqrt(4ac - b^2)
+of ``gaussian_analogue``; at n = 3 it is (2/3) Gamma(2/3) C+- / |D|^(1/6),
+the real-category form of Morozov and Shakirov's 1 / (-D)^(1/6).
+
 The four renormalized moments are minus the log-derivatives of F with
 respect to the coefficients; they reduce to rational expressions in
 (a, b, c, d, D) and are verified here against central finite differences.

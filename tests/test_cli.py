@@ -266,6 +266,36 @@ def test_integral_check_with_degree_is_usage_error(capsys):
     assert "--check" in captured.err and "usage: nongauss" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["expect", "1", "2", "3", "5", "--step", "1e-2"], "--step"),
+        (["integral", "1", "2", "3", "5", "--rel-tol", "1e-9"], "--rel-tol"),
+        (["integral", "1", "0", "-1", "0", "--plain", "--rel-tol", "1e-3"], "--rel-tol"),
+    ],
+)
+def test_option_the_route_ignores_is_usage_error(capsys, argv, option):
+    # each was dropped without a word: the closed form reads no tolerance, and
+    # expectations without --fd-check take no step
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert option in captured.err and "usage: nongauss" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expect", "1", "2", "3", "5", "--fd-check", "--step", "1e-3"],
+        ["integral", "1", "2", "3", "5", "--check", "--rel-tol", "1e-9"],
+        ["integral", "--degree", "4", "1", "0", "0", "0", "1", "--rel-tol", "1e-9"],
+    ],
+)
+def test_option_the_route_reads_is_accepted(capsys, argv):
+    assert run(argv) == 0
+    assert strict_json(capsys.readouterr().out)["status"] == "ok"
+
+
 def test_module_entry_point_runs():
     # python -m nongauss.cli goes through main(), which exits with run()'s code
     src = str(Path(nongauss.__file__).resolve().parents[1])
@@ -285,7 +315,8 @@ def test_disc_general_rejects_zero_leading(capsys):
 
 
 @pytest.mark.parametrize(
-    "coeffs,expected", [(("0", "1", "0", "0", "1"), "-27"), (("0", "0", "1", "1", "1"), "0")]
+    "coeffs,expected",
+    [(("0", "1", "0", "0", "1"), "-27"), (("0", "0", "1", "1", "1"), "0"), (("0", "1", "2"), "1")],
 )
 def test_disc_leading_zero_keeps_degree(capsys, coeffs, expected):
     code, record = invoke(capsys, "disc", *coeffs)

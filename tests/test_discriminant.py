@@ -247,6 +247,9 @@ def test_discriminant_dispatch_by_declared_degree():
     assert discriminant_from_coeffs([0, 1, 0, 0, 1]).value == -27
     assert discriminant_from_coeffs([0, 0, 1, 1, 1]).sign is Sign.ZERO
     assert discriminant_from_coeffs([Fraction(1, 2), 0, 1]).value == -2
+    # D_2(0, b, c) = b^2 * D_1 = b^2, which b^2 - 4ac gives at a = 0
+    assert discriminant_from_coeffs([0, 1, 2]).value == 1
+    assert discriminant_from_coeffs([0, 0, 1]).value == 0
 
 
 def test_monic_rational_root_construction():

@@ -652,6 +652,18 @@ def test_panel_too_narrow_for_its_endpoint_powers_is_a_domain_error():
         quadrature._panel_value([1.0, -2e-316, 0.0], 0.99, 0.0, 2e-316, 1, 1, cfg)
 
 
+def test_zero_width_panel_is_worth_nothing():
+    cfg = QuadratureConfig()
+    assert quadrature._panel_value([1.0, 0.0, 1.0], 1.0, 0.5, 0.5, 0, 0, cfg) == (0.0, 0.0, True, 0)
+
+
+def test_zero_at_the_panel_midpoint_is_a_singular_point():
+    # x on [-1, 1]: the zero is the midpoint, which is evaluated before any level
+    cfg = QuadratureConfig()
+    with pytest.raises(SingularPoint, match="unexpected interior zero at 0.0"):
+        quadrature._panel_value([1.0, 0.0], 1.0, -1.0, 1.0, 0, 0, cfg)
+
+
 def _direct_tanh_sinh_panel(fn, lo, hi, p_lo, p_hi, cfg):
     """Reference: the level-doubling rule for fn(x) * (x - lo)**p_lo *
     (hi - x)**p_hi, evaluating every node per panel.  A node at distances
