@@ -138,9 +138,11 @@ def discriminant_from_coeffs(values: Sequence[Number]) -> DiscriminantResult:
     the integers of ``integer_coefficients``; other degrees the subresultant
     PRS.  A leading zero keeps the declared degree through D_n(0, a1, ...,
     an) = a1^2 * D_{n-1}(a1, ..., an), the rule both expansions follow at
-    a = 0.
+    a = 0.  A declared degree below 2 raises DegreeTooLow.
     """
     n = len(values) - 1
+    if n < 2:
+        raise DegreeTooLow(f"need degree >= 2, got {n}")
     if n == 2:
         (a, b, c), den = integer_coefficients(values)
         return DiscriminantResult.from_value(Fraction(b * b - 4 * a * c, den * den))

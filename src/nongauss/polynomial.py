@@ -536,10 +536,11 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     sign or vanishes within one ulp of it; a float form with more roots than D
     allows keeps its certified ones.  While a root is not certified, f is
     located again on one chart centred on each critical point of the first (a
-    close pair beside a far root), then at the caller's scale: a certified
-    root of a relocation takes the place of an uncertified one, the same by
-    order if the count is right, else the nearest (a real pair the float form
-    made complex).  No location with the right count: a root lies beyond the
+    close pair beside a far root), then at the caller's scale unless a
+    coefficient is beyond the float range there: a certified root of a
+    relocation takes the place of an uncertified one, the same by order if
+    the count is right, else the nearest (a real pair the float form made
+    complex).  No location with the right count: a root lies beyond the
     float range, and DomainError.
     """
     if coeffs.a == 0:
@@ -560,7 +561,10 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
     roots, certified, lone = [], [], []
     places = [()]  # _chart's arguments after the coefficients: each chart is built on reaching it
     for place in places:
-        chart = _chart(coeffs.as_tuple(), *place)
+        try:
+            chart = _chart(coeffs.as_tuple(), *place)
+        except DomainError:  # the caller's scale, where a coefficient is beyond the float range
+            continue
         located = chart.in_x(_real_roots(chart.g))
         flags = [_certified(ints, x) for x in located]
         if len(located) > want:  # the float form made a complex pair real

@@ -9,14 +9,14 @@ Tanh-sinh quadrature absorbs the |x - r|**(-2k/n) endpoint singularities
 divided out and their factors rebuilt from the exact endpoint distances of
 the transform, so no node loses accuracy to cancellation next to a root.
 
-Root multiplicities are exact, never read from floats: with the exact
-discriminant D != 0 every root is simple; with D = 0, the roots of f_k from
-Yun's square-free decomposition of f's integers are those of multiplicity k.
-So a close complex pair is never taken for a double real root; distinct
-roots that land on one float raise NoConvergence, and a root with 2k >= n
-raises RepeatedRootDivergence (at infinity, k = n - deg f).  A real root of
-the float form where the exact D < 0 allows none is NoConvergence too, and
-so is one at infinity that stripped leading coefficients leave it.
+Root multiplicities are exact, never read from floats, and decided once, by
+``_unit_scale_layout`` from the exact D each route passes it: with D != 0
+every root is simple; with D = 0, the roots of f_k from Yun's square-free
+decomposition of f's integers are those of multiplicity k.  So a close
+complex pair is never taken for a double real root; distinct roots on one
+float raise NoConvergence, and a root with 2k >= n RepeatedRootDivergence
+(at infinity, k = n - deg f), or NoConvergence if D < 0 rules it out (so
+n = 2), as does a root at infinity that only the float form has.
 
 Every integral runs at unit root scale, on the one float form g(y) = 2^-e
 f(2^s y + t) of ``polynomial._chart``: a root cluster far from the origin,
@@ -65,7 +65,6 @@ from .polynomial import (
     _real_roots,
     _squarefree,
     _synthetic_quotient,
-    squarefree_factors,
 )
 from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _checked_gaussian
 
@@ -153,31 +152,29 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     """The panels on which the quadrature evaluates the integral over R of
     |f|**(-2/n), n = ``family_degree`` (default max(3, deg f)), and the real
     roots as breakpoints, in y of ``_unit_scale_layout`` (u = 1/y for a
-    ``reciprocal`` panel); root multiplicities come from Yun's factors.  n is
-    an int >= deg f, and u^n f(1/u) has a root of multiplicity n - deg f at
-    u = 0, the root at infinity, which diverges like any other root."""
-    if f.degree < 2:
-        raise DegreeTooLow(f"need degree >= 2, got {f.degree}")
+    ``reciprocal`` panel), whose root multiplicities come from f's exact D.
+    n is an int >= deg f, and u^n f(1/u) has a root of multiplicity n - deg f
+    at u = 0, the root at infinity, which diverges like any other root."""
+    disc, gcd = _discriminant_and_gcd(f)
     n = family_degree if family_degree is not None else max(3, f.degree)
     if not (type(n) is int and n >= f.degree):  # not a bool either
         raise DomainError(f"family_degree must be an int >= deg f = {f.degree}, got {n!r}")
-    return _unit_scale_layout(f.coeffs, n, squarefree_factors(f), 3)[1]
+    return _unit_scale_layout(f.coeffs, n, disc.value, 3, gcd)[1]
 
 
 def _unit_scale_layout(
-    values: Sequence, n: int, factors: Optional[list], stacklevel: int
+    values: Sequence, n: int, disc: Fraction, stacklevel: int, gcd: Optional[list] = None
 ) -> Tuple[Chart, PanelDecomposition]:
     """(chart, panels) of the integral of |f|**(-2/n) at unit root scale, on
     chart = ``_chart(values)`` for f's coefficients ``values``: the degree,
-    root at infinity and reversal of its float form g come from it.
-    ``factors`` is ``squarefree_factors(f)``, or None when the exact D != 0:
-    the simple roots of a square-free f are located on g, else those of each
-    f_k, moved as g is, are its roots of multiplicity k.  A root with 2k >= n,
-    at infinity k = n - deg f, raises RepeatedRootDivergence, and
-    NoConvergence where only g has it (a real root where D != 0, or at
-    infinity k = n - deg g), as do distinct roots on one float.  The
-    close-roots warning goes to the frame ``stacklevel`` up, the public
-    function's caller."""
+    root at infinity and reversal of its float form g come from it.  With
+    f's exact D ``disc`` != 0 every root is simple, located on g; with D = 0
+    the roots of each f_k of ``_squarefree(f, gcd)``, moved as g is, are its
+    roots of multiplicity k.  A root with 2k >= n, at infinity k = n - deg f,
+    raises RepeatedRootDivergence; where D < 0 (so n = 2) it is NoConvergence,
+    a real root only g has, as are a root at infinity only g has (k = n -
+    deg g) and distinct roots on one float.  The close-roots warning goes to
+    the frame ``stacklevel`` up, the public function's caller."""
     degree = len(values) - 1
     if 2 * (n - degree) >= n:
         raise RepeatedRootDivergence(
@@ -186,14 +183,14 @@ def _unit_scale_layout(
         )
     chart = _chart(values)
     g = chart.g
-    located = [(g, 1)] if factors is None or [k for _, k in factors] == [1] else [
-        (_chart(p.coeffs, chart.t, chart.s).g, k) for p, k in factors
+    located = [(g, 1)] if disc else [
+        (_chart(p.coeffs, chart.t, chart.s).g, k) for p, k in _squarefree(Polynomial(values), gcd)
     ]
     roots = sorted((r, k) for coeffs, k in located for r in _real_roots(coeffs))
     for root, k in roots:
         if 2 * k < n:
             continue
-        if factors is None:  # every root simple, so n = 2, where the exact D < 0
+        if disc < 0:  # every root simple, so n = 2, and no real root
             raise NoConvergence(
                 f"the float form has a real root at {root}{chart.units}, which the exact "
                 "discriminant rules out: double precision does not resolve the integral"
@@ -400,16 +397,16 @@ def _panel_value(
 
 
 def _integrate_at_unit_scale(
-    values: Sequence, family_degree: int, cfg: QuadratureConfig, factors: Optional[list] = None
+    values: Sequence, n: int, cfg: QuadratureConfig, disc: Fraction, gcd: Optional[list] = None
 ) -> Tuple[float, float]:
     """(value, error estimate) of integral over R of |f|**(-2/n), f with the
-    caller's exact coefficients ``values``, summed over the panels of
-    ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A panel in u =
-    1/y is integrated on the degree-n reversal u^n g(1/u)."""
+    caller's exact coefficients ``values`` and exact D ``disc``, summed over
+    the panels of ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A
+    panel in u = 1/y is integrated on the degree-n reversal u^n g(1/u)."""
     # the frames up to the caller: layout, this function, the public integral
-    chart, layout = _unit_scale_layout(values, family_degree, factors, 4)
-    exponent = 2.0 / family_degree
-    reversal = chart.g[::-1] + [0.0] * (family_degree + 1 - len(chart.g))
+    chart, layout = _unit_scale_layout(values, n, disc, 4, gcd)
+    exponent = 2.0 / n
+    reversal = chart.g[::-1] + [0.0] * (n + 1 - len(chart.g))
     total = 0.0
     total_error = 0.0
     for lo, hi, m_lo, m_hi, reciprocal in layout.panels:
@@ -423,8 +420,8 @@ def _integrate_at_unit_scale(
         total += value
         total_error += error
     # 2^(-2e/n) = 2^(r/n) * 2^q: only the fractional power rounds
-    q, r = divmod(-2 * chart.e, family_degree)
-    rescale = 2.0 ** (r / family_degree)
+    q, r = divmod(-2 * chart.e, n)
+    rescale = 2.0 ** (r / n)
     try:
         value = math.ldexp(total * rescale, q + chart.s)
     except OverflowError:
@@ -459,7 +456,7 @@ def integral_numeric(
             IllConditionedWarning,
             stacklevel=2,
         )
-    value, error = _integrate_at_unit_scale(coeffs.as_polynomial().coeffs, 3, cfg)
+    value, error = _integrate_at_unit_scale(coeffs.as_polynomial().coeffs, 3, cfg, disc.value)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
@@ -474,8 +471,7 @@ def integral_numeric_general(
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
     disc, gcd = _discriminant_and_gcd(f)
-    factors = None if disc.value else _squarefree(f, gcd)
-    value, error = _integrate_at_unit_scale(f.coeffs, f.degree, cfg, factors)
+    value, error = _integrate_at_unit_scale(f.coeffs, f.degree, cfg, disc.value, gcd)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
@@ -491,6 +487,6 @@ def gaussian_integral_numeric(
     """
     cfg = config or QuadratureConfig()
     den, n = _checked_gaussian(a, b, c)
-    value, error = _integrate_at_unit_scale((a, b, c), 2, cfg)
     disc = DiscriminantResult.from_value(Fraction(-n, den * den))
+    value, error = _integrate_at_unit_scale((a, b, c), 2, cfg, disc.value)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

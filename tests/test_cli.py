@@ -324,6 +324,14 @@ def test_disc_leading_zero_keeps_degree(capsys, coeffs, expected):
     assert record["result"]["D"] == expected
 
 
+@pytest.mark.parametrize("coeffs, declared", [(("0", "1"), 1), (("5",), 0)])
+def test_disc_degree_too_low_names_the_declared_degree(capsys, coeffs, declared):
+    code, record = invoke(capsys, "disc", *coeffs)
+    assert code == 2
+    assert record["error_kind"] == "DegreeTooLow"
+    assert record["result"]["message"] == f"need degree >= 2, got {declared}"
+
+
 def test_warnings_are_captured(capsys):
     # roots at 0, 1e-2, 1 sit in the flagged |D| band
     code, record = invoke(

@@ -252,6 +252,13 @@ def test_discriminant_dispatch_by_declared_degree():
     assert discriminant_from_coeffs([0, 0, 1]).value == 0
 
 
+@pytest.mark.parametrize("values, declared", [([0, 1], 1), ([0, 0], 1), ([5], 0)])
+def test_degree_too_low_names_the_declared_degree(values, declared):
+    # leading zeros are dropped only after the declared degree is checked
+    with pytest.raises(DegreeTooLow, match=f"got {declared}$"):
+        discriminant_from_coeffs(values)
+
+
 def test_monic_rational_root_construction():
     rng = random.Random(53)
     for _ in range(300):

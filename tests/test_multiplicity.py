@@ -20,8 +20,11 @@ from nongauss import (
     IllConditionedWarning,
     NoConvergence,
     Polynomial,
+    RepeatedRootDivergence,
     closed_form_integral,
+    decompose,
     discriminant_general,
+    gaussian_integral_numeric,
     integral_numeric,
     integral_numeric_general,
 )
@@ -193,6 +196,35 @@ def test_double_root_runs_the_remainder_sequence_of_f_and_f_prime_once(monkeypat
     assert calls == [(6, 5), (5, 4), (2, 0)]
     assert result.discriminant.value == 0 and used == [factors]
     assert factors == [(Polynomial([1, 0, 1, 0]), 1), (Polynomial([1, -1]), 2)]
+
+
+def test_decompose_takes_its_verdict_from_the_sign_of_d():
+    # (x - 10^25)^2 + 1 at n = 2: D = -4 allows no real root, but the float
+    # form has one, so the integral (pi) is unresolved, as the Gaussian route
+    # says; once decompose called it a divergent simple root
+    f = Polynomial([1, -2 * 10**25, 10**50 + 1])
+    with pytest.raises(NoConvergence) as caught:
+        gaussian_integral_numeric(*f.coeffs)
+    with pytest.raises(NoConvergence) as decomposed:
+        decompose(f, 2)
+    assert str(decomposed.value) == str(caught.value)
+    # x^2 - 1 at n = 2: D = 4, two real roots, each |x - r|^-1
+    with pytest.raises(RepeatedRootDivergence, match="multiplicity 1"):
+        decompose(Polynomial([1, 0, -1]), 2)
+
+
+@pytest.mark.parametrize(
+    "coeffs, calls",
+    [([1, 2, 3, 5], 0), ([1, 0, 0, 0, -1], 0), ([1, -2, 2, -2, 1, 0], 1), ([1, 0, 2, 0, 1], 1)],
+)
+def test_decompose_splits_square_free_factors_only_where_d_is_zero(coeffs, calls, monkeypatch):
+    # D != 0 makes every root simple; (x - 1)^2 x (x^2 + 1) and (x^2 + 1)^2 have D = 0
+    used, split = [], polynomial._squarefree
+    for module in (polynomial, quadrature):  # a call through squarefree_factors counts too
+        monkeypatch.setattr(module, "_squarefree", lambda f, c: used.append(f) or split(f, c))
+    layout = decompose(Polynomial(coeffs), len(coeffs) - 1)
+    assert len(used) == calls
+    assert layout.panels
 
 
 def test_dilated_path_has_no_false_double_root():

@@ -372,6 +372,24 @@ def test_cubic_roots_leading_coefficient_that_underflows():
         cubic_roots(CubicCoeffs(Fraction(1, 10**400), 1, 0, -1))
 
 
+@pytest.mark.parametrize("scale", [Fraction(2**1100), Fraction(1, 2**1200)])
+def test_cubic_roots_of_exact_coefficients_beyond_the_float_range(scale):
+    # 2^k f has f's roots; at 2^1100 the caller-scale chart cannot hold the
+    # coefficients and is skipped (once DomainError, "a coefficient lies
+    # beyond the float range"), at 2^-1200 they underflow there to a chart
+    # that locates nothing
+    base = (1659.177676832891, 1.358994224103214, -2871.153018570393, 0.1348157539289555)
+    scaled = cubic_roots(CubicCoeffs(*[Fraction(v) * scale for v in base]))
+    assert scaled == cubic_roots(CubicCoeffs(*base))
+    assert len(scaled.roots) == 3
+
+
+def test_cubic_roots_repeated_root_beyond_float_range():
+    # (x - 10^400)^3: D = 0, and the triple root of Yun's factor has no float
+    with pytest.raises(DomainError, match="a real root lies beyond the float range"):
+        cubic_roots(CubicCoeffs(1, -3 * 10**400, 3 * 10**800, -(10**1200)))
+
+
 def test_cubic_roots_rejects_a_zero():
     with pytest.raises(DegenerateLeadingCoefficient):
         cubic_roots(CubicCoeffs(0, 1, 0, 1))
