@@ -15,7 +15,7 @@ import warnings
 from fractions import Fraction
 
 from .discriminant import DiscriminantResult, discriminant_from_coeffs
-from .errors import NoConvergence, NonGaussError
+from .errors import DegenerateLeadingCoefficient, NoConvergence, NonGaussError
 from .polynomial import CubicCoeffs, Polynomial, is_exact_number, parse_number
 from .quadrature import QuadratureConfig, integral_numeric, integral_numeric_general
 from .renorm import (
@@ -148,12 +148,14 @@ def _run_disc(args) -> dict:
 def _run_integral(args) -> dict:
     if args.degree is not None and args.check:
         raise UsageError("--check compares with the cubic closed form; it does not take --degree")
-    cfg = QuadratureConfig() if args.rel_tol is None else QuadratureConfig(rel_tol=args.rel_tol)
     if args.rel_tol is not None and not (args.numeric or args.check or args.degree is not None):
         raise UsageError("--rel-tol is the quadrature's; it needs --numeric, --check or --degree")
+    cfg = QuadratureConfig() if args.rel_tol is None else QuadratureConfig(rel_tol=args.rel_tol)
     if args.degree is not None:
         values = _parse_coeffs(args.coeffs)
         _checked_degree(args.degree, values)
+        if values[0] == 0:  # Polynomial drops it, and the declared degree with it
+            raise DegenerateLeadingCoefficient(f"--degree {args.degree}: leading coefficient 0")
         return _integral_payload(integral_numeric_general(Polynomial(values), cfg))
     cubic = _cubic_from(args.coeffs)
     if not args.check:

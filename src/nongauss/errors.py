@@ -10,7 +10,8 @@ class DomainError(NonGaussError, ValueError):
 
 
 class DegenerateLeadingCoefficient(DomainError):
-    """A cubic operation received a = 0; route to the quadratic path instead."""
+    """A zero leading coefficient where the degree is fixed: a = 0 in a cubic
+    operation (route to the quadratic path instead), or under --degree n."""
 
 
 class DegreeTooLow(DomainError):

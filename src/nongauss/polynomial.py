@@ -14,13 +14,13 @@ gcd of Yun's ``squarefree_factors``.
 ``_real_roots`` is the only code that locates float roots: the sign-stable
 quadratic formula at degree 2, formed on mantissas so that it neither
 overflows nor underflows, and above that bracketed Newton steps between the
-recursively located critical points.  ``_chart`` is the only code that
-builds the float forms it reads, each a ``Chart`` whose ``in_x`` maps its
-roots back to x: the centre and each coefficient are rounded once from the
-exact integers, at unit root scale.  The quadrature and ``cubic_roots``
-both locate on such charts; ``cubic_roots`` takes the number of real roots
-from the sign of the exact discriminant and relocates a close pair on a
-chart centred on its critical point.
+recursively located critical points, which it returns with the roots.
+``_chart`` alone builds the float forms it reads, each a ``Chart`` whose
+``in_x`` maps its roots back to x: the centre and each coefficient are
+rounded once from the exact integers, at unit root scale.  The quadrature
+and ``cubic_roots`` locate on such charts; ``cubic_roots`` takes the number
+of real roots from the sign of the exact discriminant and relocates a close
+pair on a chart centred on each critical point of its first location.
 """
 
 from __future__ import annotations
@@ -398,33 +398,33 @@ def _stripped(cs: Sequence[float]) -> list:
     return list(itertools.dropwhile(lambda c: c == 0.0, cs))
 
 
-def _real_roots(cs: Sequence[float]) -> list:
-    """Sorted real roots of a float-coefficient polynomial, leading coefficient
-    nonzero (see ``_stripped``), whose exact roots are simple: closed forms up
-    to degree 2; above, inside the Fujiwara bound 2^(j + 2), one root per sign
-    change between the recursively located critical points, and an exact zero
-    at a critical point.  A root the float form makes multiple (a zero at a
-    critical point, a double quadratic root) comes out repeated: double
-    precision did not resolve it.
-    """
+def _real_roots(cs: Sequence[float]) -> tuple:
+    """(roots, critical points), sorted, of a float-coefficient polynomial,
+    leading coefficient nonzero (see ``_stripped``), whose exact roots are
+    simple: closed forms up to degree 2; above, inside the Fujiwara bound
+    2^(j + 2), one root per sign change between the recursively located
+    critical points, and an exact zero at one.  A root the float form makes
+    multiple (a zero at a critical point, a double quadratic root) comes out
+    repeated: double precision did not resolve it."""
     deg = len(cs) - 1
     if deg <= 0:
-        return []
+        return [], []
     if deg == 1:
-        return [-cs[1] / cs[0]]
+        return [-cs[1] / cs[0]], []
     if deg == 2:
-        return _quadratic_roots(*cs)
+        return _quadratic_roots(*cs), [-cs[1] / (2 * cs[0])]
 
     deriv = derivative_coeffs(cs)
+    critical = _real_roots(deriv)[0]
     j = fujiwara_exponent(cs)
     bound = math.ldexp(4.0, j) if j < 1022 else math.nextafter(math.inf, 0.0)  # the largest float
-    points = [-bound] + sorted({c for c in _real_roots(deriv) if -bound < c < bound}) + [bound]
+    points = [-bound] + sorted({c for c in critical if -bound < c < bound}) + [bound]
     values = [horner(cs, x) for x in points]
     found = [x for x, v in zip(points, values) if v == 0.0] * 2
     for lo, hi, flo, fhi in zip(points, points[1:], values, values[1:]):
         if flo and fhi and (flo < 0) != (fhi < 0):
             found.append(_bracketed_root(cs, deriv, lo, hi, flo, fhi))
-    return sorted(found)
+    return sorted(found), critical
 
 
 class Chart(NamedTuple):
@@ -565,7 +565,8 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
             chart = _chart(coeffs.as_tuple(), *place)
         except DomainError:  # the caller's scale, where a coefficient is beyond the float range
             continue
-        located = chart.in_x(_real_roots(chart.g))
+        located, critical = _real_roots(chart.g)
+        located = chart.in_x(located)
         flags = [_certified(ints, x) for x in located]
         if len(located) > want:  # the float form made a complex pair real
             located = [x for x, ok in zip(located, flags) if ok]
@@ -585,8 +586,7 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
         if roots and all(certified):
             break
         if not place:  # the first chart: then one on each critical point, then the caller's scale
-            places += [(x,) for x in chart.in_x(_real_roots(derivative_coeffs(chart.g)))]
-            places.append((0.0, 0, 0))
+            places += [(x,) for x in chart.in_x(critical)] + [(0.0, 0, 0)]
     if not roots:
         raise DomainError(f"fewer than {want} real roots located: one is beyond the float range")
     if disc < 0:

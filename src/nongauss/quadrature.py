@@ -23,10 +23,12 @@ f(2^s y + t) of ``polynomial._chart``: a root cluster far from the origin,
 relative to its size, is centred on its centroid, rounded once, and the
 smallest nonzero root and the largest coefficient come to unit size.  F is
 translation invariant and changes by an exact factor under the other two,
-so f(2^j x) costs what f costs, and its value and error estimate are those
-of f times 2^-j, to the last bit.  g is rounded once from the exact
-integers, stripped once of leading coefficients that underflow (a root at
-infinity), and read as it is by the locator and the panels.
+so f(2^j x) costs what f costs, warns where f warns, and its value and
+error estimate are those of f times 2^-j, to the last bit.  g is rounded
+once from the exact integers, stripped once of leading coefficients that
+underflow (a root at infinity), and read as it is by the locator, the
+panels and the one IllConditionedWarning: rounding g may move a root by more
+than rel_tol of its distance to the nearest other root or critical point.
 
 Each panel doubles its tanh-sinh levels up to the fixed 12, whose node
 tables (25,239 nodes) are built once and shared by every panel of every
@@ -65,14 +67,12 @@ from .polynomial import (
     _real_roots,
     _squarefree,
     _synthetic_quotient,
+    derivative_coeffs,
+    horner,
 )
 from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _checked_gaussian
 
 _HALF_PI = math.pi / 2.0
-# |D| below this multiple of scale**4 still computes but is flagged.
-_DISCRIMINANT_CONDITION_BAND = 1e-3
-# adjacent roots a < b closer than this times max(1, |a|, |b|), in x, are flagged
-_SINGULARITY_CLEARANCE = 1e-6
 # tanh-sinh levels per panel after level 0, each halving the node spacing
 _LEVELS = 12
 # endpoint-factor columns kept by _endpoint_column, each one level long
@@ -159,22 +159,20 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     n = family_degree if family_degree is not None else max(3, f.degree)
     if not (type(n) is int and n >= f.degree):  # not a bool either
         raise DomainError(f"family_degree must be an int >= deg f = {f.degree}, got {n!r}")
-    return _unit_scale_layout(f.coeffs, n, disc.value, 3, gcd)[1]
+    return _unit_scale_layout(f.coeffs, n, disc.value, QuadratureConfig().rel_tol, 3, gcd)[1]
 
 
 def _unit_scale_layout(
-    values: Sequence, n: int, disc: Fraction, stacklevel: int, gcd: Optional[list] = None
+    values: Sequence, n: int, disc: Fraction, rel_tol: float, stacklevel: int, gcd=None
 ) -> Tuple[Chart, PanelDecomposition]:
     """(chart, panels) of the integral of |f|**(-2/n) at unit root scale, on
     chart = ``_chart(values)`` for f's coefficients ``values``: the degree,
     root at infinity and reversal of its float form g come from it.  With
     f's exact D ``disc`` != 0 every root is simple, located on g; with D = 0
-    the roots of each f_k of ``_squarefree(f, gcd)``, moved as g is, are its
-    roots of multiplicity k.  A root with 2k >= n, at infinity k = n - deg f,
-    raises RepeatedRootDivergence; where D < 0 (so n = 2) it is NoConvergence,
-    a real root only g has, as are a root at infinity only g has (k = n -
-    deg g) and distinct roots on one float.  The close-roots warning goes to
-    the frame ``stacklevel`` up, the public function's caller."""
+    the roots of each f_k of ``_squarefree(f, gcd)`` (gcd = gcd(f, f') or
+    None), moved as g is, are its roots of multiplicity k; the errors they
+    raise are those of the module docstring.  The rounding warning below goes
+    to the frame ``stacklevel`` up, the public function's caller."""
     degree = len(values) - 1
     if 2 * (n - degree) >= n:
         raise RepeatedRootDivergence(
@@ -186,7 +184,9 @@ def _unit_scale_layout(
     located = [(g, 1)] if disc else [
         (_chart(p.coeffs, chart.t, chart.s).g, k) for p, k in _squarefree(Polynomial(values), gcd)
     ]
-    roots = sorted((r, k) for coeffs, k in located for r in _real_roots(coeffs))
+    found = [(_real_roots(coeffs), k) for coeffs, k in located]
+    roots = sorted((r, k) for (rs, _), k in found for r in rs)
+    critical = [c for (_, cs), _ in found for c in cs]
     for root, k in roots:
         if 2 * k < n:
             continue
@@ -213,13 +213,22 @@ def _unit_scale_layout(
             "the exact discriminant is nonzero on the square-free part, so they are distinct "
             "and the integral is finite, but double precision does not resolve it"
         )
-    in_x = chart.in_x([r for r, _ in roots])
-    pairs = zip(in_x, in_x[1:])
-    close = [b - a for a, b in pairs if b - a < _SINGULARITY_CLEARANCE * max(1.0, abs(a), abs(b))]
-    if close:
+    # Rounding g moves a simple root r by up to 2n u ĝ(|r|) / |g'(r)|, u = 2^-53,
+    # ĝ with the coefficients max(|g_i|, 2^-1022), so as to bound a subnormal's
+    # rounding too (Horner's running-error bound: Higham, Accuracy and Stability
+    # of Numerical Algorithms, sec. 5.1); beyond |y| = 1, r^2 times 1/r's move.
+    ratio, bound = 0.0, 2 * (len(g) - 1) * 2.0**-53
+    for i, (r, k) in enumerate(roots):
+        others = [p for p, _ in roots[:i] + roots[i + 1:]] + critical
+        if k == 1 and others:
+            cs, x, scale = (g[::-1], 1.0 / r, abs(r)) if abs(r) > 1.0 else (g, r, 1.0)
+            move = horner([max(abs(c), 2.0**-1022) for c in cs], abs(x)) * scale * bound
+            slope = abs(horner(derivative_coeffs(cs), x)) * min(abs(p - r) for p in others)
+            ratio = max(ratio, move * scale / slope if slope else math.inf)
+    if ratio > rel_tol:
         warnings.warn(
-            f"two roots are within {min(close):.3e} of each other; "
-            "quadrature error may exceed the requested tolerance",
+            f"rounding the coefficients moves a root by {ratio:.3e} of its distance to the "
+            "nearest other root or critical point; quadrature error may exceed rel_tol",
             IllConditionedWarning,
             stacklevel=stacklevel,
         )
@@ -404,7 +413,7 @@ def _integrate_at_unit_scale(
     the panels of ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A
     panel in u = 1/y is integrated on the degree-n reversal u^n g(1/u)."""
     # the frames up to the caller: layout, this function, the public integral
-    chart, layout = _unit_scale_layout(values, n, disc, 4, gcd)
+    chart, layout = _unit_scale_layout(values, n, disc, cfg.rel_tol, 4, gcd)
     exponent = 2.0 / n
     reversal = chart.g[::-1] + [0.0] * (n + 1 - len(chart.g))
     total = 0.0
@@ -439,23 +448,11 @@ def integral_numeric(
     """Tanh-sinh evaluation of the renormalized cubic integral.
 
     Independent of the closed form: the value comes entirely from panel
-    quadrature.  D = 0 and a = b = 0 raise DivergentIntegral; |D| below
-    1e-3 * scale**4, scale the largest |coefficient|, is computed but flagged
-    IllConditioned, decided exactly on the coefficients as given.
+    quadrature.  D = 0 and a = b = 0 raise DivergentIntegral.  The layout
+    warns IllConditioned on this route as on every other.
     """
     cfg = config or QuadratureConfig()
     disc = _checked_discriminant(coeffs)
-    # |D| < band * scale^4, each side an exact ratio of integers, cross-multiplied
-    d_num, d_den = abs(disc.value).as_integer_ratio()
-    band_num, band_den = _DISCRIMINANT_CONDITION_BAND.as_integer_ratio()
-    s_num, s_den = max(map(abs, coeffs.as_tuple())).as_integer_ratio()
-    if d_num * band_den * s_den**4 < band_num * s_num**4 * d_den:
-        warnings.warn(
-            f"|D| / scale^4 = {d_num * s_den**4 / (s_num**4 * d_den):.3e} is below "
-            f"{_DISCRIMINANT_CONDITION_BAND}; singularities nearly coalesce",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
     value, error = _integrate_at_unit_scale(coeffs.as_polynomial().coeffs, 3, cfg, disc.value)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 

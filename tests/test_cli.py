@@ -272,6 +272,8 @@ def test_integral_check_with_degree_is_usage_error(capsys):
         (["expect", "1", "2", "3", "5", "--step", "1e-2"], "--step"),
         (["integral", "1", "2", "3", "5", "--rel-tol", "1e-9"], "--rel-tol"),
         (["integral", "1", "0", "-1", "0", "--plain", "--rel-tol", "1e-3"], "--rel-tol"),
+        # the usage is checked before the value: this was a DomainError
+        (["integral", "1", "2", "3", "5", "--rel-tol", "-1"], "--rel-tol"),
     ],
 )
 def test_option_the_route_ignores_is_usage_error(capsys, argv, option):
@@ -332,13 +334,25 @@ def test_disc_degree_too_low_names_the_declared_degree(capsys, coeffs, declared)
     assert record["result"]["message"] == f"need degree >= 2, got {declared}"
 
 
+@pytest.mark.parametrize("lead", ["0", "0.0", "0/3"])
+def test_integral_degree_rejects_a_zero_leading_coefficient(capsys, lead):
+    # --degree 4 0 1 0 0 1 was integrated as x^3 + 1 at n = 3, status ok
+    code, record = invoke(capsys, "integral", "--degree", "4", lead, "1", "0", "0", "1")
+    assert code == 2
+    assert record["error_kind"] == "DegenerateLeadingCoefficient"
+    assert "--degree 4" in record["result"]["message"]
+
+
 def test_warnings_are_captured(capsys):
-    # roots at 0, 1e-2, 1 sit in the flagged |D| band
+    # a real pair whose rounding moves a root by 2.8e-7 of its distance to
+    # the critical point between them
     code, record = invoke(
-        capsys, "integral", "1", "-1.01", "0.01", "0", "--numeric"
+        capsys, "integral", "1.33514404296875e-05", "5.525945723005751e-05",
+        "7.82875389059157e-06", "-0.00011891701876319992", "--numeric",
     )
     assert code == 0
-    assert any("scale^4" in w for w in record["warnings"])
+    assert len(record["warnings"]) == 1
+    assert "rounding the coefficients moves a root" in record["warnings"][0]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -373,7 +387,7 @@ def test_non_finite_input_is_domain_error(capsys, argv, bad):
         (["verify", "1", "2", "3", "5", "--step", "0"], 2, "DomainError"),
         (["expect", "0", "-1e-300", "-9.824", "-2.952"], 2, "DomainError"),
         (["gauss", "10.0", "-1e300", "1.9"], 2, "DomainError"),
-        (["integral", "--rel-tol", "0", "1", "0", "-1", "0"], 2, "DomainError"),
+        (["integral", "--rel-tol", "0", "1", "0", "-1", "0", "--numeric"], 2, "DomainError"),
         (["integral", "1e100", "-2.0000001e100", "1e100", "0", "--numeric"], 0, None),
         (["disc", "0", "1e-300", "-1e300", "3.0", "0", "-4", "1e-300", "2/7"], 0, None),
         # the panels next to the origin cannot resolve the integrand, which

@@ -154,39 +154,48 @@ def test_decompose_quintic_double_root_is_integrable():
     assert any(m == 2 for m in (panel.hi_multiplicity for panel in d.panels))
 
 
+# a real pair about 5e-4 apart whose rounding moves a root by 2.8e-7 of the
+# distance to its critical point: the status-ok value is 2e-9 off
+_CLOSE_PAIR = (1.33514404296875e-05, 5.525945723005751e-05, 7.82875389059157e-06, -0.00011891701876319992)
+_ROUNDING_WARNING = "rounding the coefficients moves a root"
+
+
 def test_decompose_clearance_warning():
-    p = from_roots([0.0, 1e-7, 1.0], leading=1.0)
-    with pytest.warns(IllConditionedWarning):
+    # roots 0, 1e-7 and 1 are well conditioned; the close pair is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedWarning)
+        p = from_roots([0.0, 1e-7, 1.0], leading=1.0)
         decompose(Polynomial([float(c) for c in p.coeffs]))
+    with pytest.warns(IllConditionedWarning, match=_ROUNDING_WARNING):
+        decompose(Polynomial(list(_CLOSE_PAIR)))
 
 
 @pytest.mark.parametrize("route", ["decompose", "integral_numeric", "integral_numeric_general"])
 def test_clearance_warning_names_the_callers_line(route):
-    coeffs = (1.0, -(1 + 1e-7), 1e-7, 0.0)  # roots 0, 1e-7 and 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if route == "decompose":
-            decompose(Polynomial(list(coeffs)))
+            decompose(Polynomial(list(_CLOSE_PAIR)))
         elif route == "integral_numeric":
-            integral_numeric(CubicCoeffs(*coeffs))
+            integral_numeric(CubicCoeffs(*_CLOSE_PAIR))
         else:
-            integral_numeric_general(Polynomial(list(coeffs)))
-    assert [w for w in caught if "roots are within" in str(w.message)]
+            integral_numeric_general(Polynomial(list(_CLOSE_PAIR)))
+    assert len([w for w in caught if _ROUNDING_WARNING in str(w.message)]) == 1
     assert [w.filename for w in caught] == [__file__] * len(caught)
 
 
 def test_close_real_pair_is_flagged_by_the_band():
-    # a real pair 1.3e-6 apart, just clear of the clearance warning: the
-    # |D| / scale^4 band warns first, then the panel between the pair does
-    # not converge (once a value 2.7e-7 off, 5000 times its estimate)
-    with pytest.warns(IllConditionedWarning, match=r"scale\^4") as caught:
+    # a real pair 1.3e-6 apart: rounding moves a root by 1.3e-5 of the pair's
+    # width, which warns, then the panel between the pair does not converge
+    # (once a value 2.7e-7 off, 5000 times its estimate)
+    with pytest.warns(IllConditionedWarning, match=_ROUNDING_WARNING) as caught:
         with pytest.raises(NoConvergence):
             integral_numeric(CubicCoeffs(1.0, -1.3499153687516232, 0.5823706707342634, -0.08136095369013266))
     assert all(w.filename == __file__ for w in caught)
-    # the band is the only flag on this status-ok value, 2e-9 off the closed
-    # form where its error estimate is about 1e-11
-    coeffs = CubicCoeffs(1.33514404296875e-05, 5.525945723005751e-05, 7.82875389059157e-06, -0.00011891701876319992)
-    with pytest.warns(IllConditionedWarning, match=r"scale\^4") as caught:
+    # the warning is the only flag on this status-ok value, 2e-9 off the
+    # closed form where its error estimate is about 1e-11
+    coeffs = CubicCoeffs(*_CLOSE_PAIR)
+    with pytest.warns(IllConditionedWarning, match=_ROUNDING_WARNING) as caught:
         result = integral_numeric(coeffs)
     assert all(w.filename == __file__ for w in caught)
     closed = closed_form_integral(coeffs).value
@@ -199,11 +208,11 @@ def test_close_real_pair_is_flagged_by_the_band():
     [(10.0**-k, 1.0, 0.0, -1.0) for k in range(9, 16)] + [(1e-300, 1e8, 0.0, -1.0)],
 )
 def test_far_apart_roots_are_not_flagged_as_close(coeffs):
-    # roots +-1 (+-1e-4) beside one near -b/a: no pair is close relative to its ends
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    # roots +-1 (+-1e-4) beside one near -b/a: each is far from the others
+    # against how far rounding moves it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedWarning)
         decompose(Polynomial(list(coeffs)))
-    assert not [w for w in caught if "roots are within" in str(w.message)]
 
 
 @pytest.mark.parametrize(
@@ -269,10 +278,14 @@ def test_numeric_divergent_and_illconditioned():
     with pytest.raises(DivergentIntegral):
         # D = 0 is caught before any decomposition happens
         integral_numeric(CubicCoeffs(1.0, -3.0, 3.0, -1.0))
-    with pytest.warns(IllConditionedWarning):
-        # roots at 0, 1e-2, 1: D = 9.7e-5 < 1e-3 * scale^4
-        p = from_roots([0.0, 1e-2, 1.0])
-        integral_numeric(CubicCoeffs(*[float(c) for c in p.coeffs]))
+    # roots at 0, 1e-2, 1 are well conditioned: no warning, and the value is
+    # right to 1.2e-15
+    cubic = CubicCoeffs(*[float(c) for c in from_roots([0.0, 1e-2, 1.0]).coeffs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedWarning)
+        value = integral_numeric(cubic).value
+    closed = closed_form_integral(cubic).value
+    assert abs(value - closed) <= 1e-14 * closed
 
 
 def test_numeric_scaling_invariance():
@@ -430,9 +443,7 @@ def test_far_cubic_cluster_matches_the_closed_form(k):
     # pair at unit scale, 2.3e-9 off with status ok (k = 12) or NoConvergence
     coeffs = CubicCoeffs(1, -3 * 10**k, 3 * 10 ** (2 * k) + 1, -(10 ** (3 * k)) - 10**k)
     closed = closed_form_integral(coeffs).value
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)  # the |D| / scale^4 band
-        value = integral_numeric(coeffs).value
+    value = integral_numeric(coeffs).value
     assert abs(value - closed) <= 1e-13 * closed
 
 
@@ -793,12 +804,9 @@ def test_node_tables_give_direct_evaluation_values(monkeypatch):
             _outcome(integral_numeric_general, f) for f in forms
         ]
 
-    with warnings.catch_warnings():
-        # dilations leave the |D| >= 1e-3 * scale^4 band
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        tabulated = outcomes()
-        monkeypatch.setattr(quadrature, "_panel_value", _direct_panel_value)
-        direct = outcomes()
+    tabulated = outcomes()
+    monkeypatch.setattr(quadrature, "_panel_value", _direct_panel_value)
+    direct = outcomes()
     assert tabulated == direct
 
 
@@ -877,39 +885,6 @@ def test_dilated_cubic_costs_what_its_base_costs(count_evaluations):
             warnings.simplefilter("ignore", IllConditionedWarning)
             cost = count_evaluations(integral_numeric, CubicCoeffs(*_dilated(base, j)))
         assert cost == expected
-
-
-def _band_predicate(coeffs):
-    scale = max(abs(float(v)) for v in coeffs)
-    return abs(cubic_discriminant_exact(*coeffs)) < Fraction(1e-3) * Fraction(scale) ** 4
-
-
-def test_condition_band_is_the_exact_predicate(monkeypatch):
-    # the integer test warns exactly where the Fraction test |D| < 1e-3 scale^4 does
-    monkeypatch.setattr(quadrature, "_integrate_at_unit_scale", lambda *args: (1.0, 0.0))
-    rng = random.Random(53)
-    draws = [
-        lambda: rng.uniform(-2.0, 2.0),
-        lambda: rng.randint(-9, 9),
-        lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
-        lambda: math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-300, 300)),
-    ]
-    flagged = 0
-    for i in range(400):
-        coeffs = [draws[i % 4]() for _ in range(4)]
-        if i % 3 == 0:  # roots at 0, eps, 1 put D near the band
-            eps = 10.0 ** rng.uniform(-3.0, -1.0)
-            coeffs = [1.0, -(1.0 + eps), eps, 0.0]
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                integral_numeric(CubicCoeffs(*coeffs))
-        except DivergentIntegral:
-            continue
-        warned = any(issubclass(w.category, IllConditionedWarning) for w in caught)
-        assert warned == _band_predicate(coeffs), coeffs
-        flagged += warned
-    assert flagged >= 20
 
 
 def test_unit_root_scale_finds_the_smallest_root():
