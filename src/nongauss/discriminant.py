@@ -110,17 +110,12 @@ def resultant(f: Polynomial) -> Fraction:
 
 def discriminant_general(f: Polynomial) -> DiscriminantResult:
     """Discriminant of any degree >= 2 polynomial via the resultant."""
-    return _discriminant_and_gcd(f)[0]
-
-
-def _discriminant_and_gcd(f: Polynomial) -> tuple:
-    """(``discriminant_general(f)``, gcd(f, f')): one remainder sequence for both."""
     n = f.degree
     ints, den = _cleared(f)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     # D = sign * R / a0 with R = R_int / den^(2n-1) and a0 = ints[0] / den
-    r_int, gcd = _subresultant(ints, derivative_coeffs(ints))
-    return DiscriminantResult.from_value(Fraction(sign * r_int, ints[0] * den ** (2 * n - 2))), gcd
+    r_int = _subresultant(ints, derivative_coeffs(ints))[0]
+    return DiscriminantResult.from_value(Fraction(sign * r_int, ints[0] * den ** (2 * n - 2)))
 
 
 def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:

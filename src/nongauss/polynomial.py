@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DegenerateLeadingCoefficient, DomainError, NotARoot
 
@@ -162,15 +162,9 @@ def squarefree_factors(f: "Polynomial") -> list:
     f_k a non-constant primitive integer Polynomial, square-free and coprime
     to the others, so its roots are exactly the roots of multiplicity k of f.
     """
-    return _squarefree(f, None)
-
-
-def _squarefree(f: "Polynomial", c: Optional[list]) -> list:
-    """``squarefree_factors(f)``, given c = gcd(f, f') from ``_subresultant``, or None."""
     a = _primitive(integer_coefficients(f.coeffs)[0])
     da = derivative_coeffs(a)
-    if c is None:
-        c = _subresultant(a, da)[1]
+    c = _subresultant(a, da)[1]
     if len(c) == 1:  # gcd(f, f') is constant: f is square-free
         return [(Polynomial(a), 1)] if len(a) > 1 else []
     w, y = _exact_quotient(a, c), _exact_quotient(da, c)

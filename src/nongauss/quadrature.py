@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .discriminant import DiscriminantResult, _discriminant_and_gcd
+from .discriminant import DiscriminantResult, discriminant_general
 from .errors import (
     DegreeTooLow,
     DomainError,
@@ -65,10 +65,10 @@ from .polynomial import (
     Polynomial,
     _chart,
     _real_roots,
-    _squarefree,
     _synthetic_quotient,
     derivative_coeffs,
     horner,
+    squarefree_factors,
 )
 from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _checked_gaussian
 
@@ -155,24 +155,25 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     ``reciprocal`` panel), whose root multiplicities come from f's exact D.
     n is an int >= deg f, and u^n f(1/u) has a root of multiplicity n - deg f
     at u = 0, the root at infinity, which diverges like any other root."""
-    disc, gcd = _discriminant_and_gcd(f)
+    disc = discriminant_general(f)
     n = family_degree if family_degree is not None else max(3, f.degree)
     if not (type(n) is int and n >= f.degree):  # not a bool either
         raise DomainError(f"family_degree must be an int >= deg f = {f.degree}, got {n!r}")
-    return _unit_scale_layout(f.coeffs, n, disc.value, QuadratureConfig().rel_tol, 3, gcd)[1]
+    return _unit_scale_layout(f.coeffs, n, disc.value, QuadratureConfig().rel_tol, 3)[1]
 
 
 def _unit_scale_layout(
-    values: Sequence, n: int, disc: Fraction, rel_tol: float, stacklevel: int, gcd=None
+    values: Sequence, n: int, disc: Fraction, rel_tol: float, stacklevel: int
 ) -> Tuple[Chart, PanelDecomposition]:
     """(chart, panels) of the integral of |f|**(-2/n) at unit root scale, on
     chart = ``_chart(values)`` for f's coefficients ``values``: the degree,
     root at infinity and reversal of its float form g come from it.  With
     f's exact D ``disc`` != 0 every root is simple, located on g; with D = 0
-    the roots of each f_k of ``_squarefree(f, gcd)`` (gcd = gcd(f, f') or
-    None), moved as g is, are its roots of multiplicity k; the errors they
-    raise are those of the module docstring.  The rounding warning below goes
-    to the frame ``stacklevel`` up, the public function's caller."""
+    the roots of each f_k of ``squarefree_factors(f)`` (Yun's split, which
+    runs its own remainder sequence), moved as g is, are its roots of
+    multiplicity k; the errors they raise are those of the module docstring.
+    The rounding warning below goes to the frame ``stacklevel`` up, the
+    public function's caller."""
     degree = len(values) - 1
     if 2 * (n - degree) >= n:
         raise RepeatedRootDivergence(
@@ -182,10 +183,11 @@ def _unit_scale_layout(
     chart = _chart(values)
     g = chart.g
     located = [(g, 1)] if disc else [
-        (_chart(p.coeffs, chart.t, chart.s).g, k) for p, k in _squarefree(Polynomial(values), gcd)
+        (_chart(p.coeffs, chart.t, chart.s).g, k)
+        for p, k in squarefree_factors(Polynomial(values))
     ]
     found = [(_real_roots(coeffs), k) for coeffs, k in located]
-    roots = sorted((r, k) for (rs, _), k in found for r in rs)
+    roots = sorted((r + 0.0, k) for (rs, _), k in found for r in rs)  # 0.0, never -0.0
     critical = [c for (_, cs), _ in found for c in cs]
     for root, k in roots:
         if 2 * k < n:
@@ -250,9 +252,9 @@ def _unit_scale_layout(
 
 
 @functools.cache
-def _node_table(h: float, only_odd: bool) -> tuple:
-    """Unit-panel tanh-sinh nodes t = k*h, k = 1, 2, ... (odd k only when
-    ``only_odd``): (1 - tanh z, 1 + tanh z, pi/2 * cosh t * (1 - tanh z) *
+def _node_table(level: int) -> tuple:
+    """Unit-panel tanh-sinh nodes t = k*h, h = 2^-level, k = 1, 2, ... (odd k
+    past level 0): (1 - tanh z, 1 + tanh z, pi/2 * cosh t * (1 - tanh z) *
     (1 + tanh z), index of the first node with t > 3), z = pi/2 * sinh t.
 
     A panel of half-width hs places its nodes hs * (1 - tanh z) from an
@@ -264,6 +266,7 @@ def _node_table(h: float, only_odd: bool) -> tuple:
     for levels 0-12, held as ``array('d')`` columns.
     """
     one_minus, one_plus, weights = array("d"), array("d"), array("d")
+    h = 2.0**-level
     tail_start = 0
     k = 1
     while True:
@@ -280,13 +283,13 @@ def _node_table(h: float, only_odd: bool) -> tuple:
         one_minus.append(om)
         one_plus.append(op)
         weights.append(w)
-        k += 2 if only_odd else 1
+        k += 2 if level else 1
     return one_minus, one_plus, weights, tail_start
 
 
 @functools.lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _endpoint_column(h: float, only_odd: bool, p_near: float, p_far: float) -> array:
-    """The weights of ``_node_table(h, only_odd)`` times the endpoint factors
+def _endpoint_column(level: int, p_near: float, p_far: float) -> array:
+    """The weights of ``_node_table(level)`` times the endpoint factors
     of a unit panel, w * (1 - tanh z)**p_near * (1 + tanh z)**p_far, for the
     nodes of the side whose own endpoint carries the power p_near; the
     weight column itself when both powers are zero.
@@ -297,7 +300,7 @@ def _endpoint_column(h: float, only_odd: bool, p_near: float, p_far: float) -> a
     endpoint power near -1, degree 23 and above); those nodes are
     negligible.
     """
-    one_minus, one_plus, weights, _ = _node_table(h, only_odd)
+    one_minus, one_plus, weights, _ = _node_table(level)
     if not (p_near or p_far):
         return weights
     column = array("d")
@@ -358,17 +361,16 @@ def _panel_value(
     # the midpoint, where 1 -+ tanh z = 1 and the weight is pi/2
     node_sum = _HALF_PI * abs(v) ** p
     nodes = 1
-    h, only_odd = 1.0, False
     for level in range(_LEVELS + 1):
-        one_minus, _, _, tail_start = _node_table(h, only_odd)
+        one_minus, _, _, tail_start = _node_table(level)
         total = 0.0
         # A node lies hs * (1 - tanh z) from its own side's endpoint: x =
         # hi - hs * (1 - tanh z) on the upper side, x = lo - (-hs) * (1 -
         # tanh z) on the lower.  The table's weight w is at least 1 - tanh z,
         # so hs * w cannot underflow before that distance does.
         for anchor, toward, column in (
-            (hi, hs, _endpoint_column(h, only_odd, p_hi, p_lo)),
-            (lo, -hs, _endpoint_column(h, only_odd, p_lo, p_hi)),
+            (hi, hs, _endpoint_column(level, p_hi, p_lo)),
+            (lo, -hs, _endpoint_column(level, p_lo, p_hi)),
         ):
             negligible = 0
             for i, (om, weight) in enumerate(zip(one_minus, column)):
@@ -395,25 +397,25 @@ def _panel_value(
                 i = len(column)
             nodes += i
         node_sum += total
-        value = h * node_sum
+        value = 2.0**-level * node_sum
         if level:
             error = abs(value - previous)
             if error <= cfg.rel_tol * abs(value):
                 return value * scale, error * scale, True, nodes
         previous = value
-        h, only_odd = 0.5 * h, True
     return value * scale, error * scale, False, nodes
 
 
 def _integrate_at_unit_scale(
-    values: Sequence, n: int, cfg: QuadratureConfig, disc: Fraction, gcd: Optional[list] = None
+    values: Sequence, n: int, cfg: QuadratureConfig, disc: Fraction
 ) -> Tuple[float, float]:
     """(value, error estimate) of integral over R of |f|**(-2/n), f with the
     caller's exact coefficients ``values`` and exact D ``disc``, summed over
-    the panels of ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).  A
-    panel in u = 1/y is integrated on the degree-n reversal u^n g(1/u)."""
+    the panels of ``_unit_scale_layout`` (which splits f itself where D = 0):
+    F(f) = 2^s * 2^(-2e/n) * F(g).  A panel in u = 1/y is integrated on the
+    degree-n reversal u^n g(1/u)."""
     # the frames up to the caller: layout, this function, the public integral
-    chart, layout = _unit_scale_layout(values, n, disc, cfg.rel_tol, 4, gcd)
+    chart, layout = _unit_scale_layout(values, n, disc, cfg.rel_tol, 4)
     exponent = 2.0 / n
     reversal = chart.g[::-1] + [0.0] * (n + 1 - len(chart.g))
     total = 0.0
@@ -467,8 +469,8 @@ def integral_numeric_general(
     cfg = config or QuadratureConfig()
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
-    disc, gcd = _discriminant_and_gcd(f)
-    value, error = _integrate_at_unit_scale(f.coeffs, f.degree, cfg, disc.value, gcd)
+    disc = discriminant_general(f)
+    value, error = _integrate_at_unit_scale(f.coeffs, f.degree, cfg, disc.value)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 

@@ -178,12 +178,13 @@ def test_squarefree_factors_of_float_and_square_free_input():
     assert squarefree_factors(Polynomial([2.5, 0, 0, 1])) == [(Polynomial([5, 0, 0, 2]), 1)]
 
 
-def test_double_root_runs_the_remainder_sequence_of_f_and_f_prime_once(monkeypatch):
-    # at D = 0 the gcd of the discriminant's sequence is Yun's first: once
-    # (6, 5), (6, 5), (5, 4), (2, 0) in (len a, len b)
+def test_double_root_runs_the_remainder_sequence_of_f_and_f_prime_twice(monkeypatch):
+    # the sequence of f and f' runs once for D and, as D = 0, once more as
+    # Yun's first gcd, then Yun's own steps: (6, 5), (6, 5), (5, 4), (2, 0)
+    # in (len a, len b)
     f = Polynomial([1, -2, 2, -2, 1, 0])  # (x - 1)^2 x (x^2 + 1)
     factors = squarefree_factors(f)
-    calls, used, kernel, split = [], [], polynomial._subresultant, polynomial._squarefree
+    calls, used, kernel = [], [], polynomial._subresultant
 
     def counted(a, b):
         calls.append((len(a), len(b)))
@@ -191,9 +192,11 @@ def test_double_root_runs_the_remainder_sequence_of_f_and_f_prime_once(monkeypat
 
     monkeypatch.setattr(polynomial, "_subresultant", counted)
     monkeypatch.setattr(discriminant, "_subresultant", counted)
-    monkeypatch.setattr(quadrature, "_squarefree", lambda f, c: used.append(split(f, c)) or used[-1])
+    monkeypatch.setattr(
+        quadrature, "squarefree_factors", lambda f: used.append(squarefree_factors(f)) or used[-1]
+    )
     result = integral_numeric_general(f)
-    assert calls == [(6, 5), (5, 4), (2, 0)]
+    assert calls == [(6, 5), (6, 5), (5, 4), (2, 0)]
     assert result.discriminant.value == 0 and used == [factors]
     assert factors == [(Polynomial([1, 0, 1, 0]), 1), (Polynomial([1, -1]), 2)]
 
@@ -219,12 +222,51 @@ def test_decompose_takes_its_verdict_from_the_sign_of_d():
 )
 def test_decompose_splits_square_free_factors_only_where_d_is_zero(coeffs, calls, monkeypatch):
     # D != 0 makes every root simple; (x - 1)^2 x (x^2 + 1) and (x^2 + 1)^2 have D = 0
-    used, split = [], polynomial._squarefree
-    for module in (polynomial, quadrature):  # a call through squarefree_factors counts too
-        monkeypatch.setattr(module, "_squarefree", lambda f, c: used.append(f) or split(f, c))
+    used = []
+    monkeypatch.setattr(
+        quadrature, "squarefree_factors", lambda f: used.append(f) or squarefree_factors(f)
+    )
     layout = decompose(Polynomial(coeffs), len(coeffs) - 1)
     assert len(used) == calls
     assert layout.panels
+
+
+def test_a_root_at_the_origin_is_reported_as_zero_not_minus_zero():
+    # x^4: Yun's linear factor x charts to [1.0, 0.0], whose root is -0.0
+    with pytest.raises(RepeatedRootDivergence, match=r"root 0\.0 has multiplicity 4"):
+        decompose(Polynomial([1, 0, 0, 0, 0]), 4)
+    # x^2 + x: the quadratic formula's c/q gives -0.0 for the root at 0
+    breakpoints = decompose(Polynomial([1, 1, 0]), 3).breakpoints
+    assert breakpoints == (-1.0, 0.0) and math.copysign(1.0, breakpoints[1]) == 1.0
+
+
+def _invariants(f, n):
+    """(value, error estimate, decompose(f, n), warning count) of f at degree n."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = integral_numeric_general(f)
+        layout = decompose(f, n)
+    return result.value, result.error_estimate, layout, len(caught)
+
+
+def test_double_root_forms_are_invariant_under_exact_scaling_and_dilation():
+    # 2^(n m) f(2^j x) has F(f) * 2^(-j - 2m): the Yun factors' charts move
+    # with the main chart, so value, estimate, layout and warnings follow to
+    # the last bit on forms (x - r)^2 h(x) with D = 0
+    rng = random.Random(7)
+    for _ in range(20):
+        r = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+        h = [rng.randint(-5, 5) or 1 for _ in range(rng.randint(4, 5))]
+        coeffs = _product([1, -r], [1, -r], h)
+        n = len(coeffs) - 1
+        assert discriminant_general(Polynomial(coeffs)).value == 0
+        value, error, layout, count = _invariants(Polynomial(coeffs), n)
+        for _ in range(2):
+            j, m = rng.randint(-60, 60), rng.randint(-30, 30)
+            image = [c * Fraction(2) ** (n * m + j * (n - i)) for i, c in enumerate(coeffs)]
+            shift = -j - 2 * m
+            expected = (math.ldexp(value, shift), math.ldexp(error, shift), layout, count)
+            assert _invariants(Polynomial(image), n) == expected
 
 
 def test_dilated_path_has_no_false_double_root():

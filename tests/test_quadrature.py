@@ -587,15 +587,11 @@ def _direct_node(t):
     return one_minus, one_plus, math.pi / 2.0 * math.cosh(t) * one_minus * one_plus
 
 
-def _level_key(level):
-    return (1.0, False) if level == 0 else (0.5**level, True)
-
-
 @pytest.mark.parametrize("level", range(13))
 def test_node_table_matches_direct_formula(level):
-    h, only_odd = _level_key(level)
-    one_minus, one_plus, weights, tail_start = quadrature._node_table(h, only_odd)
-    step = 2 if only_odd else 1
+    h = 2.0**-level
+    one_minus, one_plus, weights, tail_start = quadrature._node_table(level)
+    step = 2 if level else 1
     ts = [(1 + step * i) * h for i in range(len(weights))]
     for t, om, op, w in zip(ts, one_minus, one_plus, weights):
         assert (om, op, w) == _direct_node(t)
@@ -610,15 +606,15 @@ def test_node_table_matches_direct_formula(level):
 
 
 def test_node_tables_are_built_once_and_stay_small():
-    assert quadrature._node_table(0.25, True) is quadrature._node_table(0.25, True)
+    assert quadrature._node_table(2) is quadrature._node_table(2)
     levels = range(quadrature._LEVELS + 1)
-    assert sum(len(quadrature._node_table(*_level_key(L))[2]) for L in levels) == 25_239
+    assert sum(len(quadrature._node_table(L)[2]) for L in levels) == 25_239
 
 
 def test_endpoint_columns_are_built_once_and_stay_bounded():
     column = quadrature._endpoint_column
     column.cache_clear()
-    key = (0.25, True, -2.0 / 3.0, 0.0)
+    key = (2, -2.0 / 3.0, 0.0)
     column(*key)
     built = column.cache_info().misses
     assert column(*key) is column(*key)
@@ -642,12 +638,12 @@ def test_endpoint_columns_are_built_once_and_stay_bounded():
 def test_endpoint_column_ends_where_a_power_overflows(monkeypatch):
     # 1 - tanh z reaches the subnormals; its power -22/23 (degree 23, a
     # root of multiplicity 11) overflows there and the column stops short
-    one_minus, one_plus, weights, _ = quadrature._node_table(2.0**-12, True)
+    one_minus, one_plus, weights, _ = quadrature._node_table(12)
     assert min(one_minus) < 1e-320
-    column = quadrature._endpoint_column(2.0**-12, True, -22.0 / 23.0, 0.0)
+    column = quadrature._endpoint_column(12, -22.0 / 23.0, 0.0)
     assert 0 < len(column) < len(weights)
     assert all(0.0 <= v < math.inf for v in column)
-    assert len(quadrature._endpoint_column(2.0**-12, True, -20.0 / 21.0, 0.0)) == len(weights)
+    assert len(quadrature._endpoint_column(12, -20.0 / 21.0, 0.0)) == len(weights)
     # so a panel next to that root walks to level 8 without an OverflowError
     monkeypatch.setattr(quadrature, "_LEVELS", 8)
     x11_x_plus_1 = [1.0, 1.0] + [0.0] * 11
