@@ -34,9 +34,9 @@ _GRAMMAR = """\
 usage: nongauss <command> [options]
 
 commands:
-  disc <coeffs...> [--degree n]          exact discriminant (any degree >= 2)
+  disc <c0 ... cn>                       exact discriminant (any degree n >= 2)
   integral <a b c d> [(--numeric | --check) [--rel-tol t]]
-  integral --degree n <coeffs...> [--rel-tol t]  numeric integral, degree n >= 3
+  integral <c0 ... cn> [--numeric] [--rel-tol t]  numeric integral, degree n >= 4
   gauss <a b c>                          closed form of 1/(a x^2 + b x + c)
   expect <a b c d> [--fd-check [--step h]]
   verify <a b c d> [--step h]            coefficient-identity residuals
@@ -62,13 +62,12 @@ def _build_parser() -> _Parser:
 
     disc = sub.add_parser("disc")
     disc.add_argument("coeffs", nargs="+")
-    disc.add_argument("--degree", type=int, default=None)
 
     integral = sub.add_parser("integral")
     integral.add_argument("coeffs", nargs="+")
-    integral.add_argument("--numeric", action="store_true")
-    integral.add_argument("--check", action="store_true")
-    integral.add_argument("--degree", type=int, default=None)
+    route = integral.add_mutually_exclusive_group()
+    route.add_argument("--numeric", action="store_true")
+    route.add_argument("--check", action="store_true")
     integral.add_argument("--rel-tol", type=float, default=None)
 
     gauss = sub.add_parser("gauss")
@@ -110,15 +109,7 @@ def _exact_str(value) -> str:
 
 
 def _cubic_from(tokens) -> CubicCoeffs:
-    values = _parse_coeffs(tokens)
-    if len(values) != 4:
-        raise UsageError(f"expected 4 cubic coefficients, got {len(values)}")
-    return CubicCoeffs(*values)
-
-
-def _checked_degree(degree, values) -> None:
-    if degree is not None and degree != len(values) - 1:
-        raise UsageError(f"--degree {degree} needs {degree + 1} coefficients, got {len(values)}")
+    return CubicCoeffs(*_parse_coeffs(tokens))
 
 
 def _moment_payload(value):
@@ -141,21 +132,22 @@ def _integral_payload(result: IntegralResult) -> dict:
 
 def _run_disc(args) -> dict:
     values = _parse_coeffs(args.coeffs)
-    _checked_degree(args.degree, values)
     return {**_disc_fields(discriminant_from_coeffs(values)), "provenance": {"D": "exact"}}
 
 
 def _run_integral(args) -> dict:
-    if args.degree is not None and args.check:
-        raise UsageError("--check compares with the cubic closed form; it does not take --degree")
-    if args.rel_tol is not None and not (args.numeric or args.check or args.degree is not None):
-        raise UsageError("--rel-tol is the quadrature's; it needs --numeric, --check or --degree")
+    degree = len(args.coeffs) - 1  # a leading zero is a root at infinity, not a lower degree
+    if degree < 3:
+        raise UsageError(f"expected 4 or more coefficients, got {degree + 1}")
+    if degree > 3 and args.check:
+        raise UsageError("--check compares with the cubic closed form; it needs 4 coefficients")
+    if args.rel_tol is not None and not (args.numeric or args.check or degree > 3):
+        raise UsageError("--rel-tol is the quadrature's; a cubic takes it with --numeric or --check")
     cfg = QuadratureConfig() if args.rel_tol is None else QuadratureConfig(rel_tol=args.rel_tol)
-    if args.degree is not None:
+    if degree > 3:
         values = _parse_coeffs(args.coeffs)
-        _checked_degree(args.degree, values)
         if values[0] == 0:  # Polynomial drops it, and the declared degree with it
-            raise DegenerateLeadingCoefficient(f"--degree {args.degree}: leading coefficient 0")
+            raise DegenerateLeadingCoefficient(f"degree {degree}: leading coefficient 0")
         return _integral_payload(integral_numeric_general(Polynomial(values), cfg))
     cubic = _cubic_from(args.coeffs)
     if not args.check:
@@ -231,17 +223,27 @@ _HANDLERS = {
 }
 
 
+def _plain_lines(fields: dict, indent: str = ""):
+    # one line per field and per item of a non-empty list; a dict item on one line
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            yield f"{indent}{key}:"
+            yield from _plain_lines(value, indent + "  ")
+        elif isinstance(value, list) and value:
+            yield f"{indent}{key}:"
+            for item in value:
+                if isinstance(item, dict):
+                    item = ", ".join(f"{k}: {v}" for k, v in item.items())
+                yield f"{indent}  - {item}"
+        else:
+            yield f"{indent}{key}: {value}"
+
+
 def _emit(record: dict, plain: bool) -> None:
     if not plain:
         print(json.dumps(record, indent=2, allow_nan=False))
         return
-    for key, value in record.items():
-        if isinstance(value, dict):
-            print(f"{key}:")
-            for k, v in value.items():
-                print(f"  {k}: {v}")
-        else:
-            print(f"{key}: {value}")
+    print("\n".join(_plain_lines(record)))
 
 
 # argparse's negative-number detection misses "-1/3", "-1e-3" and "-inf"; a

@@ -20,12 +20,13 @@ instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegreeTooLow
+from .errors import DegreeTooLow, DomainError
 from .polynomial import (
     CubicCoeffs,
     Number,
@@ -174,13 +175,20 @@ def key_lemma_check(a: Number, alpha: Number, k: Number, l: Number) -> Number:
     """Residual of (a*alpha^2 + k*alpha + l)^2 * (4al - k^2) = -D.
 
     (b, c, d) are rebuilt from the factorization data, so the identity holds
-    for arbitrary inputs; exact inputs give a residual of exactly zero.
+    for arbitrary inputs; exact inputs give a residual of exactly zero.  A
+    float term beyond the float range raises DomainError.
     """
     convert = Fraction if all(is_exact_number(v) for v in (a, alpha, k, l)) else float
     a, alpha, k, l = (convert(v) for v in (a, alpha, k, l))
     b = k - a * alpha
     c = l - k * alpha
     d = -l * alpha
-    lhs = (a * alpha * alpha + k * alpha + l) ** 2 * (4 * a * l - k * k)
-    # a float lhs plus the exact Fraction D comes out as a float
-    return abs(lhs + cubic_discriminant_exact(a, b, c, d))
+    try:
+        lhs = (a * alpha * alpha + k * alpha + l) ** 2 * (4 * a * l - k * k)
+        # a float lhs plus the exact Fraction D comes out as a float
+        residual = abs(lhs + cubic_discriminant_exact(a, b, c, d))
+    except OverflowError:
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise DomainError(f"a term of the key lemma at {(a, alpha, k, l)} lies beyond the float range")
+    return residual

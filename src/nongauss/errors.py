@@ -11,7 +11,8 @@ class DomainError(NonGaussError, ValueError):
 
 class DegenerateLeadingCoefficient(DomainError):
     """A zero leading coefficient where the degree is fixed: a = 0 in a cubic
-    operation (route to the quadratic path instead), or under --degree n."""
+    operation (route to the quadratic path instead), or in the n + 1
+    coefficients of a degree n >= 4 integral."""
 
 
 class DegreeTooLow(DomainError):

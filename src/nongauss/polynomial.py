@@ -3,8 +3,9 @@
 Coefficients are stored leading-first: ``(a0, a1, ..., an)`` represents
 ``a0*x**n + a1*x**(n-1) + ... + an``.  Each coefficient is kept as given,
 ``int``, ``Fraction`` or float, next to any of the others: exact code reads
-them through ``integer_coefficients`` without loss, and ``_chart`` is the
-only code that rounds them.  All operations are pure functions of immutable
+them through ``integer_coefficients`` without loss, and ``_chart`` rounds
+them for the quadrature and ``cubic_roots`` (the finite-difference stencil
+of ``renorm`` rounds its own).  All operations are pure functions of immutable
 values and safe to call concurrently.
 
 ``_subresultant`` is the one exact remainder sequence: on the integers of

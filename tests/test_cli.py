@@ -74,6 +74,7 @@ def test_disc_quartic_and_quintic(capsys):
 
 
 def test_disc_degree_mismatch_is_usage_error(capsys):
+    # the coefficient count declares the degree: --degree is no option
     code = run(["disc", "1", "2", "3", "--degree", "3"])
     assert code == 1
 
@@ -101,7 +102,8 @@ def test_integral_numeric_flag(capsys):
 
 
 def test_integral_general_degree(capsys):
-    code, record = invoke(capsys, "integral", "--degree", "4", "1", "0", "0", "0", "1")
+    # five coefficients declare degree 4, integrated by the general route
+    code, record = invoke(capsys, "integral", "1", "0", "0", "0", "1")
     assert code == 0
     assert record["result"]["value"] == pytest.approx(3.70815, rel=1e-5)
     assert record["result"]["D"] == "256"
@@ -226,6 +228,15 @@ def test_plain_output_is_not_json(capsys):
     assert "D: -367" in out
 
 
+def test_plain_output_puts_each_list_item_on_its_own_line(capsys):
+    # the 80 identities were one line of 6238 characters
+    assert run(["beta-check", "--plain"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    identities = [line for line in lines if line.lstrip().startswith("- identity: ")]
+    assert len(identities) == 80
+    assert max(len(line) for line in lines) <= 200
+
+
 def test_check_mismatch_guard():
     # the agreement bound itself: check mode must not report ok beyond 1e-6
     assert _CHECK_AGREEMENT_BOUND == 1e-6
@@ -252,15 +263,20 @@ def test_check_mismatch_reports_error(capsys, monkeypatch):
 
 
 def test_integral_degree_three_routes_numeric(capsys):
-    code, record = invoke(capsys, "integral", "--degree", "3", "1", "0", "-1", "0")
+    # the coefficient count declares the degree: --degree is no option, and
+    # --numeric is the one numeric route of a cubic
+    assert run(["integral", "--degree", "3", "1", "0", "-1", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: nongauss" in captured.err
+    code, record = invoke(capsys, "integral", "1", "0", "-1", "0", "--numeric")
     assert code == 0
     assert record["result"]["method"] == "numeric"
-    assert record["result"]["value"] == pytest.approx(12.6196389479, rel=1e-8)
+    assert record["result"]["value"] == 12.619638947929086
 
 
 def test_integral_check_with_degree_is_usage_error(capsys):
-    # --check compares with the cubic closed form; it was dropped without a word
-    code = run(["integral", "--degree", "3", "1", "0", "-1", "0", "--check"])
+    # --check compares with the cubic closed form, which degree 4 has not
+    code = run(["integral", "1", "0", "0", "0", "1", "--check"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "--check" in captured.err and "usage: nongauss" in captured.err
@@ -274,11 +290,13 @@ def test_integral_check_with_degree_is_usage_error(capsys):
         (["integral", "1", "0", "-1", "0", "--plain", "--rel-tol", "1e-3"], "--rel-tol"),
         # the usage is checked before the value: this was a DomainError
         (["integral", "1", "2", "3", "5", "--rel-tol", "-1"], "--rel-tol"),
+        (["integral", "1", "2", "3", "5", "--numeric", "--check"], "--numeric"),
     ],
 )
 def test_option_the_route_ignores_is_usage_error(capsys, argv, option):
-    # each was dropped without a word: the closed form reads no tolerance, and
-    # expectations without --fd-check take no step
+    # each was dropped without a word: the closed form reads no tolerance,
+    # expectations without --fd-check take no step, and --check ran in place
+    # of --numeric
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -290,7 +308,8 @@ def test_option_the_route_ignores_is_usage_error(capsys, argv, option):
     [
         ["expect", "1", "2", "3", "5", "--fd-check", "--step", "1e-3"],
         ["integral", "1", "2", "3", "5", "--check", "--rel-tol", "1e-9"],
-        ["integral", "--degree", "4", "1", "0", "0", "0", "1", "--rel-tol", "1e-9"],
+        ["integral", "1", "0", "0", "0", "1", "--rel-tol", "1e-9"],
+        ["integral", "1", "0", "0", "0", "1", "--numeric"],
     ],
 )
 def test_option_the_route_reads_is_accepted(capsys, argv):
@@ -336,11 +355,11 @@ def test_disc_degree_too_low_names_the_declared_degree(capsys, coeffs, declared)
 
 @pytest.mark.parametrize("lead", ["0", "0.0", "0/3"])
 def test_integral_degree_rejects_a_zero_leading_coefficient(capsys, lead):
-    # --degree 4 0 1 0 0 1 was integrated as x^3 + 1 at n = 3, status ok
-    code, record = invoke(capsys, "integral", "--degree", "4", lead, "1", "0", "0", "1")
+    # 0 1 0 0 1 was integrated as x^3 + 1 at n = 3, status ok
+    code, record = invoke(capsys, "integral", lead, "1", "0", "0", "1")
     assert code == 2
     assert record["error_kind"] == "DegenerateLeadingCoefficient"
-    assert "--degree 4" in record["result"]["message"]
+    assert record["result"]["message"].startswith("degree 4:")
 
 
 def test_warnings_are_captured(capsys):
@@ -364,7 +383,7 @@ def test_warnings_are_captured(capsys):
         ["integral", "{}", "1", "0", "1"],
         ["integral", "1", "0", "{}", "1", "--numeric"],
         ["integral", "1", "0", "{}", "1", "--check"],
-        ["integral", "--degree", "4", "1", "0", "{}", "0", "1"],
+        ["integral", "1", "0", "{}", "0", "1"],
         ["gauss", "1", "0", "{}"],
         ["expect", "1", "0", "{}", "1"],
         ["expect", "{}", "0", "-1", "0", "--fd-check"],

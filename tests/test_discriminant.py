@@ -11,6 +11,7 @@ from term_tables import discriminant_quartic_explicit, discriminant_quintic_expl
 from nongauss import (
     CubicCoeffs,
     DegreeTooLow,
+    DomainError,
     Polynomial,
     Sign,
     discriminant_from_coeffs,
@@ -188,6 +189,18 @@ def test_vandermonde_examples():
 def test_key_lemma_examples():
     assert key_lemma_check(1, 0, 0, -1) == 0
     assert key_lemma_check(Fraction(1), Fraction(-1), Fraction(-1), Fraction(1)) == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1.0, 0.5, 1e200, 1e200),  # the square overflowed: a bare OverflowError
+        (1.0, 0.0, 1e160, 0.0),  # 0 * -inf: a nan residual
+    ],
+)
+def test_key_lemma_beyond_the_float_range_is_domain_error(args):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        key_lemma_check(*args)
 
 
 def test_key_lemma_random_rationals_exactly_zero():
