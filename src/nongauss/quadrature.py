@@ -32,22 +32,34 @@ than rel_tol of its distance to the nearest other root or critical point.
 
 Each panel doubles its tanh-sinh levels up to the fixed 12, whose node
 tables (25,239 nodes) are built once and shared by every panel of every
-call.  An endpoint root of multiplicity m contributes (hs * (1 -+ tanh
-z))**(-2m/n) at each node: its hs power is applied once per panel, and the
-weight times the (1 -+ tanh z) powers is a column of at most 12,620 doubles
-cached per (level, near power, far power), at most 256 of them, least
-recently used out first: 25 MB at most.  Panels are independent and pure,
-so callers may evaluate them concurrently and sum.
+call.  With d1 a level's difference from the last, d0 the last one's and S
+its value, a panel stops at the first level where d1 <= rel_tol |S|, and
+reports d1; or, from level 2 on, since tanh-sinh error about squares per
+level (Bailey, Jeyabalan & Li 2005), where d1 < d0, d1 <= 0.01
+sqrt(rel_tol) |S|, d0^2 <= 100 d1 |S| (the relative difference fell by no
+more than a square: a faster fall is a cancellation, not convergence) and
+E = 100 d1^2 / d0 <= rel_tol |S|, and reports E.  The error estimate is
+the sum of these: the quadratic model of the next difference with a margin
+of 100, not a bound.
+
+An endpoint root of multiplicity m contributes (hs * (1 -+ tanh z))**(-2m/n)
+at each node: its hs power is applied once per panel, and the weight times
+the (1 -+ tanh z) powers is a column of at most 12,620 doubles cached per
+(level, near power, far power), at most 256 of them, least recently used
+out first: 25 MB at most.  Panels are independent and pure, so callers
+may evaluate them concurrently and sum.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .discriminant import DiscriminantResult, discriminant_general
@@ -70,7 +82,13 @@ from .polynomial import (
     horner,
     squarefree_factors,
 )
-from .renorm import IntegralMethod, IntegralResult, _checked_discriminant, _checked_gaussian
+from .renorm import (
+    _NORMAL_MIN,
+    IntegralMethod,
+    IntegralResult,
+    _checked_discriminant,
+    _checked_gaussian,
+)
 
 _HALF_PI = math.pi / 2.0
 # tanh-sinh levels per panel after level 0, each halving the node spacing
@@ -331,9 +349,14 @@ def _panel_value(
     splits into hs**(-exponent m), applied once per panel, and a power of
     1 -+ tanh z, folded with the weight into ``_endpoint_column``: one
     inline Horner evaluation, one power and one multiply-add per node.
-    Each side of a level walks the level's node table outwards until a
-    distance underflows, or past t = 3 once two terms in a row are
-    negligible.
+    Each side of a level walks the level's node table outwards, and ends
+    before its first distance that underflows, found once per side and
+    level.  The head of the walk, t <= 3, has no stop and no bookkeeping;
+    the tail stops once two terms in a row are negligible, the first of
+    them possibly the head's last.  A zero of q at a node is the power's
+    ZeroDivisionError, caught once around the walk.  Levels stop by the two
+    rules of the module docstring, and the second one's estimate, 100 d1^2
+    / d0, is the error reported.
     """
     hs = 0.5 * (hi - lo)
     if hs == 0.0:
@@ -352,57 +375,83 @@ def _panel_value(
     if scale == math.inf:
         raise DomainError(f"panel [{lo}, {hi}] is too narrow for its endpoint powers")
 
+    quadratic_tol = 0.01 * math.sqrt(cfg.rel_tol)  # the second rule's bound on d1 / |S|
     x = 0.5 * (lo + hi)
-    v = lead
-    for c in rest:
-        v = v * x + c
-    if v == 0.0:
-        raise SingularPoint(f"unexpected interior zero at {x}")
-    # the midpoint, where 1 -+ tanh z = 1 and the weight is pi/2
-    node_sum = _HALF_PI * abs(v) ** p
-    nodes = 1
-    for level in range(_LEVELS + 1):
-        one_minus, _, _, tail_start = _node_table(level)
-        total = 0.0
-        # A node lies hs * (1 - tanh z) from its own side's endpoint: x =
-        # hi - hs * (1 - tanh z) on the upper side, x = lo - (-hs) * (1 -
-        # tanh z) on the lower.  The table's weight w is at least 1 - tanh z,
-        # so hs * w cannot underflow before that distance does.
-        for anchor, toward, column in (
-            (hi, hs, _endpoint_column(level, p_hi, p_lo)),
-            (lo, -hs, _endpoint_column(level, p_lo, p_hi)),
-        ):
-            negligible = 0
-            for i, (om, weight) in enumerate(zip(one_minus, column)):
-                offset = toward * om
-                if offset == 0.0:
-                    break
-                x = anchor - offset
-                v = lead
-                for c in rest:
-                    v = v * x + c
-                if v == 0.0:
-                    raise SingularPoint(f"unexpected interior zero at {x}")
-                term = abs(v) ** p * weight
-                total += term
-                # no term is negative, so total is its own absolute value
-                if term <= total * 1e-17:
-                    negligible += 1
-                    if negligible >= 2 and i >= tail_start:
-                        i += 1  # node i was evaluated
+    try:
+        v = lead
+        for c in rest:
+            v = v * x + c
+        # the midpoint, where 1 -+ tanh z = 1 and the weight is pi/2
+        node_sum = _HALF_PI * abs(v) ** p
+        nodes = 1
+        for level in range(_LEVELS + 1):
+            one_minus, _, _, tail_start = _node_table(level)
+            total = 0.0
+            # A node lies hs * (1 - tanh z) from its own side's endpoint: x =
+            # hi - hs * (1 - tanh z) on the upper side, x = lo - (-hs) * (1 -
+            # tanh z) on the lower.  The table's weight w is at least 1 - tanh
+            # z, so hs * w cannot underflow before that distance does.
+            for anchor, toward, column in (
+                (hi, hs, _endpoint_column(level, p_hi, p_lo)),
+                (lo, -hs, _endpoint_column(level, p_lo, p_hi)),
+            ):
+                # 1 - tanh z decreases along the table, so the side ends
+                # before its first zero distance, if any
+                end = len(column)
+                if toward * one_minus[end - 1] == 0.0:
+                    end = bisect.bisect_left(
+                        one_minus, True, 0, end, key=lambda om: toward * om == 0.0
+                    )
+                # the head, t <= 3, where no stop can happen
+                head = min(tail_start, end)
+                for om, weight in zip(one_minus, islice(column, head)):
+                    x = anchor - toward * om
+                    v = lead
+                    for c in rest:
+                        v = v * x + c
+                    term = abs(v) ** p * weight
+                    total += term
+                # the tail stops after two negligible terms in a row; no term
+                # is negative, so total is its own absolute value
+                negligible = head > 0 and term <= total * 1e-17
+                for i in range(head, end):
+                    x = anchor - toward * one_minus[i]
+                    v = lead
+                    for c in rest:
+                        v = v * x + c
+                    term = abs(v) ** p * column[i]
+                    total += term
+                    if term > total * 1e-17:
+                        negligible = False
+                    elif negligible:  # the second negligible term in a row
+                        end = i + 1
                         break
-                else:
-                    negligible = 0
-            else:
-                i = len(column)
-            nodes += i
-        node_sum += total
-        value = 2.0**-level * node_sum
-        if level:
-            error = abs(value - previous)
-            if error <= cfg.rel_tol * abs(value):
-                return value * scale, error * scale, True, nodes
-        previous = value
+                    else:
+                        negligible = True
+                nodes += end
+            node_sum += total
+            value = 2.0**-level * node_sum
+            if level:
+                error = abs(value - previous)
+                size = abs(value)
+                if error <= cfg.rel_tol * size:
+                    return value * scale, error * scale, True, nodes
+                # error squares per level: the next difference is about
+                # error^2 / last, taken 100 times over, unless this level's
+                # fell by more than a square (a cancellation, not convergence)
+                if (
+                    level >= 2
+                    and error < last
+                    and error <= quadratic_tol * size
+                    and last * last <= 100.0 * error * size
+                ):
+                    estimate = 100.0 * error * (error / last)
+                    if estimate <= cfg.rel_tol * size:
+                        return value * scale, estimate * scale, True, nodes
+                last = error
+            previous = value
+    except ZeroDivisionError:  # abs(0.0) ** p, p < 0: a zero at node x
+        raise SingularPoint(f"unexpected interior zero at {x}") from None
     return value * scale, error * scale, False, nodes
 
 
@@ -437,9 +486,10 @@ def _integrate_at_unit_scale(
         value = math.ldexp(total * rescale, q + chart.s)
     except OverflowError:
         value = math.inf
-    if not 0.0 < value < math.inf:
+    if not _NORMAL_MIN <= value < math.inf:
         raise DomainError(
-            f"the integral lies beyond the float range (2^{q + chart.s} * {total * rescale!r})"
+            f"the integral lies beyond the float range or below its normal floats "
+            f"(2^{q + chart.s} * {total * rescale!r})"
         )
     return value, math.ldexp(total_error * rescale, q + chart.s)
 

@@ -58,6 +58,9 @@ _FD_IDENTITY_STEP = 1e-3
 # Floor for the relative-residual denominator when a moment vanishes by
 # symmetry; moments carry dimension 1/coefficient, hence the 1/scale factor.
 _FD_DENOM_FLOOR = 1e-3
+# The least normal float: a result below it has lost bits, so no route
+# returns one as a value (error estimates and FD residuals may be smaller).
+_NORMAL_MIN = 2.0**-1022
 
 
 class IntegralMethod(Enum):
@@ -134,8 +137,8 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
 
     The sixth root goes through exp(-ln|D|/6), with ln|D| taken on the exact
     rational D, so extreme coefficient scales neither overflow nor underflow
-    on the way; a value F that overflows, or underflows to zero, raises
-    DomainError.
+    on the way; a value F beyond the float range or below its normal
+    floats, which log_closed_form still gives, raises DomainError.
     """
     disc = _checked_discriminant(coeffs)
     c, log_root = _closed_form_parts(disc)
@@ -143,9 +146,9 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
         value = c * math.exp(-log_root)
     except OverflowError:
         value = math.inf
-    if not 0.0 < value < math.inf:
+    if not _NORMAL_MIN <= value < math.inf:
         raise DomainError(
-            f"value out of float range: ln F = {math.log(c) - log_root:.6g}"
+            f"value out of float range: ln F = {math.log(c) - log_root:.6g} (log_closed_form)"
         )
     return IntegralResult(value, IntegralMethod.CLOSED_FORM, disc, 0.0)
 
@@ -165,14 +168,14 @@ def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
     for a > 0 and D2 = b^2 - 4ac < 0, as 2*pi*den / sqrt(N) on the integers of
     ``_checked_gaussian``.  Both are split exactly into a power of two and a
     ratio near one, so nothing over- or underflows on the way; a value beyond
-    the float range raises DomainError."""
+    the float range or below its normal floats raises DomainError."""
     den, n = _checked_gaussian(a, b, c)
     t, k = den.bit_length(), n.bit_length() // 2  # den / 2^t in [1/2, 1), N / 4^k in [1/2, 2)
     try:
         value = math.ldexp(2.0 * math.pi * (den / (1 << t)) / math.sqrt(n / (1 << 2 * k)), t - k)
     except OverflowError:
         value = math.inf
-    if not 0.0 < value < math.inf:
+    if not _NORMAL_MIN <= value < math.inf:
         raise DomainError(f"gaussian analogue out of float range, got {(a, b, c)}")
     return value
 
@@ -180,7 +183,8 @@ def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
 def _moments(ints: list, den: int, exact: bool) -> ExpectationSet:
     """den * N_int / (6 * D_int) for the four moment numerators N_int, on the
     integers ``ints`` and ``den`` of ``integer_coefficients``: Fractions if
-    ``exact``, else floats rounded once from the exact ratio."""
+    ``exact``, else floats rounded once from the exact ratio, each zero or
+    a normal float."""
     a, b, c, d = ints
     six_d = 6 * cubic_discriminant_int(a, b, c, d)
     _checked_sign(six_d)
@@ -194,11 +198,16 @@ def _moments(ints: list, den: int, exact: bool) -> ExpectationSet:
         return ExpectationSet(*[Fraction(den * n, six_d) for n in numerators])
     try:
         # int / int true division rounds the exact quotient once, like float(Fraction)
-        return ExpectationSet(*[den * n / six_d for n in numerators])
-    except OverflowError:
+        moments = [den * n / six_d for n in numerators]
+        lost = any(n and abs(m) < _NORMAL_MIN for n, m in zip(numerators, moments))
+    except OverflowError:  # a quotient beyond the float range
+        lost = True
+    if lost:
         raise DomainError(
-            "a moment exceeds the float range; exact (integer or p/q) input keeps it exact"
-        ) from None
+            "a moment lies beyond the float range or below its normal floats; "
+            "exact (integer or p/q) input keeps it exact"
+        )
+    return ExpectationSet(*moments)
 
 
 def expectations(coeffs: CubicCoeffs) -> ExpectationSet:

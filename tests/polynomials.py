@@ -4,12 +4,14 @@
 whose roots it knows, and ``magnitude_at`` is the scale a residual at a root is
 measured against.  ``coefficient_strings`` and ``from_coefficient_strings``
 are a text round trip through ``parse_number``, the parser the CLI reads
-coefficients with.
+coefficients with.  ``sl2_image`` carries x^n +- 1 by a matrix of SL(2, Z),
+which keeps F, and ``beta_value`` is that F in closed form.
 """
 
+import math
 from fractions import Fraction
 
-from nongauss import Polynomial
+from nongauss import Polynomial, beta
 from nongauss.polynomial import parse_number
 
 
@@ -43,3 +45,22 @@ def coefficient_strings(p: Polynomial) -> list:
 
 def from_coefficient_strings(items) -> Polynomial:
     return Polynomial([parse_number(s) for s in items])
+
+
+def sl2_image(n, plus, m) -> list:
+    """(alpha x + beta)^n +- (gamma x + delta)^n, leading first."""
+    alpha, b, gamma, delta = m
+    sign = 1 if plus else -1
+    return [
+        math.comb(n, i) * (alpha ** (n - i) * b**i + sign * gamma ** (n - i) * delta**i)
+        for i in range(n + 1)
+    ]
+
+
+def beta_value(n, plus) -> float:
+    """Integral of |x^n +- 1|^(-2/n) over the line (x^n - 1: even n)."""
+    if not plus:
+        return (4.0 / n) * beta(1.0 / n, 1.0 - 2.0 / n)
+    if n % 2 == 0:
+        return (2.0 / n) * beta(1.0 / n, 1.0 / n)
+    return (1.0 / n) * beta(1.0 / n, 1.0 / n) + (2.0 / n) * beta(1.0 / n, 1.0 - 2.0 / n)

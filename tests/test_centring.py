@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from polynomials import from_roots
+from polynomials import beta_value, from_roots, sl2_image
 
 from nongauss import (
     IllConditionedWarning,
@@ -23,7 +23,6 @@ from nongauss import (
     Polynomial,
     QuadratureConfig,
     RepeatedRootDivergence,
-    beta,
     integral_numeric_general,
 )
 from nongauss import quadrature
@@ -50,27 +49,8 @@ _CLUSTERED_FORMS = [
 ]
 
 
-def _image(n, plus, m):
-    """(alpha x + beta)^n +- (gamma x + delta)^n, leading first."""
-    alpha, b, gamma, delta = m
-    sign = 1 if plus else -1
-    return [
-        math.comb(n, i) * (alpha ** (n - i) * b**i + sign * gamma ** (n - i) * delta**i)
-        for i in range(n + 1)
-    ]
-
-
 def _base(n, plus):
     return [1] + [0] * (n - 1) + [1 if plus else -1]
-
-
-def _beta_value(n, plus):
-    """Integral of |x^n +- 1|^(-2/n) over the line (x^n - 1: even n)."""
-    if not plus:
-        return (4.0 / n) * beta(1.0 / n, 1.0 - 2.0 / n)
-    if n % 2 == 0:
-        return (2.0 / n) * beta(1.0 / n, 1.0 / n)
-    return (1.0 / n) * beta(1.0 / n, 1.0 / n) + (2.0 / n) * beta(1.0 / n, 1.0 - 2.0 / n)
 
 
 def _outcome(coeffs):
@@ -90,10 +70,10 @@ def test_there_are_48_clustered_forms():
 
 @pytest.mark.parametrize("n, plus, m", _CLUSTERED_FORMS)
 def test_clustered_images_match_beta(n, plus, m):
-    coeffs = _image(n, plus, m)
+    coeffs = sl2_image(n, plus, m)
     assert _chart(coeffs)[0] != 0.0
     value = integral_numeric_general(Polynomial(coeffs)).value
-    expected = _beta_value(n, plus)
+    expected = beta_value(n, plus)
     assert abs(value - expected) <= 1e-8 * expected
 
 
@@ -105,14 +85,14 @@ def test_named_forms_keep_their_evaluation_counts(count_evaluations):
     # root-locator evaluations plus tanh-sinh nodes, pinned: a change here
     # means other nodes, another order or other stops
     assert _evaluations(count_evaluations, _base(8, False)) == 318
-    assert _evaluations(count_evaluations, _base(8, True)) == 584
-    assert _evaluations(count_evaluations, _image(8, False, (3, -2, 2, -1))) == 720
+    assert _evaluations(count_evaluations, _base(8, True)) == 319
+    assert _evaluations(count_evaluations, sl2_image(8, False, (3, -2, 2, -1))) == 664
 
 
 def test_clustered_images_cost_about_what_their_base_costs(count_evaluations):
     # Counted are all polynomial evaluations: integrand nodes and root
-    # location.  Centred, the 48 forms cost 1.37x their bases in total and at
-    # most 2.28x each: the panels are the arcs between the real roots, graded
+    # location.  Centred, the 48 forms cost 1.67x their bases in total and at
+    # most 2.09x each: the panels are the arcs between the real roots, graded
     # toward the nearest other root, and the real roots are found by
     # bracketed Newton steps.  Integrated where they lie, with the tangency
     # test off, they cost about 11x.
@@ -120,7 +100,7 @@ def test_clustered_images_cost_about_what_their_base_costs(count_evaluations):
     for n, plus, m in _CLUSTERED_FORMS:
         if (n, plus) not in base_cost:
             base_cost[n, plus] = _evaluations(count_evaluations, _base(n, plus))
-        cost = _evaluations(count_evaluations, _image(n, plus, m))
+        cost = _evaluations(count_evaluations, sl2_image(n, plus, m))
         assert cost <= 3.5 * base_cost[n, plus], (n, plus, m)
         total += cost
         total_base += base_cost[n, plus]
@@ -134,9 +114,9 @@ def test_clustered_images_without_the_shift_are_right_or_unresolved(monkeypatch)
     monkeypatch.setattr(quadrature, "_chart", lambda values, t=0.0, s=None: _chart(values, t, s))
     right = 0
     for n, plus, m in _CLUSTERED_FORMS:
-        value = _outcome(_image(n, plus, m))
+        value = _outcome(sl2_image(n, plus, m))
         if value is not NoConvergence:
-            expected = _beta_value(n, plus)
+            expected = beta_value(n, plus)
             assert abs(value - expected) <= 1e-8 * expected, (n, plus, m)
             right += 1
     assert right >= 24
@@ -160,7 +140,7 @@ def test_shifted_coefficients_are_rounded_once():
     clustered = []
     for n, plus, m in _CLUSTERED_FORMS:
         k = rng.randint(-40, 40)
-        clustered.append([math.ldexp(c, k) for c in _image(n, plus, m)])
+        clustered.append([math.ldexp(c, k) for c in sl2_image(n, plus, m)])
     # clusters of a float form, a Fraction form, and dyadic roots 2^-20 apart
     # around 3 * 2^30
     others = [
@@ -230,7 +210,7 @@ def test_shift_stays_off_without_a_linear_term_or_on_overflow():
 
 def test_centring_keeps_dilations_exact():
     for n, plus, m in _CLUSTERED_FORMS[::6]:
-        coeffs = [float(c) for c in _image(n, plus, m)]
+        coeffs = [float(c) for c in sl2_image(n, plus, m)]
         base = integral_numeric_general(Polynomial(coeffs))
         for j in (-37, 5, 90):
             dilated = [math.ldexp(c, j * (n - i)) for i, c in enumerate(coeffs)]

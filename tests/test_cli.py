@@ -398,6 +398,9 @@ def test_non_finite_input_is_domain_error(capsys, argv, bad):
     assert record["error_kind"] == "DomainError"
 
 
+_BIG = str(2**1605)
+
+
 @pytest.mark.parametrize(
     "argv,code,kind",
     [
@@ -428,6 +431,13 @@ def test_non_finite_input_is_domain_error(capsys, argv, bad):
         (["gauss", "5e-324", "0", "5e-324"], 2, "DomainError"),
         # rel_tol = inf accepted every first estimate: 12.619645, status ok
         (["integral", "1", "0", "-1", "0", "--numeric", "--rel-tol", "inf"], 2, "DomainError"),
+        # status-ok subnormal or zero floats with lost bits: F of 2^1605 (x^3 -
+        # x) by either route, the Gaussian analogue of 2^1070 (x^2 + 1) and the
+        # float moments of 2^1075 (x^3 - x) + 1.0
+        (["integral", _BIG, "0", "-" + _BIG, "0"], 2, "DomainError"),
+        (["integral", _BIG, "0", "-" + _BIG, "0", "--numeric"], 2, "DomainError"),
+        (["gauss", str(2**1070), "0", str(2**1070)], 2, "DomainError"),
+        (["expect", str(2**1075), "0", "-" + str(2**1075), "1.0"], 2, "DomainError"),
     ],
 )
 def test_fuzz_findings(capsys, argv, code, kind):

@@ -487,6 +487,12 @@ def test_cubic_below_the_float_range_matches_the_closed_form():
     assert value == pytest.approx(closed_form_integral(cubic).value, rel=1e-12)
 
 
+def test_cubic_numeric_below_the_normal_floats_is_a_domain_error():
+    # F(2^1605 (x^3 - x)) ~ 1e-321 was a status-ok value 0.04 % off
+    with pytest.raises(DomainError, match="below its normal floats"):
+        integral_numeric(CubicCoeffs(2**1605, 0, -(2**1605), 0))
+
+
 def test_subnormal_cubic_is_right_or_unresolved():
     # the constant 10^-400 rounded to 0.0 at the caller's scale, which made
     # the complex pair of modulus ~7e-201 real: once 1.9e107, status ok,
@@ -644,10 +650,12 @@ def test_endpoint_column_ends_where_a_power_overflows(monkeypatch):
     assert 0 < len(column) < len(weights)
     assert all(0.0 <= v < math.inf for v in column)
     assert len(quadrature._endpoint_column(12, -20.0 / 21.0, 0.0)) == len(weights)
-    # so a panel next to that root walks to level 8 without an OverflowError
+    # so a panel next to that root walks to level 8 without an OverflowError;
+    # at rel_tol = 1e-30 neither stop rule can hold short of two equal levels,
+    # since the quadratic one needs a difference below 1e-17 of the value
     monkeypatch.setattr(quadrature, "_LEVELS", 8)
     x11_x_plus_1 = [1.0, 1.0] + [0.0] * 11
-    args = (x11_x_plus_1, 2.0 / 23.0, 0.0, 0.5, 11, 0, QuadratureConfig(rel_tol=1e-17))
+    args = (x11_x_plus_1, 2.0 / 23.0, 0.0, 0.5, 11, 0, QuadratureConfig(rel_tol=1e-30))
     value, error, converged, _ = quadrature._panel_value(*args)
     assert 0.0 < value < math.inf and error < 1e-12 * value and not converged
 
@@ -712,18 +720,39 @@ def _direct_tanh_sinh_panel(fn, lo, hi, p_lo, p_hi, cfg):
         return total
 
     node_sum = math.pi / 2.0 * fn(mid) + side_sum(1.0, False)
-    previous = value = node_sum
-    error = math.inf
+    values = [node_sum]
     h = 1.0
     for _ in range(quadrature._LEVELS):
         h *= 0.5
         node_sum += side_sum(h, True)
-        value = h * node_sum
-        error = abs(value - previous)
-        if error <= cfg.rel_tol * abs(value):
-            return value * scale, error * scale, True
-        previous = value
-    return value * scale, error * scale, False
+        values.append(h * node_sum)
+        stop = _direct_stop(values, cfg.rel_tol)
+        if stop:
+            return values[-1] * scale, stop[1] * scale, True
+    return values[-1] * scale, abs(values[-1] - values[-2]) * scale, False
+
+
+def _direct_stop(values, rel_tol):
+    """The rule that ends the level doubling after the level values
+    ``values``, with its error estimate, or None to go on: "difference" when
+    the last two levels differ by at most rel_tol of the last; "quadratic"
+    when the last difference d1 is below the one before, d0, is at most
+    0.01 * sqrt(rel_tol) of the last level S, d0^2 <= 100 d1 |S| (the
+    relative difference fell by no more than a square), and 100 * d1^2 /
+    d0, the next difference of a quadratically converging rule with a
+    margin of 100, is at most rel_tol of S."""
+    value = abs(values[-1])
+    d1 = abs(values[-1] - values[-2])
+    if d1 <= rel_tol * value:
+        return "difference", d1
+    if len(values) >= 3:
+        d0 = abs(values[-2] - values[-3])
+        squared = d0 * d0 <= 100.0 * d1 * value
+        if d1 < d0 and d1 <= 0.01 * math.sqrt(rel_tol) * value and squared:
+            estimate = 100.0 * d1 * (d1 / d0)
+            if estimate <= rel_tol * value:
+                return "quadratic", estimate
+    return None
 
 
 def _direct_panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
@@ -767,6 +796,18 @@ def test_tanh_sinh_panel_walks_the_direct_nodes(integrand_at, lo, hi, monkeypatc
     coeffs, family_degree, m_lo = integrand_at(lo)
     args = (coeffs, 2.0 / family_degree, lo, hi, m_lo, 0, QuadratureConfig())
     assert quadrature._panel_value(*args) == _direct_panel_value(*args)
+
+
+@pytest.mark.parametrize("lo,hi,rule", [(1.0, 3.0, "quadratic"), (-1.0, 1.0, "difference")])
+def test_tanh_sinh_panel_stops_by_each_rule_as_the_direct_walk(lo, hi, rule, monkeypatch):
+    # (1 + x^2)^(-2/3) stops at level 3 on [1, 3], where the difference is
+    # still above rel_tol, and at level 4 on [-1, 1], where it is below
+    stop, stops = _direct_stop, []
+    monkeypatch.setitem(globals(), "_direct_stop", lambda *a: stops.append(stop(*a)) or stops[-1])
+    args = ([1.0, 0.0, 1.0], 2.0 / 3.0, lo, hi, 0, 0, QuadratureConfig())
+    value, error, converged, nodes = _direct_panel_value(*args)
+    assert converged and stops[-1][0] == rule
+    assert quadrature._panel_value(*args) == (value, error, converged, nodes)
 
 
 def _outcome(call, *args):

@@ -18,6 +18,7 @@ from nongauss import (
     expectations,
     expectations_fd_check,
     gaussian_analogue,
+    log_closed_form,
     pde_identity_residuals,
 )
 from nongauss import discriminant, renorm
@@ -278,6 +279,31 @@ def test_closed_form_underflow_is_domain_error():
     # D = 4 * 10^2000: F ~ 10^-333 underflows to 0.0
     with pytest.raises(DomainError, match="out of float range"):
         closed_form_integral(CubicCoeffs(10**2000, 0, -1, 0))
-    # a subnormal F is still a value
-    value = closed_form_integral(CubicCoeffs(10**1900, 0, -1, 0)).value
-    assert 0.0 < value < 2.0**-1022
+    # so is a subnormal F, which has lost bits (was a status-ok value)
+    with pytest.raises(DomainError, match="out of float range"):
+        closed_form_integral(CubicCoeffs(10**1900, 0, -1, 0))
+
+
+# Status-ok floats below the normal range, each with lost bits: the closed
+# form of 2^1605 (x^3 - x) was 1.023e-321, 2.5 % off; the Gaussian analogue
+# of 2^1070 (x^2 + 1) 2.47e-322; the float moments of 2^1075 (x^3 - x) + 1.0
+# (0.0, -0.0, -0.0, -0.0), where the exact ones are nonzero.
+def test_closed_form_below_the_normal_floats_is_a_domain_error():
+    cubic = CubicCoeffs(2**1605, 0, -(2**1605), 0)
+    with pytest.raises(DomainError, match="log_closed_form"):
+        closed_form_integral(cubic)
+    assert log_closed_form(cubic) < math.log(2.0**-1022)
+
+
+def test_gaussian_analogue_below_the_normal_floats_is_a_domain_error():
+    with pytest.raises(DomainError, match="out of float range"):
+        gaussian_analogue(2**1070, 0, 2**1070)
+
+
+def test_float_moments_below_the_normal_floats_are_a_domain_error():
+    with pytest.raises(DomainError, match="below its normal floats"):
+        expectations(CubicCoeffs(2**1075, 0, -(2**1075), 1.0))
+    # exact input keeps its exact moments, and a moment that is zero stays 0.0
+    exact = expectations(CubicCoeffs(2**1075, 0, -(2**1075), 1))
+    assert all(isinstance(m, Fraction) and m != 0 for m in exact.as_tuple())
+    assert expectations(CubicCoeffs(1.0, 0.0, -1.0, 0.0)).x2y == 0.0
