@@ -35,6 +35,7 @@ from .polynomial import (
     cubic_discriminant_exact,
     cubic_discriminant_int,
     derivative_coeffs,
+    float_coefficients,
     integer_coefficients,
     is_exact_number,
 )
@@ -165,10 +166,20 @@ def resolvent_data(coeffs: CubicCoeffs) -> ResolventData:
 
 
 def vandermonde_delta_sq(roots: Sequence[Number], a: Number) -> Number:
-    """a**4 * ((r1-r2)(r1-r3)(r2-r3))**2, the root-difference form of D."""
-    r1, r2, r3 = roots
+    """a**4 * ((r1-r2)(r1-r3)(r2-r3))**2, the root-difference form of D:
+    exact for exact input, else in floats, where a value beyond the float
+    range raises DomainError."""
+    values = (*roots, a)
+    exact = all(is_exact_number(v) for v in values)
+    r1, r2, r3, a = values if exact else float_coefficients(values)
     delta = (r1 - r2) * (r1 - r3) * (r2 - r3)
-    return a**4 * delta * delta
+    try:
+        value = a**4 * delta * delta
+    except OverflowError:
+        value = math.inf
+    if not (exact or math.isfinite(value)):
+        raise DomainError(f"the root-difference form at {values} lies beyond the float range")
+    return value
 
 
 def key_lemma_check(a: Number, alpha: Number, k: Number, l: Number) -> Number:
@@ -178,8 +189,9 @@ def key_lemma_check(a: Number, alpha: Number, k: Number, l: Number) -> Number:
     for arbitrary inputs; exact inputs give a residual of exactly zero.  A
     float term beyond the float range raises DomainError.
     """
-    convert = Fraction if all(is_exact_number(v) for v in (a, alpha, k, l)) else float
-    a, alpha, k, l = (convert(v) for v in (a, alpha, k, l))
+    values = (a, alpha, k, l)
+    exact = all(is_exact_number(v) for v in values)
+    a, alpha, k, l = [Fraction(v) for v in values] if exact else float_coefficients(values)
     b = k - a * alpha
     c = l - k * alpha
     d = -l * alpha

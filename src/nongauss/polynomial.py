@@ -3,10 +3,10 @@
 Coefficients are stored leading-first: ``(a0, a1, ..., an)`` represents
 ``a0*x**n + a1*x**(n-1) + ... + an``.  Each coefficient is kept as given,
 ``int``, ``Fraction`` or float, next to any of the others: exact code reads
-them through ``integer_coefficients`` without loss, and ``_chart`` rounds
-them for the quadrature and ``cubic_roots`` (the finite-difference stencil
-of ``renorm`` rounds its own).  All operations are pure functions of immutable
-values and safe to call concurrently.
+them through ``integer_coefficients`` without loss, and ``_rounded`` alone
+rounds them, once, for ``_chart`` (the quadrature and ``cubic_roots``) and
+the finite-difference stencil of ``renorm``.  All operations are pure
+functions of immutable values and safe to call concurrently.
 
 ``_subresultant`` is the one exact remainder sequence: on the integers of
 ``integer_coefficients`` it gives R(f, f') for ``discriminant`` and every
@@ -67,13 +67,6 @@ def float_coefficients(values: Sequence[Number]) -> list:
         return [float(v) for v in values]
     except OverflowError:
         raise DomainError("a coefficient lies beyond the float range") from None
-
-
-def binary_exponent(values: Sequence[float]) -> int:
-    """The e with 2**e <= max|v| < 2**(e+1): scaling every value by 2**-e puts
-    the largest magnitude in [1, 2), changes no mantissa, and leaves input of
-    that scale exactly as it was."""
-    return math.frexp(max(abs(v) for v in values))[1] - 1
 
 
 def fujiwara_exponent(values: Sequence[Number]) -> int:
@@ -450,21 +443,39 @@ class Chart(NamedTuple):
         return xs
 
 
+def _rounded(ints: Sequence[int], den: int, powers: Sequence[int], e=None) -> tuple:
+    """(e, g), each g[i] = ints[i] 2^(powers[i] - e) / den rounded once by int
+    / int true division: the one rounding of a caller's coefficients.  Unless
+    given, e = floor(log2(m / den)), m the largest |ints[i]| 2^powers[i],
+    read from bit lengths and one comparison: the largest exact |g[i]| is in
+    [1, 2).  A g[i] beyond the float range raises DomainError."""
+    if e is None:
+        low = min(powers)
+        top = max(abs(c) << (p - low) for c, p in zip(ints, powers))  # m / 2^low
+        k = top.bit_length() - den.bit_length()  # top / den is in (2^(k-1), 2^(k+1))
+        e = low + k - (top < den << k if k >= 0 else top << -k < den)
+    try:
+        g = [(c << (p - e)) / den if p >= e else c / (den << (e - p)) for c, p in zip(ints, powers)]
+    except OverflowError:
+        raise DomainError("a coefficient lies beyond the float range") from None
+    return e, g
+
+
 def _chart(values: Sequence[Number], t=None, s=None, e=None) -> Chart:
     """The ``Chart`` (t, s, e, g), g(y) = 2^-e f(2^s y + t), of the polynomial
     f with coefficients ``values`` (leading first and nonzero; exact or
-    float): each coefficient of g is rounded once from f's exact integers,
-    and g is ``_stripped`` of a leading one that underflows.  Unless
+    float): ``_rounded`` rounds each coefficient of g once from f's exact
+    integers, and g is ``_stripped`` of a leading one that underflows.  Unless
     given, the float t is the root centroid -a1 / (n a0), rounded once from
     f's exact integers, if that lowers ``fujiwara_exponent`` by 2 or more (a
     4x smaller root bound), else 0.0; the int s is minus
     ``fujiwara_exponent`` of the reversal of f(y + t) from its lowest
     nonzero power on, so every nonzero root of g has modulus above 1/4, or 0
-    where that leaves a coefficient of g subnormal; the int e puts the
-    largest coefficient of g in [1, 2).  All three read exact bit lengths,
-    so f(2^j x) moves t to 2^-j t and s to s - j, 2^k f moves e to e + k,
-    and g stays the same, bit for bit.  A given e that leaves a coefficient
-    beyond the float range raises DomainError."""
+    where that leaves a coefficient of g subnormal; the int e is
+    ``_rounded``'s, the largest coefficient of g in [1, 2).  All three read
+    exact bit lengths, so f(2^j x) moves t to 2^-j t and s to s - j, 2^k f
+    moves e to e + k, and g stays the same, bit for bit.  A given e that
+    leaves a coefficient beyond the float range raises DomainError."""
     ints, den = integer_coefficients(values)
     deg = len(ints) - 1
     centre = t
@@ -488,16 +499,7 @@ def _chart(values: Sequence[Number], t=None, s=None, e=None) -> Chart:
         dilated = [ex + s * p for p, ex in exponents]
         # 2^-1022 is the smallest normal float; g's largest coefficient is in [1, 2)
         s = 0 if min(dilated) - max(dilated) < -1022 else s
-    powers = [s * (deg - i) for i in range(deg + 1)]
-    if e is None:  # floor(log2(top / den)) - low, top the largest |ints[i]| 2^(powers[i] + low)
-        low = den.bit_length() - min(powers)
-        top = max(abs(c) << (x + low) for c, x in zip(ints, powers))
-        e = (top // den).bit_length() - 1 - low
-    powers = [x - e for x in powers]
-    try:
-        g = [(c << x) / den if x >= 0 else c / (den << -x) for c, x in zip(ints, powers)]
-    except OverflowError:
-        raise DomainError("a coefficient lies beyond the float range") from None
+    e, g = _rounded(ints, den, [s * (deg - i) for i in range(deg + 1)], e)
     return Chart(t or 0.0, s, e, _stripped(g))
 
 

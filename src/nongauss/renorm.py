@@ -24,13 +24,14 @@ The four renormalized moments are minus the log-derivatives of F with
 respect to the coefficients; they reduce to rational expressions in
 (a, b, c, d, D) and are verified here against central finite differences.
 
-The finite-difference verifiers divide the coefficients by a power of two
-and move each one by 0, +h or -h, so every stencil point lies on one grid of
-twelve floats.  That grid is cleared to integers over one power-of-two
-denominator once per stencil; a point's D is then the five-term expansion
-on four looked-up integers, its sign is decided exactly, and its log F is
-the closed form's to the last bit.  The moment formulas at the center are
-evaluated on the same integers.
+The finite-difference verifiers round the coefficients once, over a power of
+two, from their exact integers (``polynomial._rounded``, as the chart does),
+so 2^k f gives the same stencil at every k, and move each one by 0, +h or -h:
+every stencil point lies on one grid of twelve floats.  That grid is cleared
+to integers over one power-of-two denominator once per stencil; a point's D
+is then the five-term expansion on four looked-up integers, its sign is
+decided exactly, and its log F is the closed form's to the last bit.  The
+moment formulas at the center are evaluated on the same integers.
 """
 
 from __future__ import annotations
@@ -43,14 +44,7 @@ from typing import Optional, Union
 
 from .discriminant import DiscriminantResult, Sign, discriminant_cubic_explicit
 from .errors import DivergentIntegral, DomainError, StencilCrossesSingularity
-from .polynomial import (
-    CubicCoeffs,
-    Number,
-    binary_exponent,
-    cubic_discriminant_int,
-    float_coefficients,
-    integer_coefficients,
-)
+from .polynomial import CubicCoeffs, Number, _rounded, cubic_discriminant_int, integer_coefficients
 from .special import constants
 
 _FD_EXPECTATION_STEP = 1e-4
@@ -239,27 +233,32 @@ def _in_caller_units(point: list, den: int, e: int) -> str:
 def _unit_stencil(coeffs: CubicCoeffs, default_step: float, step) -> tuple:
     """(center, den, scale, h, log_f) for the finite-difference verifiers.
 
-    The stencil works on the coefficients divided by 2^e, the power of two
-    just below their largest magnitude; ``scale`` is the largest of them in
-    magnitude and ``h`` the step in those units: residuals are normalized by
-    the scale, so none changes, and stencils stay in float range.  Every
-    stencil point moves each coordinate by 0, +h or -h, so the twelve floats
-    ``base[i] + delta`` are cleared to integers over one power-of-two ``den``
-    once, by one ``integer_coefficients`` call; ``center`` holds the four at
-    delta = 0.  ``log_f({index: sign})``, each sign +1 or -1, looks up the
-    moved point's integers and evaluates D_int on them: it raises
-    StencilCrossesSingularity if D_int is zero or its sign differs from the
-    center's, and otherwise returns log C - ln(|D_int| / den^4) / 6.  The
-    center's sign is decided on the exact integers of the caller's own
-    coefficients, which may not be floats.
+    The stencil works on the coefficients over 2^e, the power of two just
+    below their largest magnitude, each rounded once from their exact
+    integers by ``_rounded``, as the chart is; ``scale`` is the largest of
+    them in magnitude and ``h`` the step in those units, rounded the same
+    way: residuals are normalized by the scale, so 2^k f gives the same
+    ones, and stencils stay in float range.  Every stencil point moves each
+    coordinate by 0, +h or -h, so the twelve floats ``base[i] + delta`` are
+    cleared to integers over one power-of-two ``den`` once, by one
+    ``integer_coefficients`` call; ``center`` holds the four at delta = 0.
+    ``log_f({index: sign})``, each sign +1 or -1, looks up the moved point's
+    integers and evaluates D_int on them: it raises StencilCrossesSingularity
+    if D_int is zero or its sign differs from the center's, and otherwise
+    returns log C - ln(|D_int| / den^4) / 6.  The center's sign is decided
+    on the exact integers the stencil is rounded from.
     """
-    exact, _ = integer_coefficients(_tail_checked(coeffs).as_tuple())
+    exact, exact_den = integer_coefficients(_tail_checked(coeffs).as_tuple())
     center_sign = _checked_sign(cubic_discriminant_int(*exact))
-    values = float_coefficients(coeffs.as_tuple())
-    e = binary_exponent(values)
-    base = [math.ldexp(v, -e) for v in values]
+    e, base = _rounded(exact, exact_den, (0, 0, 0, 0))
     scale = max(abs(v) for v in base)
-    h = default_step * scale if step is None else math.ldexp(float(step), -e)
+    if step is None:
+        h = default_step * scale
+    else:
+        try:
+            h = _rounded(*integer_coefficients((step,)), (0,), e)[1][0]
+        except DomainError:  # a step that is not finite, or beyond the float range here
+            h = math.inf
     if not 0.0 < h * h < math.inf:
         raise DomainError(f"step {step} is zero, non-finite or out of range at this scale")
     ints, den = integer_coefficients([v + delta for v in base for delta in (0.0, h, -h)])

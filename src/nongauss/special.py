@@ -57,7 +57,9 @@ def beta(p: float, q: float) -> float:
     a larger argument L >= 100 on, where ln Gamma(L) and ln Gamma(L + s) would
     cancel, their difference is taken in Stirling's form instead: -s ln L -
     (L + s - 1/2) log1p(s/L) + s plus the series at L less that at L + s.  A
-    value beyond the float range is inf, as for gamma.
+    value beyond the float range is inf, as for gamma; one below it is 0.0,
+    also where ln Gamma(s) overflows or L is inf, which would meet a -inf
+    or a nan ratio.
     """
     if not (p > 0 and q > 0):
         raise DomainError(f"beta requires p, q > 0, got ({p}, {q})")
@@ -66,7 +68,8 @@ def beta(p: float, q: float) -> float:
         if big < 100.0:
             return math.exp(ln_gamma(s) + ln_gamma(big) - ln_gamma(s + big))
         ratio = s - s * math.log(big) - (big + s - 0.5) * math.log1p(s / big)
-        return math.exp(ln_gamma(s) + ratio + (_stirling_series(big) - _stirling_series(big + s)))
+        log_b = ln_gamma(s) + ratio + (_stirling_series(big) - _stirling_series(big + s))
+        return 0.0 if math.isnan(log_b) else math.exp(log_b)
     except OverflowError:
         return math.inf
 

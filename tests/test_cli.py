@@ -438,6 +438,9 @@ _BIG = str(2**1605)
         (["integral", _BIG, "0", "-" + _BIG, "0", "--numeric"], 2, "DomainError"),
         (["gauss", str(2**1070), "0", str(2**1070)], 2, "DomainError"),
         (["expect", str(2**1075), "0", "-" + str(2**1075), "1.0"], 2, "DomainError"),
+        # a step of 1e300 at the scale 2^-996 overflowed: an OverflowError traceback
+        (["verify", "0", "1e-300", "1e-300", "0", "--step", "1e300"], 2, "DomainError"),
+        (["expect"] + ["1e-300"] * 4 + ["--fd-check", "--step", "1e300"], 2, "DomainError"),
     ],
 )
 def test_fuzz_findings(capsys, argv, code, kind):
@@ -458,14 +461,35 @@ def test_far_panels_match_the_closed_form(capsys):
     assert abs(numeric - closed) <= 1e-12
 
 
-@pytest.mark.parametrize("command", [["verify"], ["expect", "--fd-check"]])
-def test_fd_checks_beyond_the_float_range_are_domain_errors(capsys, command):
-    # float() of the 10^310 coefficient raised OverflowError: a traceback
-    argv = command[:1] + ["1" + "0" * 310, "0", "-1", "0"] + command[1:]
-    assert run(argv) == 2
+def test_verify_of_a_power_of_two_multiple_prints_the_same_residuals(capsys):
+    # 2^-1100 (x^3 - x + 3/7), as p/q literals: the stencil is rounded once from
+    # the exact integers at every scale (was a DomainError)
+    scaled = [str(Fraction(v) / 2**1100) for v in ("1", "0", "-1", "3/7")]
+    assert run(["verify", *scaled]) == 0
+    residuals = strict_json(capsys.readouterr().out)["result"]["residuals"]
+    assert run(["verify", "1", "0", "-1", "3/7"]) == 0
+    assert residuals == strict_json(capsys.readouterr().out)["result"]["residuals"]
+
+
+_E310 = "1" + "0" * 310
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        # float() of the 10^310 coefficient raised OverflowError: a traceback.
+        # Rounded at the stencil's scale, c = -1 is 10^-310 of a, so the +-h
+        # points of c cross D = 0 (was a DomainError)
+        (["verify", _E310, "0", "-1", "0"], 2, "StencilCrossesSingularity"),
+        (["verify", _E310, "0", "-" + _E310, "0"], 0, None),
+        # the float moment xy2 = 1 / (2c) lies beyond the float range
+        (["expect", _E310, "0", "-1", "0", "--fd-check"], 2, "DomainError"),
+    ],
+)
+def test_fd_checks_beyond_the_float_range(capsys, argv, code, kind):
+    assert run(argv) == code
     record = strict_json(capsys.readouterr().out)
-    assert record["status"] == "error"
-    assert record["error_kind"] == "DomainError"
+    assert record["error_kind"] == kind
 
 
 _FUZZ_COMMANDS = ("disc", "integral", "gauss", "expect", "verify", "beta-check")

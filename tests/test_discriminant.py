@@ -196,11 +196,26 @@ def test_key_lemma_examples():
     [
         (1.0, 0.5, 1e200, 1e200),  # the square overflowed: a bare OverflowError
         (1.0, 0.0, 1e160, 0.0),  # 0 * -inf: a nan residual
+        # float() of the exact 10^400: a bare OverflowError
+        (Fraction(10**400), 1.0, 1, 1),
     ],
 )
 def test_key_lemma_beyond_the_float_range_is_domain_error(args):
     with pytest.raises(DomainError, match="beyond the float range"):
         key_lemma_check(*args)
+
+
+@pytest.mark.parametrize(
+    "roots, a",
+    [
+        ((1.0, 2.0, 3.0), Fraction(10**400)),  # float() of a: a bare OverflowError
+        ((1.0, 2.0, 3.0), 1e100),  # a**4: a bare OverflowError
+        ((1e200, 2.0, 3.0), 1.0),  # the square of delta: inf
+    ],
+)
+def test_vandermonde_beyond_the_float_range_is_domain_error(roots, a):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        vandermonde_delta_sq(roots, a)
 
 
 def test_key_lemma_random_rationals_exactly_zero():

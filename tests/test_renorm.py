@@ -214,16 +214,51 @@ def test_pde_identities_stencil_crossing():
 
 
 @pytest.mark.parametrize(
-    "coeffs", [(1.0, 2.0, 3.0, 5.0), (-3.0, 1.0, 4.0, 2.0), (0.0, 1.0, 0.0, 1.0)]
+    "coeffs",
+    [
+        (1.0, 2.0, 3.0, 5.0),
+        (-3.0, 1.0, 4.0, 2.0),
+        (0.0, 1.0, 0.0, 1.0),
+        # exact input is rounded once from its integers at every scale: the
+        # stencil of 2^-1070 f gave the identity residuals (0.00322, 0.00124,
+        # 0.00938) where f gives (0.00681, 0.00252, 0.0197), and 2^-1100 f,
+        # 2^1100 f and 10^400 f raised DomainError
+        (1, 0, -1, Fraction(3, 7)),
+    ],
 )
 def test_fd_residuals_do_not_depend_on_scale(coeffs):
+    exact = all(isinstance(v, (int, Fraction)) for v in coeffs)
+    step = Fraction(5e-4) if exact else 5e-4
+
+    def times(v, factor, k):
+        return v * Fraction(factor) ** k if exact else math.ldexp(v, k)
+
     moments = expectations_fd_check(CubicCoeffs(*coeffs))
-    identities = pde_identity_residuals(CubicCoeffs(*coeffs), step=5e-4)
-    for k in (-1000, -300, 0, 300, 1000):
-        scaled = CubicCoeffs(*(math.ldexp(v, k) for v in coeffs))
+    identities = pde_identity_residuals(CubicCoeffs(*coeffs), step=step)
+    for k in (-1500, -1100, -1070, 1100, 3000) if exact else (-1000, -300, 0, 300, 1000):
+        scaled = CubicCoeffs(*(times(v, 2, k) for v in coeffs))
         assert expectations_fd_check(scaled) == moments
-        assert pde_identity_residuals(scaled, step=math.ldexp(5e-4, k)) == identities
-    assert max(moments + identities) <= 1e-5
+        assert pde_identity_residuals(scaled, step=times(step, 2, k)) == identities
+    for k in (400, -400) if exact else ():  # no power of two: other roundings, close residuals
+        scaled = CubicCoeffs(*(times(v, 10, k) for v in coeffs))
+        assert expectations_fd_check(scaled) == pytest.approx(moments, rel=1e-4)
+        assert pde_identity_residuals(scaled, step=times(step, 10, k)) == pytest.approx(
+            identities, rel=1e-4
+        )
+    # (1, 0, -1, 3/7) is nearer D = 0: its identity residuals are truncation, 5e-3
+    assert max(moments + identities) <= (1e-2 if exact else 1e-5)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [10**400, Fraction(1, 10**400), 0, math.nan, math.inf],
+    ids=["1e400", "1e-400", "0", "nan", "inf"],
+)
+def test_fd_step_out_of_range_is_domain_error(step):
+    # float(10^400) raised a bare OverflowError
+    for verifier in (expectations_fd_check, pde_identity_residuals):
+        with pytest.raises(DomainError, match="out of range at this scale"):
+            verifier(CubicCoeffs(1, 0, -1, 0), step=step)
 
 
 def test_fd_divergent_center():

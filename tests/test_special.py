@@ -126,6 +126,13 @@ def test_gamma_beyond_the_float_range_is_inf():
     # B(p, q) ~ (p + q) / (p q) for small p, q: 2e310 and 1e320
     assert beta(1e-310, 1e-310) == math.inf
     assert beta(1e-320, 1.0) == math.inf
+    assert beta(1e-320, 1000.0) == math.inf
+
+
+@pytest.mark.parametrize("p, q", [(1e308, 1e308), (3e305, 1e308), (math.inf, 1.0)])
+def test_beta_below_the_float_range_is_zero(p, q):
+    # ln Gamma overflowed to inf and met a -inf or nan ratio: beta was nan
+    assert beta(p, q) == beta(q, p) == 0.0
 
 
 def _mp_beta(p, q):

@@ -3,8 +3,9 @@
 ``renorm._unit_stencil`` clears one integer grid per cubic and decides the D
 sign of every stencil point on those integers.  The reference here rebuilds
 each moved point as floats in the stencil's units (the coefficients divided
-by 2^e, 2^e <= max|coefficient| < 2^(e+1)), decides its sign with the
-five-term D in Fractions, and takes log F from ``log_closed_form``.
+by 2^e, 2^e <= max|coefficient| < 2^(e+1), each rounded once from its exact
+value), decides its sign with the five-term D in Fractions, and takes log F
+from ``log_closed_form``.
 """
 
 import itertools
@@ -41,9 +42,10 @@ def _moves():
 def _crossings(coeffs, step) -> list:
     """Check every stencil point of ``coeffs`` against the reference; return
     the number of moved coordinates of each point that crosses D = 0."""
-    values = [float(v) for v in coeffs]
-    e = math.frexp(max(abs(v) for v in values))[1] - 1
-    base = [math.ldexp(v, -e) for v in values]
+    top = max(abs(Fraction(v)) for v in coeffs)
+    e = top.numerator.bit_length() - top.denominator.bit_length()
+    e -= top < Fraction(2) ** e
+    base = [float(Fraction(v) / Fraction(2) ** e) for v in coeffs]
     h = step * max(abs(v) for v in base)
     center = _reference_sign(coeffs)
     *_, log_f = _unit_stencil(CubicCoeffs(*coeffs), step, None)
@@ -102,6 +104,9 @@ def test_stencil_matches_fraction_reference_on_exact_input():
         (Fraction(1, 3), 0, Fraction(-1, 3), Fraction(1, 7)),
         (1, 2, 3, 5),
         (Fraction(-5, 11), Fraction(2, 9), 4, Fraction(1, 10**30)),
+        # beyond the float range, where float() of a coefficient overflows
+        tuple(v * 2**1100 for v in (Fraction(1, 3), 0, Fraction(-1, 3), Fraction(1, 7))),
+        tuple(v * 10**400 for v in (1, 2, 3, 5)),
     ]:
         for step in _STEPS:
             _crossings(coeffs, step)
