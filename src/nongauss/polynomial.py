@@ -76,7 +76,7 @@ def fujiwara_exponent(values: Sequence[Number]) -> int:
     |v_i / v_0|^(1/i), so by Fujiwara's bound every root of f(2^j y) has
     modulus below 4."""
     e = [v.bit_length() if isinstance(v, int) else math.frexp(v)[1] for v in values]
-    return max((-((e[0] - e[i]) // i) for i in range(1, len(e)) if values[i]), default=0)
+    return max([-((e[0] - e[i]) // i) for i in range(1, len(e)) if values[i]], default=0)
 
 
 def horner(coeffs: Sequence[Number], x: Number) -> Number:
@@ -468,10 +468,13 @@ def _chart(values: Sequence[Number], t=None, s=None, e=None) -> Chart:
     integers, and g is ``_stripped`` of a leading one that underflows.  Unless
     given, the float t is the root centroid -a1 / (n a0), rounded once from
     f's exact integers, if that lowers ``fujiwara_exponent`` by 2 or more (a
-    4x smaller root bound), else 0.0; the int s is minus
-    ``fujiwara_exponent`` of the reversal of f(y + t) from its lowest
-    nonzero power on, so every nonzero root of g has modulus above 1/4, or 0
-    where that leaves a coefficient of g subnormal; the int e is
+    4x smaller root bound), else 0.0: the constant term f(t), one Horner
+    step in integers, settles most rejections before the rest of the exact
+    shift is made, since its own Fujiwara term is a lower bound on the
+    exponent; the int s is minus ``fujiwara_exponent`` of the reversal of
+    f(y + t) from its lowest nonzero power on, so every nonzero root of g
+    has modulus above 1/4, or 0 where that leaves a coefficient of g
+    subnormal; the int e is
     ``_rounded``'s, the largest coefficient of g in [1, 2).  All three read
     exact bit lengths, so f(2^j x) moves t to 2^-j t and s to s - j, 2^k f
     moves e to e + k, and g stays the same, bit for bit.  A given e that
@@ -488,14 +491,29 @@ def _chart(values: Sequence[Number], t=None, s=None, e=None) -> Chart:
         num, q = centre.as_integer_ratio()  # q = 2^j
         j = q.bit_length() - 1
         # q^deg f(y + t) = P(q y + num) for P(X) = sum ints[i] q^i X^(deg - i), so
-        # coefficient i of den q^deg f(y + t) is that of P(X + num) times q^(deg - i)
-        moved = Polynomial([c << (j * i) for i, c in enumerate(ints)]).taylor_shift(num).coeffs
-        moved = [c << (j * (deg - i)) for i, c in enumerate(moved)]
-        if t is not None or fujiwara_exponent(moved) <= fujiwara_exponent(ints) - 2:
-            t, ints, den = centre, moved, den << (j * deg)
+        # coefficient i of den q^deg f(y + t) is that of P(X + num) times q^(deg - i):
+        # the Taylor shift by num is repeated synthetic division, in place, and its
+        # first pass is Horner's rule, which leaves the constant term P(num) final
+        moved = [c << (j * i) for i, c in enumerate(ints)]
+        for k in range(1, deg + 1):
+            moved[k] += num * moved[k - 1]
+        trial = t is None
+        bound = fujiwara_exponent(ints) - 2 if trial else 0
+        # the Fujiwara term of the constant term alone, over the leading term
+        # ints[0] q^deg, above the bound: the trial fails without the shift
+        last, top = moved[deg], ints[0].bit_length() + j * deg
+        if not (trial and last and -((top - last.bit_length()) // deg) > bound):
+            for i in range(1, deg):
+                for k in range(1, deg + 1 - i):
+                    moved[k] += num * moved[k - 1]
+            moved = [c << (j * (deg - i)) for i, c in enumerate(moved)]
+            if not trial or fujiwara_exponent(moved) <= bound:
+                t, ints, den = centre, moved, den << (j * deg)
     if s is None:
         exponents = [(deg - i, c.bit_length()) for i, c in enumerate(ints) if c]
-        s = -fujiwara_exponent(ints[::-1][exponents[-1][0]:])
+        # minus fujiwara_exponent of the reversal from its lead, the lowest power
+        low, e_low = exponents[-1]
+        s = min([(e_low - ex) // (p - low) for p, ex in exponents[:-1]], default=0)
         dilated = [ex + s * p for p, ex in exponents]
         # 2^-1022 is the smallest normal float; g's largest coefficient is in [1, 2)
         s = 0 if min(dilated) - max(dilated) < -1022 else s

@@ -132,14 +132,19 @@ def _complex_reach(g: list, roots: list) -> float:
     log2|c_k|) from power k1 to k2 stands for k2 - k1 roots of modulus
     (|c_k1|/|c_k2|)^(1/(k2 - k1)); each nonzero real root takes out the nearest."""
     points = [(k, math.log2(abs(c))) for k, c in enumerate(reversed(g)) if c]
-    moduli, (k1, l1) = [], points[0]
-    while k1 < points[-1][0]:  # the hull vertex after k1: steepest, then farthest
-        right = [p for p in points if p[0] > k1]
-        k2, l2 = max(right, key=lambda p: ((p[1] - l1) / (p[0] - k1), p[0]))
+    moduli, i = [], 0
+    while i < len(points) - 1:  # the hull vertex after points[i]: steepest, then farthest
+        (k1, l1), steepest = points[i], -math.inf
+        for m in range(i + 1, len(points)):
+            slope = (points[m][1] - l1) / (points[m][0] - k1)
+            if slope >= steepest:  # a tie goes to the farther point
+                steepest, vertex = slope, m
+        k2, l2 = points[vertex]
         moduli += [(l1 - l2) / (k2 - k1)] * (k2 - k1)
-        k1, l1 = k2, l2
+        i = vertex
     for log_r in [math.log2(abs(r)) for r, k in roots if r for _ in range(k)][: len(moduli)]:
-        moduli.remove(min(moduli, key=lambda m: abs(m - log_r)))
+        distances = [abs(m - log_r) for m in moduli]
+        del moduli[distances.index(min(distances))]
     return 2.0 ** min(-max(moduli), 1000.0) if moduli else 0.0
 
 
@@ -150,15 +155,23 @@ def _graded(panel: Panel, images: list, reach: float) -> list:
     roots, within ``reach`` of u = 0.  Each piece then ends a distance of its
     own order from the feature, and no cut is within rounding of the point."""
     lo, hi, m_lo, m_hi, reciprocal = panel
-    features = [(z, 0.0) for z in images if not lo <= z <= hi] + [(0.0, reach)] * (reach > 0)
-    nearest = ((max(abs(z - p), least), p) for z, least in features for p in [min(max(z, lo), hi)])
-    d, point = min(nearest, default=(math.inf, lo))
+    d, point = math.inf, lo
+    for z in images:  # the nearest root that is not an end, ties to the lower point
+        if not lo <= z <= hi:
+            p = min(max(z, lo), hi)
+            if (abs(z - p), p) < (d, point):
+                d, point = abs(z - p), p
+    if reach > 0:  # or the non-real roots, within reach of u = 0
+        p = min(max(0.0, lo), hi)
+        d, point = min((d, point), (max(abs(p), reach), p))
     cuts = []
     for end in (lo, hi):
         step = max(d, _CUT_CLEARANCE * abs(point))
         while abs(end - point) > _GRADE_REACH * step:
             cuts.append(point + math.copysign(step, end - point))
             step *= _GRADE_RATIO
+    if not cuts:
+        return [panel]
     ends = [lo] + sorted(cuts) + [hi]
     return [
         Panel(a, b, m_lo if a == lo else 0, m_hi if b == hi else 0, reciprocal)
@@ -238,12 +251,16 @@ def _unit_scale_layout(
     # rounding too (Horner's running-error bound: Higham, Accuracy and Stability
     # of Numerical Algorithms, sec. 5.1); beyond |y| = 1, r^2 times 1/r's move.
     ratio, bound = 0.0, 2 * (len(g) - 1) * 2.0**-53
+    in_y = [r for r, _ in roots]
+    if len(roots) > 1 or critical:  # else no root has another root or critical point
+        hat = [max(abs(c), 2.0**-1022) for c in g]
+        near, far = (hat, derivative_coeffs(g)), (hat[::-1], derivative_coeffs(g[::-1]))
     for i, (r, k) in enumerate(roots):
-        others = [p for p, _ in roots[:i] + roots[i + 1:]] + critical
+        others = in_y[:i] + in_y[i + 1:] + critical
         if k == 1 and others:
-            cs, x, scale = (g[::-1], 1.0 / r, abs(r)) if abs(r) > 1.0 else (g, r, 1.0)
-            move = horner([max(abs(c), 2.0**-1022) for c in cs], abs(x)) * scale * bound
-            slope = abs(horner(derivative_coeffs(cs), x)) * min(abs(p - r) for p in others)
+            (hat_cs, deriv), x, scale = (far, 1.0 / r, abs(r)) if abs(r) > 1.0 else (near, r, 1.0)
+            move = horner(hat_cs, abs(x)) * scale * bound
+            slope = abs(horner(deriv, x)) * min([abs(p - r) for p in others])
             ratio = max(ratio, move * scale / slope if slope else math.inf)
     if ratio > rel_tol:
         warnings.warn(
@@ -255,15 +272,14 @@ def _unit_scale_layout(
     # Arcs between the roots, u = 0 when deg g < n (a root of multiplicity
     # n - deg g), and y = 2 (-2) unless a root in [1, 4] ([-4, -1]) stands in
     # its place: each has |y| >= 1 on it (in u = 1/y) or lies in [-4, 4] (in y).
-    cuts = [(y, 0) for y in (-2.0, 2.0) if not any(0.5 <= r / y <= 2.0 for r, _ in roots)]
+    cuts = [(y, 0) for y in (-2.0, 2.0) if not any([0.5 <= r / y <= 2.0 for r in in_y])]
     marks = sorted(roots + cuts + [(math.inf, origin)] * (origin > 0))
-    in_y = [r for r, _ in roots]
     in_u = [1.0 / r for r in in_y if r] + [0.0] * (origin > 0)
     reach = _complex_reach(g, roots)
     panels = []
     for (lo, m_lo), (hi, m_hi) in zip(marks, marks[1:] + marks[:1]):
         if lo >= hi or lo >= 1.0 or hi <= -1.0:  # through infinity, or beyond y = +-1
-            panels += _graded(Panel(1.0 / hi, 1.0 / lo, m_hi, m_lo, reciprocal=True), in_u, reach)
+            panels += _graded(Panel(1.0 / hi, 1.0 / lo, m_hi, m_lo, True), in_u, reach)
         else:
             panels += _graded(Panel(lo, hi, m_lo, m_hi), in_y, 0.0)
     return chart, PanelDecomposition(tuple(in_y), tuple(panels))

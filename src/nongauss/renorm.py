@@ -296,12 +296,14 @@ def expectations_fd_check(
     Each residual is |fd - formula| / max(|formula|, 1e-3/scale); the floor
     keeps symmetry-forced zero moments from dividing by zero.  Default step
     is 1e-4 * max|coefficient|.  The formulas are evaluated on the stencil's
-    center integers.
+    center integers, after every stencil point: a stencil that crosses the
+    singularity raises StencilCrossesSingularity, as the identity check does,
+    before a center moment beyond the float range raises DomainError.
     """
     center, den, scale, h, log_f = _unit_stencil(coeffs, _FD_EXPECTATION_STEP, step)
+    fds = [-(log_f({i: +1}) - log_f({i: -1})) / (2.0 * h) for i in range(4)]
     residuals = []
-    for i, formula_value in enumerate(_moments(center, den, False).as_tuple()):
-        fd = -(log_f({i: +1}) - log_f({i: -1})) / (2.0 * h)
+    for fd, formula_value in zip(fds, _moments(center, den, False).as_tuple()):
         denom = max(abs(formula_value), _FD_DENOM_FLOOR / scale)
         residuals.append(abs(fd - formula_value) / denom)
     return tuple(residuals)

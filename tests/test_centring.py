@@ -9,6 +9,7 @@ comes to unit scale, where the panels resolve it.
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -26,7 +27,7 @@ from nongauss import (
     integral_numeric_general,
 )
 from nongauss import quadrature
-from nongauss.polynomial import _chart
+from nongauss.polynomial import _chart, fujiwara_exponent, integer_coefficients
 
 # SL(2, Z) matrices (alpha, beta, gamma, delta) whose images
 # (alpha x + beta)^n +- (gamma x + delta)^n of x^n +- 1 have a close complex
@@ -206,6 +207,92 @@ def test_shift_stays_off_without_a_linear_term_or_on_overflow():
     assert t == 0.0 and g == _rescaled(coeffs, s, e)
     # the centroid -10^400 / 2 lies beyond the float range
     assert _chart([Fraction(1, 10**400), 1, 1])[0] == 0.0
+
+
+def _centroid_trial(values):
+    """(t, f's integers, those of den q^n f(y + t)) for the centroid t = num/q
+    of ``_chart``, the shift made in full by ``Polynomial.taylor_shift``;
+    t = 0.0 and no shift where the centroid is 0.0 or beyond the float range."""
+    ints, den = integer_coefficients(values)
+    n = len(ints) - 1
+    try:
+        t = -ints[1] / (n * ints[0])
+    except OverflowError:
+        t = 0.0
+    if not t:
+        return 0.0, ints, None
+    q = t.as_integer_ratio()[1]
+    shifted = Polynomial([Fraction(c) for c in ints]).taylor_shift(Fraction(t)).coeffs
+    moved = [c * q**n for c in shifted]
+    assert all(c.denominator == 1 for c in moved)
+    return t, ints, [int(c) for c in moved]
+
+
+def _full_trial_chart(values):
+    """``_chart(values)`` with its centroid trial made in full: the shift is
+    kept when it lowers ``fujiwara_exponent`` of f's integers by 2 or more."""
+    t, ints, moved = _centroid_trial(values)
+    if t and fujiwara_exponent(moved) > fujiwara_exponent(ints) - 2:
+        t = 0.0
+    return _chart(values, t)
+
+
+def _trial_forms(count):
+    """(kind, exact coefficients) of degree 2-8: a cluster far from the origin,
+    roots spread about it, or a cluster whose centroid is one of its roots."""
+    rng = random.Random(79)
+    for i in range(count):
+        kind = ("clustered", "spread", "centroid root")[i % 3]
+        n = rng.randint(2, 8)
+        centre = _dyadic(rng.choice((-1, 1)) * 2 ** rng.uniform(-2, 24), 8)
+        if kind == "clustered":
+            roots = [centre + _dyadic(rng.uniform(-1, 1)) for _ in range(n)]
+        elif kind == "spread":
+            roots = [_dyadic(rng.uniform(-1, 1) * 2 ** rng.uniform(0, 20)) for _ in range(n)]
+        else:  # deviations from the centre that sum to 0, the centre a root
+            radius = 2 ** rng.uniform(-4, 30)
+            moves = [_dyadic(rng.uniform(-radius, radius)) for _ in range(n - 2)]
+            roots = [centre, centre - sum(moves)] + [centre + d for d in moves]
+        leading = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        yield kind, from_roots(roots, leading=leading).coeffs
+
+
+def test_chart_matches_the_full_centroid_trial():
+    # the constant term f(t) settles a rejection before the shift is made; the
+    # chart is the one the full trial gives, on exact and float input, and on
+    # their 2^k and dilation images
+    rng = random.Random(97)
+    outcomes = Counter()
+    for kind, coeffs in _trial_forms(240):
+        n = len(coeffs) - 1
+        k, j = rng.randint(-200, 200), rng.randint(-20, 20)
+        floats = [float(c) for c in coeffs]
+        for values in (
+            coeffs,
+            floats,
+            [c * Fraction(2) ** k for c in coeffs],
+            [math.ldexp(c, k) for c in floats],
+            [c * Fraction(2) ** (j * (n - i)) for i, c in enumerate(coeffs)],
+            [math.ldexp(c, j * (n - i)) for i, c in enumerate(floats)],
+        ):
+            assert _chart(values) == _full_trial_chart(values), (kind, values)
+        t, ints, moved = _centroid_trial(coeffs)
+        if not moved:
+            outcome = "no centroid"
+        elif _chart(coeffs).t:
+            outcome = "centred, f(t) = 0" if moved[-1] == 0 else "centred"
+        elif moved[-1] == 0:
+            outcome = "rejected, f(t) = 0"
+        else:  # the Fujiwara term of the constant term alone
+            alone = fujiwara_exponent([moved[0]] + [0] * (n - 1) + [moved[-1]])
+            bound = fujiwara_exponent(ints) - 2
+            outcome = "rejected by f(t)" if alone > bound else "rejected after the shift"
+        outcomes[kind, outcome] += 1
+    assert outcomes["clustered", "centred"] >= 60
+    assert outcomes["spread", "rejected by f(t)"] >= 30
+    assert outcomes["centroid root", "centred, f(t) = 0"] >= 30
+    assert outcomes["centroid root", "rejected, f(t) = 0"] >= 30
+    assert sum(v for (_, o), v in outcomes.items() if o == "rejected after the shift") >= 20
 
 
 def test_centring_keeps_dilations_exact():

@@ -482,8 +482,9 @@ _E310 = "1" + "0" * 310
         # points of c cross D = 0 (was a DomainError)
         (["verify", _E310, "0", "-1", "0"], 2, "StencilCrossesSingularity"),
         (["verify", _E310, "0", "-" + _E310, "0"], 0, None),
-        # the float moment xy2 = 1 / (2c) lies beyond the float range
-        (["expect", _E310, "0", "-1", "0", "--fd-check"], 2, "DomainError"),
+        # the same stencil, visited before the float moment xy2 = 1 / (2c),
+        # which lies beyond the float range (was a DomainError)
+        (["expect", _E310, "0", "-1", "0", "--fd-check"], 2, "StencilCrossesSingularity"),
     ],
 )
 def test_fd_checks_beyond_the_float_range(capsys, argv, code, kind):

@@ -237,6 +237,56 @@ def test_decompose_degree_too_low():
         decompose(Polynomial([1.0, 2.0]))
 
 
+def _brute_force_reach(g, roots):
+    """``_complex_reach`` from the upper hull found by brute force: a point
+    (k, log2|c_k|) is a vertex unless it lies on or under a chord between
+    two others, decided in exact rationals on the same floats."""
+    points = [(k, Fraction(math.log2(abs(c)))) for k, c in enumerate(reversed(g)) if c]
+
+    def under(p):
+        return any(
+            a[0] < p[0] < b[0] and (p[1] - a[1]) * (b[0] - a[0]) <= (b[1] - a[1]) * (p[0] - a[0])
+            for a in points
+            for b in points
+        )
+
+    hull = [(k, float(l)) for k, l in points if not under((k, l))]
+    moduli = []
+    for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
+        moduli += [(l1 - l2) / (k2 - k1)] * (k2 - k1)
+    for r, k in roots:  # each nonzero real root takes out the nearest, the first of ties
+        for _ in range(k if r else 0):
+            if moduli:
+                distances = [abs(m - math.log2(abs(r))) for m in moduli]
+                del moduli[distances.index(min(distances))]
+    return 2.0 ** min(-max(moduli), 1000.0) if moduli else 0.0
+
+
+def test_complex_reach_walks_the_brute_force_upper_hull():
+    # magnitudes 0, powers of two (exact logs, so exactly collinear points),
+    # a few shared values (slope ties) and fresh ones, with real roots, 0.0
+    # among them, that take out moduli
+    rng = random.Random(89)
+    shared = [rng.uniform(0.1, 50.0) for _ in range(3)]
+    kinds = {"zero": 0, "collinear": 0, "tie": 0}
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        magnitudes = [
+            rng.choice((0.0, 2.0 ** rng.randint(-6, 6), rng.choice(shared), rng.uniform(0.1, 50.0)))
+            for _ in range(n)
+        ]
+        g = [rng.choice((-1.0, 1.0)) * m for m in [2.0 ** rng.randint(-6, 6)] + magnitudes]
+        roots = sorted(
+            (rng.choice((0.0, rng.uniform(-3.0, 3.0))), rng.randint(1, 2))
+            for _ in range(rng.randint(0, n))
+        )
+        assert quadrature._complex_reach(g, roots) == _brute_force_reach(g, roots), (g, roots)
+        kinds["zero"] += 0.0 in g
+        kinds["collinear"] += sum(math.log2(abs(c)).is_integer() for c in g if c) >= 3
+        kinds["tie"] += len({abs(c) for c in g if c}) < len([c for c in g if c])
+    assert min(kinds.values()) >= 100, kinds
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [(1.0, 0.0, -1.0, 0.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0)],

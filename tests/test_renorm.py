@@ -196,6 +196,16 @@ def test_fd_check_stencil_crossing():
         expectations_fd_check(CubicCoeffs(1.0, 0.0, -1.0, 0.3849))
 
 
+def test_fd_check_visits_the_stencil_before_the_center_moments():
+    # at 10^310 x^3 - x the stencil's c = -1 is 10^-310 of a, so the +-h points
+    # of c cross D = 0, and the float moment xy2 = 1 / (2c) lies beyond the
+    # float range: both verifiers report the crossing (the moment check raised
+    # DomainError before any stencil point)
+    for verifier in (expectations_fd_check, pde_identity_residuals):
+        with pytest.raises(StencilCrossesSingularity):
+            verifier(CubicCoeffs(10**310, 0, -1, 0))
+
+
 def test_pde_identities_worked_points():
     assert max(pde_identity_residuals(CubicCoeffs(1.0, 0.0, -1.0, 0.0))) <= 1e-5
     assert max(pde_identity_residuals(CubicCoeffs(0.0, 1.0, 0.0, 1.0))) <= 1e-5
