@@ -369,10 +369,10 @@ def _panel_value(
     before its first distance that underflows, found once per side and
     level.  The head of the walk, t <= 3, has no stop and no bookkeeping;
     the tail stops once two terms in a row are negligible, the first of
-    them possibly the head's last.  A zero of q at a node is the power's
-    ZeroDivisionError, caught once around the walk.  Levels stop by the two
-    rules of the module docstring, and the second one's estimate, 100 d1^2
-    / d0, is the error reported.
+    them possibly the head's last.  A zero or, at p = -1, subnormal q at a
+    node fails the power, caught once around the walk.  Levels stop by the
+    two rules of the module docstring, and the second one's estimate, 100
+    d1^2 / d0, is the error reported.
     """
     hs = 0.5 * (hi - lo)
     if hs == 0.0:
@@ -466,7 +466,7 @@ def _panel_value(
                         return value * scale, estimate * scale, True, nodes
                 last = error
             previous = value
-    except ZeroDivisionError:  # abs(0.0) ** p, p < 0: a zero at node x
+    except (ZeroDivisionError, OverflowError):  # abs(v) ** p, p < 0, v = 0.0 or subnormal
         raise SingularPoint(f"unexpected interior zero at {x}") from None
     return value * scale, error * scale, False, nodes
 

@@ -47,8 +47,7 @@ from .errors import DivergentIntegral, DomainError, StencilCrossesSingularity
 from .polynomial import CubicCoeffs, Number, _rounded, cubic_discriminant_int, integer_coefficients
 from .special import constants
 
-_FD_EXPECTATION_STEP = 1e-4
-_FD_IDENTITY_STEP = 1e-3
+_FD_STEP = 1e-4  # both verifiers' default step, in units of max|coefficient|
 # Floor for the relative-residual denominator when a moment vanishes by
 # symmetry; moments carry dimension 1/coefficient, hence the 1/scale factor.
 _FD_DENOM_FLOOR = 1e-3
@@ -230,36 +229,37 @@ def _in_caller_units(point: list, den: int, e: int) -> str:
     return str(caller)
 
 
-def _unit_stencil(coeffs: CubicCoeffs, default_step: float, step) -> tuple:
+def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
     """(center, den, scale, h, log_f) for the finite-difference verifiers.
 
     The stencil works on the coefficients over 2^e, the power of two just
     below their largest magnitude, each rounded once from their exact
     integers by ``_rounded``, as the chart is; ``scale`` is the largest of
     them in magnitude and ``h`` the step in those units, rounded the same
-    way: residuals are normalized by the scale, so 2^k f gives the same
-    ones, and stencils stay in float range.  Every stencil point moves each
-    coordinate by 0, +h or -h, so the twelve floats ``base[i] + delta`` are
-    cleared to integers over one power-of-two ``den`` once, by one
-    ``integer_coefficients`` call; ``center`` holds the four at delta = 0.
-    ``log_f({index: sign})``, each sign +1 or -1, looks up the moved point's
-    integers and evaluates D_int on them: it raises StencilCrossesSingularity
-    if D_int is zero or its sign differs from the center's, and otherwise
-    returns log C - ln(|D_int| / den^4) / 6.  The center's sign is decided
-    on the exact integers the stencil is rounded from.
+    way and refused unless h^2 is a normal float: residuals are normalized
+    by the scale, so 2^k f gives the same ones, and stencils stay in float
+    range.  Every stencil point moves each coordinate by 0, +h or -h, so
+    the twelve floats ``base[i] + delta`` are cleared to integers over one
+    power-of-two ``den`` once, by one ``integer_coefficients`` call;
+    ``center`` holds the four at delta = 0.  ``log_f({index: sign})``, each
+    sign +1 or -1, looks up the moved point's integers and evaluates D_int
+    on them: it raises StencilCrossesSingularity if D_int is zero or its
+    sign differs from the center's, and otherwise returns
+    log C - ln(|D_int| / den^4) / 6.  The center's sign is decided on the
+    exact integers the stencil is rounded from.
     """
     exact, exact_den = integer_coefficients(_tail_checked(coeffs).as_tuple())
     center_sign = _checked_sign(cubic_discriminant_int(*exact))
     e, base = _rounded(exact, exact_den, (0, 0, 0, 0))
     scale = max(abs(v) for v in base)
     if step is None:
-        h = default_step * scale
+        h = _FD_STEP * scale
     else:
         try:
             h = _rounded(*integer_coefficients((step,)), (0,), e)[1][0]
         except DomainError:  # a step that is not finite, or beyond the float range here
             h = math.inf
-    if not 0.0 < h * h < math.inf:
+    if not _NORMAL_MIN <= h * h < math.inf:
         raise DomainError(f"step {step} is zero, non-finite or out of range at this scale")
     ints, den = integer_coefficients([v + delta for v in base for delta in (0.0, h, -h)])
     # grid[i][s]: coordinate i moved by s * h, for s = 0, +1 and -1 (the last
@@ -300,7 +300,7 @@ def expectations_fd_check(
     singularity raises StencilCrossesSingularity, as the identity check does,
     before a center moment beyond the float range raises DomainError.
     """
-    center, den, scale, h, log_f = _unit_stencil(coeffs, _FD_EXPECTATION_STEP, step)
+    center, den, scale, h, log_f = _unit_stencil(coeffs, step)
     fds = [-(log_f({i: +1}) - log_f({i: -1})) / (2.0 * h) for i in range(4)]
     residuals = []
     for fd, formula_value in zip(fds, _moments(center, den, False).as_tuple()):
@@ -318,30 +318,30 @@ def pde_identity_residuals(
         (d/db d/db - d/da d/dc) F = 0
         (d/dc d/dc - d/db d/dd) F = 0
 
-    using second-order central stencils at step 1e-3 * max|coefficient| by
-    default, each normalized by |F| / scale^2.
+    using second-order central stencils at step 1e-4 * max|coefficient| by
+    default, about eps^(1/4), where truncation (h^2) and rounding (eps / h^2)
+    balance; each is normalized by scale^2.  The identities are linear in F,
+    so the stencils difference F / F0 = exp(log F - log F0), F0 at the center.
     """
-    *_, scale, h, log_f = _unit_stencil(coeffs, _FD_IDENTITY_STEP, step)
+    *_, scale, h, log_f = _unit_stencil(coeffs, step)
+    log_f0 = log_f({})
 
-    def value_at(moves: dict) -> float:
-        return math.exp(log_f(moves))
-
-    f0 = value_at({})
+    def ratio(moves: dict) -> float:
+        return math.exp(log_f(moves) - log_f0)
 
     def mixed(i: int, j: int) -> float:
-        return (
-            value_at({i: +1, j: +1})
-            - value_at({i: +1, j: -1})
-            - value_at({i: -1, j: +1})
-            + value_at({i: -1, j: -1})
-        ) / (4.0 * h * h)
+        corners = ratio({i: +1, j: +1}) - ratio({i: +1, j: -1}) - ratio({i: -1, j: +1})
+        return (corners + ratio({i: -1, j: -1})) / (4.0 * h * h)
 
     def second(i: int) -> float:
-        return (value_at({i: +1}) - 2.0 * f0 + value_at({i: -1})) / (h * h)
+        return (ratio({i: +1}) - 2.0 + ratio({i: -1})) / (h * h)
 
-    norm = scale * scale / abs(f0)
-    return (
+    norm = scale * scale
+    residuals = (
         abs(mixed(0, 3) - mixed(1, 2)) * norm,
         abs(second(1) - mixed(0, 2)) * norm,
         abs(second(2) - mixed(1, 3)) * norm,
     )
+    if not all(r < math.inf for r in residuals):  # nan fails too
+        raise DomainError(f"step {step} is out of range at this scale: a difference overflows")
+    return residuals

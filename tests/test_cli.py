@@ -147,7 +147,7 @@ def test_verify(capsys):
     [
         # the identity stencil's (a + h, d - h) corner, h = 1e-3 * 1024
         (
-            ("verify", "0", "1024", "0", "1e-197"),
+            ("verify", "0", "1024", "0", "1e-197", "--step", "1.024"),
             (1e-3 * 1024, 1024.0, 0.0, 1e-197 - 1e-3 * 1024),
             ("Positive", "Negative"),
         ),
@@ -177,8 +177,11 @@ def test_stencil_crossing_names_the_point_in_caller_units(capsys, argv, point, s
             1e-4,
             1023,
         ),
-        # a + h and d - h: d - h is subnormal in the caller's units, so it would lose bits
-        (("verify", "1e-306", "1e-306", "0", "1e-310"), 1e-3, -1017),
+        # b - h and d - h at the default step: d - h, about -6e-325 in the
+        # caller's units, lies below the least subnormal.  The old 1e-3
+        # crossing here had a subnormal d - h, and a float --step cannot
+        # restore it: with one, every point is a float in the caller's units
+        (("verify", "1e-306", "1e-306", "0", "1e-310"), 1e-4, -1017),
     ],
 )
 def test_stencil_crossing_out_of_float_range_keeps_a_power_of_two(capsys, argv, step, exponent):
@@ -441,6 +444,31 @@ _BIG = str(2**1605)
         # a step of 1e300 at the scale 2^-996 overflowed: an OverflowError traceback
         (["verify", "0", "1e-300", "1e-300", "0", "--step", "1e300"], 2, "DomainError"),
         (["expect"] + ["1e-300"] * 4 + ["--fd-check", "--step", "1e300"], 2, "DomainError"),
+        # h^2 is subnormal in the stencil's units: the residuals were inf and
+        # nan, and json.dumps(allow_nan=False) raised a ValueError traceback
+        (["verify", "2", "1e154", "1", "0.1", "--step", "1e-5"], 2, "DomainError"),
+        (
+            ["verify", "2", "2.2250738585072014e-308", "1", "1e154", "--step", "1e-5"],
+            2,
+            "DomainError",
+        ),
+        # F is about 3e46 in the stencil's units, and its second differences
+        # over h^2 overflowed; the stencil now differences F / F0
+        (
+            [
+                "verify", "-0.9274801170753495", "-2.919412621731837",
+                "-0.8172647212979385", "-2.7476240302559378e+137", "--step", "1e-6",
+            ],
+            0,
+            None,
+        ),
+        # h^2 = 2^-1022 is normal, but F at the c - h point is 2^26 times F at
+        # the center, and a second difference overflowed to an inf residual
+        (
+            ["verify", "1", "0", "1.4916681462400417e-154", "0", "--step", repr(2.0**-511)],
+            2,
+            "DomainError",
+        ),
     ],
 )
 def test_fuzz_findings(capsys, argv, code, kind):
@@ -543,3 +571,34 @@ def test_runtime_imports_only_the_standard_library():
     assert "nongauss" in loaded
     outside = set(loaded) - set(sys.stdlib_module_names) - {"__main__", "nongauss"}
     assert not outside, sorted(outside)
+
+
+_SWEEP_TOKENS = (
+    "0 1 -1 2 3 1/3 -1/3 1e-300 1e300 1e308 -1e308 5e-324 1e-320 nan inf -inf 0.5 1e-16 7 0.1 "
+    "-2 1.7e308 2.2250738585072014e-308 4.9e-324 1e154 1e-154"
+).split() + ["1" + "0" * 400, "1/1" + "0" * 400]
+_SWEEP_STEPS = ("1e-2", "1e-5")
+# each command, its coefficient counts and its flag sets
+_SWEEP_COMMANDS = (
+    ("disc", range(1, 7), [()]),
+    ("integral", range(4, 7), [(), ("--numeric",), ("--check",)]),
+    ("gauss", [3], [()]),
+    ("expect", [4], [()] + [("--fd-check", "--step", h) for h in _SWEEP_STEPS]),
+    ("verify", [4], [()] + [("--step", h) for h in _SWEEP_STEPS]),
+)
+
+
+def test_cli_sweep_of_extreme_coefficients_prints_strict_json(capsys):
+    # no traceback and no invalid JSON for any input: verify ... --step 1e-5
+    # on such coefficients once printed inf or nan residuals, a ValueError
+    # traceback from json.dumps(allow_nan=False)
+    rng = random.Random(29)
+    for _ in range(1000):
+        command, counts, flag_sets = rng.choice(_SWEEP_COMMANDS)
+        coeffs = [rng.choice(_SWEEP_TOKENS) for _ in range(rng.choice(counts))]
+        argv = [command, *coeffs, *rng.choice(flag_sets)]
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3), argv
+        if code != 1:
+            strict_json(out)

@@ -729,6 +729,15 @@ def test_zero_at_the_panel_midpoint_is_a_singular_point():
         quadrature._panel_value([1.0, 0.0], 1.0, -1.0, 1.0, 0, 0, cfg)
 
 
+def test_subnormal_gaussian_leading_coefficient_is_a_singular_point():
+    # the chart's s = 0 fallback leaves the leading coefficient about
+    # 1.5e-310, and on the panel through infinity abs(v) ** -1 of the
+    # reversed form overflowed: a bare OverflowError.  The closed form is
+    # 3.1415926535897933e-145
+    with pytest.raises(SingularPoint, match="unexpected interior zero at"):
+        gaussian_integral_numeric(1e-10, 1e-300, 1e300)
+
+
 def _direct_tanh_sinh_panel(fn, lo, hi, p_lo, p_hi, cfg):
     """Reference: the level-doubling rule for fn(x) * (x - lo)**p_lo *
     (hi - x)**p_hi, evaluating every node per panel.  A node at distances

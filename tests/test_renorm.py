@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,25 @@ def test_pde_identities_default_step_far_from_singularity():
     assert max(pde_identity_residuals(CubicCoeffs(1.0, 0.0, 0.0, 1.0))) <= 1e-5
 
 
+def test_pde_identities_default_step_on_a_uniform_sweep():
+    # four uniform(-2, 2) coefficients, D != 0.  At the identity check's old
+    # default step, 1e-3 * scale, 2 of these 2,500 stencils crossed D = 0,
+    # and the 90th percentile below was 3.6e-5 (1.3e-6 at 1e-4 * scale)
+    rng = random.Random(5)
+    draws, well_separated = 0, []
+    while draws < 2500:
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+        d = cubic_discriminant_exact(*coeffs)
+        if d == 0:
+            continue
+        residual = max(pde_identity_residuals(CubicCoeffs(*coeffs)))
+        if draws < 500 and abs(d) >= max(map(abs, coeffs)) ** 4:
+            well_separated.append(residual)
+        draws += 1
+    assert len(well_separated) == 407
+    assert statistics.quantiles(well_separated, n=10)[-1] <= 1e-5
+
+
 def test_pde_identities_stencil_crossing():
     with pytest.raises(StencilCrossesSingularity):
         pde_identity_residuals(CubicCoeffs(1.0, 0.0, -1.0, 0.3849))
@@ -229,10 +249,11 @@ def test_pde_identities_stencil_crossing():
         (1.0, 2.0, 3.0, 5.0),
         (-3.0, 1.0, 4.0, 2.0),
         (0.0, 1.0, 0.0, 1.0),
-        # exact input is rounded once from its integers at every scale: the
-        # stencil of 2^-1070 f gave the identity residuals (0.00322, 0.00124,
-        # 0.00938) where f gives (0.00681, 0.00252, 0.0197), and 2^-1100 f,
-        # 2^1100 f and 10^400 f raised DomainError
+        # exact input is rounded once from its integers at every scale: at
+        # the old identity default step 1e-3 * scale, the stencil of 2^-1070
+        # f gave the identity residuals (0.00322, 0.00124, 0.00938) where f
+        # gave (0.00681, 0.00252, 0.0197), and 2^-1100 f, 2^1100 f and
+        # 10^400 f raised DomainError
         (1, 0, -1, Fraction(3, 7)),
     ],
 )
@@ -261,14 +282,23 @@ def test_fd_residuals_do_not_depend_on_scale(coeffs):
 
 @pytest.mark.parametrize(
     "step",
-    [10**400, Fraction(1, 10**400), 0, math.nan, math.inf],
-    ids=["1e400", "1e-400", "0", "nan", "inf"],
+    [10**400, Fraction(1, 10**400), 0, math.nan, math.inf, 2.0**-512],
+    ids=["1e400", "1e-400", "0", "nan", "inf", "subnormal-square"],
 )
 def test_fd_step_out_of_range_is_domain_error(step):
     # float(10^400) raised a bare OverflowError
     for verifier in (expectations_fd_check, pde_identity_residuals):
         with pytest.raises(DomainError, match="out of range at this scale"):
             verifier(CubicCoeffs(1, 0, -1, 0), step=step)
+
+
+def test_pde_identities_refuse_a_step_whose_differences_overflow():
+    # x^3 + c x, c one ulp above the least step whose square is a normal
+    # float, h = 2^-511: F at c - h = 2^-52 h is 2^26 times F at the
+    # center, and its second difference over h^2 was an inf residual
+    h = 2.0**-511
+    with pytest.raises(DomainError, match="a difference overflows"):
+        pde_identity_residuals(CubicCoeffs(1.0, 0.0, h * (1.0 + 2.0**-52), 0.0), step=h)
 
 
 def test_fd_divergent_center():

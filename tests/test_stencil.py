@@ -18,7 +18,7 @@ import pytest
 from nongauss import CubicCoeffs, StencilCrossesSingularity, log_closed_form
 from nongauss.renorm import _unit_stencil
 
-_STEPS = (1e-4, 1e-3)  # the moment and identity defaults
+_STEPS = (1e-4, 1e-3)  # the default, and a coarser step that crosses D = 0 more often
 
 
 def _reference_sign(point) -> int:
@@ -48,7 +48,11 @@ def _crossings(coeffs, step) -> list:
     base = [float(Fraction(v) / Fraction(2) ** e) for v in coeffs]
     h = step * max(abs(v) for v in base)
     center = _reference_sign(coeffs)
-    *_, log_f = _unit_stencil(CubicCoeffs(*coeffs), step, None)
+    # the step in the caller's units, h * 2^e, exact as a Fraction
+    *_, stencil_h, log_f = _unit_stencil(CubicCoeffs(*coeffs), Fraction(h) * Fraction(2) ** e)
+    assert stencil_h == h
+    if step == _STEPS[0]:
+        assert _unit_stencil(CubicCoeffs(*coeffs), None)[3] == h
     crossed = []
     for moves in _moves():
         point = list(base)
