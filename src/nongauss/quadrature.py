@@ -48,11 +48,19 @@ the (1 -+ tanh z) powers is a column of at most 12,620 doubles cached per
 (level, near power, far power), at most 256 of them, least recently used
 out first: 25 MB at most.  Panels are independent and pure, so callers
 may evaluate them concurrently and sum.
+
+A panel's level loop runs in one function per length of q, generated by
+``_kernel`` from one source template and compiled on first use, with
+Horner's rule written out on local coefficients: a loop over q cost about
+as much per node as the rest of the node.  The source depends on nothing
+but that length, the coefficients are arguments, and the operations are a
+loop's in its order, so values, error estimates and node counts are the
+loop's bit for bit.
 """
 
 from __future__ import annotations
 
-import bisect
+import bisect  # bisect and islice are read by the kernels of _KERNEL_SOURCE
 import functools
 import math
 import warnings
@@ -346,6 +354,105 @@ def _endpoint_column(level: int, p_near: float, p_far: float) -> array:
     return column
 
 
+# The level loop of ``_panel_value`` for a quotient q of k coefficients,
+# formatted by ``_kernel`` from k alone: ``{names}`` unpacks q into the locals
+# lead, c0, c1, ... and ``{horner}`` is Horner's rule on them written out,
+# ((lead * x + c0) * x + c1) ..., the operations of a loop over q in its order.
+_KERNEL_SOURCE = """\
+def kernel(q, p, lo, hi, hs, p_lo, p_hi, scale, rel_tol):
+    {names} = q
+    quadratic_tol = 0.01 * math.sqrt(rel_tol)  # the second rule's bound on d1 / |S|
+    x = 0.5 * (lo + hi)
+    try:
+        # the midpoint, where 1 -+ tanh z = 1 and the weight is pi/2
+        node_sum = _HALF_PI * abs({horner}) ** p
+        nodes = 1
+        h = 1.0  # 2^-level, the node spacing
+        for level in range(_LEVELS + 1):
+            one_minus, _, weights, tail_start = _node_table(level)
+            # the columns of _endpoint_column, looked up only where they
+            # differ: the weights themselves without endpoint powers, and one
+            # column for both sides with equal powers
+            upper = _endpoint_column(level, p_hi, p_lo) if p_hi or p_lo else weights
+            lower = upper if p_lo == p_hi else _endpoint_column(level, p_lo, p_hi)
+            total = 0.0
+            # A node lies hs * (1 - tanh z) from its own side's endpoint: x =
+            # hi - hs * (1 - tanh z) on the upper side, x = lo - (-hs) * (1 -
+            # tanh z) on the lower.  The table's weight w is at least 1 - tanh
+            # z, so hs * w cannot underflow before that distance does.
+            for anchor, toward, column in ((hi, hs, upper), (lo, -hs, lower)):
+                # 1 - tanh z decreases along the table, so the side ends
+                # before its first zero distance, if any
+                end = len(column)
+                if toward * one_minus[end - 1] == 0.0:
+                    end = bisect.bisect_left(
+                        one_minus, True, 0, end, key=lambda om: toward * om == 0.0
+                    )
+                # the head, t <= 3, where no stop can happen
+                head = tail_start if tail_start < end else end
+                for om, weight in zip(one_minus, islice(column, head)):
+                    x = anchor - toward * om
+                    term = abs({horner}) ** p * weight
+                    total += term
+                # the tail stops after two negligible terms in a row; no term
+                # is negative, so total is its own absolute value
+                negligible = head > 0 and term <= total * 1e-17
+                for i in range(head, end):
+                    x = anchor - toward * one_minus[i]
+                    term = abs({horner}) ** p * column[i]
+                    total += term
+                    if term > total * 1e-17:
+                        negligible = False
+                    elif negligible:  # the second negligible term in a row
+                        end = i + 1
+                        break
+                    else:
+                        negligible = True
+                nodes += end
+            node_sum += total
+            value = h * node_sum
+            if level:
+                error = abs(value - previous)
+                size = abs(value)
+                if error <= rel_tol * size:
+                    return value * scale, error * scale, True, nodes
+                # error squares per level: the next difference is about
+                # error^2 / last, taken 100 times over, unless this level's
+                # fell by more than a square (a cancellation, not convergence)
+                if (
+                    level >= 2
+                    and error < last
+                    and error <= quadratic_tol * size
+                    and last * last <= 100.0 * error * size
+                ):
+                    estimate = 100.0 * error * (error / last)
+                    if estimate <= rel_tol * size:
+                        return value * scale, estimate * scale, True, nodes
+                last = error
+            previous = value
+            h *= 0.5
+    except (ZeroDivisionError, OverflowError):  # abs(q(x)) ** p, p < 0, q(x) 0.0 or subnormal
+        raise SingularPoint(f"unexpected interior zero at {{x}}") from None
+    return value * scale, error * scale, False, nodes
+"""
+
+
+@functools.cache
+def _kernel(k: int):
+    """The level loop of ``_panel_value`` for quotients of k coefficients,
+    compiled from ``_KERNEL_SOURCE`` on first use.  Its source depends on
+    nothing but the int k: the coefficients are arguments.  It runs in this
+    module's own globals, so it reads ``_LEVELS`` and the tables when called."""
+    rest = [f"c{i}" for i in range(int(k) - 1)]
+    horner = "lead"
+    for c in rest:
+        horner = f"({horner} * x + {c})"
+    source = _KERNEL_SOURCE.format(names=", ".join(["lead", *rest]) + ",", horner=horner)
+    namespace = {}
+    exec(compile(source, f"<quadrature kernel {k}>", "exec"), globals(), namespace)
+    return namespace["kernel"]
+
+
 def _panel_value(
     coeffs: Sequence[float],
     exponent: float,
@@ -364,7 +471,8 @@ def _panel_value(
     the endpoint factors (hs * (1 -+ tanh z))**(-exponent m).  Each factor
     splits into hs**(-exponent m), applied once per panel, and a power of
     1 -+ tanh z, folded with the weight into ``_endpoint_column``: one
-    inline Horner evaluation, one power and one multiply-add per node.
+    Horner evaluation, one power and one multiply-add per node, in the
+    kernel ``_kernel(len(q))`` generated for q's length (module docstring).
     Each side of a level walks the level's node table outwards, and ends
     before its first distance that underflows, found once per side and
     level.  The head of the walk, t <= 3, has no stop and no bookkeeping;
@@ -382,7 +490,6 @@ def _panel_value(
         q = _synthetic_quotient(q, lo)
     for _ in range(m_hi):
         q = _synthetic_quotient(q, hi)
-    lead, rest = q[0], q[1:]
     p, p_lo, p_hi = -exponent, -exponent * m_lo, -exponent * m_hi
     try:
         scale = hs * hs**p_lo * hs**p_hi  # hs**0.0 is 1.0
@@ -390,85 +497,7 @@ def _panel_value(
         scale = math.inf
     if scale == math.inf:
         raise DomainError(f"panel [{lo}, {hi}] is too narrow for its endpoint powers")
-
-    quadratic_tol = 0.01 * math.sqrt(cfg.rel_tol)  # the second rule's bound on d1 / |S|
-    x = 0.5 * (lo + hi)
-    try:
-        v = lead
-        for c in rest:
-            v = v * x + c
-        # the midpoint, where 1 -+ tanh z = 1 and the weight is pi/2
-        node_sum = _HALF_PI * abs(v) ** p
-        nodes = 1
-        for level in range(_LEVELS + 1):
-            one_minus, _, _, tail_start = _node_table(level)
-            total = 0.0
-            # A node lies hs * (1 - tanh z) from its own side's endpoint: x =
-            # hi - hs * (1 - tanh z) on the upper side, x = lo - (-hs) * (1 -
-            # tanh z) on the lower.  The table's weight w is at least 1 - tanh
-            # z, so hs * w cannot underflow before that distance does.
-            for anchor, toward, column in (
-                (hi, hs, _endpoint_column(level, p_hi, p_lo)),
-                (lo, -hs, _endpoint_column(level, p_lo, p_hi)),
-            ):
-                # 1 - tanh z decreases along the table, so the side ends
-                # before its first zero distance, if any
-                end = len(column)
-                if toward * one_minus[end - 1] == 0.0:
-                    end = bisect.bisect_left(
-                        one_minus, True, 0, end, key=lambda om: toward * om == 0.0
-                    )
-                # the head, t <= 3, where no stop can happen
-                head = min(tail_start, end)
-                for om, weight in zip(one_minus, islice(column, head)):
-                    x = anchor - toward * om
-                    v = lead
-                    for c in rest:
-                        v = v * x + c
-                    term = abs(v) ** p * weight
-                    total += term
-                # the tail stops after two negligible terms in a row; no term
-                # is negative, so total is its own absolute value
-                negligible = head > 0 and term <= total * 1e-17
-                for i in range(head, end):
-                    x = anchor - toward * one_minus[i]
-                    v = lead
-                    for c in rest:
-                        v = v * x + c
-                    term = abs(v) ** p * column[i]
-                    total += term
-                    if term > total * 1e-17:
-                        negligible = False
-                    elif negligible:  # the second negligible term in a row
-                        end = i + 1
-                        break
-                    else:
-                        negligible = True
-                nodes += end
-            node_sum += total
-            value = 2.0**-level * node_sum
-            if level:
-                error = abs(value - previous)
-                size = abs(value)
-                if error <= cfg.rel_tol * size:
-                    return value * scale, error * scale, True, nodes
-                # error squares per level: the next difference is about
-                # error^2 / last, taken 100 times over, unless this level's
-                # fell by more than a square (a cancellation, not convergence)
-                if (
-                    level >= 2
-                    and error < last
-                    and error <= quadratic_tol * size
-                    and last * last <= 100.0 * error * size
-                ):
-                    estimate = 100.0 * error * (error / last)
-                    if estimate <= cfg.rel_tol * size:
-                        return value * scale, estimate * scale, True, nodes
-                last = error
-            previous = value
-    except (ZeroDivisionError, OverflowError):  # abs(v) ** p, p < 0, v = 0.0 or subnormal
-        raise SingularPoint(f"unexpected interior zero at {x}") from None
-    return value * scale, error * scale, False, nodes
+    return _kernel(len(q))(q, p, lo, hi, hs, p_lo, p_hi, scale, cfg.rel_tol)
 
 
 def _integrate_at_unit_scale(

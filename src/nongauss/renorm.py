@@ -236,7 +236,8 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
     below their largest magnitude, each rounded once from their exact
     integers by ``_rounded``, as the chart is; ``scale`` is the largest of
     them in magnitude and ``h`` the step in those units, rounded the same
-    way and refused unless h^2 is a normal float: residuals are normalized
+    way and refused unless h^2 is a normal float and base[i] +- h differs
+    from base[i] for every coefficient i: residuals are normalized
     by the scale, so 2^k f gives the same ones, and stencils stay in float
     range.  Every stencil point moves each coordinate by 0, +h or -h, so
     the twelve floats ``base[i] + delta`` are cleared to integers over one
@@ -265,6 +266,11 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
     # grid[i][s]: coordinate i moved by s * h, for s = 0, +1 and -1 (the last
     # entry, so a negative index reaches it)
     grid = [ints[3 * i : 3 * i + 3] for i in range(4)]
+    for i, (v, up, down) in enumerate(grid):
+        if up == v or down == v:
+            raise DomainError(
+                f"step {step} is out of range at this scale: it leaves coefficient {i} unmoved"
+            )
     center = [row[0] for row in grid]
     den4_bits = 4 * (den.bit_length() - 1)  # the grid is floats: den is a power of two
     log_c = math.log(_beta_constant(center_sign))

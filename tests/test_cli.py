@@ -453,14 +453,15 @@ _BIG = str(2**1605)
             "DomainError",
         ),
         # F is about 3e46 in the stencil's units, and its second differences
-        # over h^2 overflowed; the stencil now differences F / F0
+        # over h^2 overflowed; the step, 5.4e-144 there, also leaves d (-1.48)
+        # unmoved, and bb-ac was then 4.3e273 with status ok
         (
             [
                 "verify", "-0.9274801170753495", "-2.919412621731837",
                 "-0.8172647212979385", "-2.7476240302559378e+137", "--step", "1e-6",
             ],
-            0,
-            None,
+            2,
+            "DomainError",
         ),
         # h^2 = 2^-1022 is normal, but F at the c - h point is 2^26 times F at
         # the center, and a second difference overflowed to an inf residual
@@ -469,6 +470,11 @@ _BIG = str(2**1605)
             2,
             "DomainError",
         ),
+        # a step below half an ulp of every coefficient moves none of them:
+        # the identity residuals were (0.0, 0.0, 0.0) and the moment ones 1.0,
+        # with status ok
+        (["verify", "1", "2", "3", "5", "--step", "1e-17"], 2, "DomainError"),
+        (["expect", "1", "2", "3", "5", "--fd-check", "--step", "1e-17"], 2, "DomainError"),
     ],
 )
 def test_fuzz_findings(capsys, argv, code, kind):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -855,6 +856,46 @@ def test_tanh_sinh_panel_walks_the_direct_nodes(integrand_at, lo, hi, monkeypatc
     coeffs, family_degree, m_lo = integrand_at(lo)
     args = (coeffs, 2.0 / family_degree, lo, hi, m_lo, 0, QuadratureConfig())
     assert quadrature._panel_value(*args) == _direct_panel_value(*args)
+
+
+@pytest.mark.parametrize("m_lo,m_hi", [(0, 0), (1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("length", range(1, 14))
+def test_panel_kernel_of_every_quotient_length_walks_the_direct_nodes(length, m_lo, m_hi):
+    # one kernel per quotient length, with Horner written out: the direct
+    # rule's value, error, convergence and node count, bit for bit, on a
+    # quotient with its roots off [1, 3] and endpoint roots at neither end,
+    # one end or both
+    rng = random.Random(length)
+    lo, hi = 1.0, 3.0
+    roots = [rng.uniform(-2.0, 0.5) if i % 2 else rng.uniform(3.5, 6.0) for i in range(length - 1)]
+    coeffs = [float(c) for c in from_roots(roots + [lo] * m_lo + [hi] * m_hi).coeffs]
+    args = (coeffs, 2.0 / max(3, len(coeffs) - 1), lo, hi, m_lo, m_hi, QuadratureConfig())
+    assert quadrature._panel_value(*args) == _direct_panel_value(*args)
+
+
+@pytest.mark.parametrize("length", range(2, 14))
+def test_panel_kernel_names_the_node_where_the_quotient_is_zero(length):
+    # (x - x0) x^(length - 2) is exactly 0.0 by Horner at x0, the upper
+    # side's first level-0 node on [0.5, 2.5], the first node after the
+    # midpoint 1.5
+    lo, hi = 0.5, 2.5
+    x0 = hi - quadrature._node_table(0)[0][0]
+    args = ([1.0, -x0] + [0.0] * (length - 2), 2.0 / 3.0, lo, hi, 0, 0, QuadratureConfig())
+    with pytest.raises(SingularPoint, match=f"^unexpected interior zero at {re.escape(repr(x0))}$"):
+        quadrature._panel_value(*args)
+    with pytest.raises(SingularPoint, match=re.escape(f"f({x0!r}) = 0")):
+        _direct_panel_value(*args)
+
+
+def test_panel_kernel_is_compiled_once_per_quotient_length():
+    # its source depends on the length alone: other coefficients of the
+    # same length reuse the compiled kernel
+    quadrature._kernel.cache_clear()
+    cfg = QuadratureConfig()
+    for coeffs in ([1.0, 0.0, 1.0], [3.0, -1.0, 2.0]):
+        quadrature._panel_value(coeffs, 2.0 / 3.0, 0.0, 1.0, 0, 0, cfg)
+    info = quadrature._kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("lo,hi,rule", [(1.0, 3.0, "quadratic"), (-1.0, 1.0, "difference")])

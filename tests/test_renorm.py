@@ -295,9 +295,10 @@ def test_fd_step_out_of_range_is_domain_error(step):
 def test_pde_identities_refuse_a_step_whose_differences_overflow():
     # x^3 + c x, c one ulp above the least step whose square is a normal
     # float, h = 2^-511: F at c - h = 2^-52 h is 2^26 times F at the
-    # center, and its second difference over h^2 was an inf residual
+    # center, and its second difference over h^2 was an inf residual.  The
+    # step is refused before that: a + h rounds back to a = 1
     h = 2.0**-511
-    with pytest.raises(DomainError, match="a difference overflows"):
+    with pytest.raises(DomainError, match="leaves coefficient 0 unmoved"):
         pde_identity_residuals(CubicCoeffs(1.0, 0.0, h * (1.0 + 2.0**-52), 0.0), step=h)
 
 
