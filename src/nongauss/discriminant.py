@@ -110,14 +110,20 @@ def resultant(f: Polynomial) -> Fraction:
     return Fraction(_subresultant(ints, derivative_coeffs(ints))[0], den ** (2 * f.degree - 1))
 
 
-def discriminant_general(f: Polynomial) -> DiscriminantResult:
-    """Discriminant of any degree >= 2 polynomial via the resultant."""
+def _exact_general(f: Polynomial) -> tuple:
+    """(ints, den, D): f's coefficients cleared once, by ``_cleared``, and its
+    exact discriminant via the resultant on those integers."""
     n = f.degree
     ints, den = _cleared(f)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     # D = sign * R / a0 with R = R_int / den^(2n-1) and a0 = ints[0] / den
     r_int = _subresultant(ints, derivative_coeffs(ints))[0]
-    return DiscriminantResult.from_value(Fraction(sign * r_int, ints[0] * den ** (2 * n - 2)))
+    return ints, den, Fraction(sign * r_int, ints[0] * den ** (2 * n - 2))
+
+
+def discriminant_general(f: Polynomial) -> DiscriminantResult:
+    """Discriminant of any degree >= 2 polynomial via the resultant."""
+    return DiscriminantResult.from_value(_exact_general(f)[2])
 
 
 def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:

@@ -2,26 +2,25 @@
 
 Coefficients are stored leading-first: ``(a0, a1, ..., an)`` represents
 ``a0*x**n + a1*x**(n-1) + ... + an``.  Each coefficient is kept as given,
-``int``, ``Fraction`` or float, next to any of the others: exact code reads
-them through ``integer_coefficients`` without loss, and ``_rounded`` alone
-rounds them, once, for ``_chart`` (the quadrature and ``cubic_roots``) and
-the finite-difference stencil of ``renorm``.  All operations are pure
-functions of immutable values and safe to call concurrently.
+``int``, ``Fraction`` or float, next to any of the others.  A public call
+clears them once, at its entry, by ``integer_coefficients``, and passes the
+integers ``ints`` over ``den`` down; ``_rounded`` alone rounds those, once,
+for ``_chart`` and the finite-difference stencil of ``renorm``.  All
+operations are pure functions of immutable values, safe to call concurrently.
 
-``_subresultant`` is the one exact remainder sequence: on the integers of
-``integer_coefficients`` it gives R(f, f') for ``discriminant`` and every
-gcd of Yun's ``squarefree_factors``.
+``_subresultant`` is the one exact remainder sequence: on such integers it
+gives R(f, f') for ``discriminant`` and every gcd of ``squarefree_factors``.
 
 ``_real_roots`` is the only code that locates float roots: the sign-stable
 quadratic formula at degree 2, formed on mantissas so that it neither
 overflows nor underflows, and above that bracketed Newton steps between the
 recursively located critical points, which it returns with the roots.
-``_chart`` alone builds the float forms it reads, each a ``Chart`` whose
-``in_x`` maps its roots back to x: the centre and each coefficient are
-rounded once from the exact integers, at unit root scale.  The quadrature
-and ``cubic_roots`` locate on such charts; ``cubic_roots`` takes the number
-of real roots from the sign of the exact discriminant and relocates a close
-pair on a chart centred on each critical point of its first location.
+``_chart`` alone builds the float forms it reads, each a ``Chart`` of
+``(ints, den)`` at unit root scale whose ``in_x`` maps its roots back to x.
+The quadrature and ``cubic_roots`` locate on such charts; ``cubic_roots``
+takes the number of real roots from the sign of the exact discriminant and
+relocates a close pair on a chart centred on each critical point of its
+first location.
 """
 
 from __future__ import annotations
@@ -461,25 +460,22 @@ def _rounded(ints: Sequence[int], den: int, powers: Sequence[int], e=None) -> tu
     return e, g
 
 
-def _chart(values: Sequence[Number], t=None, s=None, e=None) -> Chart:
-    """The ``Chart`` (t, s, e, g), g(y) = 2^-e f(2^s y + t), of the polynomial
-    f with coefficients ``values`` (leading first and nonzero; exact or
-    float): ``_rounded`` rounds each coefficient of g once from f's exact
-    integers, and g is ``_stripped`` of a leading one that underflows.  Unless
-    given, the float t is the root centroid -a1 / (n a0), rounded once from
-    f's exact integers, if that lowers ``fujiwara_exponent`` by 2 or more (a
-    4x smaller root bound), else 0.0: the constant term f(t), one Horner
+def _chart(ints: Sequence[int], den: int, t=None, s=None, e=None) -> Chart:
+    """The ``Chart`` (t, s, e, g), g(y) = 2^-e f(2^s y + t), of f = ints /
+    den as an entry cleared it (leading first and nonzero), each coefficient
+    of g rounded once by ``_rounded`` and g ``_stripped`` of a leading one
+    that underflows.  Unless given, the float t is the root centroid -a1 /
+    (n a0), rounded once, if that lowers ``fujiwara_exponent`` by 2 or more
+    (a 4x smaller root bound), else 0.0: the constant term f(t), one Horner
     step in integers, settles most rejections before the rest of the exact
-    shift is made, since its own Fujiwara term is a lower bound on the
-    exponent; the int s is minus ``fujiwara_exponent`` of the reversal of
-    f(y + t) from its lowest nonzero power on, so every nonzero root of g
+    shift is made; the int s is minus ``fujiwara_exponent`` of the reversal
+    of f(y + t) from its lowest nonzero power on, so every nonzero root of g
     has modulus above 1/4, or 0 where that leaves a coefficient of g
-    subnormal; the int e is
-    ``_rounded``'s, the largest coefficient of g in [1, 2).  All three read
-    exact bit lengths, so f(2^j x) moves t to 2^-j t and s to s - j, 2^k f
-    moves e to e + k, and g stays the same, bit for bit.  A given e that
-    leaves a coefficient beyond the float range raises DomainError."""
-    ints, den = integer_coefficients(values)
+    subnormal; the int e is ``_rounded``'s, the largest coefficient of g in
+    [1, 2).  All three read exact bit lengths, so f(2^j x) moves t to 2^-j t
+    and s to s - j, 2^k f moves e to e + k, and g stays the same, bit for
+    bit.  A given e that leaves a coefficient beyond the float range raises
+    DomainError."""
     deg = len(ints) - 1
     centre = t
     if t is None and deg >= 1:
@@ -562,7 +558,7 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
         raise DegenerateLeadingCoefficient(
             "cubic_roots requires a != 0; use the quadratic path for a = 0"
         )
-    ints = integer_coefficients(coeffs.as_tuple())[0]
+    ints, den = integer_coefficients(coeffs.as_tuple())
     disc = cubic_discriminant_int(*ints)
     if disc == 0:
         factors = squarefree_factors(Polynomial(ints))
@@ -574,10 +570,10 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
 
     want = 3 if disc > 0 else 1
     roots, certified, lone = [], [], []
-    places = [()]  # _chart's arguments after the coefficients: each chart is built on reaching it
+    places = [()]  # _chart's arguments after (ints, den): each chart is built on reaching it
     for place in places:
         try:
-            chart = _chart(coeffs.as_tuple(), *place)
+            chart = _chart(ints, den, *place)
         except DomainError:  # the caller's scale, where a coefficient is beyond the float range
             continue
         located, critical = _real_roots(chart.g)

@@ -10,7 +10,7 @@ divided out and their factors rebuilt from the exact endpoint distances of
 the transform, so no node loses accuracy to cancellation next to a root.
 
 Root multiplicities are exact, never read from floats, and decided once, by
-``_unit_scale_layout`` from the exact D each route passes it: with D != 0
+``_unit_scale_layout`` from the sign of the exact D it is passed: with D != 0
 every root is simple; with D = 0, the roots of f_k from Yun's square-free
 decomposition of f's integers are those of multiplicity k.  So a close
 complex pair is never taken for a double real root; distinct roots on one
@@ -18,17 +18,19 @@ float raise NoConvergence, and a root with 2k >= n RepeatedRootDivergence
 (at infinity, k = n - deg f), or NoConvergence if D < 0 rules it out (so
 n = 2), as does a root at infinity that only the float form has.
 
-Every integral runs at unit root scale, on the one float form g(y) = 2^-e
-f(2^s y + t) of ``polynomial._chart``: a root cluster far from the origin,
-relative to its size, is centred on its centroid, rounded once, and the
-smallest nonzero root and the largest coefficient come to unit size.  F is
+Each public route clears its caller's coefficients once, at its entry, to
+integers over one denominator, and every integral runs at unit root scale,
+on the one float form g(y) = 2^-e f(2^s y + t) that ``polynomial._chart``
+rounds from those integers: a root cluster far from the origin, relative to
+its size, is centred on its centroid, rounded once, and the smallest
+nonzero root and the largest coefficient come to unit size.  F is
 translation invariant and changes by an exact factor under the other two,
 so f(2^j x) costs what f costs, warns where f warns, and its value and
 error estimate are those of f times 2^-j, to the last bit.  g is rounded
-once from the exact integers, stripped once of leading coefficients that
-underflow (a root at infinity), and read as it is by the locator, the
-panels and the one IllConditionedWarning: rounding g may move a root by more
-than rel_tol of its distance to the nearest other root or critical point.
+once, stripped once of leading coefficients that underflow (a root at
+infinity), and read as it is by the locator, the panels and the one
+IllConditionedWarning: rounding g may move a root by more than rel_tol of
+its distance to the nearest other root or critical point.
 
 Each panel doubles its tanh-sinh levels up to the fixed 12, whose node
 tables (25,239 nodes) are built once and shared by every panel of every
@@ -70,7 +72,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .discriminant import DiscriminantResult, discriminant_general
+from .discriminant import DiscriminantResult, _exact_general
 from .errors import (
     DegreeTooLow,
     DomainError,
@@ -90,13 +92,7 @@ from .polynomial import (
     horner,
     squarefree_factors,
 )
-from .renorm import (
-    _NORMAL_MIN,
-    IntegralMethod,
-    IntegralResult,
-    _checked_discriminant,
-    _checked_gaussian,
-)
+from .renorm import _NORMAL_MIN, IntegralMethod, IntegralResult, _checked_gaussian, _exact_cubic
 
 _HALF_PI = math.pi / 2.0
 # tanh-sinh levels per panel after level 0, each halving the node spacing
@@ -194,36 +190,34 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     ``reciprocal`` panel), whose root multiplicities come from f's exact D.
     n is an int >= deg f, and u^n f(1/u) has a root of multiplicity n - deg f
     at u = 0, the root at infinity, which diverges like any other root."""
-    disc = discriminant_general(f)
+    ints, den, disc = _exact_general(f)
     n = family_degree if family_degree is not None else max(3, f.degree)
     if not (type(n) is int and n >= f.degree):  # not a bool either
         raise DomainError(f"family_degree must be an int >= deg f = {f.degree}, got {n!r}")
-    return _unit_scale_layout(f.coeffs, n, disc.value, QuadratureConfig().rel_tol, 3)[1]
+    return _unit_scale_layout(ints, den, n, disc.numerator, QuadratureConfig().rel_tol, 3)[1]
 
 
 def _unit_scale_layout(
-    values: Sequence, n: int, disc: Fraction, rel_tol: float, stacklevel: int
+    ints: list, den: int, n: int, disc: int, rel_tol: float, stacklevel: int
 ) -> Tuple[Chart, PanelDecomposition]:
-    """(chart, panels) of the integral of |f|**(-2/n) at unit root scale, on
-    chart = ``_chart(values)`` for f's coefficients ``values``: the degree,
-    root at infinity and reversal of its float form g come from it.  With
-    f's exact D ``disc`` != 0 every root is simple, located on g; with D = 0
-    the roots of each f_k of ``squarefree_factors(f)`` (Yun's split, which
-    runs its own remainder sequence), moved as g is, are its roots of
-    multiplicity k; the errors they raise are those of the module docstring.
-    The rounding warning below goes to the frame ``stacklevel`` up, the
-    public function's caller."""
-    degree = len(values) - 1
+    """(chart, panels) of the integral of |f|**(-2/n), f = ints / den as the
+    entry cleared it, at unit root scale on chart = ``_chart(ints, den)``.
+    Where ``disc``, an int of D's sign, is not 0, every root is simple and
+    located on chart.g; with D = 0 the roots of each f_k of
+    ``squarefree_factors(f)``, moved as g is, are its roots of multiplicity
+    k.  The errors are the module docstring's; the rounding warning goes to
+    the frame ``stacklevel`` up, the public function's caller."""
+    degree = len(ints) - 1
     if 2 * (n - degree) >= n:
         raise RepeatedRootDivergence(
             f"the root at infinity has multiplicity {n - degree}; "
             f"|x|**(-{2 * degree}/{n}) is not integrable there"
         )
-    chart = _chart(values)
+    chart = _chart(ints, den)
     g = chart.g
     located = [(g, 1)] if disc else [
-        (_chart(p.coeffs, chart.t, chart.s).g, k)
-        for p, k in squarefree_factors(Polynomial(values))
+        (_chart(p.coeffs, 1, chart.t, chart.s).g, k)
+        for p, k in squarefree_factors(Polynomial(ints))
     ]
     found = [(_real_roots(coeffs), k) for coeffs, k in located]
     roots = sorted((r + 0.0, k) for (rs, _), k in found for r in rs)  # 0.0, never -0.0
@@ -501,15 +495,14 @@ def _panel_value(
 
 
 def _integrate_at_unit_scale(
-    values: Sequence, n: int, cfg: QuadratureConfig, disc: Fraction
+    ints: list, den: int, n: int, cfg: QuadratureConfig, disc: int
 ) -> Tuple[float, float]:
-    """(value, error estimate) of integral over R of |f|**(-2/n), f with the
-    caller's exact coefficients ``values`` and exact D ``disc``, summed over
-    the panels of ``_unit_scale_layout`` (which splits f itself where D = 0):
-    F(f) = 2^s * 2^(-2e/n) * F(g).  A panel in u = 1/y is integrated on the
-    degree-n reversal u^n g(1/u)."""
+    """(value, error estimate) of integral over R of |f|**(-2/n), f = ints /
+    den and ``disc`` as ``_unit_scale_layout`` takes them, summed over its
+    panels: F(f) = 2^s * 2^(-2e/n) * F(g).  A panel in u = 1/y is integrated
+    on the degree-n reversal u^n g(1/u)."""
     # the frames up to the caller: layout, this function, the public integral
-    chart, layout = _unit_scale_layout(values, n, disc, cfg.rel_tol, 4)
+    chart, layout = _unit_scale_layout(ints, den, n, disc, cfg.rel_tol, 4)
     exponent = 2.0 / n
     reversal = chart.g[::-1] + [0.0] * (n + 1 - len(chart.g))
     total = 0.0
@@ -549,8 +542,10 @@ def integral_numeric(
     warns IllConditioned on this route as on every other.
     """
     cfg = config or QuadratureConfig()
-    disc = _checked_discriminant(coeffs)
-    value, error = _integrate_at_unit_scale(coeffs.as_polynomial().coeffs, 3, cfg, disc.value)
+    ints, den, d, sign = _exact_cubic(coeffs)
+    disc = DiscriminantResult(Fraction(d, den**4), sign)
+    # a = 0 leaves the true quadratic (b != 0 here), with a simple root at infinity
+    value, error = _integrate_at_unit_scale(ints[1:] if ints[0] == 0 else ints, den, 3, cfg, d)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
@@ -564,9 +559,9 @@ def integral_numeric_general(
     cfg = config or QuadratureConfig()
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
-    disc = discriminant_general(f)
-    value, error = _integrate_at_unit_scale(f.coeffs, f.degree, cfg, disc.value)
-    return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
+    ints, den, disc = _exact_general(f)
+    value, error = _integrate_at_unit_scale(ints, den, f.degree, cfg, disc.numerator)
+    return IntegralResult(value, IntegralMethod.NUMERIC, DiscriminantResult.from_value(disc), error)
 
 
 def gaussian_integral_numeric(
@@ -580,7 +575,7 @@ def gaussian_integral_numeric(
     quadrature integrates those same coefficients.
     """
     cfg = config or QuadratureConfig()
-    den, n = _checked_gaussian(a, b, c)
+    ints, den, n = _checked_gaussian(a, b, c)
     disc = DiscriminantResult.from_value(Fraction(-n, den * den))
-    value, error = _integrate_at_unit_scale((a, b, c), 2, cfg, disc.value)
+    value, error = _integrate_at_unit_scale(ints, den, 2, cfg, -n)
     return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)

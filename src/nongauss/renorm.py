@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .discriminant import DiscriminantResult, Sign, discriminant_cubic_explicit
+from .discriminant import DiscriminantResult, Sign
 from .errors import DivergentIntegral, DomainError, StencilCrossesSingularity
 from .polynomial import CubicCoeffs, Number, _rounded, cubic_discriminant_int, integer_coefficients
 from .special import constants
@@ -88,12 +88,6 @@ def _ln_abs(num: int, den: int) -> float:
     return math.log(abs(num)) - math.log(den)
 
 
-def _tail_checked(coeffs: CubicCoeffs) -> CubicCoeffs:
-    if coeffs.a == 0 and coeffs.b == 0:
-        raise DivergentIntegral("a = b = 0: the integrand tail is not integrable")
-    return coeffs
-
-
 def _checked_sign(d: int) -> Sign:
     """The sign of D, read from an integer of the same sign."""
     if d == 0:
@@ -101,10 +95,15 @@ def _checked_sign(d: int) -> Sign:
     return Sign.POSITIVE if d > 0 else Sign.NEGATIVE
 
 
-def _checked_discriminant(coeffs: CubicCoeffs) -> DiscriminantResult:
-    disc = discriminant_cubic_explicit(_tail_checked(coeffs))
-    _checked_sign(disc.value.numerator)
-    return disc
+def _exact_cubic(coeffs: CubicCoeffs) -> tuple:
+    """(ints, den, d, sign): the caller's coefficients cleared once, by
+    ``integer_coefficients``, d = den^4 D on those integers and D's sign, for
+    every cubic route to read.  a = b = 0 and D = 0 raise DivergentIntegral."""
+    if coeffs.a == 0 and coeffs.b == 0:
+        raise DivergentIntegral("a = b = 0: the integrand tail is not integrable")
+    ints, den = integer_coefficients(coeffs.as_tuple())
+    d = cubic_discriminant_int(*ints)
+    return ints, den, d, _checked_sign(d)
 
 
 def _beta_constant(sign: Sign) -> float:
@@ -113,15 +112,17 @@ def _beta_constant(sign: Sign) -> float:
     return k.c_plus if sign is Sign.POSITIVE else k.c_minus
 
 
-def _closed_form_parts(disc: DiscriminantResult) -> tuple:
-    """(C+ or C- by the sign of the nonzero D, ln|D| / 6) for F = C * exp(-ln|D| / 6)."""
-    d = disc.value
-    return _beta_constant(disc.sign), _ln_abs(d.numerator, d.denominator) / 6.0
+def _closed_form_parts(sign: Sign, num: int, den: int) -> tuple:
+    """(C, ln|D| / 6) for F = C * exp(-ln|D| / 6), D = num / den in lowest terms."""
+    return _beta_constant(sign), _ln_abs(num, den) / 6.0
 
 
 def log_closed_form(coeffs: CubicCoeffs) -> float:
     """log F(a, b, c, d); fully in log space for scale robustness."""
-    c, log_root = _closed_form_parts(_checked_discriminant(coeffs))
+    _, den, d, sign = _exact_cubic(coeffs)
+    den4 = den**4
+    common = math.gcd(d, den4)
+    c, log_root = _closed_form_parts(sign, d // common, den4 // common)
     return math.log(c) - log_root
 
 
@@ -133,8 +134,9 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
     on the way; a value F beyond the float range or below its normal
     floats, which log_closed_form still gives, raises DomainError.
     """
-    disc = _checked_discriminant(coeffs)
-    c, log_root = _closed_form_parts(disc)
+    _, den, d, sign = _exact_cubic(coeffs)
+    disc = DiscriminantResult(Fraction(d, den**4), sign)
+    c, log_root = _closed_form_parts(sign, disc.value.numerator, disc.value.denominator)
     try:
         value = c * math.exp(-log_root)
     except OverflowError:
@@ -147,13 +149,14 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
 
 
 def _checked_gaussian(a: Number, b: Number, c: Number) -> tuple:
-    """(den, N) with N = 4AC - B^2 for A, B, C = den * (a, b, c), the integers
-    of ``integer_coefficients``; DomainError unless A > 0 and N > 0, exactly."""
-    (big_a, big_b, big_c), den = integer_coefficients((a, b, c))
+    """(ints, den, N): (a, b, c) cleared once to ints = [A, B, C] over den, and
+    N = 4AC - B^2; DomainError unless A > 0 and N > 0, exactly."""
+    ints, den = integer_coefficients((a, b, c))
+    big_a, big_b, big_c = ints
     n = 4 * big_a * big_c - big_b * big_b
     if not (big_a > 0 and n > 0):
         raise DomainError(f"gaussian analogue requires a > 0 and b^2 - 4ac < 0, got {(a, b, c)}")
-    return den, n
+    return ints, den, n
 
 
 def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
@@ -162,7 +165,7 @@ def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
     ``_checked_gaussian``.  Both are split exactly into a power of two and a
     ratio near one, so nothing over- or underflows on the way; a value beyond
     the float range or below its normal floats raises DomainError."""
-    den, n = _checked_gaussian(a, b, c)
+    _, den, n = _checked_gaussian(a, b, c)
     t, k = den.bit_length(), n.bit_length() // 2  # den / 2^t in [1/2, 1), N / 4^k in [1/2, 2)
     try:
         value = math.ldexp(2.0 * math.pi * (den / (1 << t)) / math.sqrt(n / (1 << 2 * k)), t - k)
@@ -173,13 +176,13 @@ def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
     return value
 
 
-def _moments(ints: list, den: int, exact: bool) -> ExpectationSet:
+def _moments(ints: list, den: int, d_int: int, exact: bool) -> ExpectationSet:
     """den * N_int / (6 * D_int) for the four moment numerators N_int, on the
-    integers ``ints`` and ``den`` of ``integer_coefficients``: Fractions if
+    integers ``ints`` over ``den`` and their D_int = ``d_int``: Fractions if
     ``exact``, else floats rounded once from the exact ratio, each zero or
     a normal float."""
     a, b, c, d = ints
-    six_d = 6 * cubic_discriminant_int(a, b, c, d)
+    six_d = 6 * d_int
     _checked_sign(six_d)
     numerators = (
         18 * b * c * d - 4 * c**3 - 54 * a * d * d,
@@ -211,8 +214,8 @@ def expectations(coeffs: CubicCoeffs) -> ExpectationSet:
     floating point, rounded once from the exact ratio.  a = b = 0 and D = 0
     raise DivergentIntegral with the messages of ``closed_form_integral``.
     """
-    ints, den = integer_coefficients(_tail_checked(coeffs).as_tuple())
-    return _moments(ints, den, coeffs.is_exact())
+    ints, den, d, _ = _exact_cubic(coeffs)
+    return _moments(ints, den, d, coeffs.is_exact())
 
 
 def _in_caller_units(point: list, den: int, e: int) -> str:
@@ -249,8 +252,7 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
     log C - ln(|D_int| / den^4) / 6.  The center's sign is decided on the
     exact integers the stencil is rounded from.
     """
-    exact, exact_den = integer_coefficients(_tail_checked(coeffs).as_tuple())
-    center_sign = _checked_sign(cubic_discriminant_int(*exact))
+    exact, exact_den, _, center_sign = _exact_cubic(coeffs)
     e, base = _rounded(exact, exact_den, (0, 0, 0, 0))
     scale = max(abs(v) for v in base)
     if step is None:
@@ -309,7 +311,8 @@ def expectations_fd_check(
     center, den, scale, h, log_f = _unit_stencil(coeffs, step)
     fds = [-(log_f({i: +1}) - log_f({i: -1})) / (2.0 * h) for i in range(4)]
     residuals = []
-    for fd, formula_value in zip(fds, _moments(center, den, False).as_tuple()):
+    moments = _moments(center, den, cubic_discriminant_int(*center), False)
+    for fd, formula_value in zip(fds, moments.as_tuple()):
         denom = max(abs(formula_value), _FD_DENOM_FLOOR / scale)
         residuals.append(abs(fd - formula_value) / denom)
     return tuple(residuals)

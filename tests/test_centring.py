@@ -26,8 +26,14 @@ from nongauss import (
     RepeatedRootDivergence,
     integral_numeric_general,
 )
-from nongauss import quadrature
-from nongauss.polynomial import _chart, fujiwara_exponent, integer_coefficients
+from nongauss import polynomial, quadrature
+from nongauss.polynomial import fujiwara_exponent, integer_coefficients
+
+
+def _chart(values, *place):
+    """``polynomial._chart`` of f with coefficients ``values``, cleared to
+    integers once, as a public route clears its caller's."""
+    return polynomial._chart(*integer_coefficients(values), *place)
 
 # SL(2, Z) matrices (alpha, beta, gamma, delta) whose images
 # (alpha x + beta)^n +- (gamma x + delta)^n of x^n +- 1 have a close complex
@@ -112,7 +118,9 @@ def test_clustered_images_without_the_shift_are_right_or_unresolved(monkeypatch)
     # The nonzero exact D, not the shift, keeps the close pair from being
     # taken for a double root: integrated where they lie, the forms come out
     # right (28 of 48) or as NoConvergence, never as the old wrong values.
-    monkeypatch.setattr(quadrature, "_chart", lambda values, t=0.0, s=None: _chart(values, t, s))
+    monkeypatch.setattr(
+        quadrature, "_chart", lambda ints, den, t=0.0, s=None: polynomial._chart(ints, den, t, s)
+    )
     right = 0
     for n, plus, m in _CLUSTERED_FORMS:
         value = _outcome(sl2_image(n, plus, m))

@@ -27,15 +27,23 @@ from nongauss import (
     SingularPoint,
     beta,
     closed_form_integral,
+    cubic_roots,
     decompose,
     discriminant_general,
+    expectations,
     gaussian_analogue,
     gaussian_integral_numeric,
     integral_numeric,
     integral_numeric_general,
 )
-from nongauss import quadrature
-from nongauss.polynomial import _chart, cubic_discriminant_exact
+from nongauss import discriminant, polynomial, quadrature, renorm
+from nongauss.polynomial import cubic_discriminant_exact, integer_coefficients
+
+
+def _chart(values, *place):
+    """``polynomial._chart`` of f with coefficients ``values``, cleared to
+    integers once, as a public route clears its caller's."""
+    return polynomial._chart(*integer_coefficients(values), *place)
 
 
 def integrand(f, x, family_degree=None):
@@ -1122,6 +1130,44 @@ def _reported(call, *args):
         except NonGaussError as exc:
             result = f"{type(exc).__name__}: {exc}"
     return result, [str(w.message) for w in caught]
+
+
+def test_each_public_route_clears_the_callers_coefficients_once(monkeypatch):
+    # the entry clears them to (ints, den) and passes those down: no D, chart
+    # or relocation below it clears them again, on mixed Fraction and float
+    # input, nor on (x - 1/3)((x - 2)^2 - 10^-12), for which cubic_roots
+    # builds a chart on each critical point of its first one
+    cleared, charts = [], []
+    clear, chart = polynomial.integer_coefficients, polynomial._chart
+
+    def counted_clear(values):
+        cleared.append(tuple(values))
+        return clear(values)
+
+    def counted_chart(*args):
+        charts.append(args)
+        return chart(*args)
+
+    for module in (polynomial, discriminant, renorm):
+        monkeypatch.setattr(module, "integer_coefficients", counted_clear)
+    monkeypatch.setattr(polynomial, "_chart", counted_chart)
+    cubic = (0.75, Fraction(-2, 3), -1.5, Fraction(5, 7))
+    big = 3 * 10**12
+    pair = (1.0, Fraction(-13, 3), Fraction(16 * 10**12 - 3, big), Fraction(1 - 4 * 10**12, big))
+    routes = [(route, CubicCoeffs(*cubic)) for route in (closed_form_integral, expectations)]
+    routes += [(integral_numeric, CubicCoeffs(*cubic)), (cubic_roots, CubicCoeffs(*cubic))]
+    routes += [(route, Polynomial(cubic)) for route in (integral_numeric_general, decompose)]
+    routes += [(cubic_roots, CubicCoeffs(*pair))]
+    for route, argument in routes:
+        cleared.clear()
+        charts.clear()
+        route(argument)
+        values = argument.as_tuple() if isinstance(argument, CubicCoeffs) else argument.coeffs
+        assert cleared == [values], route.__name__
+    assert len(charts) >= 3  # the close pair's
+    cleared.clear()
+    gaussian_integral_numeric(0.5, Fraction(1, 3), 2.0)
+    assert cleared == [(0.5, Fraction(1, 3), 2.0)]
 
 
 def test_results_do_not_depend_on_how_a_coefficient_is_written():

@@ -19,6 +19,7 @@ from nongauss import (
     expectations,
     expectations_fd_check,
     gaussian_analogue,
+    integral_numeric,
     log_closed_form,
     pde_identity_residuals,
 )
@@ -341,6 +342,27 @@ def test_fd_stencil_points_evaluate_d_once(monkeypatch):
     assert exact_calls == []
     assert int_calls[0] == (1, 2, 3, 5)
     assert len(int_calls[1:]) == len(set(int_calls[1:])) == 21
+
+
+@pytest.mark.parametrize("route", [closed_form_integral, expectations, integral_numeric])
+def test_cubic_routes_evaluate_d_once(monkeypatch, route):
+    # one integer D, on the integers the entry cleared the caller's mixed
+    # Fraction and float coefficients to (over den 42), and no Fraction D
+    exact_calls, int_calls = [], []
+
+    def counted_exact(*args):
+        exact_calls.append(args)
+        return cubic_discriminant_exact(*args)
+
+    def counted_int(*args):
+        int_calls.append(args)
+        return cubic_discriminant_int(*args)
+
+    monkeypatch.setattr(discriminant, "cubic_discriminant_exact", counted_exact)
+    monkeypatch.setattr(renorm, "cubic_discriminant_int", counted_int)
+    route(CubicCoeffs(Fraction(1, 3), 2.0, 0.5, Fraction(-5, 7)))
+    assert exact_calls == []
+    assert int_calls == [(14, 84, 21, -30)]
 
 
 @pytest.mark.parametrize("zeros", [1846, 2000])

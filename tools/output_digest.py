@@ -1,0 +1,93 @@
+"""One sha256 over what the package computes on the benchmark's inputs.
+
+    python3 tools/output_digest.py CHECKOUT
+
+Imports ``nongauss`` from CHECKOUT/src and the seeded rounds of
+CHECKOUT/bench/workloads.py, unchanged, and hashes the ``repr`` of, for the
+first round of seeds 1-3 of every workload: each operation's output (or its
+exception's type and message) and the warnings it raised, and on each form
+the panels of ``decompose``, and on each cubic ``cubic_roots`` and
+``log_closed_form``; then 300 seeded ``gaussian_integral_numeric`` calls.
+Two checkouts that print the same digest agree on all of these bit for bit:
+the gate of a change that must not move any output.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import random
+import sys
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+GAUSSIAN_CALLS = 300
+
+
+def _outcome(call, *args) -> str:
+    """repr of call(*args), or of its exception, with the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(call(*args))
+        except Exception as exc:  # every package error is part of the output
+            out = f"{type(exc).__name__}: {exc}"
+    return out + "".join(f" | {w.category.__name__}: {w.message}" for w in caught)
+
+
+def _gaussian_inputs(rng: random.Random):
+    """(a, b, c) as ints, Fractions and floats at unit and extreme scales,
+    some with b^2 - 4ac >= 0 (a refusal is an output too)."""
+    for i in range(GAUSSIAN_CALLS):
+        a, c = rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0)
+        b = rng.uniform(-1.99, 1.99) * math.sqrt(a * c) * (1.5 if i % 10 == 9 else 1.0)
+        k = rng.randint(-300, 300)
+        kind = i % 3
+        if kind == 0:
+            yield tuple(math.ldexp(v, k) for v in (a, b, c))
+        elif kind == 1:
+            yield tuple(Fraction(round(v * 2**20), rng.randint(1, 999)) for v in (a, b, c))
+        else:
+            yield (round(a * 100) or 1, round(b * 100), round(c * 100) or 1)
+
+
+def digest(checkout: Path) -> str:
+    sys.dont_write_bytecode = True  # leave no cache files in the checkout
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    import nongauss
+    from workloads import WORKLOADS
+
+    lines = []
+    for name, cls in WORKLOADS.items():
+        workload = cls()
+        for seed in SEEDS:
+            for case in workload.round(random.Random(seed)):
+                lines.append(f"{name} {seed} {case.coeffs!r}")
+                lines.append(_outcome(workload.call, case))
+                if len(case.coeffs) == 4:
+                    cubic = nongauss.CubicCoeffs(*case.coeffs)
+                    poly, n = cubic.as_polynomial(), 3
+                    lines.append(_outcome(nongauss.cubic_roots, cubic))
+                    lines.append(_outcome(nongauss.log_closed_form, cubic))
+                else:
+                    poly = nongauss.Polynomial(case.coeffs)
+                    n = poly.degree
+                lines.append(_outcome(nongauss.decompose, poly, n))
+    for abc in _gaussian_inputs(random.Random(2026)):
+        lines.append(f"gaussian {abc!r} {_outcome(nongauss.gaussian_integral_numeric, *abc)}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not (Path(args[0]) / "src" / "nongauss").is_dir():
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    print(digest(Path(args[0]).resolve()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
