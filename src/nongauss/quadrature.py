@@ -4,10 +4,13 @@
 invariance): the panels are the arcs between consecutive real roots, the arc
 through infinity included, each in a chart where it is bounded, y or u = 1/y
 (on the reversal u^n f(1/u)), and graded toward its nearest other root.
-Tanh-sinh quadrature absorbs the |x - r|**(-2k/n) endpoint singularities
-(Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005); endpoint roots are
-divided out and their factors rebuilt from the exact endpoint distances of
-the transform, so no node loses accuracy to cancellation next to a root.
+Gauss-Jacobi quadrature puts the |x - r|**(-2k/n) endpoint singularities in
+its weight, which integrates them exactly: their exponents are exact, since
+the exact D fixes every multiplicity (Golub & Welsch 1969; Hale & Townsend
+2013).  Endpoint roots are divided out, so the rules see only the smooth
+rest, and no node loses accuracy to cancellation next to a root.
+Tanh-sinh quadrature (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005)
+takes the panels that the Gauss-Jacobi rules do not resolve.
 
 Root multiplicities are exact, never read from floats, and decided once, by
 ``_unit_scale_layout`` from the sign of the exact D it is passed: with D != 0
@@ -32,32 +35,42 @@ infinity), and read as it is by the locator, the panels and the one
 IllConditionedWarning: rounding g may move a root by more than rel_tol of
 its distance to the nearest other root or critical point.
 
-Each panel doubles its tanh-sinh levels up to the fixed 12, whose node
-tables (25,239 nodes) are built once and shared by every panel of every
-call.  With d1 a level's difference from the last, d0 the last one's and S
-its value, a panel stops at the first level where d1 <= rel_tol |S|, and
-reports d1; or, from level 2 on, since tanh-sinh error about squares per
-level (Bailey, Jeyabalan & Li 2005), where d1 < d0, d1 <= 0.01
-sqrt(rel_tol) |S|, d0^2 <= 100 d1 |S| (the relative difference fell by no
-more than a square: a faster fall is a cancellation, not convergence) and
-E = 100 d1^2 / d0 <= rel_tol |S|, and reports E.  The error estimate is
-the sum of these: the quadratic model of the next difference with a margin
-of 100, not a bound.
+A panel of half-width hs about mid, x = mid + hs t, with endpoint root
+multiplicities m_lo and m_hi and p = 2/n, runs the m-point Gauss-Jacobi
+rules of the weight (1 - t)**(-p m_hi) (1 + t)**(-p m_lo) for m = 8, 16,
+32, 64, 128 in turn.  With G_m a rule's value, it stops at the first m where
+|G_m - G_(m/2)| <= rel_tol |G_m|, and reports that difference: the error of
+the coarser rule, which geometric convergence makes much larger than the
+finer one's.  The rules are built on first use, 14 ms per ladder of five
+on a 2-vCPU Xeon under Python 3.11, and kept per (m, alpha, beta), at most
+256 of them.  A panel that no rule resolves, or where |q|**-p fails at a
+node (a zero or an overflow), is integrated by tanh-sinh instead, as below.
+
+Tanh-sinh doubles its levels up to the fixed 12, whose node tables (25,239
+nodes) are built once and shared by every panel of every call.  With d1 a
+level's difference from the last, d0 the last one's and S its value, a
+panel stops at the first level where d1 <= rel_tol |S|, and reports d1; or,
+from level 2 on, since tanh-sinh error about squares per level (Bailey,
+Jeyabalan & Li 2005), where d1 < d0, d1 <= 0.01 sqrt(rel_tol) |S|, d0^2 <=
+100 d1 |S| (the relative difference fell by no more than a square: a faster
+fall is a cancellation, not convergence) and E = 100 d1^2 / d0 <= rel_tol
+|S|, and reports E.  The error estimate of an integral is the sum of the
+panels': a model of the error, not a bound.
 
 An endpoint root of multiplicity m contributes (hs * (1 -+ tanh z))**(-2m/n)
-at each node: its hs power is applied once per panel, and the weight times
-the (1 -+ tanh z) powers is a column of at most 12,620 doubles cached per
-(level, near power, far power), at most 256 of them, least recently used
-out first: 25 MB at most.  Panels are independent and pure, so callers
-may evaluate them concurrently and sum.
+at each tanh-sinh node: its hs power is applied once per panel, and the
+weight times the (1 -+ tanh z) powers is a column of at most 12,620 doubles
+cached per (level, near power, far power), at most 256 of them, least
+recently used out first: 25 MB at most.  Panels are independent and pure,
+so callers may evaluate them concurrently and sum.
 
-A panel's level loop runs in one function per length of q, generated by
-``_kernel`` from one source template and compiled on first use, with
-Horner's rule written out on local coefficients: a loop over q cost about
-as much per node as the rest of the node.  The source depends on nothing
-but that length, the coefficients are arguments, and the operations are a
-loop's in its order, so values, error estimates and node counts are the
-loop's bit for bit.
+Each rule runs in one function per length of q, generated by ``_compiled``
+from its source template (the Gauss-Jacobi ladder or the tanh-sinh level
+loop) and compiled on first use, with Horner's rule written out on local
+coefficients: a loop over q cost about as much per node as the rest of the
+node.  The source depends on nothing but that length, the coefficients are
+arguments, and the operations are a loop's in its order, so values, error
+estimates and node counts are the loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -99,6 +112,10 @@ _HALF_PI = math.pi / 2.0
 _LEVELS = 12
 # endpoint-factor columns kept by _endpoint_column, each one level long
 _COLUMN_CACHE_SIZE = 256
+# Gauss-Jacobi rules tried per panel, in turn, before the tanh-sinh fallback
+_GAUSS_LADDER = (8, 16, 32, 64, 128)
+_RULE_CACHE_SIZE = 256  # rules kept by _jacobi_rule, per (m, alpha, beta)
+_NEWTON_STEPS = 16  # Newton steps at most per node of _jacobi_rule
 _GRADE_RATIO = 16.0  # ratio of consecutive cut distances in _graded
 _GRADE_REACH = 4.0  # _graded cuts while a panel reaches this far beyond the cut
 _CUT_CLEARANCE = 2.0**-40  # least cut distance, relative to the point cut toward
@@ -348,10 +365,102 @@ def _endpoint_column(level: int, p_near: float, p_far: float) -> array:
     return column
 
 
-# The level loop of ``_panel_value`` for a quotient q of k coefficients,
-# formatted by ``_kernel`` from k alone: ``{names}`` unpacks q into the locals
-# lead, c0, c1, ... and ``{horner}`` is Horner's rule on them written out,
-# ((lead * x + c0) * x + c1) ..., the operations of a loop over q in its order.
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _jacobi_rule(m: int, alpha: float, beta: float) -> Tuple[tuple, tuple]:
+    """The m-point Gauss-Jacobi rule of the weight (1 - t)**alpha (1 +
+    t)**beta on [-1, 1], alpha, beta > -1: (nodes, weights), the nodes
+    falling from near 1.  Built on first use, kept per (m, alpha, beta).
+
+    Each node is a root of P_m = P_m^(alpha, beta), found by Newton's method
+    in theta = arccos t on P_m(cos theta) and its derivative, both by the
+    three-term recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013):
+    the first two from the interior asymptotic (k + alpha/2 - 1/4) pi / rho,
+    rho = m + (alpha + beta + 1)/2, each later one from a straight line
+    through the previous two roots, since the roots are nearly evenly spaced
+    in theta.  Newton in theta keeps the roots near t = +-1 apart, where
+    they crowd in t.  The weights are Christoffel's, proportional to 1 /
+    ((1 - t^2) P_m'(t)^2) with 1 - t^2 = sin(theta)^2, and scaled to sum to
+    the weight's integral 2^(alpha + beta + 1) B(alpha + 1, beta + 1), as
+    every Gauss rule integrates a constant exactly.  The derivative, not
+    P_(m-1), gives them: P_(m-1) is small at the outer roots, and at the
+    outermost of 128 its value at the rounded node was 2e-11 off.
+    """
+    ab = alpha + beta
+    steps = []  # P_n = (b + a t) P_(n-1) - g P_(n-2), n = 2 ... m
+    for n in range(2, m + 1):
+        c = 2 * n + ab
+        scale = 2 * n * (n + ab) * (c - 2)
+        steps.append((
+            (c - 1) * (alpha * alpha - beta * beta) / scale,
+            (c - 2) * (c - 1) * c / scale,
+            2 * (n + alpha - 1) * (n + beta - 1) * c / scale,
+        ))
+    b1, a1 = 0.5 * (alpha - beta), 0.5 * (ab + 2.0)  # P_1 = b1 + a1 t
+
+    def value_and_slope(t):
+        p0, p1, d0, d1 = 1.0, b1 + a1 * t, 0.0, a1
+        for b, a, g in steps:
+            u = b + a * t
+            p0, p1, d0, d1 = p1, u * p1 - g * p0, d1, u * d1 + a * p1 - g * d0
+        return p1, d1
+
+    rho = m + 0.5 * (ab + 1.0)
+    thetas, nodes, weights = [], [], []
+    for k in range(1, m + 1):
+        if k <= 2:
+            theta = (k + 0.5 * alpha - 0.25) * math.pi / rho
+        else:
+            theta = 2.0 * thetas[-1] - thetas[-2]
+        close = False
+        for _ in range(_NEWTON_STEPS):
+            p, d = value_and_slope(math.cos(theta))
+            step = p / (math.sin(theta) * d)  # -P_m / (dP_m / dtheta)
+            theta += step
+            if close:
+                break
+            # Newton converges quadratically: one more step from within 1e-8
+            # reaches the rounding of cos theta, below which steps are noise
+            close = abs(step) <= 1e-8 * theta
+        t = math.cos(theta)
+        _, d = value_and_slope(t)
+        thetas.append(theta)
+        nodes.append(t)
+        weights.append(1.0 / (math.sin(theta) * d) ** 2)
+    mass = 2.0 ** (ab + 1.0) * math.exp(
+        math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)
+    )
+    total = math.fsum(weights)
+    return tuple(nodes), tuple(mass * w / total for w in weights)
+
+
+# The Gauss-Jacobi ladder and the tanh-sinh level loop of a panel whose
+# quotient q has k coefficients, each formatted by ``_compiled`` from k alone:
+# ``{names}`` unpacks q into the locals lead, c0, c1, ... and ``{horner}`` is
+# Horner's rule on them written out, ((lead * x + c0) * x + c1) ..., the
+# operations of a loop over q in its order.
+_GAUSS_SOURCE = """\
+def kernel(q, p, mid, hs, p_lo, p_hi, scale, rel_tol):
+    {names} = q
+    nodes = 0
+    previous = None
+    try:
+        for m in _GAUSS_LADDER:
+            ts, ws = _jacobi_rule(m, p_hi, p_lo)
+            total = 0.0
+            for t, w in zip(ts, ws):
+                x = mid + hs * t
+                total += abs({horner}) ** p * w
+            nodes += m
+            if previous is not None:
+                error = abs(total - previous)
+                if error <= rel_tol * total:  # no term is negative
+                    return total * scale, error * scale, True, nodes
+            previous = total
+    except (ZeroDivisionError, OverflowError):  # abs(q(x)) ** p, p < 0, q(x) 0.0 or subnormal
+        nodes += m  # the rule cut short counts in full
+    return None, None, False, nodes
+"""
+
 _KERNEL_SOURCE = """\
 def kernel(q, p, lo, hi, hs, p_lo, p_hi, scale, rel_tol):
     {names} = q
@@ -431,20 +540,55 @@ def kernel(q, p, lo, hi, hs, p_lo, p_hi, scale, rel_tol):
 """
 
 
-@functools.cache
-def _kernel(k: int):
-    """The level loop of ``_panel_value`` for quotients of k coefficients,
-    compiled from ``_KERNEL_SOURCE`` on first use.  Its source depends on
-    nothing but the int k: the coefficients are arguments.  It runs in this
-    module's own globals, so it reads ``_LEVELS`` and the tables when called."""
+def _compiled(template: str, k: int, name: str):
+    """``template`` for quotients of k coefficients, compiled.  Its source
+    depends on nothing but the int k: the coefficients are arguments.  It runs
+    in this module's own globals, so it reads ``_LEVELS``, ``_GAUSS_LADDER``
+    and the tables when called."""
     rest = [f"c{i}" for i in range(int(k) - 1)]
     horner = "lead"
     for c in rest:
         horner = f"({horner} * x + {c})"
-    source = _KERNEL_SOURCE.format(names=", ".join(["lead", *rest]) + ",", horner=horner)
+    source = template.format(names=", ".join(["lead", *rest]) + ",", horner=horner)
     namespace = {}
-    exec(compile(source, f"<quadrature kernel {k}>", "exec"), globals(), namespace)
+    exec(compile(source, f"<quadrature {name} {k}>", "exec"), globals(), namespace)
     return namespace["kernel"]
+
+
+@functools.cache
+def _kernel(k: int):
+    """The tanh-sinh level loop of ``_tanh_sinh_panel`` for quotients of k
+    coefficients, compiled from ``_KERNEL_SOURCE`` on first use."""
+    return _compiled(_KERNEL_SOURCE, k, "kernel")
+
+
+@functools.cache
+def _gauss_kernel(k: int):
+    """The Gauss-Jacobi ladder of ``_panel_value`` for quotients of k
+    coefficients, compiled from ``_GAUSS_SOURCE`` on first use."""
+    return _compiled(_GAUSS_SOURCE, k, "gauss kernel")
+
+
+def _quotient(
+    coeffs: Sequence[float], exponent: float, lo: float, hi: float, m_lo: int, m_hi: int, hs: float
+) -> tuple:
+    """(q, p, p_lo, p_hi, scale) of a panel of half-width hs > 0: q is the
+    polynomial with ``coeffs`` with its m_lo roots at lo and m_hi at hi
+    divided out, p = -exponent, p_lo and p_hi the endpoint powers, and scale
+    = hs * hs**p_lo * hs**p_hi, the factor of every rule's sum."""
+    q = list(coeffs)
+    for _ in range(m_lo):
+        q = _synthetic_quotient(q, lo)
+    for _ in range(m_hi):
+        q = _synthetic_quotient(q, hi)
+    p, p_lo, p_hi = -exponent, -exponent * m_lo, -exponent * m_hi
+    try:
+        scale = hs * hs**p_lo * hs**p_hi  # hs**0.0 is 1.0
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise DomainError(f"panel [{lo}, {hi}] is too narrow for its endpoint powers")
+    return q, p, p_lo, p_hi, scale
 
 
 def _panel_value(
@@ -456,9 +600,47 @@ def _panel_value(
     m_hi: int,
     cfg: QuadratureConfig,
 ) -> Tuple[float, float, bool, int]:
-    """Level-doubling tanh-sinh value of |p|**(-exponent) on [lo, hi], p the
-    polynomial with ``coeffs`` and roots of multiplicity m_lo at lo and m_hi
-    at hi: (value, error estimate, converged, integrand evaluations).
+    """Value of |p|**(-exponent) on [lo, hi], p the polynomial with
+    ``coeffs`` and roots of multiplicity m_lo at lo and m_hi at hi:
+    (value, error estimate, converged, integrand evaluations).
+
+    With x = mid + hs t, the integrand is hs**p_lo (1 + t)**p_lo hs**p_hi
+    (1 - t)**p_hi |q(x)|**-exponent, q with the endpoint roots divided out:
+    the hs powers scale the panel once, and the Gauss-Jacobi rules of the
+    weight (1 - t)**p_hi (1 + t)**p_lo integrate the rest from |q|, which is
+    smooth on the panel, at their nodes alone.  The rules of
+    ``_GAUSS_LADDER`` run in turn, in the kernel ``_gauss_kernel(len(q))``,
+    and the panel stops at the first whose value differs from the last rule's
+    by at most rel_tol of it, and reports that difference.  A panel that
+    does not, or meets a zero or an overflow of |q|**-exponent at a node, is
+    integrated by ``_tanh_sinh_panel`` instead, whose value, estimate and
+    errors it reports; the evaluations count both.
+    """
+    hs = 0.5 * (hi - lo)
+    if hs == 0.0:
+        return 0.0, 0.0, True, 0
+    q, p, p_lo, p_hi, scale = _quotient(coeffs, exponent, lo, hi, m_lo, m_hi, hs)
+    value, error, converged, nodes = _gauss_kernel(len(q))(
+        q, p, 0.5 * (lo + hi), hs, p_lo, p_hi, scale, cfg.rel_tol
+    )
+    if converged:
+        return value, error, True, nodes
+    value, error, converged, more = _tanh_sinh_panel(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
+    return value, error, converged, nodes + more
+
+
+def _tanh_sinh_panel(
+    coeffs: Sequence[float],
+    exponent: float,
+    lo: float,
+    hi: float,
+    m_lo: int,
+    m_hi: int,
+    cfg: QuadratureConfig,
+) -> Tuple[float, float, bool, int]:
+    """Level-doubling tanh-sinh value of |p|**(-exponent) on [lo, hi], as
+    ``_panel_value`` takes and returns it: the fallback of the Gauss-Jacobi
+    rules, and at level 16 the tests' reference.
 
     The endpoint roots are divided out into q, and a node at distances
     hs * (1 -+ tanh z) from the endpoints is worth |q(x)|**-exponent times
@@ -479,18 +661,7 @@ def _panel_value(
     hs = 0.5 * (hi - lo)
     if hs == 0.0:
         return 0.0, 0.0, True, 0
-    q = list(coeffs)
-    for _ in range(m_lo):
-        q = _synthetic_quotient(q, lo)
-    for _ in range(m_hi):
-        q = _synthetic_quotient(q, hi)
-    p, p_lo, p_hi = -exponent, -exponent * m_lo, -exponent * m_hi
-    try:
-        scale = hs * hs**p_lo * hs**p_hi  # hs**0.0 is 1.0
-    except OverflowError:
-        scale = math.inf
-    if scale == math.inf:
-        raise DomainError(f"panel [{lo}, {hi}] is too narrow for its endpoint powers")
+    q, p, p_lo, p_hi, scale = _quotient(coeffs, exponent, lo, hi, m_lo, m_hi, hs)
     return _kernel(len(q))(q, p, lo, hi, hs, p_lo, p_hi, scale, cfg.rel_tol)
 
 
@@ -535,7 +706,7 @@ def _integrate_at_unit_scale(
 def integral_numeric(
     coeffs: CubicCoeffs, config: Optional[QuadratureConfig] = None
 ) -> IntegralResult:
-    """Tanh-sinh evaluation of the renormalized cubic integral.
+    """Quadrature evaluation of the renormalized cubic integral.
 
     Independent of the closed form: the value comes entirely from panel
     quadrature.  D = 0 and a = b = 0 raise DivergentIntegral.  The layout

@@ -3,10 +3,10 @@ rel_tol * F of an independent value of F, and every error estimate is at
 most rel_tol * F.
 
 The independent values are the closed form of a cubic, the Beta value of
-x^n +- 1 carried by SL(2, Z) to each of its images, and the same quadrature
+x^n +- 1 carried by SL(2, Z) to each of its images, and the tanh-sinh rule
 with no early stop: each panel walks on to level 16, or until two levels
-agree to the last bit.  The estimate is a model of the next level's
-difference, not a bound, so no test asks it to exceed the true error.
+agree to the last bit.  The estimate is a model of the error, not a bound,
+so no test asks it to exceed the true error.
 """
 
 import itertools
@@ -106,7 +106,7 @@ def test_sl2_images_are_within_rel_tol_of_their_beta_values():
 def test_values_are_within_rel_tol_of_the_level_16_values(call, coeffs, monkeypatch):
     args = CubicCoeffs(*coeffs) if call is integral_numeric else Polynomial(coeffs)
     result = call(args)
-    panel_value = quadrature._panel_value
+    panel_value = quadrature._tanh_sinh_panel
     # the quadratic rule needs a difference below 1e-17 of the value at this
     # rel_tol, so only two equal levels stop a panel short of level 16
     deepest = QuadratureConfig(rel_tol=1e-30)

@@ -89,11 +89,11 @@ def _evaluations(count_evaluations, coeffs):
 
 
 def test_named_forms_keep_their_evaluation_counts(count_evaluations):
-    # root-locator evaluations plus tanh-sinh nodes, pinned: a change here
+    # root-locator evaluations plus quadrature nodes, pinned: a change here
     # means other nodes, another order or other stops
-    assert _evaluations(count_evaluations, _base(8, False)) == 318
-    assert _evaluations(count_evaluations, _base(8, True)) == 319
-    assert _evaluations(count_evaluations, sl2_image(8, False, (3, -2, 2, -1))) == 664
+    assert _evaluations(count_evaluations, _base(8, False)) == 164
+    assert _evaluations(count_evaluations, _base(8, True)) == 290
+    assert _evaluations(count_evaluations, sl2_image(8, False, (3, -2, 2, -1))) == 408
 
 
 def test_clustered_images_cost_about_what_their_base_costs(count_evaluations):

@@ -274,7 +274,7 @@ def test_integral_degree_three_routes_numeric(capsys):
     code, record = invoke(capsys, "integral", "1", "0", "-1", "0", "--numeric")
     assert code == 0
     assert record["result"]["method"] == "numeric"
-    assert record["result"]["value"] == 12.619638947929086
+    assert record["result"]["value"] == 12.619638947929076
 
 
 def test_integral_check_with_degree_is_usage_error(capsys):
