@@ -64,13 +64,14 @@ cached per (level, near power, far power), at most 256 of them, least
 recently used out first: 25 MB at most.  Panels are independent and pure,
 so callers may evaluate them concurrently and sum.
 
-Each rule runs in one function per length of q, generated by ``_compiled``
-from its source template (the Gauss-Jacobi ladder or the tanh-sinh level
-loop) and compiled on first use, with Horner's rule written out on local
-coefficients: a loop over q cost about as much per node as the rest of the
-node.  The source depends on nothing but that length, the coefficients are
-arguments, and the operations are a loop's in its order, so values, error
-estimates and node counts are the loop's bit for bit.
+Each rule runs in one function per length of q, generated by
+``polynomial._compiled`` in this module's globals from its source template
+(the Gauss-Jacobi ladder or the tanh-sinh level loop) and compiled on first
+use, with Horner's rule written out on local coefficients: a loop over q
+cost about as much per node as the rest of the node.  The source depends
+on nothing but that length, the coefficients are arguments, and the
+operations are a loop's in its order, so values, error estimates and node
+counts are the loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ from .polynomial import (
     CubicCoeffs,
     Polynomial,
     _chart,
+    _compiled,
     _real_roots,
     _synthetic_quotient,
     derivative_coeffs,
@@ -151,7 +153,12 @@ def _complex_reach(g: list, roots: list) -> float:
     u = 1/y all of them lie within 1/rho of 0.  Moduli are Newton-polygon
     estimates (Bini 1996): an edge of the upper hull of the points (k,
     log2|c_k|) from power k1 to k2 stands for k2 - k1 roots of modulus
-    (|c_k1|/|c_k2|)^(1/(k2 - k1)); each nonzero real root takes out the nearest."""
+    (|c_k1|/|c_k2|)^(1/(k2 - k1)); each nonzero real root takes out the nearest.
+    The edges span g's lowest to highest nonzero power: as many nonzero real
+    roots take out every modulus, so the polygon is not built."""
+    low = next(k for k, c in enumerate(reversed(g)) if c)  # g's lowest nonzero power
+    if sum([k for r, k in roots if r]) >= len(g) - 1 - low:  # its highest, g[0] != 0
+        return 0.0
     points = [(k, math.log2(abs(c))) for k, c in enumerate(reversed(g)) if c]
     moduli, i = [], 0
     while i < len(points) - 1:  # the hull vertex after points[i]: steepest, then farthest
@@ -237,8 +244,8 @@ def _unit_scale_layout(
         for p, k in squarefree_factors(Polynomial(ints))
     ]
     found = [(_real_roots(coeffs), k) for coeffs, k in located]
-    roots = sorted((r + 0.0, k) for (rs, _), k in found for r in rs)  # 0.0, never -0.0
-    critical = [c for (_, cs), _ in found for c in cs]
+    roots = sorted((r + 0.0, k) for (rs, _, _), k in found for r in rs)  # 0.0, never -0.0
+    critical = [c for (_, cs, _), _ in found for c in cs]
     for root, k in roots:
         if 2 * k < n:
             continue
@@ -434,10 +441,10 @@ def _jacobi_rule(m: int, alpha: float, beta: float) -> Tuple[tuple, tuple]:
 
 
 # The Gauss-Jacobi ladder and the tanh-sinh level loop of a panel whose
-# quotient q has k coefficients, each formatted by ``_compiled`` from k alone:
-# ``{names}`` unpacks q into the locals lead, c0, c1, ... and ``{horner}`` is
-# Horner's rule on them written out, ((lead * x + c0) * x + c1) ..., the
-# operations of a loop over q in its order.
+# quotient q has k coefficients, each formatted by ``polynomial._compiled``
+# from k alone: ``{names}`` unpacks q into the locals lead, c0, c1, ... and
+# ``{horner}`` is Horner's rule on them written out, ((lead * x + c0) * x +
+# c1) ..., the operations of a loop over q in its order.
 _GAUSS_SOURCE = """\
 def kernel(q, p, mid, hs, p_lo, p_hi, scale, rel_tol):
     {names} = q
@@ -540,33 +547,18 @@ def kernel(q, p, lo, hi, hs, p_lo, p_hi, scale, rel_tol):
 """
 
 
-def _compiled(template: str, k: int, name: str):
-    """``template`` for quotients of k coefficients, compiled.  Its source
-    depends on nothing but the int k: the coefficients are arguments.  It runs
-    in this module's own globals, so it reads ``_LEVELS``, ``_GAUSS_LADDER``
-    and the tables when called."""
-    rest = [f"c{i}" for i in range(int(k) - 1)]
-    horner = "lead"
-    for c in rest:
-        horner = f"({horner} * x + {c})"
-    source = template.format(names=", ".join(["lead", *rest]) + ",", horner=horner)
-    namespace = {}
-    exec(compile(source, f"<quadrature {name} {k}>", "exec"), globals(), namespace)
-    return namespace["kernel"]
-
-
 @functools.cache
 def _kernel(k: int):
     """The tanh-sinh level loop of ``_tanh_sinh_panel`` for quotients of k
     coefficients, compiled from ``_KERNEL_SOURCE`` on first use."""
-    return _compiled(_KERNEL_SOURCE, k, "kernel")
+    return _compiled(_KERNEL_SOURCE, k, "kernel", globals())
 
 
 @functools.cache
 def _gauss_kernel(k: int):
     """The Gauss-Jacobi ladder of ``_panel_value`` for quotients of k
     coefficients, compiled from ``_GAUSS_SOURCE`` on first use."""
-    return _compiled(_GAUSS_SOURCE, k, "gauss kernel")
+    return _compiled(_GAUSS_SOURCE, k, "gauss kernel", globals())
 
 
 def _quotient(

@@ -7,24 +7,23 @@ from nongauss import polynomial, quadrature
 
 def _evaluations(monkeypatch, call, *args):
     """Runs ``call(*args)`` and returns how many times the quadrature evaluated
-    a polynomial on the way, as (locator, panels): the root locator's
-    ``horner`` calls, and the integrand evaluations that each
-    ``_panel_value`` reports."""
+    a polynomial on the way, as (locator, panels): the evaluations that each
+    ``_real_roots`` and each ``_panel_value`` reports."""
     calls = [0, 0]
 
-    def counted_horner(coeffs, x):
-        calls[0] += 1
-        return horner(coeffs, x)
+    def counted(function, i, field):
+        def wrapper(*args):
+            result = function(*args)
+            calls[i] += result[field]
+            return result
 
-    def counted_panel_value(*panel):
-        result = panel_value(*panel)
-        calls[1] += result[3]
-        return result
+        return wrapper
 
-    horner, panel_value = polynomial.horner, quadrature._panel_value
+    real_roots = counted(polynomial._real_roots, 0, 2)
     with monkeypatch.context() as patch:
-        patch.setattr(polynomial, "horner", counted_horner)
-        patch.setattr(quadrature, "_panel_value", counted_panel_value)
+        for module in (polynomial, quadrature):  # the locator's name in each
+            patch.setattr(module, "_real_roots", real_roots)
+        patch.setattr(quadrature, "_panel_value", counted(quadrature._panel_value, 1, 3))
         call(*args)
     return calls[0], calls[1]
 
