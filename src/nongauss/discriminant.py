@@ -21,10 +21,9 @@ instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegreeTooLow, DomainError
 from .polynomial import (
@@ -47,8 +46,7 @@ class Sign(Enum):
     ZERO = "Zero"
 
 
-@dataclass(frozen=True)
-class DiscriminantResult:
+class DiscriminantResult(NamedTuple):
     """Exact discriminant value together with its sign classification."""
 
     value: Fraction
@@ -63,8 +61,7 @@ class DiscriminantResult:
         return cls(value, Sign.ZERO)
 
 
-@dataclass(frozen=True)
-class SylvesterMatrix:
+class SylvesterMatrix(NamedTuple):
     """The (2n-1) x (2n-1) resultant matrix of f and f'."""
 
     entries: tuple
@@ -75,8 +72,7 @@ class SylvesterMatrix:
         return 2 * self.degree - 1
 
 
-@dataclass(frozen=True)
-class ResolventData:
+class ResolventData(NamedTuple):
     """Coefficients A = b^2 - 3ac, B = bc - 9ad, C = c^2 - 3bd of the
     resolvent quadratic A*X^2 + B*X + C, satisfying D = -(B^2 - 4AC)/3."""
 

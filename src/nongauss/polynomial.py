@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -291,8 +290,7 @@ def parse_number(text: str) -> Number:
         return float(s)
 
 
-@dataclass(frozen=True)
-class CubicCoeffs:
+class CubicCoeffs(NamedTuple):
     """The quadruple (a, b, c, d) of a*x**3 + b*x**2 + c*x + d."""
 
     a: Number
@@ -312,8 +310,7 @@ class CubicCoeffs:
         return Polynomial(self.as_tuple())
 
 
-@dataclass(frozen=True)
-class CubicFactorization:
+class CubicFactorization(NamedTuple):
     """Data of the split f = (x - alpha) * (a*x**2 + k*x + l)."""
 
     alpha: Number
@@ -327,8 +324,7 @@ class RootClassification(Enum):
     REPEATED_ROOT = "RepeatedRoot"
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """Real roots with multiplicities, plus the discriminant-sign class."""
 
     roots: tuple

@@ -81,7 +81,6 @@ import functools
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -123,13 +122,25 @@ _GRADE_REACH = 4.0  # _graded cuts while a panel reaches this far beyond the cut
 _CUT_CLEARANCE = 2.0**-40  # least cut distance, relative to the point cut toward
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class _QuadratureConfig(NamedTuple):
     rel_tol: float = 1e-10
 
-    def __post_init__(self):
+
+class QuadratureConfig(_QuadratureConfig):
+    """The quadrature's one setting; every record built, by ``_make`` and
+    ``_replace`` too, has 0 < rel_tol < inf."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.rel_tol < math.inf:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class Panel(NamedTuple):
@@ -142,8 +153,7 @@ class Panel(NamedTuple):
     reciprocal: bool = False
 
 
-@dataclass(frozen=True)
-class PanelDecomposition:
+class PanelDecomposition(NamedTuple):
     breakpoints: tuple
     panels: tuple
 

@@ -37,10 +37,9 @@ moment formulas at the center are evaluated on the same integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .discriminant import DiscriminantResult, Sign
 from .errors import DivergentIntegral, DomainError, StencilCrossesSingularity
@@ -61,16 +60,14 @@ class IntegralMethod(Enum):
     NUMERIC = "numeric"
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     method: IntegralMethod
     discriminant: DiscriminantResult
     error_estimate: float = 0.0
 
 
-@dataclass(frozen=True)
-class ExpectationSet:
+class ExpectationSet(NamedTuple):
     """The four renormalized moments; exact Fractions for exact input."""
 
     x3: Union[Fraction, float]

@@ -16,9 +16,8 @@ never hardcoded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 
@@ -74,8 +73,7 @@ def beta(p: float, q: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class BetaConstants:
+class BetaConstants(NamedTuple):
     """c_minus = 2**(1/3)*B(1/2, 1/6) and c_plus = 3*B(1/3, 1/3)."""
 
     c_minus: float
@@ -91,8 +89,7 @@ def constants() -> BetaConstants:
     return BetaConstants(c_minus=c_minus, c_plus=c_plus)
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
+class IdentityResidual(NamedTuple):
     identity: str
     argument: Optional[float]
     residual: float

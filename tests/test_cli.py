@@ -579,6 +579,21 @@ def test_runtime_imports_only_the_standard_library():
     assert not outside, sorted(outside)
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples, so a cold start skips dataclasses and the
+    # inspect it imports; only the modules the import adds count, not what
+    # site loaded before it.  Module names only, nothing is timed
+    src = str(Path(nongauss.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import nongauss, nongauss.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    argv = [sys.executable, "-I", "-c", code, src]
+    added = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
+    assert "nongauss.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added), added
+
+
 _SWEEP_TOKENS = (
     "0 1 -1 2 3 1/3 -1/3 1e-300 1e300 1e308 -1e308 5e-324 1e-320 nan inf -inf 0.5 1e-16 7 0.1 "
     "-2 1.7e308 2.2250738585072014e-308 4.9e-324 1e154 1e-154"

@@ -1,6 +1,5 @@
 """Panel decomposition and tanh-sinh evaluation of the singular integrals."""
 
-import dataclasses
 import math
 import random
 import re
@@ -634,13 +633,27 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
     # the level cap is fixed, not an option
-    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["rel_tol"]
+    assert QuadratureConfig._fields == ("rel_tol",)
 
 
 @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -1e-10])
 def test_config_rel_tol_is_positive_and_finite(rel_tol):
     with pytest.raises(DomainError, match="rel_tol"):
         QuadratureConfig(rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", [-1.0, math.nan])
+def test_config_replace_and_make_validate(rel_tol):
+    # a plain NamedTuple's _replace and _make skip __new__; these do not
+    with pytest.raises(DomainError) as built:
+        QuadratureConfig(rel_tol=rel_tol)
+    with pytest.raises(DomainError) as replaced:
+        QuadratureConfig()._replace(rel_tol=rel_tol)
+    with pytest.raises(DomainError) as made:
+        QuadratureConfig._make([rel_tol])
+    assert str(replaced.value) == str(made.value) == str(built.value)
+    assert QuadratureConfig()._replace(rel_tol=1e-8) == QuadratureConfig(1e-8)
+    assert type(QuadratureConfig._make([1e-8])) is QuadratureConfig
 
 
 def _direct_node(t):
