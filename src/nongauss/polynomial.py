@@ -58,9 +58,10 @@ def is_exact_number(value: Number) -> bool:
 def integer_coefficients(values: Sequence[Number]) -> tuple:
     """Exact integers ``ints`` and one positive ``den`` with v == ints[i] / den.
 
-    This is the only place denominators are cleared.  Floats convert
-    losslessly through ``as_integer_ratio``, so all-float input gives a
-    power-of-two ``den``; a NaN or infinity raises DomainError.
+    This is the only place denominators are cleared, but for the
+    finite-difference grid of floats, which shifts to the same integers.
+    Floats convert losslessly through ``as_integer_ratio``, so all-float input
+    gives a power-of-two ``den``; a NaN or infinity raises DomainError.
     """
     try:
         ratios = [v.as_integer_ratio() for v in values]
@@ -333,14 +334,11 @@ class RootSet(NamedTuple):
 
 def cubic_discriminant_int(a: int, b: int, c: int, d: int) -> int:
     """Five-term expansion b^2c^2 + 18abcd - 4ac^3 - 4b^3d - 27a^2d^2 on the
-    integers of ``integer_coefficients``; homogeneous of degree 4."""
-    return (
-        b * b * c * c
-        + 18 * a * b * c * d
-        - 4 * a * c**3
-        - 4 * b**3 * d
-        - 27 * a * a * d * d
-    )
+    integers of ``integer_coefficients``; homogeneous of degree 4.  Factored
+    on the shared products bc and ad, it is the same integer in fewer
+    multiplications."""
+    bc, ad = b * c, a * d
+    return bc * (bc + 18 * ad) - 4 * (a * c * c * c + b * b * b * d) - 27 * ad * ad
 
 
 def cubic_discriminant_exact(a: Number, b: Number, c: Number, d: Number) -> Fraction:

@@ -28,10 +28,10 @@ The finite-difference verifiers round the coefficients once, over a power of
 two, from their exact integers (``polynomial._rounded``, as the chart does),
 so 2^k f gives the same stencil at every k, and move each one by 0, +h or -h:
 every stencil point lies on one grid of twelve floats.  That grid is cleared
-to integers over one power-of-two denominator once per stencil; a point's D
-is then the five-term expansion on four looked-up integers, its sign is
-decided exactly, and its log F is the closed form's to the last bit.  The
-moment formulas at the center are evaluated on the same integers.
+to integers by shifts once per stencil, and a positional evaluator, one grid
+index per coordinate, gives a point's log F from one ``cubic_discriminant_int``
+call: its sign is decided exactly, and log F is the closed form's to the last
+bit.  The moment formulas at the center are evaluated on the same integers.
 """
 
 from __future__ import annotations
@@ -181,11 +181,14 @@ def _moments(ints: list, den: int, d_int: int, exact: bool) -> ExpectationSet:
     a, b, c, d = ints
     six_d = 6 * d_int
     _checked_sign(six_d)
+    # the expanded numerators, e.g. 18bcd - 4c^3 - 54ad^2, on two shared products
+    bc, ad = b * c, a * d
+    u, v = 9 * bc - 27 * ad, bc + 9 * ad
     numerators = (
-        18 * b * c * d - 4 * c**3 - 54 * a * d * d,
-        2 * b * c * c + 18 * a * c * d - 12 * b * b * d,
-        2 * b * b * c + 18 * a * b * d - 12 * a * c * c,
-        18 * a * b * c - 4 * b**3 - 54 * a * a * d,
+        2 * d * u - 4 * c**3,
+        2 * c * v - 12 * b * b * d,
+        2 * b * v - 12 * a * c * c,
+        2 * a * u - 4 * b**3,
     )
     if exact:
         return ExpectationSet(*[Fraction(den * n, six_d) for n in numerators])
@@ -237,17 +240,18 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
     integers by ``_rounded``, as the chart is; ``scale`` is the largest of
     them in magnitude and ``h`` the step in those units, rounded the same
     way and refused unless h^2 is a normal float and base[i] +- h differs
-    from base[i] for every coefficient i: residuals are normalized
-    by the scale, so 2^k f gives the same ones, and stencils stay in float
-    range.  Every stencil point moves each coordinate by 0, +h or -h, so
-    the twelve floats ``base[i] + delta`` are cleared to integers over one
-    power-of-two ``den`` once, by one ``integer_coefficients`` call;
-    ``center`` holds the four at delta = 0.  ``log_f({index: sign})``, each
-    sign +1 or -1, looks up the moved point's integers and evaluates D_int
-    on them: it raises StencilCrossesSingularity if D_int is zero or its
-    sign differs from the center's, and otherwise returns
-    log C - ln(|D_int| / den^4) / 6.  The center's sign is decided on the
-    exact integers the stencil is rounded from.
+    from base[i] for every coefficient i: residuals are normalized by the
+    scale, so 2^k f gives the same ones, and stencils stay in float range.
+    Every point moves each coordinate by 0, +h or -h, so the twelve floats
+    ``base[i] + delta`` are cleared to integers once, by shifts: their
+    denominators are powers of two, ``den`` is the largest, and p / q is
+    p << (bits - q.bit_length()) over it, as ``integer_coefficients`` would
+    give; ``center`` holds the four at delta = 0.  ``log_f(i, j, k, l)``
+    takes one grid index per coordinate, 0, +1 or -1, and makes one
+    ``cubic_discriminant_int`` call on that point: it raises
+    StencilCrossesSingularity if D_int is zero or its sign differs from the
+    center's, decided on the caller's exact integers, and otherwise returns
+    log C - ln(|D_int| / den^4) / 6.
     """
     exact, exact_den, _, center_sign = _exact_cubic(coeffs)
     e, base = _rounded(exact, exact_den, (0, 0, 0, 0))
@@ -261,26 +265,26 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
             h = math.inf
     if not _NORMAL_MIN <= h * h < math.inf:
         raise DomainError(f"step {step} is zero, non-finite or out of range at this scale")
-    ints, den = integer_coefficients([v + delta for v in base for delta in (0.0, h, -h)])
+    ratios = [(v + delta).as_integer_ratio() for v in base for delta in (0.0, h, -h)]
+    bits = max(q for _, q in ratios).bit_length()
     # grid[i][s]: coordinate i moved by s * h, for s = 0, +1 and -1 (the last
     # entry, so a negative index reaches it)
-    grid = [ints[3 * i : 3 * i + 3] for i in range(4)]
+    grid = [[p << (bits - q.bit_length()) for p, q in ratios[3 * i : 3 * i + 3]] for i in range(4)]
     for i, (v, up, down) in enumerate(grid):
         if up == v or down == v:
             raise DomainError(
                 f"step {step} is out of range at this scale: it leaves coefficient {i} unmoved"
             )
     center = [row[0] for row in grid]
-    den4_bits = 4 * (den.bit_length() - 1)  # the grid is floats: den is a power of two
+    den, den4_bits = 1 << (bits - 1), 4 * (bits - 1)
     log_c = math.log(_beta_constant(center_sign))
     positive = center_sign is Sign.POSITIVE
+    a_row, b_row, c_row, d_row = grid
 
-    def log_f(moves: dict) -> float:
-        point = center.copy()
-        for index, sign in moves.items():
-            point[index] = grid[index][sign]
-        d = cubic_discriminant_int(*point)
+    def log_f(i: int, j: int, k: int, l: int) -> float:
+        d = cubic_discriminant_int(a_row[i], b_row[j], c_row[k], d_row[l])
         if d == 0 or (d > 0) != positive:
+            point = [a_row[i], b_row[j], c_row[k], d_row[l]]
             raise StencilCrossesSingularity(
                 f"stencil point {_in_caller_units(point, den, e)} has discriminant sign "
                 f"{DiscriminantResult.from_value(d).sign.value}, center has {center_sign.value}"
@@ -293,9 +297,21 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
     return center, den, scale, h, log_f
 
 
-def expectations_fd_check(
-    coeffs: CubicCoeffs, step: Optional[float] = None
-) -> tuple:
+# The verifiers' stencil points in visiting order, one grid index per
+# coordinate (a, b, c, d): each coordinate moved by +h and by -h for the
+# moments; for the identities the corners ++, +-, -+, -- of the mixed
+# differences in (a, d) and (b, c), b's two ends, then (a, c), c's two ends, (b, d).
+_MOMENT_POINTS = (((1, 0, 0, 0), (-1, 0, 0, 0)), ((0, 1, 0, 0), (0, -1, 0, 0)),
+                  ((0, 0, 1, 0), (0, 0, -1, 0)), ((0, 0, 0, 1), (0, 0, 0, -1)))
+_IDENTITY_POINTS = (
+    (1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, 1), (-1, 0, 0, -1),
+    (0, 1, 1, 0), (0, 1, -1, 0), (0, -1, 1, 0), (0, -1, -1, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+    (1, 0, 1, 0), (1, 0, -1, 0), (-1, 0, 1, 0), (-1, 0, -1, 0), (0, 0, 1, 0), (0, 0, -1, 0),
+    (0, 1, 0, 1), (0, 1, 0, -1), (0, -1, 0, 1), (0, -1, 0, -1),
+)
+
+
+def expectations_fd_check(coeffs: CubicCoeffs, step: Optional[float] = None) -> tuple:
     """Residuals of the moment formulas against central differences of -log F.
 
     Each residual is |fd - formula| / max(|formula|, 1e-3/scale); the floor
@@ -306,18 +322,13 @@ def expectations_fd_check(
     before a center moment beyond the float range raises DomainError.
     """
     center, den, scale, h, log_f = _unit_stencil(coeffs, step)
-    fds = [-(log_f({i: +1}) - log_f({i: -1})) / (2.0 * h) for i in range(4)]
-    residuals = []
+    fds = [-(log_f(*up) - log_f(*down)) / (2.0 * h) for up, down in _MOMENT_POINTS]
     moments = _moments(center, den, cubic_discriminant_int(*center), False)
-    for fd, formula_value in zip(fds, moments.as_tuple()):
-        denom = max(abs(formula_value), _FD_DENOM_FLOOR / scale)
-        residuals.append(abs(fd - formula_value) / denom)
-    return tuple(residuals)
+    floor = _FD_DENOM_FLOOR / scale
+    return tuple(abs(fd - m) / max(abs(m), floor) for fd, m in zip(fds, moments))
 
 
-def pde_identity_residuals(
-    coeffs: CubicCoeffs, step: Optional[float] = None
-) -> tuple:
+def pde_identity_residuals(coeffs: CubicCoeffs, step: Optional[float] = None) -> tuple:
     """Second-difference residuals of the three coefficient identities
 
         (d/da d/dd - d/db d/dc) F = 0
@@ -330,24 +341,15 @@ def pde_identity_residuals(
     so the stencils difference F / F0 = exp(log F - log F0), F0 at the center.
     """
     *_, scale, h, log_f = _unit_stencil(coeffs, step)
-    log_f0 = log_f({})
-
-    def ratio(moves: dict) -> float:
-        return math.exp(log_f(moves) - log_f0)
-
-    def mixed(i: int, j: int) -> float:
-        corners = ratio({i: +1, j: +1}) - ratio({i: +1, j: -1}) - ratio({i: -1, j: +1})
-        return (corners + ratio({i: -1, j: -1})) / (4.0 * h * h)
-
-    def second(i: int) -> float:
-        return (ratio({i: +1}) - 2.0 + ratio({i: -1})) / (h * h)
-
+    log_f0 = log_f(0, 0, 0, 0)
+    f = [math.exp(log_f(*point) - log_f0) for point in _IDENTITY_POINTS]
+    # f[n : n + 4] are the corners of a mixed difference, f[n : n + 2] the ends of a second one
+    ad, bc, ac, bd = [
+        (f[n] - f[n + 1] - f[n + 2] + f[n + 3]) / (4.0 * h * h) for n in (0, 4, 10, 16)
+    ]
+    bb, cc = [(f[n] - 2.0 + f[n + 1]) / (h * h) for n in (8, 14)]
     norm = scale * scale
-    residuals = (
-        abs(mixed(0, 3) - mixed(1, 2)) * norm,
-        abs(second(1) - mixed(0, 2)) * norm,
-        abs(second(2) - mixed(1, 3)) * norm,
-    )
+    residuals = (abs(ad - bc) * norm, abs(bb - ac) * norm, abs(cc - bd) * norm)
     if not all(r < math.inf for r in residuals):  # nan fails too
         raise DomainError(f"step {step} is out of range at this scale: a difference overflows")
     return residuals

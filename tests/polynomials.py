@@ -6,6 +6,8 @@ measured against.  ``coefficient_strings`` and ``from_coefficient_strings``
 are a text round trip through ``parse_number``, the parser the CLI reads
 coefficients with.  ``sl2_image`` carries x^n +- 1 by a matrix of SL(2, Z),
 which keeps F, and ``beta_value`` is that F in closed form.
+``wide_integer_cubics`` draws integer cubics over wide bit lengths, an
+oracle set for exact integer arithmetic.
 """
 
 import math
@@ -64,3 +66,18 @@ def beta_value(n, plus) -> float:
     if n % 2 == 0:
         return (2.0 / n) * beta(1.0 / n, 1.0 / n)
     return (1.0 / n) * beta(1.0 / n, 1.0 / n) + (2.0 / n) * beta(1.0 / n, 1.0 - 2.0 / n)
+
+
+def wide_integer_cubics(rng, count, max_bits=1100) -> list:
+    """``count`` integer cubics (a, b, c, d), each coefficient zero one time
+    in eight, else a random sign times an integer of exactly 1 to
+    ``max_bits`` bits, drawn anew per coefficient."""
+    cubics = []
+    for _ in range(count):
+        cubic = []
+        for _ in range(4):
+            bits = rng.randint(1, max_bits)
+            value = (rng.getrandbits(bits) | 1 << (bits - 1)) * rng.choice((-1, 1))
+            cubic.append(0 if rng.randrange(8) == 0 else value)
+        cubics.append(tuple(cubic))
+    return cubics

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polynomials import wide_integer_cubics
 from term_tables import discriminant_quartic_explicit, discriminant_quintic_explicit
 
 from nongauss import (
@@ -23,7 +24,7 @@ from nongauss import (
     sylvester_matrix,
     vandermonde_delta_sq,
 )
-from nongauss.polynomial import _primitive, _subresultant
+from nongauss.polynomial import _primitive, _subresultant, cubic_discriminant_int
 
 
 def fraction_gauss_determinant(rows):
@@ -241,6 +242,23 @@ def test_cubic_route_agreement():
         assert explicit == -res / coeffs[0]
         assert explicit == -(r.B * r.B - 4 * r.A * r.C) / 3
         checked += 1
+
+
+def _subresultant_cubic_d(a, b, c, d):
+    """D of the declared cubic by the subresultant route; a leading zero keeps
+    degree 3 by D_3(0, b, c, d) = b^2 D_2(b, c, d)."""
+    if a:
+        return discriminant_general(Polynomial([a, b, c, d])).value
+    return b * b * discriminant_general(Polynomial([b, c, d])).value if b else 0
+
+
+def test_cubic_discriminant_int_on_wide_integers():
+    # the factored D against the term-by-term expansion and the subresultant
+    # route, on integers of 1 to 1,100 bits with zeros and both signs
+    for a, b, c, d in wide_integer_cubics(random.Random(1100), 400):
+        terms = b * b * c * c + 18 * a * b * c * d - 4 * a * c**3 - 4 * b**3 * d
+        terms -= 27 * a * a * d * d
+        assert cubic_discriminant_int(a, b, c, d) == terms == _subresultant_cubic_d(a, b, c, d)
 
 
 def test_quartic_quintic_route_agreement():

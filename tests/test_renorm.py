@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from polynomials import wide_integer_cubics
+
 from nongauss import (
     CubicCoeffs,
     DivergentIntegral,
@@ -313,6 +315,57 @@ def test_fd_divergent_center():
             verifier(CubicCoeffs(0, 0, 1, 2))
         with pytest.raises(DivergentIntegral, match="D = 0"):
             verifier(CubicCoeffs(1, Fraction(-2, 3), Fraction(1, 9), 0))
+
+
+def test_moment_numerators_on_wide_integers():
+    # the numerators on the shared products bc and ad against their
+    # term-by-term form, on integers of 1 to 1,100 bits with zeros and both
+    # signs; with den = 1 and D_int = 1 each exact moment is its numerator / 6
+    for a, b, c, d in wide_integer_cubics(random.Random(1101), 400):
+        terms = [
+            18 * b * c * d - 4 * c**3 - 54 * a * d * d,
+            2 * b * c * c + 18 * a * c * d - 12 * b * b * d,
+            2 * b * b * c + 18 * a * b * d - 12 * a * c * c,
+            18 * a * b * c - 4 * b**3 - 54 * a * a * d,
+        ]
+        assert [6 * m for m in renorm._moments([a, b, c, d], 1, 1, True)] == terms
+
+
+# (expectations_fd_check, pde_identity_residuals) at the default step, bit for
+# bit; 2^-1100 (x^3 - x + 3/7), as p/q, rounds its stencil to that of x^3 - x + 3/7
+_X3_X_3_7 = (
+    (7.519881693892115e-08, 2.2824408536373803e-07, 6.501591355494075e-07, 1.6589959103781817e-06),
+    (6.808997810026085e-05, 2.4624746686185972e-05, 0.00019654278204939146),
+)
+
+
+@pytest.mark.parametrize(
+    "coeffs, pinned",
+    [
+        (
+            (1, 2, 3, 5),
+            (
+                (6.159132190720016e-08, 1.4873333783774453e-07, 2.6550566376102452e-08, 4.892429888190664e-09),
+                (2.914335439641036e-07, 1.3156142841808105e-06, 2.6645352591003757e-07),
+            ),
+        ),
+        (
+            (1, 0, -1, 0),
+            (
+                (3.337220333410329e-09, 0.0, 3.323897601603676e-09, 0.0),
+                (0.0, 4.746203430272544e-07, 1.887379141862766e-07),
+            ),
+        ),
+        ((1, 0, -1, Fraction(3, 7)), _X3_X_3_7),
+        (
+            (Fraction(1, 2**1100), 0, Fraction(-1, 2**1100), Fraction(3, 7 * 2**1100)),
+            _X3_X_3_7,
+        ),
+    ],
+)
+def test_fd_residuals_keep_their_bits(coeffs, pinned):
+    cubic = CubicCoeffs(*coeffs)
+    assert (expectations_fd_check(cubic), pde_identity_residuals(cubic)) == pinned
 
 
 def test_fd_stencil_points_evaluate_d_once(monkeypatch):
