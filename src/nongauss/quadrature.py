@@ -9,8 +9,6 @@ its weight, which integrates them exactly: their exponents are exact, since
 the exact D fixes every multiplicity (Golub & Welsch 1969; Hale & Townsend
 2013).  Endpoint roots are divided out, so the rules see only the smooth
 rest, and no node loses accuracy to cancellation next to a root.
-Tanh-sinh quadrature (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005)
-takes the panels that the Gauss-Jacobi rules do not resolve.
 
 Root multiplicities are exact, never read from floats, and decided once, by
 ``_unit_scale_layout`` from the sign of the exact D it is passed: with D != 0
@@ -43,46 +41,34 @@ rules of the weight (1 - t)**(-p m_hi) (1 + t)**(-p m_lo) for m = 8, 16,
 the coarser rule, which geometric convergence makes much larger than the
 finer one's.  The rules are built on first use, 14 ms per ladder of five
 on a 2-vCPU Xeon under Python 3.11, and kept per (m, alpha, beta), at most
-256 of them.  A panel that no rule resolves, or where |q|**-p fails at a
-node (a zero or an overflow), is integrated by tanh-sinh instead, as below.
+256 of them.  The error estimate of an integral is the sum of the panels':
+a model of the error, not a bound.  Panels are independent and pure, so
+callers may evaluate them concurrently and sum.
 
-Tanh-sinh doubles its levels up to the fixed 12, whose node tables (25,239
-nodes) are built once and shared by every panel of every call.  With d1 a
-level's difference from the last, d0 the last one's and S its value, a
-panel stops at the first level where d1 <= rel_tol |S|, and reports d1; or,
-from level 2 on, since tanh-sinh error about squares per level (Bailey,
-Jeyabalan & Li 2005), where d1 < d0, d1 <= 0.01 sqrt(rel_tol) |S|, d0^2 <=
-100 d1 |S| (the relative difference fell by no more than a square: a faster
-fall is a cancellation, not convergence) and E = 100 d1^2 / d0 <= rel_tol
-|S|, and reports E.  The error estimate of an integral is the sum of the
-panels': a model of the error, not a bound.
+A panel that no rule resolves, or where |q|**-p fails at a node (a zero or
+an overflow), is cut at its midpoint, and each half runs the ladder with its
+outer end's multiplicity and none at the cut; its value, estimate and nodes
+are the halves' sums, the failed ladder's nodes included.  A half is cut in
+turn, down to _BISECTIONS = 8 cuts, so a panel runs at most 2^9 - 1 ladders
+of 248 nodes.  The first half that fails at that depth ends the panel
+unconverged, or raises SingularPoint naming the node where the power failed,
+and no more work is done; a q that is 0.0 at a cut raises SingularPoint too.
 
-An endpoint root of multiplicity m contributes (hs * (1 -+ tanh z))**(-2m/n)
-at each tanh-sinh node: its hs power is applied once per panel, and the
-weight times the (1 -+ tanh z) powers is a column of at most 12,620 doubles
-cached per (level, near power, far power), at most 256 of them, least
-recently used out first: 25 MB at most.  Panels are independent and pure,
-so callers may evaluate them concurrently and sum.
-
-Each rule runs in one function per length of q, generated by
+The ladder runs in one function per length of q, generated by
 ``polynomial._compiled`` in this module's globals from its source template
-(the Gauss-Jacobi ladder or the tanh-sinh level loop) and compiled on first
-use, with Horner's rule written out on local coefficients: a loop over q
-cost about as much per node as the rest of the node.  The source depends
-on nothing but that length, the coefficients are arguments, and the
-operations are a loop's in its order, so values, error estimates and node
-counts are the loop's bit for bit.
+and compiled on first use, with Horner's rule written out on local
+coefficients: a loop over q cost about as much per node as the rest of the
+node.  The source depends on nothing but that length, the coefficients are
+arguments, and the operations are a loop's in its order, so values, error
+estimates and node counts are the loop's bit for bit.
 """
 
 from __future__ import annotations
 
-import bisect  # bisect and islice are read by the kernels of _KERNEL_SOURCE
 import functools
 import math
 import warnings
-from array import array
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .discriminant import DiscriminantResult, _exact_general
@@ -108,13 +94,9 @@ from .polynomial import (
 )
 from .renorm import _NORMAL_MIN, IntegralMethod, IntegralResult, _checked_gaussian, _exact_cubic
 
-_HALF_PI = math.pi / 2.0
-# tanh-sinh levels per panel after level 0, each halving the node spacing
-_LEVELS = 12
-# endpoint-factor columns kept by _endpoint_column, each one level long
-_COLUMN_CACHE_SIZE = 256
-# Gauss-Jacobi rules tried per panel, in turn, before the tanh-sinh fallback
+# Gauss-Jacobi rules tried per panel, in turn, before it is bisected
 _GAUSS_LADDER = (8, 16, 32, 64, 128)
+_BISECTIONS = 8  # midpoint cuts at most between a panel and its smallest half
 _RULE_CACHE_SIZE = 256  # rules kept by _jacobi_rule, per (m, alpha, beta)
 _NEWTON_STEPS = 16  # Newton steps at most per node of _jacobi_rule
 _GRADE_RATIO = 16.0  # ratio of consecutive cut distances in _graded
@@ -321,67 +303,6 @@ def _unit_scale_layout(
     return chart, PanelDecomposition(tuple(in_y), tuple(panels))
 
 
-@functools.cache
-def _node_table(level: int) -> tuple:
-    """Unit-panel tanh-sinh nodes t = k*h, h = 2^-level, k = 1, 2, ... (odd k
-    past level 0): (1 - tanh z, 1 + tanh z, pi/2 * cosh t * (1 - tanh z) *
-    (1 + tanh z), index of the first node with t > 3), z = pi/2 * sinh t.
-
-    A panel of half-width hs places its nodes hs * (1 - tanh z) from an
-    end, bit-identical to evaluating the node formulas per panel, and
-    scales its sums by hs once (see ``_endpoint_column``).  The table ends
-    before the first node whose 1 - tanh z underflows to zero (t ~ 6.16),
-    since that node is zero on every panel; the weight is at least
-    1 - tanh z, so it is not zero first.  Built on first use; 25,239 nodes
-    for levels 0-12, held as ``array('d')`` columns.
-    """
-    one_minus, one_plus, weights = array("d"), array("d"), array("d")
-    h = 2.0**-level
-    tail_start = 0
-    k = 1
-    while True:
-        t = k * h
-        z = _HALF_PI * math.sinh(t)
-        e2 = math.exp(-2.0 * z)
-        om = 2.0 * e2 / (1.0 + e2)  # 1 - tanh(z), stable
-        op = 2.0 / (1.0 + e2)  # 1 + tanh(z)
-        w = _HALF_PI * math.cosh(t) * om * op
-        if om == 0.0:
-            break
-        if t <= 3.0:
-            tail_start += 1
-        one_minus.append(om)
-        one_plus.append(op)
-        weights.append(w)
-        k += 2 if level else 1
-    return one_minus, one_plus, weights, tail_start
-
-
-@functools.lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _endpoint_column(level: int, p_near: float, p_far: float) -> array:
-    """The weights of ``_node_table(level)`` times the endpoint factors
-    of a unit panel, w * (1 - tanh z)**p_near * (1 + tanh z)**p_far, for the
-    nodes of the side whose own endpoint carries the power p_near; the
-    weight column itself when both powers are zero.
-
-    A panel of half-width hs multiplies every term by hs * hs**(p_near +
-    p_far), once, so each node costs one multiply by this column.  The
-    column ends early at a subnormal 1 - tanh z whose power overflows (an
-    endpoint power near -1, degree 23 and above); those nodes are
-    negligible.
-    """
-    one_minus, one_plus, weights, _ = _node_table(level)
-    if not (p_near or p_far):
-        return weights
-    column = array("d")
-    for om, op, w in zip(one_minus, one_plus, weights):
-        try:
-            column.append(w * om**p_near * op**p_far)
-        except OverflowError:
-            break
-    return column
-
-
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _jacobi_rule(m: int, alpha: float, beta: float) -> Tuple[tuple, tuple]:
     """The m-point Gauss-Jacobi rule of the weight (1 - t)**alpha (1 +
@@ -450,8 +371,8 @@ def _jacobi_rule(m: int, alpha: float, beta: float) -> Tuple[tuple, tuple]:
     return tuple(nodes), tuple(mass * w / total for w in weights)
 
 
-# The Gauss-Jacobi ladder and the tanh-sinh level loop of a panel whose
-# quotient q has k coefficients, each formatted by ``polynomial._compiled``
+# The Gauss-Jacobi ladder of a panel whose quotient q has k coefficients,
+# formatted by ``polynomial._compiled``
 # from k alone: ``{names}`` unpacks q into the locals lead, c0, c1, ... and
 # ``{horner}`` is Horner's rule on them written out, ((lead * x + c0) * x +
 # c1) ..., the operations of a loop over q in its order.
@@ -467,6 +388,8 @@ def kernel(q, p, mid, hs, p_lo, p_hi, scale, rel_tol):
             for t, w in zip(ts, ws):
                 x = mid + hs * t
                 total += abs({horner}) ** p * w
+            if total == math.inf:  # the sum overflowed, as a power at one of its nodes may
+                raise OverflowError
             nodes += m
             if previous is not None:
                 error = abs(total - previous)
@@ -474,94 +397,10 @@ def kernel(q, p, mid, hs, p_lo, p_hi, scale, rel_tol):
                     return total * scale, error * scale, True, nodes
             previous = total
     except (ZeroDivisionError, OverflowError):  # abs(q(x)) ** p, p < 0, q(x) 0.0 or subnormal
-        nodes += m  # the rule cut short counts in full
-    return None, None, False, nodes
+        # no value, and the node in place of the error; the rule cut short counts in full
+        return None, x, False, nodes + m
+    return total * scale, error * scale, False, nodes
 """
-
-_KERNEL_SOURCE = """\
-def kernel(q, p, lo, hi, hs, p_lo, p_hi, scale, rel_tol):
-    {names} = q
-    quadratic_tol = 0.01 * math.sqrt(rel_tol)  # the second rule's bound on d1 / |S|
-    x = 0.5 * (lo + hi)
-    try:
-        # the midpoint, where 1 -+ tanh z = 1 and the weight is pi/2
-        node_sum = _HALF_PI * abs({horner}) ** p
-        nodes = 1
-        h = 1.0  # 2^-level, the node spacing
-        for level in range(_LEVELS + 1):
-            one_minus, _, weights, tail_start = _node_table(level)
-            # the columns of _endpoint_column, looked up only where they
-            # differ: the weights themselves without endpoint powers, and one
-            # column for both sides with equal powers
-            upper = _endpoint_column(level, p_hi, p_lo) if p_hi or p_lo else weights
-            lower = upper if p_lo == p_hi else _endpoint_column(level, p_lo, p_hi)
-            total = 0.0
-            # A node lies hs * (1 - tanh z) from its own side's endpoint: x =
-            # hi - hs * (1 - tanh z) on the upper side, x = lo - (-hs) * (1 -
-            # tanh z) on the lower.  The table's weight w is at least 1 - tanh
-            # z, so hs * w cannot underflow before that distance does.
-            for anchor, toward, column in ((hi, hs, upper), (lo, -hs, lower)):
-                # 1 - tanh z decreases along the table, so the side ends
-                # before its first zero distance, if any
-                end = len(column)
-                if toward * one_minus[end - 1] == 0.0:
-                    end = bisect.bisect_left(
-                        one_minus, True, 0, end, key=lambda om: toward * om == 0.0
-                    )
-                # the head, t <= 3, where no stop can happen
-                head = tail_start if tail_start < end else end
-                for om, weight in zip(one_minus, islice(column, head)):
-                    x = anchor - toward * om
-                    term = abs({horner}) ** p * weight
-                    total += term
-                # the tail stops after two negligible terms in a row; no term
-                # is negative, so total is its own absolute value
-                negligible = head > 0 and term <= total * 1e-17
-                for i in range(head, end):
-                    x = anchor - toward * one_minus[i]
-                    term = abs({horner}) ** p * column[i]
-                    total += term
-                    if term > total * 1e-17:
-                        negligible = False
-                    elif negligible:  # the second negligible term in a row
-                        end = i + 1
-                        break
-                    else:
-                        negligible = True
-                nodes += end
-            node_sum += total
-            value = h * node_sum
-            if level:
-                error = abs(value - previous)
-                size = abs(value)
-                if error <= rel_tol * size:
-                    return value * scale, error * scale, True, nodes
-                # error squares per level: the next difference is about
-                # error^2 / last, taken 100 times over, unless this level's
-                # fell by more than a square (a cancellation, not convergence)
-                if (
-                    level >= 2
-                    and error < last
-                    and error <= quadratic_tol * size
-                    and last * last <= 100.0 * error * size
-                ):
-                    estimate = 100.0 * error * (error / last)
-                    if estimate <= rel_tol * size:
-                        return value * scale, estimate * scale, True, nodes
-                last = error
-            previous = value
-            h *= 0.5
-    except (ZeroDivisionError, OverflowError):  # abs(q(x)) ** p, p < 0, q(x) 0.0 or subnormal
-        raise SingularPoint(f"unexpected interior zero at {{x}}") from None
-    return value * scale, error * scale, False, nodes
-"""
-
-
-@functools.cache
-def _kernel(k: int):
-    """The tanh-sinh level loop of ``_tanh_sinh_panel`` for quotients of k
-    coefficients, compiled from ``_KERNEL_SOURCE`` on first use."""
-    return _compiled(_KERNEL_SOURCE, k, "kernel", globals())
 
 
 @functools.cache
@@ -601,6 +440,7 @@ def _panel_value(
     m_lo: int,
     m_hi: int,
     cfg: QuadratureConfig,
+    depth: int = 0,
 ) -> Tuple[float, float, bool, int]:
     """Value of |p|**(-exponent) on [lo, hi], p the polynomial with
     ``coeffs`` and roots of multiplicity m_lo at lo and m_hi at hi:
@@ -615,56 +455,35 @@ def _panel_value(
     and the panel stops at the first whose value differs from the last rule's
     by at most rel_tol of it, and reports that difference.  A panel that
     does not, or meets a zero or an overflow of |q|**-exponent at a node, is
-    integrated by ``_tanh_sinh_panel`` instead, whose value, estimate and
-    errors it reports; the evaluations count both.
+    cut at its midpoint into halves that run the same way, as the module
+    docstring has it; ``depth`` counts the cuts above this panel.  Once
+    ``_BISECTIONS`` cuts are made, a panel that no rule resolves returns
+    unconverged, with its last rule's value and difference, and one whose
+    power failed raises SingularPoint.
     """
     hs = 0.5 * (hi - lo)
     if hs == 0.0:
         return 0.0, 0.0, True, 0
+    mid = 0.5 * (lo + hi)
     q, p, p_lo, p_hi, scale = _quotient(coeffs, exponent, lo, hi, m_lo, m_hi, hs)
     value, error, converged, nodes = _gauss_kernel(len(q))(
-        q, p, 0.5 * (lo + hi), hs, p_lo, p_hi, scale, cfg.rel_tol
+        q, p, mid, hs, p_lo, p_hi, scale, cfg.rel_tol
     )
     if converged:
         return value, error, True, nodes
-    value, error, converged, more = _tanh_sinh_panel(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
-    return value, error, converged, nodes + more
-
-
-def _tanh_sinh_panel(
-    coeffs: Sequence[float],
-    exponent: float,
-    lo: float,
-    hi: float,
-    m_lo: int,
-    m_hi: int,
-    cfg: QuadratureConfig,
-) -> Tuple[float, float, bool, int]:
-    """Level-doubling tanh-sinh value of |p|**(-exponent) on [lo, hi], as
-    ``_panel_value`` takes and returns it: the fallback of the Gauss-Jacobi
-    rules, and at level 16 the tests' reference.
-
-    The endpoint roots are divided out into q, and a node at distances
-    hs * (1 -+ tanh z) from the endpoints is worth |q(x)|**-exponent times
-    the endpoint factors (hs * (1 -+ tanh z))**(-exponent m).  Each factor
-    splits into hs**(-exponent m), applied once per panel, and a power of
-    1 -+ tanh z, folded with the weight into ``_endpoint_column``: one
-    Horner evaluation, one power and one multiply-add per node, in the
-    kernel ``_kernel(len(q))`` generated for q's length (module docstring).
-    Each side of a level walks the level's node table outwards, and ends
-    before its first distance that underflows, found once per side and
-    level.  The head of the walk, t <= 3, has no stop and no bookkeeping;
-    the tail stops once two terms in a row are negligible, the first of
-    them possibly the head's last.  A zero or, at p = -1, subnormal q at a
-    node fails the power, caught once around the walk.  Levels stop by the
-    two rules of the module docstring, and the second one's estimate, 100
-    d1^2 / d0, is the error reported.
-    """
-    hs = 0.5 * (hi - lo)
-    if hs == 0.0:
-        return 0.0, 0.0, True, 0
-    q, p, p_lo, p_hi, scale = _quotient(coeffs, exponent, lo, hi, m_lo, m_hi, hs)
-    return _kernel(len(q))(q, p, lo, hi, hs, p_lo, p_hi, scale, cfg.rel_tol)
+    if depth >= _BISECTIONS:
+        if value is None:  # the power failed at the node ``error``
+            raise SingularPoint(f"unexpected interior zero at {error}")
+        return value, error, False, nodes
+    if horner(q, mid) == 0.0:
+        raise SingularPoint(f"unexpected interior zero at {mid}")
+    value = error = 0.0
+    for half in ((lo, mid, m_lo, 0), (mid, hi, 0, m_hi)):
+        v, e, converged, more = _panel_value(coeffs, exponent, *half, cfg, depth + 1)
+        value, error, nodes = value + v, error + e, nodes + more
+        if not converged:
+            break
+    return value, error, converged, nodes
 
 
 def _integrate_at_unit_scale(
@@ -686,7 +505,8 @@ def _integrate_at_unit_scale(
         if not converged:
             raise NoConvergence(
                 f"panel [{lo}, {hi}] of {'u = 1/y' if reciprocal else 'y'}{chart.units} did not "
-                f"reach rel_tol={cfg.rel_tol} within {_LEVELS} levels (last delta {error:.3e})"
+                f"reach rel_tol={cfg.rel_tol} within {_BISECTIONS} bisections "
+                f"(last delta {error:.3e})"
             )
         total += value
         total_error += error

@@ -8,13 +8,22 @@ from nongauss import polynomial, quadrature
 def _evaluations(monkeypatch, call, *args):
     """Runs ``call(*args)`` and returns how many times the quadrature evaluated
     a polynomial on the way, as (locator, panels): the evaluations that each
-    ``_real_roots`` and each ``_panel_value`` reports."""
+    ``_real_roots`` and each ``_panel_value`` reports.  A bisected panel's
+    halves are ``_panel_value`` calls inside its own, through this module
+    global too, and its count has theirs, so only outermost calls count."""
     calls = [0, 0]
 
     def counted(function, i, field):
+        depth = [0]
+
         def wrapper(*args):
-            result = function(*args)
-            calls[i] += result[field]
+            depth[0] += 1
+            try:
+                result = function(*args)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                calls[i] += result[field]
             return result
 
         return wrapper

@@ -3,18 +3,20 @@ rel_tol * F of an independent value of F, and every error estimate is at
 most rel_tol * F.
 
 The independent values are the closed form of a cubic, the Beta value of
-x^n +- 1 carried by SL(2, Z) to each of its images, and the tanh-sinh rule
-with no early stop: each panel walks on to level 16, or until two levels
-agree to the last bit.  The estimate is a model of the error, not a bound,
+x^n +- 1 carried by SL(2, Z) to each of its images, and the tests' tanh-sinh
+rule (tests/tanh_sinh.py) with no early stop: each panel walks on to level
+16, or until two levels agree to the last bit.  The estimate is a model of the error, not a bound,
 so no test asks it to exceed the true error.
 """
 
 import itertools
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
+import tanh_sinh
 from polynomials import beta_value, sl2_image
 
 from nongauss import (
@@ -30,6 +32,7 @@ from nongauss import (
 from nongauss import quadrature
 
 _REL_TOL = QuadratureConfig().rel_tol
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # A level-3 panel value of this cubic's first panel differed from level 2 by
 # 9.7e-9 of the value after 6e-3 the level before, which the quadratic stop
@@ -94,6 +97,19 @@ def test_sl2_images_are_within_rel_tol_of_their_beta_values():
     assert misses == [] and count == 416
 
 
+def test_fault_b_cubics_are_within_rel_tol_of_the_closed_form(monkeypatch):
+    # the benchmark's two compressing dilations of fault (b); the panel of the
+    # second through its complex pair 1.19 +- 0.075i is bisected, and its
+    # value is the one benchmark output that bisection moved
+    monkeypatch.syspath_prepend(str(_BENCH))
+    from workloads import _FAULT_B
+
+    assert len(_FAULT_B) == 2
+    for coeffs in _FAULT_B:
+        cubic = CubicCoeffs(*coeffs)
+        assert _misses(integral_numeric(cubic), closed_form_integral(cubic).value) == []
+
+
 @pytest.mark.parametrize(
     "call, coeffs",
     [
@@ -106,20 +122,16 @@ def test_sl2_images_are_within_rel_tol_of_their_beta_values():
 def test_values_are_within_rel_tol_of_the_level_16_values(call, coeffs, monkeypatch):
     args = CubicCoeffs(*coeffs) if call is integral_numeric else Polynomial(coeffs)
     result = call(args)
-    panel_value = quadrature._tanh_sinh_panel
     # the quadratic rule needs a difference below 1e-17 of the value at this
     # rel_tol, so only two equal levels stop a panel short of level 16
     deepest = QuadratureConfig(rel_tol=1e-30)
 
     def level_16(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
-        value, error, _, nodes = panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, deepest)
+        value, error, _, nodes = tanh_sinh.panel_value(
+            coeffs, exponent, lo, hi, m_lo, m_hi, deepest, 16
+        )
         return value, error, True, nodes
 
-    monkeypatch.setattr(quadrature, "_LEVELS", 16)
     monkeypatch.setattr(quadrature, "_panel_value", level_16)
-    try:
-        reference = call(args).value
-    finally:  # levels 13-16 hold 10 MB of nodes and columns
-        quadrature._endpoint_column.cache_clear()
-        quadrature._node_table.cache_clear()
+    reference = call(args).value
     assert _misses(result, reference) == []

@@ -321,7 +321,9 @@ def test_errors_name_the_centre(monkeypatch):
         integral_numeric_general(f)
     # (x + 1000)^4 + 2^-40: the roots sit 2^-10 from -1000
     g = Polynomial([*from_roots([-1000] * 4).coeffs[:4], 10**12 + Fraction(1, 2**40)])
-    monkeypatch.setattr(quadrature, "_LEVELS", 4)
+    # (four cuts down, two rules of each half agree to the last bit, even at
+    # rel_tol = 1e-30; two leave the panel unresolved)
+    monkeypatch.setattr(quadrature, "_BISECTIONS", 2)
     with pytest.raises(NoConvergence, match=r"\(in y = \(x \+ 1000\.0\) / 2\^-\d+\)"):
         integral_numeric_general(g, QuadratureConfig(rel_tol=1e-30))
     # without a shift the coordinates stay x / 2^s

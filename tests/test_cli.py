@@ -421,7 +421,7 @@ _BIG = str(2**1605)
         # the far panels overflowed Horner; they are integrated in u = 1/x
         (["integral", "1e-300", "-1.06", "0", "-1/7", "--numeric"], 0, None),
         (["integral", "1/1" + "0" * 2000, "0", "-1", "0"], 2, "DomainError"),
-        # the tanh-sinh level cap is fixed: --max-levels is no option
+        # --max-levels capped a quadrature rule the panels no longer run: no option
         (["integral", "1", "0", "-1", "0", "--numeric", "--max-levels", "8"], 1, None),
         # F = C / (4 * 10^2000)^(1/6) underflowed to a status-ok 0.0
         (["integral", "1" + "0" * 2000, "0", "-1", "0"], 2, "DomainError"),

@@ -1,5 +1,6 @@
-"""Gauss-Jacobi panels: the rules, the ladder's kernel, its tanh-sinh
-fallback, and agreement with the tanh-sinh rule panel by panel."""
+"""Gauss-Jacobi panels: the rules, the ladder's kernel, the bisection of a
+panel that no rule resolves, and agreement with the tests' tanh-sinh rule
+panel by panel."""
 
 import math
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import tanh_sinh
 from polynomials import from_roots, sl2_image
 
 from nongauss import (
@@ -83,7 +85,8 @@ def test_jacobi_rules_are_built_once_and_stay_bounded():
 def _direct_gauss_panel(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
     """Reference for the ladder of ``quadrature._panel_value``: the endpoint
     roots divided out into q, then each rule's sum of the weights times
-    |q|**(-exponent) at x = mid + hs t; None where no rule converges."""
+    |q|**(-exponent) at x = mid + hs t; where no rule converges, the last
+    rule's value and difference, unconverged."""
     q = list(coeffs)
     for _ in range(m_lo):
         q = quadrature._synthetic_quotient(q, lo)
@@ -103,22 +106,23 @@ def _direct_gauss_panel(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
         if previous is not None and abs(total - previous) <= cfg.rel_tol * total:
             return total * scale, abs(total - previous) * scale, True, nodes
         previous = total
-    return None
+    return total * scale, abs(total - previous) * scale, False, nodes
 
 
 @pytest.mark.parametrize("m_lo,m_hi", [(0, 0), (1, 0), (0, 1), (1, 1)])
 @pytest.mark.parametrize("length", range(1, 14))
 def test_gauss_kernel_of_every_quotient_length_sums_the_direct_rules(length, m_lo, m_hi):
     # the kernel with Horner written out: the direct ladder's value, error,
-    # convergence and node count, bit for bit, on the quotients of the
-    # tanh-sinh kernel's test
+    # convergence and node count, bit for bit, on a quotient with its roots
+    # off [1, 3], which one ladder resolves, and endpoint roots at neither
+    # end, one end or both
     rng = random.Random(length)
     lo, hi = 1.0, 3.0
     roots = [rng.uniform(-2.0, 0.5) if i % 2 else rng.uniform(3.5, 6.0) for i in range(length - 1)]
     coeffs = [float(c) for c in from_roots(roots + [lo] * m_lo + [hi] * m_hi).coeffs]
     args = (coeffs, 2.0 / max(3, len(coeffs) - 1), lo, hi, m_lo, m_hi, QuadratureConfig())
     direct = _direct_gauss_panel(*args)
-    assert direct is not None and quadrature._panel_value(*args) == direct
+    assert direct[2] and quadrature._panel_value(*args) == direct
 
 
 def test_gauss_kernel_is_compiled_once_per_quotient_length():
@@ -130,32 +134,46 @@ def test_gauss_kernel_is_compiled_once_per_quotient_length():
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_a_panel_that_no_rule_resolves_falls_back_to_tanh_sinh():
+def test_a_panel_that_no_rule_resolves_is_bisected():
     # x^2 + 10^-4 on [-1, 1]: its roots +-0.01i are too near for 128 nodes,
-    # so the panel is tanh-sinh's, with the ladder's 8 + 16 + 32 + 64 + 128
-    # nodes counted as well
+    # so the panel is cut, and the halves next to the pair again, until
+    # each resolves; the tests' tanh-sinh rule agrees within the estimates
     args = ([1.0, 0.0, 1e-4], 2.0 / 3.0, -1.0, 1.0, 0, 0, QuadratureConfig())
-    value, error, converged, nodes = quadrature._tanh_sinh_panel(*args)
-    assert quadrature._panel_value(*args) == (value, error, converged, nodes + 248)
+    value, error, converged, nodes = quadrature._panel_value(*args)
+    reference, reference_error, reference_converged, _ = tanh_sinh.panel_value(*args, 12)
+    assert converged and reference_converged and nodes > 2 * 248
+    assert abs(value - reference) <= error + reference_error + 1e-10 * value
 
 
-def test_a_zero_at_a_gauss_node_falls_back_to_tanh_sinh():
+def test_a_zero_at_a_gauss_node_is_bisected_away():
     # x - t0 on [-1, 1], t0 the 8-point Legendre rule's first node: the
-    # power fails there, and tanh-sinh, whose nodes miss t0, integrates the
-    # panel, whose integral of |x - t0|^(-2/3) is finite
+    # power fails there, and the panel is cut, not failed; no later node
+    # meets t0.  The interior |x - t0|^(-2/3) is resolved by no Gauss rule,
+    # so the half about t0 is cut down to the depth and ends the panel
+    # unconverged, with the nodes of every ladder it ran
     t0 = quadrature._jacobi_rule(8, 0.0, 0.0)[0][0]
     args = ([1.0, -t0], 2.0 / 3.0, -1.0, 1.0, 0, 0, QuadratureConfig(rel_tol=1e-3))
-    assert quadrature._panel_value(*args)[:3] == quadrature._tanh_sinh_panel(*args)[:3]
+    value, error, converged, nodes = quadrature._panel_value(*args)
+    assert not converged and 0.0 < value < math.inf and 0.0 < error < math.inf
+    # the failed 8-point rule, the 248 nodes of each of the 8 halves about t0,
+    # and 24 of each resolved half beside them: at 2 of the 8 cuts the half
+    # about t0 is the lower one, and the panel ends before its sibling runs
+    assert nodes == 8 + 8 * 248 + 6 * 24
 
 
 def _panels(monkeypatch, call, arg):
     """The arguments of every panel that ``call(arg)`` integrates."""
-    panels = []
+    panels, depth = [], [0]
     panel_value = quadrature._panel_value
 
     def recorded(*args):
-        panels.append(args)
-        return panel_value(*args)
+        if not depth[0]:  # a panel, not one of the halves the recursion passes here too
+            panels.append(args)
+        depth[0] += 1
+        try:
+            return panel_value(*args)
+        finally:
+            depth[0] -= 1
 
     with monkeypatch.context() as patch, warnings.catch_warnings():
         patch.setattr(quadrature, "_panel_value", recorded)
@@ -177,14 +195,16 @@ def _cross_check_cases(monkeypatch):
 
 def test_gauss_jacobi_and_tanh_sinh_agree_on_every_panel(monkeypatch):
     # the named forms of test_centring and round 1 of the benchmark's
-    # quadrature-cubic workload: on each panel the two rules agree within
-    # their estimates and rel_tol of the value
-    rel_tol, panels = QuadratureConfig().rel_tol, 0
+    # quadrature-cubic workload, whose fault-b panel is bisected: on each
+    # panel the two rules agree within their estimates and rel_tol of the
+    # value, tanh-sinh at up to 12 levels
+    rel_tol, panels, bisected = QuadratureConfig().rel_tol, 0, 0
     for call, arg in _cross_check_cases(monkeypatch):
         for args in _panels(monkeypatch, call, arg):
-            gauss, error, converged, _ = quadrature._panel_value(*args)
-            tanh_sinh, ts_error, ts_converged, _ = quadrature._tanh_sinh_panel(*args)
-            assert converged and ts_converged
-            assert abs(gauss - tanh_sinh) <= error + ts_error + rel_tol * abs(gauss), args
+            gauss, error, converged, nodes = quadrature._panel_value(*args)
+            reference, reference_error, reference_converged, _ = tanh_sinh.panel_value(*args, 12)
+            assert converged and reference_converged
+            assert abs(gauss - reference) <= error + reference_error + rel_tol * abs(gauss), args
             panels += 1
-    assert panels > 300
+            bisected += nodes > 248
+    assert panels > 300 and bisected == 1

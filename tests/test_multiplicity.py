@@ -47,10 +47,11 @@ def _reference(n, reals, pairs):
     """mpmath value of the integral of |prod (x - r)^k prod ((x - u)^2 + w)|^(-2/n)
     for ``reals`` = [(r, k)] and ``pairs`` = [(u, w)], all Fractions.
 
-    tanh-sinh alone is good to about 1e-6 at an |x - r|^(-4/5) endpoint, so
-    each half-panel next to a root of multiplicity k is integrated in t with
-    x = r +- t^p, p = n / (n - 2k), where the integrand is smooth; the root
-    factor is then t^(p k), never the difference of two close numbers.
+    mpmath's quad, tanh-sinh, is alone good to about 1e-6 at an |x -
+    r|^(-4/5) endpoint, so each half-panel next to a root of multiplicity k
+    is integrated in t with x = r +- t^p, p = n / (n - 2k), where the
+    integrand is smooth; the root factor is then t^(p k), never the
+    difference of two close numbers.
     """
     with mpmath.workdps(30):
         return float(_mp_reference(n, reals, pairs))

@@ -1,4 +1,5 @@
-"""Panel decomposition and tanh-sinh evaluation of the singular integrals."""
+"""Panel decomposition and Gauss-Jacobi evaluation of the singular integrals,
+bisected where a panel needs it."""
 
 import math
 import random
@@ -9,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from polynomials import from_roots
+from tanh_sinh import integrand
+from test_gauss_jacobi import _direct_gauss_panel
 
 from nongauss import (
     CubicCoeffs,
@@ -43,20 +46,6 @@ def _chart(values, *place):
     """``polynomial._chart`` of f with coefficients ``values``, cleared to
     integers once, as a public route clears its caller's."""
     return polynomial._chart(*integer_coefficients(values), *place)
-
-
-def integrand(f, x, family_degree=None):
-    """Reference integrand: (f(x)**2)**(-1/n) as the one power |f(x)|**(-2/n),
-    evaluated per node by ``_direct_panel_value``.
-
-    ``family_degree`` defaults to max(3, deg f): quadratics are always the
-    degenerate a = 0 member of the cubic family.
-    """
-    n = family_degree if family_degree is not None else max(3, f.degree)
-    value = float(f(float(x)))
-    if value == 0.0:
-        raise SingularPoint(f"f({x}) = 0")
-    return abs(value) ** (-2.0 / n)
 
 
 def test_integrand_examples():
@@ -396,8 +385,8 @@ def test_extreme_coefficient_scale(k):
 
 
 def test_no_convergence_when_tolerance_unreachable(monkeypatch):
-    monkeypatch.setattr(quadrature, "_LEVELS", 4)
-    with pytest.raises(NoConvergence, match="within 4 levels"):
+    monkeypatch.setattr(quadrature, "_BISECTIONS", 4)
+    with pytest.raises(NoConvergence, match="within 4 bisections"):
         integral_numeric(CubicCoeffs(1.0, 2.0, 3.0, 5.0), QuadratureConfig(rel_tol=1e-30))
 
 
@@ -632,7 +621,7 @@ def test_gaussian_domain_is_decided_exactly(a, b, c):
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
-    # the level cap is fixed, not an option
+    # the bisection depth is fixed, not an option
     assert QuadratureConfig._fields == ("rel_tol",)
 
 
@@ -656,82 +645,6 @@ def test_config_replace_and_make_validate(rel_tol):
     assert type(QuadratureConfig._make([1e-8])) is QuadratureConfig
 
 
-def _direct_node(t):
-    """The per-node tanh-sinh formulas, as evaluated before node tables."""
-    z = math.pi / 2.0 * math.sinh(t)
-    e2 = math.exp(-2.0 * z)
-    one_minus = 2.0 * e2 / (1.0 + e2)
-    one_plus = 2.0 / (1.0 + e2)
-    return one_minus, one_plus, math.pi / 2.0 * math.cosh(t) * one_minus * one_plus
-
-
-@pytest.mark.parametrize("level", range(13))
-def test_node_table_matches_direct_formula(level):
-    h = 2.0**-level
-    one_minus, one_plus, weights, tail_start = quadrature._node_table(level)
-    step = 2 if level else 1
-    ts = [(1 + step * i) * h for i in range(len(weights))]
-    for t, om, op, w in zip(ts, one_minus, one_plus, weights):
-        assert (om, op, w) == _direct_node(t)
-        # the panel walk stops on the distance alone because w >= 1 - tanh z
-        assert w >= om > 0.0
-    assert tail_start == sum(1 for t in ts if t <= 3.0)
-    # a unit panel's walk ended at the same node: the one after the last
-    # entry is zero, or the last entry is the first beyond t = 7.5
-    assert all(t <= 7.5 for t in ts[:-1])
-    om, _, w = _direct_node(ts[-1] + step * h)
-    assert ts[-1] > 7.5 or om == 0.0 or w == 0.0
-
-
-def test_node_tables_are_built_once_and_stay_small():
-    assert quadrature._node_table(2) is quadrature._node_table(2)
-    levels = range(quadrature._LEVELS + 1)
-    assert sum(len(quadrature._node_table(L)[2]) for L in levels) == 25_239
-
-
-def test_endpoint_columns_are_built_once_and_stay_bounded():
-    column = quadrature._endpoint_column
-    column.cache_clear()
-    key = (2, -2.0 / 3.0, 0.0)
-    column(*key)
-    built = column.cache_info().misses
-    assert column(*key) is column(*key)
-    assert column.cache_info().misses == built
-    # real roots of multiplicity 1 and 2 on forms of degree 2..12
-    rng = random.Random(61)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        integral_numeric(CubicCoeffs(0, 1, 0, -1))
-        for n in range(3, 13):
-            roots = rng.sample(range(-6, 7), n)
-            integral_numeric_general(from_roots(roots))
-            if n >= 5:
-                integral_numeric_general(from_roots(roots[1:] + roots[:1]))
-    # every column of the mix is built once and kept
-    info = column.cache_info()
-    assert info.maxsize == quadrature._COLUMN_CACHE_SIZE
-    assert info.misses == info.currsize <= info.maxsize
-
-
-def test_endpoint_column_ends_where_a_power_overflows(monkeypatch):
-    # 1 - tanh z reaches the subnormals; its power -22/23 (degree 23, a
-    # root of multiplicity 11) overflows there and the column stops short
-    one_minus, one_plus, weights, _ = quadrature._node_table(12)
-    assert min(one_minus) < 1e-320
-    column = quadrature._endpoint_column(12, -22.0 / 23.0, 0.0)
-    assert 0 < len(column) < len(weights)
-    assert all(0.0 <= v < math.inf for v in column)
-    assert len(quadrature._endpoint_column(12, -20.0 / 21.0, 0.0)) == len(weights)
-    # so a panel next to that root walks to level 8 without an OverflowError;
-    # at rel_tol = 1e-30 neither stop rule can hold short of two equal levels,
-    # since the quadratic one needs a difference below 1e-17 of the value
-    monkeypatch.setattr(quadrature, "_LEVELS", 8)
-    x11_x_plus_1 = [1.0, 1.0] + [0.0] * 11
-    args = (x11_x_plus_1, 2.0 / 23.0, 0.0, 0.5, 11, 0, QuadratureConfig(rel_tol=1e-30))
-    value, error, converged, _ = quadrature._panel_value(*args)
-    assert 0.0 < value < math.inf and error < 1e-12 * value and not converged
-
-
 def test_panel_too_narrow_for_its_endpoint_powers_is_a_domain_error():
     # hs**(-0.99) overflows for a half-width of 1e-316
     cfg = QuadratureConfig()
@@ -745,7 +658,8 @@ def test_zero_width_panel_is_worth_nothing():
 
 
 def test_zero_at_the_panel_midpoint_is_a_singular_point():
-    # x on [-1, 1]: the zero is the midpoint, which is evaluated before any level
+    # x on [-1, 1]: |x|^-1 is not integrable, so no rule resolves the panel,
+    # and its midpoint, where it would be cut, is the zero
     cfg = QuadratureConfig()
     with pytest.raises(SingularPoint, match="unexpected interior zero at 0.0"):
         quadrature._panel_value([1.0, 0.0], 1.0, -1.0, 1.0, 0, 0, cfg)
@@ -754,181 +668,60 @@ def test_zero_at_the_panel_midpoint_is_a_singular_point():
 def test_subnormal_gaussian_leading_coefficient_is_a_singular_point():
     # the chart's s = 0 fallback leaves the leading coefficient about
     # 1.5e-310, and on the panel through infinity abs(v) ** -1 of the
-    # reversed form overflowed: a bare OverflowError.  The closed form is
-    # 3.1415926535897933e-145
+    # reversed form overflowed: a bare OverflowError.  Now the rules' sums
+    # overflow next to u = 0 on every cut, down to the last half.  The
+    # closed form is 3.1415926535897933e-145
     with pytest.raises(SingularPoint, match="unexpected interior zero at"):
         gaussian_integral_numeric(1e-10, 1e-300, 1e300)
 
 
-def _direct_tanh_sinh_panel(fn, lo, hi, p_lo, p_hi, cfg):
-    """Reference: the level-doubling rule for fn(x) * (x - lo)**p_lo *
-    (hi - x)**p_hi, evaluating every node per panel.  A node at distances
-    hs * u_lo and hs * u_hi from the ends folds each factor (hs * u)**p as
-    hs**p * u**p: the weight times the u powers, its own side's first,
-    multiplies fn(x), and hs * hs**p_lo * hs**p_hi scales the panel's sums
-    once."""
-    hs = 0.5 * (hi - lo)
+def _direct_bisected_panel(coeffs, exponent, lo, hi, m_lo, m_hi, cfg, depth=0):
+    """Reference for the bisection of ``quadrature._panel_value``: the direct
+    ladder of the panel, and where it does not converge and cuts are left,
+    the sum of the panel's halves, the lower keeping m_lo and the upper
+    m_hi, up to the first that does not converge."""
+    value, error, converged, nodes = _direct_gauss_panel(coeffs, exponent, lo, hi, m_lo, m_hi, cfg)
+    if converged or depth == quadrature._BISECTIONS:
+        return value, error, converged, nodes
     mid = 0.5 * (lo + hi)
-    if hs == 0.0:
-        return 0.0, 0.0, True
-    scale = hs * hs**p_lo * hs**p_hi
-
-    def side_sum(h, only_odd):
-        total = 0.0
-        for sign in (+1, -1):
-            k = 1
-            negligible = 0
-            while True:
-                t = k * h
-                one_minus, one_plus, w = _direct_node(t)
-                if hs * one_minus == 0.0 or hs * one_plus == 0.0 or w * hs == 0.0:
-                    break
-                if sign > 0:
-                    x, weight = hi - hs * one_minus, w * one_minus**p_hi * one_plus**p_lo
-                else:
-                    x, weight = lo + hs * one_minus, w * one_minus**p_lo * one_plus**p_hi
-                term = fn(x) * weight
-                total += term
-                if term <= abs(total) * 1e-17:
-                    negligible += 1
-                    if negligible >= 2 and t > 3.0:
-                        break
-                else:
-                    negligible = 0
-                k += 2 if only_odd else 1
-                if t > 7.5:
-                    break
-        return total
-
-    node_sum = math.pi / 2.0 * fn(mid) + side_sum(1.0, False)
-    values = [node_sum]
-    h = 1.0
-    for _ in range(quadrature._LEVELS):
-        h *= 0.5
-        node_sum += side_sum(h, True)
-        values.append(h * node_sum)
-        stop = _direct_stop(values, cfg.rel_tol)
-        if stop:
-            return values[-1] * scale, stop[1] * scale, True
-    return values[-1] * scale, abs(values[-1] - values[-2]) * scale, False
-
-
-def _direct_stop(values, rel_tol):
-    """The rule that ends the level doubling after the level values
-    ``values``, with its error estimate, or None to go on: "difference" when
-    the last two levels differ by at most rel_tol of the last; "quadratic"
-    when the last difference d1 is below the one before, d0, is at most
-    0.01 * sqrt(rel_tol) of the last level S, d0^2 <= 100 d1 |S| (the
-    relative difference fell by no more than a square), and 100 * d1^2 /
-    d0, the next difference of a quadratically converging rule with a
-    margin of 100, is at most rel_tol of S."""
-    value = abs(values[-1])
-    d1 = abs(values[-1] - values[-2])
-    if d1 <= rel_tol * value:
-        return "difference", d1
-    if len(values) >= 3:
-        d0 = abs(values[-2] - values[-3])
-        squared = d0 * d0 <= 100.0 * d1 * value
-        if d1 < d0 and d1 <= 0.01 * math.sqrt(rel_tol) * value and squared:
-            estimate = 100.0 * d1 * (d1 / d0)
-            if estimate <= rel_tol * value:
-                return "quadratic", estimate
-    return None
-
-
-def _direct_panel_value(coeffs, exponent, lo, hi, m_lo, m_hi, cfg):
-    """Reference for ``quadrature._tanh_sinh_panel``: the endpoint roots
-    divided out into q, then |q|**(-exponent) from ``integrand`` times the
-    endpoint factors at every node of the direct rule; with the count of
-    evaluated nodes."""
-    q = list(coeffs)
-    for _ in range(m_lo):
-        q = quadrature._synthetic_quotient(q, lo)
-    for _ in range(m_hi):
-        q = quadrature._synthetic_quotient(q, hi)
-    quotient, family_degree = Polynomial(q), 2.0 / exponent
-    assert 2.0 / family_degree == exponent
-    nodes = []
-
-    def fn(x):
-        nodes.append(x)
-        return integrand(quotient, x, family_degree)
-
-    p_lo, p_hi = -exponent * m_lo, -exponent * m_hi
-    return (*_direct_tanh_sinh_panel(fn, lo, hi, p_lo, p_hi, cfg), len(nodes))
-
-
-@pytest.mark.parametrize(
-    "integrand_at",  # (coefficients, n, m_lo) of |f|^(-2/n) on a panel from lo
-    [
-        lambda lo: ([1.0], 3, 0),  # constant
-        # (1 + 1e4 x^2)^-4: negligible from t ~ 1 on, an early stop
-        lambda lo: ([1e4, 0.0, 1.0], 0.5, 0),
-        # |x - lo|^-0.91: terms stay large until the distances underflow
-        lambda lo: ([1.0, -lo], 2.2, 1),
-    ],
-)
-@pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1e-300), (2.0, 2.0 + 2.0**-40), (-3e5, 7.0)])
-def test_tanh_sinh_panel_walks_the_direct_nodes(integrand_at, lo, hi, monkeypatch):
-    # the same value, error, convergence and number of evaluated nodes as the
-    # direct rule; an early stop among negligible terms would show only in
-    # the count
-    monkeypatch.setattr(quadrature, "_LEVELS", 8)
-    coeffs, family_degree, m_lo = integrand_at(lo)
-    args = (coeffs, 2.0 / family_degree, lo, hi, m_lo, 0, QuadratureConfig())
-    assert quadrature._tanh_sinh_panel(*args) == _direct_panel_value(*args)
+    value = error = 0.0
+    for a, b, k_lo, k_hi in ((lo, mid, m_lo, 0), (mid, hi, 0, m_hi)):
+        half = _direct_bisected_panel(coeffs, exponent, a, b, k_lo, k_hi, cfg, depth + 1)
+        value, error, nodes = value + half[0], error + half[1], nodes + half[3]
+        if not half[2]:
+            return value, error, False, nodes
+    return value, error, True, nodes
 
 
 @pytest.mark.parametrize("m_lo,m_hi", [(0, 0), (1, 0), (0, 1), (1, 1)])
 @pytest.mark.parametrize("length", range(1, 14))
 def test_panel_kernel_of_every_quotient_length_walks_the_direct_nodes(length, m_lo, m_hi):
-    # one kernel per quotient length, with Horner written out: the direct
-    # rule's value, error, convergence and node count, bit for bit, on a
-    # quotient with its roots off [1, 3] and endpoint roots at neither end,
-    # one end or both
+    # one kernel per quotient length, with Horner written out, and the
+    # bisection: the direct ladders' value, error, convergence and node
+    # count, bit for bit, summed over the same halves, on a quotient with a
+    # root 0.0035-0.006 beyond hi = 3, which no rule on [1, 3] resolves, its
+    # other roots off [1, 3], and endpoint roots at neither end, one end or both
     rng = random.Random(length)
     lo, hi = 1.0, 3.0
     roots = [rng.uniform(-2.0, 0.5) if i % 2 else rng.uniform(3.5, 6.0) for i in range(length - 1)]
+    roots[:1] = [hi + 0.001 * r for r in roots[:1]]
     coeffs = [float(c) for c in from_roots(roots + [lo] * m_lo + [hi] * m_hi).coeffs]
     args = (coeffs, 2.0 / max(3, len(coeffs) - 1), lo, hi, m_lo, m_hi, QuadratureConfig())
-    assert quadrature._tanh_sinh_panel(*args) == _direct_panel_value(*args)
+    value, error, converged, nodes = _direct_bisected_panel(*args)
+    assert converged and (nodes > 248 if length > 1 else nodes == 24)
+    assert quadrature._panel_value(*args) == (value, error, converged, nodes)
 
 
 @pytest.mark.parametrize("length", range(2, 14))
-def test_panel_kernel_names_the_node_where_the_quotient_is_zero(length):
-    # (x - x0) x^(length - 2) is exactly 0.0 by Horner at x0, the upper
-    # side's first level-0 node on [0.5, 2.5], the first node after the
-    # midpoint 1.5
+def test_panel_kernel_names_the_node_where_the_quotient_is_zero(length, monkeypatch):
+    # (x - x0) x^(length - 2) is exactly 0.0 by Horner at x0, the first node
+    # of the 8-point rule on [0.5, 2.5]: with no cut left, the panel names it
     lo, hi = 0.5, 2.5
-    x0 = hi - quadrature._node_table(0)[0][0]
+    x0 = 1.5 + 1.0 * quadrature._jacobi_rule(8, 0.0, 0.0)[0][0]
     args = ([1.0, -x0] + [0.0] * (length - 2), 2.0 / 3.0, lo, hi, 0, 0, QuadratureConfig())
+    monkeypatch.setattr(quadrature, "_BISECTIONS", 0)
     with pytest.raises(SingularPoint, match=f"^unexpected interior zero at {re.escape(repr(x0))}$"):
-        quadrature._tanh_sinh_panel(*args)
-    with pytest.raises(SingularPoint, match=re.escape(f"f({x0!r}) = 0")):
-        _direct_panel_value(*args)
-
-
-def test_panel_kernel_is_compiled_once_per_quotient_length():
-    # its source depends on the length alone: other coefficients of the
-    # same length reuse the compiled kernel
-    quadrature._kernel.cache_clear()
-    cfg = QuadratureConfig()
-    for coeffs in ([1.0, 0.0, 1.0], [3.0, -1.0, 2.0]):
-        quadrature._tanh_sinh_panel(coeffs, 2.0 / 3.0, 0.0, 1.0, 0, 0, cfg)
-    info = quadrature._kernel.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
-@pytest.mark.parametrize("lo,hi,rule", [(1.0, 3.0, "quadratic"), (-1.0, 1.0, "difference")])
-def test_tanh_sinh_panel_stops_by_each_rule_as_the_direct_walk(lo, hi, rule, monkeypatch):
-    # (1 + x^2)^(-2/3) stops at level 3 on [1, 3], where the difference is
-    # still above rel_tol, and at level 4 on [-1, 1], where it is below
-    stop, stops = _direct_stop, []
-    monkeypatch.setitem(globals(), "_direct_stop", lambda *a: stops.append(stop(*a)) or stops[-1])
-    args = ([1.0, 0.0, 1.0], 2.0 / 3.0, lo, hi, 0, 0, QuadratureConfig())
-    value, error, converged, nodes = _direct_panel_value(*args)
-    assert converged and stops[-1][0] == rule
-    assert quadrature._tanh_sinh_panel(*args) == (value, error, converged, nodes)
+        quadrature._panel_value(*args)
 
 
 def _outcome(call, *args):
@@ -937,36 +730,6 @@ def _outcome(call, *args):
     except NoConvergence as exc:
         return str(exc)
     return result.value, result.error_estimate
-
-
-def test_node_tables_give_direct_evaluation_values(monkeypatch):
-    rng = random.Random(29)
-    cubics = []
-    while len(cubics) < 24:
-        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(4)]
-        if abs(cubic_discriminant_exact(*coeffs)) < 1e-3 * max(map(abs, coeffs)) ** 4:
-            continue
-        kind = len(cubics) % 3
-        if kind == 1:
-            coeffs = [math.ldexp(c, rng.randint(-300, 300)) for c in coeffs]
-        elif kind == 2:
-            j = rng.randint(-20, 0)
-            coeffs = [math.ldexp(c, (3 - i) * j) for i, c in enumerate(coeffs)]
-        cubics.append(CubicCoeffs(*coeffs))
-    forms = [Polynomial([1.0] + [rng.uniform(-2.0, 2.0) for _ in range(n)]) for n in range(4, 9)]
-    for sign in (1.0, -1.0):
-        forms += [Polynomial([1.0] + [0.0] * (n - 1) + [sign]) for n in (4, 6, 8)]
-
-    def outcomes():
-        return [_outcome(integral_numeric, c) for c in cubics] + [
-            _outcome(integral_numeric_general, f) for f in forms
-        ]
-
-    monkeypatch.setattr(quadrature, "_panel_value", quadrature._tanh_sinh_panel)
-    tabulated = outcomes()
-    monkeypatch.setattr(quadrature, "_panel_value", _direct_panel_value)
-    direct = outcomes()
-    assert tabulated == direct
 
 
 def _dilated(coeffs, j):

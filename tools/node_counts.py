@@ -5,14 +5,19 @@
 Imports ``nongauss`` from CHECKOUT/src and the seeded rounds of
 CHECKOUT/bench/workloads.py, unchanged, and runs the first round of seeds
 1-3 of each quadrature workload.  For each it prints the panels integrated,
-the Gauss-Jacobi nodes evaluated, the panels that fell back to tanh-sinh
-with the tanh-sinh nodes they evaluated, and the root locator's
-evaluations, each one Horner's rule at one point.  A checkout whose panels
-are all tanh-sinh (no ``quadrature._tanh_sinh_panel``) counts every panel as
-a tanh-sinh one, and one whose locator reports no count (its ``_real_roots``
-returns two values) counts its ``polynomial.horner`` calls instead.  With the
-digest of ``tools/output_digest.py`` and the benchmark's timings, these
-counts tell fewer nodes from cheaper nodes.
+the Gauss-Jacobi nodes evaluated, the panels that took a second path with
+the nodes they evaluated, and the root locator's evaluations, each one
+Horner's rule at one point.  The second path depends on the checkout: one
+whose Gauss-Jacobi panels fall back to tanh-sinh (it has
+``quadrature._tanh_sinh_panel``) prints its tanh-sinh panels and nodes; one
+with Gauss-Jacobi panels alone prints the panels it bisected, with all
+their nodes and their halves; one whose panels are all tanh-sinh (no
+``quadrature._gauss_kernel``) counts every panel as a tanh-sinh one.  A
+half is a ``_panel_value`` call inside its panel's own, and its nodes count
+once, in that panel.  A checkout whose locator reports no count (its
+``_real_roots`` returns two values) counts its ``polynomial.horner`` calls
+instead.  With the digest of ``tools/output_digest.py`` and the benchmark's
+timings, these counts tell fewer nodes from cheaper nodes.
 Standard library only.
 """
 
@@ -26,16 +31,20 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 
 
-def counts(checkout: Path) -> dict:
-    """{workload: (operations, panels, gauss nodes, tanh-sinh panels,
-    tanh-sinh nodes, locator evaluations)} over the first round of each seed."""
+def counts(checkout: Path) -> tuple:
+    """({workload: (operations, panels, gauss nodes, second-path panels,
+    their nodes, halves, locator evaluations)}, second path) over the first
+    round of each seed, the second path "tanh-sinh" or "bisected"."""
     sys.dont_write_bytecode = True  # leave no cache files in the checkout
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from nongauss import NonGaussError, polynomial, quadrature
     from workloads import WORKLOADS
 
-    # panels, all nodes, tanh-sinh panels, tanh-sinh nodes, locator evaluations
-    tally = [0, 0, 0, 0, 0]
+    # panels, all nodes, second-path panels, their nodes, halves, locator evaluations
+    tally = [0, 0, 0, 0, 0, 0]
+    gauss = hasattr(quadrature, "_gauss_kernel")
+    fallback = getattr(quadrature, "_tanh_sinh_panel", None)
+    second = "tanh-sinh" if fallback is not None or not gauss else "bisected"
 
     def counted(function, field, total, calls=None):
         def wrapper(*args):
@@ -47,18 +56,37 @@ def counts(checkout: Path) -> dict:
 
         return wrapper
 
-    quadrature._panel_value = counted(quadrature._panel_value, 3, 1, 0)
-    fallback = getattr(quadrature, "_tanh_sinh_panel", None)
+    panel_value, open_calls, halves = quadrature._panel_value, [0], [0]
+
+    def counted_panel(*args):
+        # the recursion calls the module's _panel_value, this wrapper
+        halves[0] += open_calls[0] > 0
+        open_calls[0] += 1
+        try:
+            result = panel_value(*args)
+        finally:
+            open_calls[0] -= 1
+        if not open_calls[0]:  # a panel, not a half
+            tally[0] += 1
+            tally[1] += result[3]
+            if halves[0]:
+                tally[2] += 1
+                tally[3] += result[3]
+                tally[4] += halves[0]
+                halves[0] = 0
+        return result
+
+    quadrature._panel_value = counted_panel
     if fallback is not None:
         quadrature._tanh_sinh_panel = counted(fallback, 3, 3, 2)
     if len(polynomial._real_roots([1.0, 0.0, -1.0, 0.0])) == 3:  # it reports its count
-        located = counted(polynomial._real_roots, 2, 4)
+        located = counted(polynomial._real_roots, 2, 5)
         polynomial._real_roots = quadrature._real_roots = located
     else:
         horner = polynomial.horner
 
         def counted_horner(coeffs, x):
-            tally[4] += 1
+            tally[5] += 1
             return horner(coeffs, x)
 
         polynomial.horner = counted_horner
@@ -67,7 +95,7 @@ def counts(checkout: Path) -> dict:
         if not name.startswith("quadrature"):
             continue
         workload, operations = cls(), 0
-        tally[:] = [0, 0, 0, 0, 0]
+        tally[:] = [0] * len(tally)
         for seed in SEEDS:
             for case in workload.round(random.Random(seed)):
                 operations += 1
@@ -77,13 +105,12 @@ def counts(checkout: Path) -> dict:
                         workload.call(case)
                     except NonGaussError:  # a failed operation still counts its panels
                         pass
-        panels, nodes, fallbacks, fallback_nodes, located = tally
-        if fallback is None:  # every panel is a tanh-sinh one
-            fallbacks, fallback_nodes = panels, nodes
-        rows[name] = (
-            operations, panels, nodes - fallback_nodes, fallbacks, fallback_nodes, located
-        )
-    return rows
+        panels, nodes, seconds, second_nodes, split, located = tally
+        if not gauss:  # every panel is a tanh-sinh one
+            seconds, second_nodes = panels, nodes
+        gauss_nodes = nodes if second == "bisected" else nodes - second_nodes
+        rows[name] = (operations, panels, gauss_nodes, seconds, second_nodes, split, located)
+    return rows, second
 
 
 def main(argv=None) -> int:
@@ -91,13 +118,15 @@ def main(argv=None) -> int:
     if len(args) != 1 or not (Path(args[0]) / "src" / "nongauss").is_dir():
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    for name, (operations, panels, gauss, fallbacks, fallback_nodes, located) in counts(
-        Path(args[0]).resolve()
-    ).items():
+    rows, second = counts(Path(args[0]).resolve())
+    for name, (operations, panels, gauss, seconds, second_nodes, split, located) in rows.items():
+        if second == "bisected":
+            path = f"{seconds} bisected panels with {second_nodes} nodes in {split} halves"
+        else:
+            path = f"{seconds} tanh-sinh panels with {second_nodes} nodes"
         print(
             f"{name}: {operations} operations, {panels} panels, {gauss} Gauss-Jacobi nodes, "
-            f"{fallbacks} tanh-sinh panels with {fallback_nodes} nodes, "
-            f"{located} locator evaluations"
+            f"{path}, {located} locator evaluations"
         )
     return 0
 

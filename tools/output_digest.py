@@ -1,6 +1,6 @@
 """One sha256 over what the package computes on the benchmark's inputs.
 
-    python3 tools/output_digest.py CHECKOUT
+    python3 tools/output_digest.py [--records] CHECKOUT
 
 Imports ``nongauss`` from CHECKOUT/src and the seeded rounds of
 CHECKOUT/bench/workloads.py, unchanged, and hashes the ``repr`` of, for the
@@ -12,7 +12,9 @@ then both finite-difference verifiers at steps None, 1e-3 and 5e-2 on seeded
 wide-magnitude cubics and on near-double-root cubics, where stencils cross
 D = 0 and steps are refused (the benchmark's verify inputs do neither).
 Two checkouts that print the same digest agree on all of these bit for bit:
-the gate of a change that must not move any output.  Standard library only.
+the gate of a change that must not move any output.  With ``--records`` it
+prints the hashed records themselves, one per line, so that the outputs of
+two checkouts can be diffed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def _fd_inputs(rng: random.Random):
         yield tuple(math.ldexp(v, rng.randint(-300, 300)) for v in cubic)
 
 
-def digest(checkout: Path) -> str:
+def records(checkout: Path) -> list:
+    """The hashed records, in order: each a line of the hashed text."""
     sys.dont_write_bytecode = True  # leave no cache files in the checkout
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import nongauss
@@ -125,15 +128,23 @@ def digest(checkout: Path) -> str:
         for step in FD_STEPS:
             outcomes = " ".join(_outcome(verify, cubic, step) for verify in verifiers)
             lines.append(f"fd {coeffs!r} {step!r} {outcomes}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return lines
+
+
+def digest(checkout: Path) -> str:
+    return hashlib.sha256("\n".join(records(checkout)).encode()).hexdigest()
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    listed = args[:1] == ["--records"]
+    if listed:
+        args = args[1:]
     if len(args) != 1 or not (Path(args[0]) / "src" / "nongauss").is_dir():
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    print(digest(Path(args[0]).resolve()))
+    checkout = Path(args[0]).resolve()
+    print("\n".join(records(checkout)) if listed else digest(checkout))
     return 0
 
 
