@@ -6,16 +6,16 @@ follows from
 
     D = (-1)**(n*(n-1)/2) * R(f, f') / a0.
 
-Everything here is exact: inputs are cleared once to integers over a common
-denominator den (floats convert losslessly), and R(den f, den f') =
-den^(2n-1) * R(f, f') comes from the subresultant polynomial remainder
-sequence on those integers, ``polynomial._subresultant``, the one kernel
-that also gives Yun's square-free split its gcds: integer
-pseudo-remainders, each divided exactly by a known factor, in O(n^2)
-big-integer steps where elimination on the Sylvester matrix takes O(n^3).
-The den powers are divided out once at the end.  ``discriminant_from_coeffs``
-takes quadratics as b^2 - 4ac and cubics as the explicit five-term expansion
-instead.
+Everything here is exact and takes D from one entry, ``polynomial._exact``:
+inputs are cleared once to integers over a common denominator den (floats
+convert losslessly), and R(den f, den f') = den^(2n-1) * R(f, f') comes
+from the subresultant polynomial remainder sequence on those integers,
+``polynomial._subresultant``, the one kernel that also gives Yun's
+square-free split its gcds: integer pseudo-remainders, each divided exactly
+by a known factor, in O(n^2) big-integer steps where elimination on the
+Sylvester matrix takes O(n^3).  The entry takes quadratics as b^2 - 4ac
+and cubics as the explicit five-term expansion instead, and returns d =
+den^(2n-2) * D, whose den powers are divided out once, here.
 """
 
 from __future__ import annotations
@@ -25,17 +25,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DegreeTooLow, DomainError
+from .errors import DomainError
 from .polynomial import (
     CubicCoeffs,
     Number,
     Polynomial,
-    _subresultant,
-    cubic_discriminant_exact,
-    cubic_discriminant_int,
+    _exact,
     derivative_coeffs,
     float_coefficients,
-    integer_coefficients,
     is_exact_number,
 )
 
@@ -81,17 +78,9 @@ class ResolventData(NamedTuple):
     C: Fraction
 
 
-def _cleared(f: Polynomial) -> tuple:
-    """(ints, den) from ``integer_coefficients(f.coeffs)``: den * f has the
-    integer coefficients ``ints``; degree below 2 raises DegreeTooLow."""
-    if f.degree < 2:
-        raise DegreeTooLow(f"need degree >= 2, got {f.degree}")
-    return integer_coefficients(f.coeffs)
-
-
 def sylvester_matrix(f: Polynomial) -> SylvesterMatrix:
     """The band matrix whose determinant is R(f, f'), as exact Fractions."""
-    ints, den = _cleared(f)
+    ints, den, _ = _exact(f.coeffs)
     ds = derivative_coeffs(ints)
     n = f.degree
     size = 2 * n - 1
@@ -102,24 +91,16 @@ def sylvester_matrix(f: Polynomial) -> SylvesterMatrix:
 
 def resultant(f: Polynomial) -> Fraction:
     """R(f, f') as an exact rational; for cubics R/a = -D."""
-    ints, den = _cleared(f)
-    return Fraction(_subresultant(ints, derivative_coeffs(ints))[0], den ** (2 * f.degree - 1))
-
-
-def _exact_general(f: Polynomial) -> tuple:
-    """(ints, den, D): f's coefficients cleared once, by ``_cleared``, and its
-    exact discriminant via the resultant on those integers."""
+    ints, den, d = _exact(f.coeffs)
     n = f.degree
-    ints, den = _cleared(f)
+    # R = sign * a0 * D, a0 = ints[0] / den and D = d / den^(2n-2)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    # D = sign * R / a0 with R = R_int / den^(2n-1) and a0 = ints[0] / den
-    r_int = _subresultant(ints, derivative_coeffs(ints))[0]
-    return ints, den, Fraction(sign * r_int, ints[0] * den ** (2 * n - 2))
+    return Fraction(sign * ints[0] * d, den ** (2 * n - 1))
 
 
 def discriminant_general(f: Polynomial) -> DiscriminantResult:
     """Discriminant of any degree >= 2 polynomial via the resultant."""
-    return DiscriminantResult.from_value(_exact_general(f)[2])
+    return discriminant_from_coeffs(f.coeffs)
 
 
 def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:
@@ -127,30 +108,19 @@ def discriminant_cubic_explicit(coeffs: CubicCoeffs) -> DiscriminantResult:
 
     a = 0 is allowed; the expansion degenerates to b^2*(c^2 - 4bd).
     """
-    return DiscriminantResult.from_value(cubic_discriminant_exact(*coeffs.as_tuple()))
+    return discriminant_from_coeffs(coeffs)
 
 
 def discriminant_from_coeffs(values: Sequence[Number]) -> DiscriminantResult:
     """Discriminant of the degree len(values) - 1 form with these coefficients.
 
-    Quadratics use b^2 - 4ac and cubics the five-term expansion, exactly on
-    the integers of ``integer_coefficients``; other degrees the subresultant
-    PRS.  A leading zero keeps the declared degree through D_n(0, a1, ...,
-    an) = a1^2 * D_{n-1}(a1, ..., an), the rule both expansions follow at
-    a = 0.  A declared degree below 2 raises DegreeTooLow.
+    D = d / den^(2n - 2) from ``polynomial._exact``: b^2 - 4ac at n = 2, the
+    five-term expansion at n = 3, the subresultant PRS above, and a leading
+    zero keeps the declared degree through D_n(0, a1, ..., an) = a1^2 *
+    D_{n-1}(a1, ..., an).  A declared degree below 2 raises DegreeTooLow.
     """
-    n = len(values) - 1
-    if n < 2:
-        raise DegreeTooLow(f"need degree >= 2, got {n}")
-    if n == 2:
-        (a, b, c), den = integer_coefficients(values)
-        return DiscriminantResult.from_value(Fraction(b * b - 4 * a * c, den * den))
-    if n == 3:
-        return DiscriminantResult.from_value(cubic_discriminant_exact(*values))
-    if n > 3 and values[0] == 0:
-        rest = discriminant_from_coeffs(values[1:]).value
-        return DiscriminantResult.from_value(Fraction(values[1]) ** 2 * rest)
-    return discriminant_general(Polynomial(values))
+    ints, den, d = _exact(values)
+    return DiscriminantResult.from_value(Fraction(d, den ** (2 * len(ints) - 4)))
 
 
 def resolvent_data(coeffs: CubicCoeffs) -> ResolventData:
@@ -159,11 +129,11 @@ def resolvent_data(coeffs: CubicCoeffs) -> ResolventData:
     Asserts the identity D = -(B^2 - 4AC)/3 internally; both sides are exact
     so any disagreement would be a logic error, not rounding.
     """
-    (a, b, c, d), den = integer_coefficients(coeffs.as_tuple())
+    (a, b, c, d), den, disc = _exact(coeffs)
     big_a = b * b - 3 * a * c
     big_b = b * c - 9 * a * d
     big_c = c * c - 3 * b * d
-    assert 3 * cubic_discriminant_int(a, b, c, d) == 4 * big_a * big_c - big_b * big_b
+    assert 3 * disc == 4 * big_a * big_c - big_b * big_b
     return ResolventData(*[Fraction(v, den * den) for v in (big_a, big_b, big_c)])
 
 
@@ -200,7 +170,7 @@ def key_lemma_check(a: Number, alpha: Number, k: Number, l: Number) -> Number:
     try:
         lhs = (a * alpha * alpha + k * alpha + l) ** 2 * (4 * a * l - k * k)
         # a float lhs plus the exact Fraction D comes out as a float
-        residual = abs(lhs + cubic_discriminant_exact(a, b, c, d))
+        residual = abs(lhs + discriminant_from_coeffs((a, b, c, d)).value)
     except OverflowError:
         residual = math.inf
     if not math.isfinite(residual):

@@ -8,8 +8,12 @@ integers ``ints`` over ``den`` down; ``_rounded`` alone rounds those, once,
 for ``_chart`` and the finite-difference stencil of ``renorm``.  All
 operations are pure functions of immutable values, safe to call concurrently.
 
-``_subresultant`` is the one exact remainder sequence: on such integers it
-gives R(f, f') for ``discriminant`` and every gcd of ``squarefree_factors``.
+``_exact`` is the one exact entry of every route that reports D: it clears
+a form's coefficients and returns (ints, den, d), d = den^(2n-2) D on the
+integers, from ``cubic_discriminant_int`` at n = 3 and from
+``_subresultant`` above it.  ``_subresultant`` is the one exact remainder
+sequence: on such integers it gives R(f, f') for ``_exact`` and every gcd
+of ``squarefree_factors``.
 
 ``_real_roots`` is the only code that locates float roots: the sign-stable
 quadratic formula at degree 2, formed on mantissas so that it neither
@@ -43,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import DegenerateLeadingCoefficient, DomainError, NotARoot
+from .errors import DegenerateLeadingCoefficient, DegreeTooLow, DomainError, NotARoot
 
 Number = Union[int, Fraction, float]
 
@@ -303,12 +307,12 @@ class CubicCoeffs(NamedTuple):
         return (self.a, self.b, self.c, self.d)
 
     def is_exact(self) -> bool:
-        return all(is_exact_number(v) for v in self.as_tuple())
+        return all(is_exact_number(v) for v in self)
 
     def as_polynomial(self) -> Polynomial:
         """The coefficients as given, leading zeros dropped, so a = 0 inputs
         come out as true quadratics."""
-        return Polynomial(self.as_tuple())
+        return Polynomial(self)
 
 
 class CubicFactorization(NamedTuple):
@@ -341,14 +345,32 @@ def cubic_discriminant_int(a: int, b: int, c: int, d: int) -> int:
     return bc * (bc + 18 * ad) - 4 * (a * c * c * c + b * b * b * d) - 27 * ad * ad
 
 
-def cubic_discriminant_exact(a: Number, b: Number, c: Number, d: Number) -> Fraction:
-    """Five-term cubic discriminant, exactly: D_int / den^4 in integers.
-
-    Floats convert exactly (they are dyadic rationals), so the sign is always
-    decided without rounding.
-    """
-    ints, den = integer_coefficients((a, b, c, d))
-    return Fraction(cubic_discriminant_int(*ints), den**4)
+def _exact(values: Sequence[Number]) -> tuple:
+    """(ints, den, d): the one exact entry.  The coefficients of a form of
+    declared degree n = len(values) - 1 >= 2 (else DegreeTooLow) are cleared
+    once, by ``integer_coefficients``, and d = den^(2n - 2) D is the
+    discriminant of the integers ``ints``: b^2 - 4ac at n = 2, the five terms
+    of ``cubic_discriminant_int`` at n = 3, and above that (-1)^(n(n-1)/2)
+    R(f, f') / a0 from ``_subresultant``, an exact quotient.  A leading zero
+    keeps the declared degree through D_n(0, a1, ..., an) = a1^2 D_(n-1)(a1,
+    ..., an), the rule both expansions follow at a0 = 0."""
+    n = len(values) - 1
+    if n < 2:
+        raise DegreeTooLow(f"need degree >= 2, got {n}")
+    ints, den = integer_coefficients(values)
+    lead, rest = 1, ints
+    while len(rest) > 4 and rest[0] == 0:
+        lead, rest = lead * rest[1] ** 2, rest[1:]
+    if len(rest) == 4:
+        d = cubic_discriminant_int(*rest)
+    elif len(rest) == 3:
+        a, b, c = rest
+        d = b * b - 4 * a * c
+    else:
+        m = len(rest) - 1
+        r = _subresultant(rest, derivative_coeffs(rest))[0]
+        d = (-r if m * (m - 1) // 2 % 2 else r) // rest[0]
+    return ints, den, lead * d
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list:
@@ -644,8 +666,7 @@ def cubic_roots(coeffs: CubicCoeffs) -> RootSet:
         raise DegenerateLeadingCoefficient(
             "cubic_roots requires a != 0; use the quadratic path for a = 0"
         )
-    ints, den = integer_coefficients(coeffs.as_tuple())
-    disc = cubic_discriminant_int(*ints)
+    ints, den, disc = _exact(coeffs)
     if disc == 0:
         factors = squarefree_factors(Polynomial(ints))
         try:
@@ -700,7 +721,7 @@ def factor_out_root(coeffs: CubicCoeffs, alpha: Number) -> CubicFactorization:
     rule adds up, sum |c_i| |alpha|^(3 - i).  A term beyond the float range,
     or a non-finite alpha, raises DomainError.
     """
-    a, b, c, d = coeffs.as_tuple()
+    a, b, c, d = coeffs
     exact = coeffs.is_exact() and is_exact_number(alpha)
     if exact:
         residual = horner((a, b, c, d), alpha)

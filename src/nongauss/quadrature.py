@@ -71,7 +71,7 @@ import warnings
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .discriminant import DiscriminantResult, _exact_general
+from .discriminant import DiscriminantResult
 from .errors import (
     DegreeTooLow,
     DomainError,
@@ -86,6 +86,7 @@ from .polynomial import (
     Polynomial,
     _chart,
     _compiled,
+    _exact,
     _real_roots,
     _synthetic_quotient,
     derivative_coeffs,
@@ -206,11 +207,11 @@ def decompose(f: Polynomial, family_degree: Optional[int] = None) -> PanelDecomp
     ``reciprocal`` panel), whose root multiplicities come from f's exact D.
     n is an int >= deg f, and u^n f(1/u) has a root of multiplicity n - deg f
     at u = 0, the root at infinity, which diverges like any other root."""
-    ints, den, disc = _exact_general(f)
+    ints, den, d = _exact(f.coeffs)
     n = family_degree if family_degree is not None else max(3, f.degree)
     if not (type(n) is int and n >= f.degree):  # not a bool either
         raise DomainError(f"family_degree must be an int >= deg f = {f.degree}, got {n!r}")
-    return _unit_scale_layout(ints, den, n, disc.numerator, QuadratureConfig().rel_tol, 3)[1]
+    return _unit_scale_layout(ints, den, n, d, QuadratureConfig().rel_tol, 3)[1]
 
 
 def _unit_scale_layout(
@@ -487,14 +488,19 @@ def _panel_value(
 
 
 def _integrate_at_unit_scale(
-    ints: list, den: int, n: int, cfg: QuadratureConfig, disc: int
-) -> Tuple[float, float]:
-    """(value, error estimate) of integral over R of |f|**(-2/n), f = ints /
-    den and ``disc`` as ``_unit_scale_layout`` takes them, summed over its
-    panels: F(f) = 2^s * 2^(-2e/n) * F(g).  A panel in u = 1/y is integrated
-    on the degree-n reversal u^n g(1/u)."""
+    ints: list, den: int, d: int, n: int, config: Optional[QuadratureConfig] = None
+) -> IntegralResult:
+    """The ``IntegralResult`` of integral over R of |f|**(-2/n), f = ints / den
+    with d = den^(2 deg - 2) D as ``polynomial._exact`` gives them, summed
+    over the panels of ``_unit_scale_layout``: F(f) = 2^s * 2^(-2e/n) * F(g).
+    A leading zero (the a = 0 cubic) leaves the lower degree, with the root
+    at infinity.  A panel in u = 1/y is integrated on the degree-n reversal
+    u^n g(1/u)."""
+    cfg = config or QuadratureConfig()
+    disc = DiscriminantResult.from_value(Fraction(d, den ** (2 * len(ints) - 4)))
+    form = ints[1:] if ints[0] == 0 else ints
     # the frames up to the caller: layout, this function, the public integral
-    chart, layout = _unit_scale_layout(ints, den, n, disc, cfg.rel_tol, 4)
+    chart, layout = _unit_scale_layout(form, den, n, d, cfg.rel_tol, 4)
     exponent = 2.0 / n
     reversal = chart.g[::-1] + [0.0] * (n + 1 - len(chart.g))
     total = 0.0
@@ -522,7 +528,8 @@ def _integrate_at_unit_scale(
             f"the integral lies beyond the float range or below its normal floats "
             f"(2^{q + chart.s} * {total * rescale!r})"
         )
-    return value, math.ldexp(total_error * rescale, q + chart.s)
+    error = math.ldexp(total_error * rescale, q + chart.s)
+    return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
 
 
 def integral_numeric(
@@ -534,12 +541,8 @@ def integral_numeric(
     quadrature.  D = 0 and a = b = 0 raise DivergentIntegral.  The layout
     warns IllConditioned on this route as on every other.
     """
-    cfg = config or QuadratureConfig()
-    ints, den, d, sign = _exact_cubic(coeffs)
-    disc = DiscriminantResult(Fraction(d, den**4), sign)
-    # a = 0 leaves the true quadratic (b != 0 here), with a simple root at infinity
-    value, error = _integrate_at_unit_scale(ints[1:] if ints[0] == 0 else ints, den, 3, cfg, d)
-    return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
+    ints, den, d, _ = _exact_cubic(coeffs)
+    return _integrate_at_unit_scale(ints, den, d, 3, config)
 
 
 def integral_numeric_general(
@@ -549,12 +552,9 @@ def integral_numeric_general(
 
     No closed form is asserted for n >= 4; this returns numbers only.
     """
-    cfg = config or QuadratureConfig()
     if f.degree < 3:
         raise DegreeTooLow(f"general route needs degree >= 3, got {f.degree}")
-    ints, den, disc = _exact_general(f)
-    value, error = _integrate_at_unit_scale(ints, den, f.degree, cfg, disc.numerator)
-    return IntegralResult(value, IntegralMethod.NUMERIC, DiscriminantResult.from_value(disc), error)
+    return _integrate_at_unit_scale(*_exact(f.coeffs), f.degree, config)
 
 
 def gaussian_integral_numeric(
@@ -567,8 +567,4 @@ def gaussian_integral_numeric(
     discriminant is the exact b^2 - 4ac of the coefficients given, and the
     quadrature integrates those same coefficients.
     """
-    cfg = config or QuadratureConfig()
-    ints, den, n = _checked_gaussian(a, b, c)
-    disc = DiscriminantResult.from_value(Fraction(-n, den * den))
-    value, error = _integrate_at_unit_scale(ints, den, 2, cfg, -n)
-    return IntegralResult(value, IntegralMethod.NUMERIC, disc, error)
+    return _integrate_at_unit_scale(*_checked_gaussian(a, b, c), 2, config)

@@ -43,7 +43,14 @@ from typing import NamedTuple, Optional, Union
 
 from .discriminant import DiscriminantResult, Sign
 from .errors import DivergentIntegral, DomainError, StencilCrossesSingularity
-from .polynomial import CubicCoeffs, Number, _rounded, cubic_discriminant_int, integer_coefficients
+from .polynomial import (
+    CubicCoeffs,
+    Number,
+    _exact,
+    _rounded,
+    cubic_discriminant_int,
+    integer_coefficients,
+)
 from .special import constants
 
 _FD_STEP = 1e-4  # both verifiers' default step, in units of max|coefficient|
@@ -93,13 +100,12 @@ def _checked_sign(d: int) -> Sign:
 
 
 def _exact_cubic(coeffs: CubicCoeffs) -> tuple:
-    """(ints, den, d, sign): the caller's coefficients cleared once, by
-    ``integer_coefficients``, d = den^4 D on those integers and D's sign, for
-    every cubic route to read.  a = b = 0 and D = 0 raise DivergentIntegral."""
+    """(ints, den, d, sign): ``polynomial._exact`` of the caller's
+    coefficients, d = den^4 D, and D's sign, for every cubic route to read.
+    a = b = 0 and D = 0 raise DivergentIntegral."""
     if coeffs.a == 0 and coeffs.b == 0:
         raise DivergentIntegral("a = b = 0: the integrand tail is not integrable")
-    ints, den = integer_coefficients(coeffs.as_tuple())
-    d = cubic_discriminant_int(*ints)
+    ints, den, d = _exact(coeffs)
     return ints, den, d, _checked_sign(d)
 
 
@@ -146,23 +152,22 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
 
 
 def _checked_gaussian(a: Number, b: Number, c: Number) -> tuple:
-    """(ints, den, N): (a, b, c) cleared once to ints = [A, B, C] over den, and
-    N = 4AC - B^2; DomainError unless A > 0 and N > 0, exactly."""
-    ints, den = integer_coefficients((a, b, c))
-    big_a, big_b, big_c = ints
-    n = 4 * big_a * big_c - big_b * big_b
-    if not (big_a > 0 and n > 0):
+    """(ints, den, d): ``polynomial._exact`` of (a, b, c), ints = [A, B, C]
+    over den and d = B^2 - 4AC; DomainError unless A > 0 and d < 0, exactly."""
+    ints, den, d = _exact((a, b, c))
+    if not (ints[0] > 0 and d < 0):
         raise DomainError(f"gaussian analogue requires a > 0 and b^2 - 4ac < 0, got {(a, b, c)}")
-    return ints, den, n
+    return ints, den, d
 
 
 def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
     """The quadratic counterpart: integral of 1/(a*x^2 + b*x + c) = 2*pi/sqrt(-D2)
-    for a > 0 and D2 = b^2 - 4ac < 0, as 2*pi*den / sqrt(N) on the integers of
-    ``_checked_gaussian``.  Both are split exactly into a power of two and a
-    ratio near one, so nothing over- or underflows on the way; a value beyond
-    the float range or below its normal floats raises DomainError."""
-    _, den, n = _checked_gaussian(a, b, c)
+    for a > 0 and D2 = b^2 - 4ac < 0, as 2*pi*den / sqrt(N), N = -d, on the
+    integers of ``_checked_gaussian``.  Both are split exactly into a power of
+    two and a ratio near one, so nothing over- or underflows on the way; a
+    value beyond the float range or below its normal floats raises DomainError."""
+    _, den, d = _checked_gaussian(a, b, c)
+    n = -d
     t, k = den.bit_length(), n.bit_length() // 2  # den / 2^t in [1/2, 1), N / 4^k in [1/2, 2)
     try:
         value = math.ldexp(2.0 * math.pi * (den / (1 << t)) / math.sqrt(n / (1 << 2 * k)), t - k)
@@ -323,7 +328,7 @@ def expectations_fd_check(coeffs: CubicCoeffs, step: Optional[float] = None) -> 
     """
     center, den, scale, h, log_f = _unit_stencil(coeffs, step)
     fds = [-(log_f(*up) - log_f(*down)) / (2.0 * h) for up, down in _MOMENT_POINTS]
-    moments = _moments(center, den, cubic_discriminant_int(*center), False)
+    moments = _moments(center, den, _exact(center)[2], False)
     floor = _FD_DENOM_FLOOR / scale
     return tuple(abs(fd - m) / max(abs(m), floor) for fd, m in zip(fds, moments))
 

@@ -15,9 +15,16 @@ from nongauss import (
     DomainError,
     Polynomial,
     Sign,
+    closed_form_integral,
+    cubic_roots,
+    decompose,
     discriminant_from_coeffs,
     discriminant_cubic_explicit,
     discriminant_general,
+    gaussian_analogue,
+    gaussian_integral_numeric,
+    integral_numeric,
+    integral_numeric_general,
     key_lemma_check,
     resolvent_data,
     resultant,
@@ -380,6 +387,90 @@ def test_leading_zeros_follow_the_sylvester_determinant(degree):
         inner = sign * sylvester_determinant(Polynomial(coeffs)) / Fraction(coeffs[0])
         expected = Fraction(coeffs[0]) ** 2 * inner
         assert discriminant_from_coeffs([0] + list(coeffs)).value == expected
+
+
+def _written(rng, values, k):
+    """``values`` times 2^k, each written as an int where it is one, a
+    Fraction, or a float (rounded once where it is not dyadic)."""
+    out = []
+    for v in values:
+        v, kind = Fraction(v) * Fraction(2) ** k, rng.randrange(3)
+        out.append(int(v) if kind == 0 and v.denominator == 1 else float(v) if kind else v)
+    return out
+
+
+def _separated_form(rng, degree):
+    """Exact coefficients of lead * prod (x - r) * prod ((x - u)^2 + v^2) of
+    ``degree``: real roots at least 1/3 apart, distinct complex pairs."""
+    pairs = rng.sample([(u, v) for u in range(-3, 4) for v in (1, 2)], rng.randint(0, degree // 2))
+    reals = [Fraction(i, 3) for i in rng.sample(range(-18, 19), degree - 2 * len(pairs))]
+    coeffs = expand_roots(reals, leading=Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), 7))
+    for u, v in pairs:
+        coeffs = _times(coeffs, [1, -2 * u, u * u + v * v])
+    return coeffs
+
+
+def test_every_route_reports_the_discriminant_of_its_coefficients():
+    # each route's D is discriminant_from_coeffs of the coefficients it was
+    # given, on mixed int, Fraction and float coefficients scaled by 2^k
+    rng = random.Random(37)
+    for _ in range(12):
+        k = rng.randint(-300, 300)
+        cubic = _written(rng, _separated_form(rng, 3), k)
+        quadratic = _written(rng, [0] + _separated_form(rng, 2), k)  # a = 0
+        for coeffs in (cubic, quadratic):
+            expected = discriminant_from_coeffs(coeffs)
+            assert expected.sign is not Sign.ZERO
+            for route in (closed_form_integral, integral_numeric):
+                assert route(CubicCoeffs(*coeffs)).discriminant == expected, (route, coeffs)
+        for degree in range(3, 7):
+            coeffs = _written(rng, _separated_form(rng, degree), k)
+            reported = integral_numeric_general(Polynomial(coeffs)).discriminant
+            assert reported == discriminant_from_coeffs(coeffs), coeffs
+        u, v, a = Fraction(rng.randint(-9, 9), 5), Fraction(rng.randint(1, 9), 5), rng.randint(1, 9)
+        gaussian = _written(rng, [a, -2 * a * u, a * (u * u + v * v)], k)
+        reported = gaussian_integral_numeric(*gaussian).discriminant
+        assert reported == discriminant_from_coeffs(gaussian), gaussian
+
+
+@pytest.mark.parametrize("degree", range(2, 9))
+def test_resultant_is_the_leading_coefficient_times_the_discriminant(degree):
+    # R(f, f') = (-1)^(n(n-1)/2) a0 D, and the Sylvester determinant
+    rng = random.Random(300 + degree)
+    sign = -1 if degree * (degree - 1) // 2 % 2 else 1
+    for _ in range(8):
+        values = [Fraction(rng.randint(-30, 30), rng.choice((1, 3, 10))) for _ in range(degree + 1)]
+        coeffs = _written(rng, [values[0] or 1] + values[1:], rng.randint(-300, 300))
+        p = Polynomial(coeffs)
+        expected = sign * Fraction(coeffs[0]) * discriminant_from_coeffs(coeffs).value
+        assert resultant(p) == expected == sylvester_determinant(p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_coefficient_is_refused_by_the_entry(bad):
+    # at n = 2, 3 and 5, by discriminant_from_coeffs and every route through it
+    routes = {
+        2: [gaussian_analogue, gaussian_integral_numeric],
+        3: [
+            lambda *c: closed_form_integral(CubicCoeffs(*c)),
+            lambda *c: integral_numeric(CubicCoeffs(*c)),
+            lambda *c: resolvent_data(CubicCoeffs(*c)),
+            lambda *c: cubic_roots(CubicCoeffs(*c)),
+        ],
+        5: [
+            lambda *c: integral_numeric_general(Polynomial(c)),
+            lambda *c: decompose(Polynomial(c)),
+            lambda *c: resultant(Polynomial(c)),
+        ],
+    }
+    for degree, calls in routes.items():
+        for i in range(degree + 1):
+            coeffs = [1, Fraction(1, 3), 2.5, -1, 3, 0.25][: degree + 1]
+            coeffs[i] = bad
+            for call in [discriminant_from_coeffs, *calls]:
+                args = (coeffs,) if call is discriminant_from_coeffs else coeffs
+                with pytest.raises(DomainError):
+                    call(*args)
 
 
 def _times(p, q):

@@ -28,7 +28,7 @@ from nongauss import (
     integral_numeric,
     integral_numeric_general,
 )
-from nongauss import discriminant, polynomial, quadrature
+from nongauss import polynomial, quadrature
 from nongauss.polynomial import squarefree_factors
 
 
@@ -192,7 +192,6 @@ def test_double_root_runs_the_remainder_sequence_of_f_and_f_prime_twice(monkeypa
         return kernel(a, b)
 
     monkeypatch.setattr(polynomial, "_subresultant", counted)
-    monkeypatch.setattr(discriminant, "_subresultant", counted)
     monkeypatch.setattr(
         quadrature, "squarefree_factors", lambda f: used.append(squarefree_factors(f)) or used[-1]
     )

@@ -17,14 +17,10 @@ from nongauss import (
     Polynomial,
     RootClassification,
     cubic_roots,
+    discriminant_from_coeffs,
     factor_out_root,
 )
-from nongauss.polynomial import (
-    _real_roots,
-    cubic_discriminant_exact,
-    fujiwara_exponent,
-    integer_coefficients,
-)
+from nongauss.polynomial import _real_roots, fujiwara_exponent, integer_coefficients
 
 
 def fraction_cubic_discriminant(a, b, c, d):
@@ -402,7 +398,7 @@ def test_root_count_matches_discriminant_sign():
         coeffs = [rng.randint(-30, 30) for _ in range(4)]
         if coeffs[0] == 0:
             continue
-        disc = cubic_discriminant_exact(*coeffs)
+        disc = discriminant_from_coeffs(coeffs).value
         if disc == 0:
             continue
         rs = cubic_roots(CubicCoeffs(*coeffs))
@@ -422,7 +418,7 @@ def test_roots_polish_to_tiny_residual():
         if abs(coeffs[0]) < 1e-2:
             continue
         c = CubicCoeffs(*coeffs)
-        if cubic_discriminant_exact(*coeffs) == 0:
+        if discriminant_from_coeffs(coeffs).value == 0:
             continue
         p = c.as_polynomial()
         for root, mult in cubic_roots(c).roots:
@@ -472,7 +468,7 @@ def test_factorization_reconstructs_cubic():
     done = 0
     while done < 120:
         coeffs = [rng.uniform(-3, 3) for _ in range(4)]
-        if abs(coeffs[0]) < 1e-2 or cubic_discriminant_exact(*coeffs) == 0:
+        if abs(coeffs[0]) < 1e-2 or discriminant_from_coeffs(coeffs).value == 0:
             continue
         c = CubicCoeffs(*coeffs)
         root = cubic_roots(c).roots[0][0]
@@ -514,7 +510,7 @@ def test_integer_coefficients_rejects_non_finite(bad):
     with pytest.raises(DomainError):
         integer_coefficients([1, bad, 0.5])
     with pytest.raises(DomainError):
-        cubic_discriminant_exact(1, 0, bad, 1)
+        discriminant_from_coeffs((1, 0, bad, 1))
 
 
 def test_integer_discriminant_matches_fraction_expansion():
@@ -527,7 +523,7 @@ def test_integer_discriminant_matches_fraction_expansion():
     )
     for _ in range(2000):
         coeffs = [rng.choice(draws)() for _ in range(4)]
-        assert cubic_discriminant_exact(*coeffs) == fraction_cubic_discriminant(*coeffs)
+        assert discriminant_from_coeffs(coeffs).value == fraction_cubic_discriminant(*coeffs)
 
 
 def test_fujiwara_exponent_bounds_every_root():

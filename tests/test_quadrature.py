@@ -31,6 +31,7 @@ from nongauss import (
     closed_form_integral,
     cubic_roots,
     decompose,
+    discriminant_from_coeffs,
     discriminant_general,
     expectations,
     gaussian_analogue,
@@ -38,8 +39,8 @@ from nongauss import (
     integral_numeric,
     integral_numeric_general,
 )
-from nongauss import discriminant, polynomial, quadrature, renorm
-from nongauss.polynomial import cubic_discriminant_exact, integer_coefficients
+from nongauss import polynomial, quadrature, renorm
+from nongauss.polynomial import integer_coefficients
 
 
 def _chart(values, *place):
@@ -311,7 +312,7 @@ def test_numeric_oracle_agreement_sweep():
         scale = max(abs(v) for v in coeffs)
         if scale == 0 or (coeffs[0] == 0 and coeffs[1] == 0):
             continue
-        disc = cubic_discriminant_exact(*coeffs)
+        disc = discriminant_from_coeffs(coeffs).value
         if disc == 0 or abs(disc) < 1e-3 * scale**4:
             continue
         cubic = CubicCoeffs(*coeffs)
@@ -742,7 +743,7 @@ def _unit_band_cubics(rng, count):
     cubics = []
     while len(cubics) < count:
         coeffs = [rng.uniform(-2.0, 2.0) for _ in range(4)]
-        if abs(cubic_discriminant_exact(*coeffs)) >= 1e-3 * max(map(abs, coeffs)) ** 4:
+        if abs(discriminant_from_coeffs(coeffs).value) >= 1e-3 * max(map(abs, coeffs)) ** 4:
             cubics.append(coeffs)
     return cubics
 
@@ -925,7 +926,7 @@ def test_each_public_route_clears_the_callers_coefficients_once(monkeypatch):
         charts.append(args)
         return chart(*args)
 
-    for module in (polynomial, discriminant, renorm):
+    for module in (polynomial, renorm):
         monkeypatch.setattr(module, "integer_coefficients", counted_clear)
     monkeypatch.setattr(polynomial, "_chart", counted_chart)
     cubic = (0.75, Fraction(-2, 3), -1.5, Fraction(5, 7))

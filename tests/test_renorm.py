@@ -18,6 +18,7 @@ from nongauss import (
     StencilCrossesSingularity,
     closed_form_integral,
     constants,
+    discriminant_from_coeffs,
     expectations,
     expectations_fd_check,
     gaussian_analogue,
@@ -25,8 +26,8 @@ from nongauss import (
     log_closed_form,
     pde_identity_residuals,
 )
-from nongauss import discriminant, renorm
-from nongauss.polynomial import cubic_discriminant_exact, cubic_discriminant_int
+from nongauss import discriminant, polynomial, renorm
+from nongauss.polynomial import cubic_discriminant_int
 
 
 def test_closed_form_positive_discriminant():
@@ -74,7 +75,7 @@ def test_sign_flip_invariance_exact():
     rng = random.Random(61)
     for _ in range(50):
         coeffs = [rng.uniform(-2, 2) for _ in range(4)]
-        if cubic_discriminant_exact(*coeffs) == 0:
+        if discriminant_from_coeffs(coeffs).value == 0:
             continue
         c = CubicCoeffs(*coeffs)
         negated = CubicCoeffs(*(-v for v in c.as_tuple()))
@@ -85,7 +86,7 @@ def test_reversal_invariance_exact():
     rng = random.Random(67)
     for _ in range(50):
         coeffs = [rng.uniform(-2, 2) for _ in range(4)]
-        if cubic_discriminant_exact(*coeffs) == 0:
+        if discriminant_from_coeffs(coeffs).value == 0:
             continue
         c = CubicCoeffs(*coeffs)
         reversed_c = CubicCoeffs(*reversed(c.as_tuple()))
@@ -230,7 +231,7 @@ def test_pde_identities_default_step_on_a_uniform_sweep():
     draws, well_separated = 0, []
     while draws < 2500:
         coeffs = [rng.uniform(-2.0, 2.0) for _ in range(4)]
-        d = cubic_discriminant_exact(*coeffs)
+        d = discriminant_from_coeffs(coeffs).value
         if d == 0:
             continue
         residual = max(pde_identity_residuals(CubicCoeffs(*coeffs)))
@@ -368,31 +369,40 @@ def test_fd_residuals_keep_their_bits(coeffs, pinned):
     assert (expectations_fd_check(cubic), pde_identity_residuals(cubic)) == pinned
 
 
-def test_fd_stencil_points_evaluate_d_once(monkeypatch):
-    # one integer D on the caller's own coefficients for the center's sign,
-    # with no Fraction D, then one integer D per distinct point of the shared
-    # grid: 8 moment points plus the center's moments, and 21 identity
-    # points, the center among them
-    exact_calls, int_calls = [], []
+def _counted_d(monkeypatch) -> tuple:
+    """(fraction_calls, int_calls): the arguments of every Fraction D, from
+    ``discriminant_from_coeffs``, and of every integer D, at the entry
+    ``polynomial._exact`` and at the stencil's ``log_f`` in ``renorm``."""
+    fraction_calls, int_calls = [], []
 
-    def counted_exact(*args):
-        exact_calls.append(args)
-        return cubic_discriminant_exact(*args)
+    def counted_fraction(values):
+        fraction_calls.append(values)
+        return discriminant_from_coeffs(values)
 
     def counted_int(*args):
         int_calls.append(args)
         return cubic_discriminant_int(*args)
 
-    monkeypatch.setattr(discriminant, "cubic_discriminant_exact", counted_exact)
+    monkeypatch.setattr(discriminant, "discriminant_from_coeffs", counted_fraction)
+    monkeypatch.setattr(polynomial, "cubic_discriminant_int", counted_int)
     monkeypatch.setattr(renorm, "cubic_discriminant_int", counted_int)
+    return fraction_calls, int_calls
+
+
+def test_fd_stencil_points_evaluate_d_once(monkeypatch):
+    # one integer D on the caller's own coefficients for the center's sign,
+    # with no Fraction D, then one integer D per distinct point of the shared
+    # grid: 8 moment points plus the center's moments, and 21 identity
+    # points, the center among them
+    fraction_calls, int_calls = _counted_d(monkeypatch)
     cubic = CubicCoeffs(1.0, 2.0, 3.0, 5.0)
     expectations_fd_check(cubic)
-    assert exact_calls == []
+    assert fraction_calls == []
     assert int_calls[0] == (1, 2, 3, 5)
     assert len(int_calls[1:]) == len(set(int_calls[1:])) == 9
     int_calls.clear()
     pde_identity_residuals(cubic)
-    assert exact_calls == []
+    assert fraction_calls == []
     assert int_calls[0] == (1, 2, 3, 5)
     assert len(int_calls[1:]) == len(set(int_calls[1:])) == 21
 
@@ -401,20 +411,9 @@ def test_fd_stencil_points_evaluate_d_once(monkeypatch):
 def test_cubic_routes_evaluate_d_once(monkeypatch, route):
     # one integer D, on the integers the entry cleared the caller's mixed
     # Fraction and float coefficients to (over den 42), and no Fraction D
-    exact_calls, int_calls = [], []
-
-    def counted_exact(*args):
-        exact_calls.append(args)
-        return cubic_discriminant_exact(*args)
-
-    def counted_int(*args):
-        int_calls.append(args)
-        return cubic_discriminant_int(*args)
-
-    monkeypatch.setattr(discriminant, "cubic_discriminant_exact", counted_exact)
-    monkeypatch.setattr(renorm, "cubic_discriminant_int", counted_int)
+    fraction_calls, int_calls = _counted_d(monkeypatch)
     route(CubicCoeffs(Fraction(1, 3), 2.0, 0.5, Fraction(-5, 7)))
-    assert exact_calls == []
+    assert fraction_calls == []
     assert int_calls == [(14, 84, 21, -30)]
 
 

@@ -5,20 +5,12 @@
 Imports ``nongauss`` from CHECKOUT/src and the seeded rounds of
 CHECKOUT/bench/workloads.py, unchanged, and runs the first round of seeds
 1-3 of each quadrature workload.  For each it prints the panels integrated,
-the Gauss-Jacobi nodes evaluated, the panels that took a second path with
-the nodes they evaluated, and the root locator's evaluations, each one
-Horner's rule at one point.  The second path depends on the checkout: one
-whose Gauss-Jacobi panels fall back to tanh-sinh (it has
-``quadrature._tanh_sinh_panel``) prints its tanh-sinh panels and nodes; one
-with Gauss-Jacobi panels alone prints the panels it bisected, with all
-their nodes and their halves; one whose panels are all tanh-sinh (no
-``quadrature._gauss_kernel``) counts every panel as a tanh-sinh one.  A
-half is a ``_panel_value`` call inside its panel's own, and its nodes count
-once, in that panel.  A checkout whose locator reports no count (its
-``_real_roots`` returns two values) counts its ``polynomial.horner`` calls
-instead.  With the digest of ``tools/output_digest.py`` and the benchmark's
-timings, these counts tell fewer nodes from cheaper nodes.
-Standard library only.
+the Gauss-Jacobi nodes evaluated, the panels it bisected, with all their
+nodes and their halves, and the root locator's evaluations, each one
+Horner's rule at one point.  A half is a ``_panel_value`` call inside its
+panel's own, and its nodes count once, in that panel.  With the digest of
+``tools/output_digest.py`` and the benchmark's timings, these counts tell
+fewer nodes from cheaper nodes.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,31 +23,16 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 
 
-def counts(checkout: Path) -> tuple:
-    """({workload: (operations, panels, gauss nodes, second-path panels,
-    their nodes, halves, locator evaluations)}, second path) over the first
-    round of each seed, the second path "tanh-sinh" or "bisected"."""
+def counts(checkout: Path) -> dict:
+    """{workload: (operations, panels, nodes, bisected panels, their nodes,
+    halves, locator evaluations)} over the first round of each seed."""
     sys.dont_write_bytecode = True  # leave no cache files in the checkout
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from nongauss import NonGaussError, polynomial, quadrature
     from workloads import WORKLOADS
 
-    # panels, all nodes, second-path panels, their nodes, halves, locator evaluations
+    # panels, nodes, bisected panels, their nodes, halves, locator evaluations
     tally = [0, 0, 0, 0, 0, 0]
-    gauss = hasattr(quadrature, "_gauss_kernel")
-    fallback = getattr(quadrature, "_tanh_sinh_panel", None)
-    second = "tanh-sinh" if fallback is not None or not gauss else "bisected"
-
-    def counted(function, field, total, calls=None):
-        def wrapper(*args):
-            result = function(*args)
-            if calls is not None:
-                tally[calls] += 1
-            tally[total] += result[field]
-            return result
-
-        return wrapper
-
     panel_value, open_calls, halves = quadrature._panel_value, [0], [0]
 
     def counted_panel(*args):
@@ -76,20 +53,15 @@ def counts(checkout: Path) -> tuple:
                 halves[0] = 0
         return result
 
+    real_roots = polynomial._real_roots
+
+    def counted_roots(cs):
+        result = real_roots(cs)
+        tally[5] += result[2]
+        return result
+
     quadrature._panel_value = counted_panel
-    if fallback is not None:
-        quadrature._tanh_sinh_panel = counted(fallback, 3, 3, 2)
-    if len(polynomial._real_roots([1.0, 0.0, -1.0, 0.0])) == 3:  # it reports its count
-        located = counted(polynomial._real_roots, 2, 5)
-        polynomial._real_roots = quadrature._real_roots = located
-    else:
-        horner = polynomial.horner
-
-        def counted_horner(coeffs, x):
-            tally[5] += 1
-            return horner(coeffs, x)
-
-        polynomial.horner = counted_horner
+    polynomial._real_roots = quadrature._real_roots = counted_roots
     rows = {}
     for name, cls in WORKLOADS.items():
         if not name.startswith("quadrature"):
@@ -105,12 +77,8 @@ def counts(checkout: Path) -> tuple:
                         workload.call(case)
                     except NonGaussError:  # a failed operation still counts its panels
                         pass
-        panels, nodes, seconds, second_nodes, split, located = tally
-        if not gauss:  # every panel is a tanh-sinh one
-            seconds, second_nodes = panels, nodes
-        gauss_nodes = nodes if second == "bisected" else nodes - second_nodes
-        rows[name] = (operations, panels, gauss_nodes, seconds, second_nodes, split, located)
-    return rows, second
+        rows[name] = (operations, *tally)
+    return rows
 
 
 def main(argv=None) -> int:
@@ -118,15 +86,13 @@ def main(argv=None) -> int:
     if len(args) != 1 or not (Path(args[0]) / "src" / "nongauss").is_dir():
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    rows, second = counts(Path(args[0]).resolve())
-    for name, (operations, panels, gauss, seconds, second_nodes, split, located) in rows.items():
-        if second == "bisected":
-            path = f"{seconds} bisected panels with {second_nodes} nodes in {split} halves"
-        else:
-            path = f"{seconds} tanh-sinh panels with {second_nodes} nodes"
+    for name, (operations, panels, nodes, split, split_nodes, halves, located) in counts(
+        Path(args[0]).resolve()
+    ).items():
         print(
-            f"{name}: {operations} operations, {panels} panels, {gauss} Gauss-Jacobi nodes, "
-            f"{path}, {located} locator evaluations"
+            f"{name}: {operations} operations, {panels} panels, {nodes} Gauss-Jacobi nodes, "
+            f"{split} bisected panels with {split_nodes} nodes in {halves} halves, "
+            f"{located} locator evaluations"
         )
     return 0
 
