@@ -27,11 +27,12 @@ respect to the coefficients; they reduce to rational expressions in
 The finite-difference verifiers round the coefficients once, over a power of
 two, from their exact integers (``polynomial._rounded``, as the chart does),
 so 2^k f gives the same stencil at every k, and move each one by 0, +h or -h:
-every stencil point lies on one grid of twelve floats.  That grid is cleared
-to integers by shifts once per stencil, and a positional evaluator, one grid
-index per coordinate, gives a point's log F from one ``cubic_discriminant_int``
-call: its sign is decided exactly, and log F is the closed form's to the last
-bit.  The moment formulas at the center are evaluated on the same integers.
+every stencil point lies on one grid of twelve floats.  That grid is built in
+one pass over the four coefficients and cleared to integers by shifts, once
+per stencil, and a positional evaluator, one grid index per coordinate, gives
+a point's log F from one ``cubic_discriminant_int`` call: its sign is decided
+exactly, and log F is the closed form's to the last bit.  The moment formulas
+at the center are evaluated on the same integers and their own integer D.
 """
 
 from __future__ import annotations
@@ -86,12 +87,6 @@ class ExpectationSet(NamedTuple):
         return (self.x3, self.x2y, self.xy2, self.y3)
 
 
-def _ln_abs(num: int, den: int) -> float:
-    """ln(|num| / den) for integers num != 0 and den > 0; math.log takes big
-    ints directly, so a huge |num| or den never overflows a float."""
-    return math.log(abs(num)) - math.log(den)
-
-
 def _checked_sign(d: int) -> Sign:
     """The sign of D, read from an integer of the same sign."""
     if d == 0:
@@ -116,8 +111,10 @@ def _beta_constant(sign: Sign) -> float:
 
 
 def _closed_form_parts(sign: Sign, num: int, den: int) -> tuple:
-    """(C, ln|D| / 6) for F = C * exp(-ln|D| / 6), D = num / den in lowest terms."""
-    return _beta_constant(sign), _ln_abs(num, den) / 6.0
+    """(C, ln|D| / 6) for F = C * exp(-ln|D| / 6), D = num / den in lowest
+    terms; math.log takes big ints directly, so a huge |num| or den never
+    overflows a float."""
+    return _beta_constant(sign), (math.log(abs(num)) - math.log(den)) / 6.0
 
 
 def log_closed_form(coeffs: CubicCoeffs) -> float:
@@ -247,9 +244,11 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
     way and refused unless h^2 is a normal float and base[i] +- h differs
     from base[i] for every coefficient i: residuals are normalized by the
     scale, so 2^k f gives the same ones, and stencils stay in float range.
-    Every point moves each coordinate by 0, +h or -h, so the twelve floats
-    ``base[i] + delta`` are cleared to integers once, by shifts: their
-    denominators are powers of two, ``den`` is the largest, and p / q is
+    Every point moves each coordinate by 0, +h or -h, so the stencil is one
+    grid of twelve floats, built in one pass over the coefficients: each
+    v = base[i] gives v + h and v - h once, each checked to differ from v,
+    and the three split into numerators over powers of two, cleared to
+    integers by shifts: ``den`` is the largest denominator, and p / q is
     p << (bits - q.bit_length()) over it, as ``integer_coefficients`` would
     give; ``center`` holds the four at delta = 0.  ``log_f(i, j, k, l)``
     takes one grid index per coordinate, 0, +1 or -1, and makes one
@@ -270,21 +269,25 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
             h = math.inf
     if not _NORMAL_MIN <= h * h < math.inf:
         raise DomainError(f"step {step} is zero, non-finite or out of range at this scale")
-    ratios = [(v + delta).as_integer_ratio() for v in base for delta in (0.0, h, -h)]
-    bits = max(q for _, q in ratios).bit_length()
-    # grid[i][s]: coordinate i moved by s * h, for s = 0, +1 and -1 (the last
-    # entry, so a negative index reaches it)
-    grid = [[p << (bits - q.bit_length()) for p, q in ratios[3 * i : 3 * i + 3]] for i in range(4)]
-    for i, (v, up, down) in enumerate(grid):
+    # coordinate i moved by s * h is grid[3 * i + s] for s = 0, +1 and -1
+    # (the last of its row, so a negative index reaches it)
+    nums, qbits = [], []
+    for i, v in enumerate(base):
+        up, down = v + h, v - h
         if up == v or down == v:
             raise DomainError(
                 f"step {step} is out of range at this scale: it leaves coefficient {i} unmoved"
             )
-    center = [row[0] for row in grid]
+        for p, q in (v.as_integer_ratio(), up.as_integer_ratio(), down.as_integer_ratio()):
+            nums.append(p)
+            qbits.append(q.bit_length())
+    bits = max(qbits)
+    grid = [p << (bits - q) for p, q in zip(nums, qbits)]
+    a_row, b_row, c_row, d_row = grid[0:3], grid[3:6], grid[6:9], grid[9:12]
+    center = grid[::3]
     den, den4_bits = 1 << (bits - 1), 4 * (bits - 1)
     log_c = math.log(_beta_constant(center_sign))
     positive = center_sign is Sign.POSITIVE
-    a_row, b_row, c_row, d_row = grid
 
     def log_f(i: int, j: int, k: int, l: int) -> float:
         d = cubic_discriminant_int(a_row[i], b_row[j], c_row[k], d_row[l])
@@ -296,8 +299,10 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
             )
         # cancel the factors of two D_int shares with den^4, as Fraction(D_int,
         # den^4) would: log F is then the closed form's, to the last bit
-        twos = min((d & -d).bit_length() - 1, den4_bits)
-        return log_c - _ln_abs(d >> twos, 1 << (den4_bits - twos)) / 6.0
+        twos = (d & -d).bit_length() - 1
+        if twos > den4_bits:
+            twos = den4_bits
+        return log_c - (math.log(abs(d >> twos)) - math.log(1 << (den4_bits - twos))) / 6.0
 
     return center, den, scale, h, log_f
 
@@ -327,10 +332,11 @@ def expectations_fd_check(coeffs: CubicCoeffs, step: Optional[float] = None) -> 
     before a center moment beyond the float range raises DomainError.
     """
     center, den, scale, h, log_f = _unit_stencil(coeffs, step)
-    fds = [-(log_f(*up) - log_f(*down)) / (2.0 * h) for up, down in _MOMENT_POINTS]
-    moments = _moments(center, den, _exact(center)[2], False)
+    two_h = 2.0 * h
+    fds = [-(log_f(*up) - log_f(*down)) / two_h for up, down in _MOMENT_POINTS]
+    moments = _moments(center, den, cubic_discriminant_int(*center), False)
     floor = _FD_DENOM_FLOOR / scale
-    return tuple(abs(fd - m) / max(abs(m), floor) for fd, m in zip(fds, moments))
+    return tuple([abs(fd - m) / max(abs(m), floor) for fd, m in zip(fds, moments)])
 
 
 def pde_identity_residuals(coeffs: CubicCoeffs, step: Optional[float] = None) -> tuple:
@@ -347,7 +353,8 @@ def pde_identity_residuals(coeffs: CubicCoeffs, step: Optional[float] = None) ->
     """
     *_, scale, h, log_f = _unit_stencil(coeffs, step)
     log_f0 = log_f(0, 0, 0, 0)
-    f = [math.exp(log_f(*point) - log_f0) for point in _IDENTITY_POINTS]
+    exp = math.exp
+    f = [exp(log_f(i, j, k, l) - log_f0) for i, j, k, l in _IDENTITY_POINTS]
     # f[n : n + 4] are the corners of a mixed difference, f[n : n + 2] the ends of a second one
     ad, bc, ac, bd = [
         (f[n] - f[n + 1] - f[n + 2] + f[n + 3]) / (4.0 * h * h) for n in (0, 4, 10, 16)

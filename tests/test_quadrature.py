@@ -34,10 +34,12 @@ from nongauss import (
     discriminant_from_coeffs,
     discriminant_general,
     expectations,
+    expectations_fd_check,
     gaussian_analogue,
     gaussian_integral_numeric,
     integral_numeric,
     integral_numeric_general,
+    pde_identity_residuals,
 )
 from nongauss import polynomial, quadrature, renorm
 from nongauss.polynomial import integer_coefficients
@@ -911,10 +913,10 @@ def _reported(call, *args):
 
 
 def test_each_public_route_clears_the_callers_coefficients_once(monkeypatch):
-    # the entry clears them to (ints, den) and passes those down: no D, chart
-    # or relocation below it clears them again, on mixed Fraction and float
-    # input, nor on (x - 1/3)((x - 2)^2 - 10^-12), for which cubic_roots
-    # builds a chart on each critical point of its first one
+    # the entry clears them to (ints, den) and passes those down: no D, chart,
+    # relocation or stencil center below it clears them again, on mixed
+    # Fraction and float input, nor on (x - 1/3)((x - 2)^2 - 10^-12), for
+    # which cubic_roots builds a chart on each critical point of its first one
     cleared, charts = [], []
     clear, chart = polynomial.integer_coefficients, polynomial._chart
 
@@ -932,7 +934,9 @@ def test_each_public_route_clears_the_callers_coefficients_once(monkeypatch):
     cubic = (0.75, Fraction(-2, 3), -1.5, Fraction(5, 7))
     big = 3 * 10**12
     pair = (1.0, Fraction(-13, 3), Fraction(16 * 10**12 - 3, big), Fraction(1 - 4 * 10**12, big))
-    routes = [(route, CubicCoeffs(*cubic)) for route in (closed_form_integral, expectations)]
+    # the two verifiers at their default step, which clears no caller value
+    verifiers = (expectations_fd_check, pde_identity_residuals)
+    routes = [(route, CubicCoeffs(*cubic)) for route in (closed_form_integral, expectations, *verifiers)]
     routes += [(integral_numeric, CubicCoeffs(*cubic)), (cubic_roots, CubicCoeffs(*cubic))]
     routes += [(route, Polynomial(cubic)) for route in (integral_numeric_general, decompose)]
     routes += [(cubic_roots, CubicCoeffs(*pair))]

@@ -196,9 +196,13 @@ def test_fd_check_all_moments():
 
 
 def test_fd_check_stencil_crossing():
-    # D = 4 - 27 d^2 is within 4e-6 of zero here; the +-1e-4 stencil flips it
-    with pytest.raises(StencilCrossesSingularity):
+    # D = 4 - 27 d^2 is within 4e-6 of zero here; the +-1e-4 stencil flips it.
+    # The first point the moment walk visits, a moved up, is the one named
+    with pytest.raises(StencilCrossesSingularity) as info:
         expectations_fd_check(CubicCoeffs(1.0, 0.0, -1.0, 0.3849))
+    assert str(info.value) == (
+        "stencil point (1.0001, 0.0, -1.0, 0.3849) has discriminant sign Negative, center has Positive"
+    )
 
 
 def test_fd_check_visits_the_stencil_before_the_center_moments():
@@ -243,8 +247,12 @@ def test_pde_identities_default_step_on_a_uniform_sweep():
 
 
 def test_pde_identities_stencil_crossing():
-    with pytest.raises(StencilCrossesSingularity):
+    # the identity walk's first moved point, the ++ corner of (a, d), is the one named
+    with pytest.raises(StencilCrossesSingularity) as info:
         pde_identity_residuals(CubicCoeffs(1.0, 0.0, -1.0, 0.3849))
+    assert str(info.value) == (
+        "stencil point (1.0001, 0.0, -1.0, 0.385) has discriminant sign Negative, center has Positive"
+    )
 
 
 @pytest.mark.parametrize(
