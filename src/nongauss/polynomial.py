@@ -238,7 +238,7 @@ class Polynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "exact", exact)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):  # the immutability guard
         raise AttributeError("Polynomial is immutable")
 
     @property
@@ -402,13 +402,6 @@ def _quadratic_roots(a: float, b: float, c: float) -> list:
     return sorted(roots)
 
 
-def _stripped(cs: Sequence[float]) -> list:
-    """A chart's float form without its leading zeros, each one a coefficient
-    that underflowed (a root beyond the float range): the form ``_real_roots``
-    reads.  Only ``_chart`` strips."""
-    return list(itertools.dropwhile(lambda c: c == 0.0, cs))
-
-
 # The root locator of a float form of degree n >= 3, formatted by ``_compiled``
 # from its n + 1 coefficients: ``{names}`` are the parameters lead, c0, c1, ...,
 # ``{derivative}`` sets their power-rule derivative on the locals ``{slopes}``,
@@ -508,8 +501,9 @@ def _locator(degree: int):
 
 def _real_roots(cs: Sequence[float]) -> tuple:
     """(roots, critical points, evaluations) of a float-coefficient
-    polynomial, the first two sorted, leading coefficient nonzero (see
-    ``_stripped``), whose exact roots are simple: closed forms up to degree
+    polynomial, the first two sorted, leading coefficient nonzero (``_chart``
+    strips the leading coefficients that underflowed, each a root beyond the
+    float range), whose exact roots are simple: closed forms up to degree
     2; above, inside the Fujiwara bound 2^(j + 2), one root per sign change
     between the recursively located critical points, by bracketed Newton
     steps, and an exact zero at one, in the kernel ``_locator(deg)``.  A root
@@ -571,19 +565,20 @@ def _rounded(ints: Sequence[int], den: int, powers: Sequence[int], e=None) -> tu
 def _chart(ints: Sequence[int], den: int, t=None, s=None, e=None) -> Chart:
     """The ``Chart`` (t, s, e, g), g(y) = 2^-e f(2^s y + t), of f = ints /
     den as an entry cleared it (leading first and nonzero), each coefficient
-    of g rounded once by ``_rounded`` and g ``_stripped`` of a leading one
-    that underflows.  Unless given, the float t is the root centroid -a1 /
-    (n a0), rounded once, if that lowers ``fujiwara_exponent`` by 2 or more
-    (a 4x smaller root bound), else 0.0: the constant term f(t), one Horner
-    step in integers, settles most rejections before the rest of the exact
-    shift is made; the int s is minus ``fujiwara_exponent`` of the reversal
-    of f(y + t) from its lowest nonzero power on, so every nonzero root of g
-    has modulus above 1/4, or 0 where that leaves a coefficient of g
-    subnormal; the int e is ``_rounded``'s, the largest coefficient of g in
-    [1, 2).  All three read exact bit lengths, so f(2^j x) moves t to 2^-j t
-    and s to s - j, 2^k f moves e to e + k, and g stays the same, bit for
-    bit.  A given e that leaves a coefficient beyond the float range raises
-    DomainError."""
+    of g rounded once by ``_rounded``, and the leading coefficients of g that
+    underflow to 0.0 stripped, each a root beyond the float range, so g's
+    lead is nonzero as ``_real_roots`` reads it.  Unless given, the float t
+    is the root centroid -a1 / (n a0), rounded once, if that lowers
+    ``fujiwara_exponent`` by 2 or more (a 4x smaller root bound), else 0.0:
+    the constant term f(t), one Horner step in integers, settles most
+    rejections before the rest of the exact shift is made; the int s is
+    minus ``fujiwara_exponent`` of the reversal of f(y + t) from its lowest
+    nonzero power on, so every nonzero root of g has modulus above 1/4, or 0
+    where that leaves a coefficient of g subnormal; the int e is
+    ``_rounded``'s, the largest coefficient of g in [1, 2).  All three read
+    exact bit lengths, so f(2^j x) moves t to 2^-j t and s to s - j, 2^k f
+    moves e to e + k, and g stays the same, bit for bit.  A given e that
+    leaves a coefficient beyond the float range raises DomainError."""
     deg = len(ints) - 1
     centre = t
     if t is None and deg >= 1:
@@ -622,7 +617,8 @@ def _chart(ints: Sequence[int], den: int, t=None, s=None, e=None) -> Chart:
         # 2^-1022 is the smallest normal float; g's largest coefficient is in [1, 2)
         s = 0 if min(dilated) - max(dilated) < -1022 else s
     e, g = _rounded(ints, den, [s * (deg - i) for i in range(deg + 1)], e)
-    return Chart(t or 0.0, s, e, _stripped(g))
+    # a leading zero of g underflowed: its root lies beyond the float range
+    return Chart(t or 0.0, s, e, list(itertools.dropwhile(lambda c: c == 0.0, g)))
 
 
 def _sign_at(ints: Sequence[int], x: float) -> int:

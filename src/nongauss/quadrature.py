@@ -411,28 +411,6 @@ def _gauss_kernel(k: int):
     return _compiled(_GAUSS_SOURCE, k, "gauss kernel", globals())
 
 
-def _quotient(
-    coeffs: Sequence[float], exponent: float, lo: float, hi: float, m_lo: int, m_hi: int, hs: float
-) -> tuple:
-    """(q, p, p_lo, p_hi, scale) of a panel of half-width hs > 0: q is the
-    polynomial with ``coeffs`` with its m_lo roots at lo and m_hi at hi
-    divided out, p = -exponent, p_lo and p_hi the endpoint powers, and scale
-    = hs * hs**p_lo * hs**p_hi, the factor of every rule's sum."""
-    q = list(coeffs)
-    for _ in range(m_lo):
-        q = _synthetic_quotient(q, lo)
-    for _ in range(m_hi):
-        q = _synthetic_quotient(q, hi)
-    p, p_lo, p_hi = -exponent, -exponent * m_lo, -exponent * m_hi
-    try:
-        scale = hs * hs**p_lo * hs**p_hi  # hs**0.0 is 1.0
-    except OverflowError:
-        scale = math.inf
-    if scale == math.inf:
-        raise DomainError(f"panel [{lo}, {hi}] is too narrow for its endpoint powers")
-    return q, p, p_lo, p_hi, scale
-
-
 def _panel_value(
     coeffs: Sequence[float],
     exponent: float,
@@ -466,9 +444,20 @@ def _panel_value(
     if hs == 0.0:
         return 0.0, 0.0, True, 0
     mid = 0.5 * (lo + hi)
-    q, p, p_lo, p_hi, scale = _quotient(coeffs, exponent, lo, hi, m_lo, m_hi, hs)
+    q = coeffs
+    for _ in range(m_lo):
+        q = _synthetic_quotient(q, lo)
+    for _ in range(m_hi):
+        q = _synthetic_quotient(q, hi)
+    p_lo, p_hi = -exponent * m_lo, -exponent * m_hi
+    try:
+        scale = hs * hs**p_lo * hs**p_hi  # hs**0.0 is 1.0
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise DomainError(f"panel [{lo}, {hi}] is too narrow for its endpoint powers")
     value, error, converged, nodes = _gauss_kernel(len(q))(
-        q, p, mid, hs, p_lo, p_hi, scale, cfg.rel_tol
+        q, -exponent, mid, hs, p_lo, p_hi, scale, cfg.rel_tol
     )
     if converged:
         return value, error, True, nodes

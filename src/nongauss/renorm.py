@@ -110,19 +110,17 @@ def _beta_constant(sign: Sign) -> float:
     return k.c_plus if sign is Sign.POSITIVE else k.c_minus
 
 
-def _closed_form_parts(sign: Sign, num: int, den: int) -> tuple:
-    """(C, ln|D| / 6) for F = C * exp(-ln|D| / 6), D = num / den in lowest
-    terms; math.log takes big ints directly, so a huge |num| or den never
-    overflows a float."""
-    return _beta_constant(sign), (math.log(abs(num)) - math.log(den)) / 6.0
+def _closed_form_parts(sign: Sign, disc: Fraction) -> tuple:
+    """(C, ln|D| / 6) for F = C * exp(-ln|D| / 6), on the reported D, which
+    Fraction keeps in lowest terms; math.log takes big ints directly, so a
+    huge numerator or denominator never overflows a float."""
+    return _beta_constant(sign), (math.log(abs(disc.numerator)) - math.log(disc.denominator)) / 6.0
 
 
 def log_closed_form(coeffs: CubicCoeffs) -> float:
     """log F(a, b, c, d); fully in log space for scale robustness."""
     _, den, d, sign = _exact_cubic(coeffs)
-    den4 = den**4
-    common = math.gcd(d, den4)
-    c, log_root = _closed_form_parts(sign, d // common, den4 // common)
+    c, log_root = _closed_form_parts(sign, Fraction(d, den**4))
     return math.log(c) - log_root
 
 
@@ -136,7 +134,7 @@ def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
     """
     _, den, d, sign = _exact_cubic(coeffs)
     disc = DiscriminantResult(Fraction(d, den**4), sign)
-    c, log_root = _closed_form_parts(sign, disc.value.numerator, disc.value.denominator)
+    c, log_root = _closed_form_parts(sign, disc.value)
     try:
         value = c * math.exp(-log_root)
     except OverflowError:

@@ -97,6 +97,18 @@ def test_coefficients_are_kept_as_given():
     assert Polynomial([0, 0.0, 2, 1.0]).coeffs == (2, 1.0)
 
 
+def test_polynomial_is_an_immutable_value():
+    # no coefficient is the zero polynomial; a leading zero changes neither
+    # equality nor hash; repr shows each coefficient as given
+    assert Polynomial([]).coeffs == (0,)
+    p = Polynomial([0, 1, 2])
+    with pytest.raises(AttributeError):
+        p.coeffs = (3,)
+    assert hash(p) == hash(Polynomial([1, 2]))
+    assert repr(Polynomial([1, Fraction(1, 3), 0.5])) == "Polynomial([1, Fraction(1, 3), 0.5])"
+    assert Polynomial([1, 2]) != (1, 2)
+
+
 def test_taylor_shift_by_a_float_rounds_as_the_float_form_does():
     # exact coefficients meet a float shift with the bits of rounding them first
     rng = random.Random(11)

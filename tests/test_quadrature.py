@@ -39,6 +39,7 @@ from nongauss import (
     gaussian_integral_numeric,
     integral_numeric,
     integral_numeric_general,
+    log_closed_form,
     pde_identity_residuals,
 )
 from nongauss import polynomial, quadrature, renorm
@@ -936,7 +937,8 @@ def test_each_public_route_clears_the_callers_coefficients_once(monkeypatch):
     pair = (1.0, Fraction(-13, 3), Fraction(16 * 10**12 - 3, big), Fraction(1 - 4 * 10**12, big))
     # the two verifiers at their default step, which clears no caller value
     verifiers = (expectations_fd_check, pde_identity_residuals)
-    routes = [(route, CubicCoeffs(*cubic)) for route in (closed_form_integral, expectations, *verifiers)]
+    first = (closed_form_integral, log_closed_form, expectations, *verifiers)
+    routes = [(route, CubicCoeffs(*cubic)) for route in first]
     routes += [(integral_numeric, CubicCoeffs(*cubic)), (cubic_roots, CubicCoeffs(*cubic))]
     routes += [(route, Polynomial(cubic)) for route in (integral_numeric_general, decompose)]
     routes += [(cubic_roots, CubicCoeffs(*pair))]

@@ -5,23 +5,29 @@ form lie many orders of magnitude apart and the quadrature has to resolve
 features at every scale at once.  Cubics are checked against the closed
 form; degree 4-6 forms, which have none, against the invariance of F under
 the reversal x^n f(1/x) and the reflection f(-x).  No failure of any kind
-is accepted.
+is accepted.  The closed form itself is checked against C+- |D|^(-1/6) in
+mpmath, on binary scales up to 2^+-1000.
 """
 
+import math
 import random
 import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from polynomials import from_roots
 
 from nongauss import (
     CubicCoeffs,
+    DivergentIntegral,
+    DomainError,
     IllConditionedWarning,
     NonGaussError,
     Polynomial,
     closed_form_integral,
+    constants,
     decompose,
     integral_numeric,
     integral_numeric_general,
@@ -52,6 +58,30 @@ def test_wide_magnitude_cubics_match_the_closed_form(e):
         if isinstance(numeric, str) or abs(numeric - closed) > 1e-8 * closed:
             failures.append((cubic.as_tuple(), numeric, closed))
     assert failures == []
+
+
+# The worst relative error of closed_form_integral against C+- |D|^(-1/6) in
+# mpmath: ln|D| is the difference of the logs of D's numerator and
+# denominator, each rounded, so the error grows with their bit lengths (the
+# worst values are 4.1e-15 and 1.5e-13)
+@pytest.mark.parametrize("k, bound", [(0, 1e-14), (1000, 5e-13)])
+def test_closed_form_is_within_a_pinned_gap_of_the_exact_sixth_root(k, bound):
+    rng = random.Random(2039)
+    beta = constants()
+    worst, passed = 0.0, 0
+    while passed < 200:
+        coeffs = [math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-k, k)) for _ in range(4)]
+        try:
+            result = closed_form_integral(CubicCoeffs(*coeffs))
+        except (DomainError, DivergentIntegral):
+            continue
+        passed += 1
+        d = result.discriminant.value
+        c = beta.c_plus if d > 0 else beta.c_minus
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(c) * abs(mpmath.mpf(d.numerator) / d.denominator) ** (-mpmath.mpf(1) / 6)
+            worst = max(worst, float(abs(result.value - exact) / exact))
+    assert worst <= bound
 
 
 def test_wide_magnitude_forms_keep_their_value_under_reversal_and_reflection():
