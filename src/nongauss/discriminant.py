@@ -31,6 +31,7 @@ from .polynomial import (
     Number,
     Polynomial,
     _exact,
+    _hessian,
     derivative_coeffs,
     float_coefficients,
     is_exact_number,
@@ -129,10 +130,8 @@ def resolvent_data(coeffs: CubicCoeffs) -> ResolventData:
     Asserts the identity D = -(B^2 - 4AC)/3 internally; both sides are exact
     so any disagreement would be a logic error, not rounding.
     """
-    (a, b, c, d), den, disc = _exact(coeffs)
-    big_a = b * b - 3 * a * c
-    big_b = b * c - 9 * a * d
-    big_c = c * c - 3 * b * d
+    ints, den, disc = _exact(coeffs)
+    big_a, big_b, big_c = _hessian(*ints)
     assert 3 * disc == 4 * big_a * big_c - big_b * big_b
     return ResolventData(*[Fraction(v, den * den) for v in (big_a, big_b, big_c)])
 

@@ -15,11 +15,14 @@ integers, from ``cubic_discriminant_int`` at n = 3 and from
 sequence: on such integers it gives R(f, f') for ``_exact`` and every gcd
 of ``squarefree_factors``.
 
-``_real_roots`` is the only code that locates float roots: the sign-stable
-quadratic formula at degree 2, formed on mantissas so that it neither
-overflows nor underflows, and above that bracketed Newton steps between the
-recursively located critical points, which it returns with the roots and
-its count of evaluations.  Above degree 2 it runs in one kernel per degree,
+``_real_roots`` locates the float roots of every form but a cubic on its
+covariant chart: the sign-stable quadratic formula at degree 2, formed on
+mantissas so that it neither overflows nor underflows, and above that
+bracketed Newton steps between the recursively located critical points,
+which it returns with the roots and its count of evaluations.  It runs for
+``cubic_roots``, for the quadrature's forms of degree 2 and 4 and above and
+Yun's factors at D = 0, and where ``_covariant_chart`` has no chart or does
+not certify its closed form.  Above degree 2 it runs in one kernel per degree,
 compiled on first use, that calls the kernel one degree lower for the
 critical points and writes out the derivative, the Fujiwara bound and
 Horner's rule on f and f', with no Python call per evaluation: a loop over
@@ -35,7 +38,10 @@ loop's bit for bit.
 The quadrature and ``cubic_roots`` locate on such charts; ``cubic_roots``
 takes the number of real roots from the sign of the exact discriminant and
 relocates a close pair on a chart centred on each critical point of its
-first location.
+first location.  ``_covariant_chart`` centres a cubic's chart on the root of
+its Hessian covariant (``_hessian``, the A, B, C of the resolvent quadratic)
+and gives its roots in closed form, each polished by at most _POLISH_STEPS
+Newton steps and certified by a sign change of the float form.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ from .errors import DegenerateLeadingCoefficient, DegreeTooLow, DomainError, Not
 Number = Union[int, Fraction, float]
 
 _ROOT_RESIDUAL_FACTOR = 1e-10
+_ROOT_BITS = 64  # bits of the fixed-point sqrt(-3D) of _covariant_chart
+_POLISH_STEPS = 3  # Newton steps at most per closed-form root of _covariant_chart
 
 
 def is_exact_number(value: Number) -> bool:
@@ -345,6 +353,12 @@ def cubic_discriminant_int(a: int, b: int, c: int, d: int) -> int:
     return bc * (bc + 18 * ad) - 4 * (a * c * c * c + b * b * b * d) - 27 * ad * ad
 
 
+def _hessian(a: int, b: int, c: int, d: int) -> tuple:
+    """(A, B, C) of the Hessian covariant A x^2 + B x + C of the cubic (a, b,
+    c, d): A = b^2 - 3ac, B = bc - 9ad, C = c^2 - 3bd, and 4AC - B^2 = 3D."""
+    return b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+
+
 def _exact(values: Sequence[Number]) -> tuple:
     """(ints, den, d): the one exact entry.  The coefficients of a form of
     declared degree n = len(values) - 1 >= 2 (else DegreeTooLow) are cleared
@@ -544,6 +558,12 @@ class Chart(NamedTuple):
         return xs
 
 
+def _quotient(num: int, den: int, shift: int) -> float:
+    """num 2^shift / den, rounded once by int / int true division;
+    OverflowError beyond the float range."""
+    return (num << shift) / den if shift >= 0 else num / (den << -shift)
+
+
 def _rounded(ints: Sequence[int], den: int, powers: Sequence[int], e=None) -> tuple:
     """(e, g), each g[i] = ints[i] 2^(powers[i] - e) / den rounded once by int
     / int true division: the one rounding of a caller's coefficients.  Unless
@@ -556,7 +576,7 @@ def _rounded(ints: Sequence[int], den: int, powers: Sequence[int], e=None) -> tu
         k = top.bit_length() - den.bit_length()  # top / den is in (2^(k-1), 2^(k+1))
         e = low + k - (top < den << k if k >= 0 else top << -k < den)
     try:
-        g = [(c << (p - e)) / den if p >= e else c / (den << (e - p)) for c, p in zip(ints, powers)]
+        g = [_quotient(c, den, p - e) for c, p in zip(ints, powers)]
     except OverflowError:
         raise DomainError("a coefficient lies beyond the float range") from None
     return e, g
@@ -619,6 +639,162 @@ def _chart(ints: Sequence[int], den: int, t=None, s=None, e=None) -> Chart:
     e, g = _rounded(ints, den, [s * (deg - i) for i in range(deg + 1)], e)
     # a leading zero of g underflowed: its root lies beyond the float range
     return Chart(t or 0.0, s, e, list(itertools.dropwhile(lambda c: c == 0.0, g)))
+
+
+def _cube_root(num: int, den: int, shift: int) -> float:
+    """The real cube root of num 2^shift / den: the quotient is moved by 8^k,
+    read from bit lengths, into (1/16, 2) before it is rounded, and its root
+    back by 2^-k."""
+    k = (den.bit_length() - num.bit_length() - shift) // 3
+    x = _quotient(num, den, shift + 3 * k)
+    return math.ldexp(math.copysign(abs(x) ** (1.0 / 3.0), x), -k)
+
+
+def _polished(g0: float, g1: float, g2: float, g3: float, x: float) -> tuple:
+    """(root, evaluations): x after at most _POLISH_STEPS Newton steps on g =
+    g0 y^3 + g1 y^2 + g2 y + g3, stopped once g, by Horner's rule, vanishes at
+    x or changes sign between x and the next float toward the Newton step;
+    the root is the one of the two where |g| is smaller, as the locator picks.
+    None if no step gets there.  g and g' at x and g at the neighbour count
+    an evaluation each, as the locator counts them."""
+    d0, d1 = 3.0 * g0, 2.0 * g1
+    evaluations = 0
+    for step in range(_POLISH_STEPS + 1):
+        if not math.isfinite(x):
+            break
+        fx = ((g0 * x + g1) * x + g2) * x + g3
+        evaluations += 1
+        if fx == 0.0:
+            return x, evaluations
+        fp = (d0 * x + d1) * x + g2
+        near = math.nextafter(x, -math.inf if (fx > 0.0) == (fp > 0.0) else math.inf)
+        fn = ((g0 * near + g1) * near + g2) * near + g3
+        evaluations += 2
+        if fx > 0.0 and fn <= 0.0 or fx < 0.0 and fn >= 0.0:
+            return (near if abs(fn) < abs(fx) else x), evaluations
+        if not fp or step == _POLISH_STEPS:
+            break
+        new = x - fx / fp
+        x = near if new == x else new  # a step below half an ulp moves to the neighbour
+    return None, evaluations
+
+
+def _covariant_chart(ints: Sequence[int], den: int, d: int):
+    """(chart, (roots, critical points, evaluations)) of the cubic f = ints /
+    den, a != 0, with d = den^4 D != 0, on the chart centred on the root of
+    its Hessian covariant H = A x^2 + B x + C of ``_hessian`` (the reduction
+    theory of binary cubics: Julia 1917; Cremona, LMS J. Comput. Math. 2,
+    1999), so that no two roots of f are close in it; None where the centre
+    t or 2^s is not a normal float, and the caller charts f by ``_chart``.
+
+    D > 0: H's root is p + iq, p = -B/2A, q^2 = 3D/4A^2 (A > 0); t is p,
+    rounded once, and s from the bit lengths of 3D and 4A^2 puts c = q/2^s in
+    (0.7, 2).  Seen from p + iq the roots are 120 degrees apart: in z = y/c, g
+    is alpha (z^3 - 3z) + beta (3z^2 - 1), alpha = g0 c^3 and beta = g1 c^2/3
+    read off g, whose roots are cot(theta + k pi/3), theta = (atan2(beta,
+    alpha) + pi/2)/3.  The far root, whose tan is nearest 0, comes from the
+    sum -g1/g0 of the roots instead.
+
+    D < 0: H's roots h1, h2 are real, and f(h1)/f(h2) = rho^3 with |rho| <= 1
+    names h1.  On M(y) = (h1 + h2 y)/(1 + y), f is f(h1) + f(h2) y^3 over
+    (1 + y)^3, so the complex root M(rho e^(i pi/3)) has real part h1 +
+    kappa (1/2 + rho)/(1 + rho + rho^2) and imaginary part kappa (sqrt(3)/2)
+    / (1 + rho + rho^2), kappa = (h2 - h1) rho; at A = 0, h2 is infinite,
+    rho = 0 and kappa = (f(h1)/a)^(1/3).  t is that real part, and 2^s the
+    imaginary part to within [1, 2), so the pair lies near +-i, and the real
+    root is near -g1/g0, the sum of the roots.  With r = sqrt(-3D) and f
+    reduced mod H, 2A^3 f(h+-) = u +- v r on exact integers; the larger of
+    the two takes no cancellation, and f(h+) f(h-) = D^2/A^3 makes kappa^3 a
+    quotient of integers, so kappa stays normal where rho is not, and rho is
+    kappa / (h2 - h1).  r is a _ROOT_BITS fixed point by ``math.isqrt`` at a
+    scale read from the bit length of -3D.
+
+    Every float is a quotient of exact integers rounded once, or a function
+    of such floats that are dimensionless, and t = 2^s0 tau with tau
+    dimensionless, so 2^k f and f(2^j x) move t, s and e exactly.  Each root
+    is polished by ``_polished``; where one is not, or two meet, or g lost
+    its lead, ``_real_roots`` locates g.  The critical points are the
+    locator's, by ``_quadratic_roots``."""
+    # 2^k f has f's t and s: the centre is read off f over its common power
+    # of two, the lowest bit set in any coefficient
+    a, b, c, last = ints
+    zeros = ((a | b | c | last) & -(a | b | c | last)).bit_length() - 1
+    if zeros:
+        a, b, c, last, d = a >> zeros, b >> zeros, c >> zeros, last >> zeros, d >> 4 * zeros
+    big_a, big_b, big_c = _hessian(a, b, c, last)
+    try:
+        if d > 0:
+            s0 = s = ((3 * d).bit_length() - (4 * big_a * big_a).bit_length()) // 2
+            tau = _quotient(-big_b, 2 * big_a, -s)
+            scale = math.sqrt(_quotient(3 * d, 4 * big_a * big_a, -2 * s))
+        else:
+            delta = -3 * d  # B^2 - 4AC: h = (-B +- r) / 2A
+            sigma = _ROOT_BITS - (delta.bit_length() + 1) // 2
+            root = math.isqrt(delta << 2 * sigma if sigma >= 0 else delta >> -2 * sigma)
+            lam, mu = max(sigma, 0), max(-sigma, 0)  # r 2^lam is about root 2^mu
+            if big_a:
+                k = big_a * b - a * big_b  # A^2 f = v x + w mod H
+                v = big_a * (big_a * c - a * big_c) - big_b * k
+                p, q = -big_b, 2 * big_a
+                u = v * p + (big_a * big_a * last - big_c * k) * q
+                sign = 1 if (u >= 0) == (v >= 0) else -1  # h1 is h-, else h+
+                larger = (u << lam) + sign * v * (root << mu)  # 2A^3 f(h2) 2^lam
+                # u^2 - v^2 r^2 = 4 A^3 D^2, and h2 - h1 = sign r / A, so
+                # kappa^3 = sign 4 r^3 D^2 / (2A^3 f(h2))^2 and rho = kappa sign A / r
+                num, square = sign * 4 * delta * d * d * root, larger * larger
+                s0 = (num.bit_length() + lam + mu - square.bit_length()) // 3
+                kappa = _cube_root(num, square, lam + mu - 3 * s0)
+                rho = kappa * _quotient(sign * big_a, root, s0 + lam - mu)
+                y = (p << lam) + (root << mu if p >= 0 else -(root << mu))  # (-B -+ r) 2^lam
+                if (sign < 0) == (p >= 0):  # h1 = y / 2A 2^lam
+                    h1 = _quotient(y, q, -lam - s0)
+                else:  # h1 = 2C 2^lam / y
+                    h1 = _quotient(2 * big_c, y, lam - s0)
+            else:  # f = a (x - h1)^3 + f(h1), h1 = -C/B, and num = B^3 f(h1)
+                num = ((b * big_b - a * big_c) * big_c - c * big_b * big_b) * big_c
+                num += last * big_b**3
+                s0 = (num.bit_length() - (a * big_b**3).bit_length()) // 3
+                rho, kappa = 0.0, _cube_root(num, a * big_b**3, -3 * s0)
+                h1 = _quotient(-big_c, big_b, -s0)
+            spread = 1.0 + rho + rho * rho
+            tau = h1 + kappa * (0.5 + rho) / spread
+            im = abs(kappa) * (0.5 * math.sqrt(3.0)) / spread
+            s = s0 + math.frexp(im)[1] - 1
+    except OverflowError:
+        return None
+    # t = 2^s0 tau and 2^s normal, or t = 0.0
+    normal = math.isfinite(tau) and (not tau or -1021 <= math.frexp(tau)[1] + s0 <= 1024)
+    if not (normal and -1022 <= s <= 1023) or d < 0 and not im:
+        return None
+    chart = _chart(ints, den, math.ldexp(tau, s0), s)
+    g = chart.g
+    if abs(g[0]) < 2.0**-1022:
+        # a lead below the normal floats stands for a root beyond 2^1022,
+        # whose image in u = 1/y the float form cannot resolve: stripped, as
+        # one that underflows, it puts the root at infinity, which moves F by
+        # about |u|^(1/3), 1e-103 of it
+        g = list(itertools.dropwhile(lambda c: abs(c) < 2.0**-1022, g))
+        chart = chart._replace(g=g)
+    if len(g) < 4:  # a root beyond the float range
+        return chart, _real_roots(g)
+    g0, g1, g2, g3 = g
+    total = -g1 / g0  # the sum of the roots
+    guesses = [total]
+    if d > 0:
+        alpha, beta = g0 * scale**3, g1 * scale * scale / 3.0
+        theta = (math.atan2(beta, alpha) + 0.5 * math.pi) / 3.0
+        _, *tans = sorted([math.tan(theta + k * math.pi / 3.0) for k in range(3)], key=abs)
+        guesses = [scale / tan for tan in tans]
+        guesses.append(total - guesses[0] - guesses[1])
+    roots, evaluations = [], 0
+    for x in guesses:
+        x, count = _polished(g0, g1, g2, g3, x)
+        roots.append(x)
+        evaluations += count
+    if None in roots or len(set(roots)) < len(roots):
+        located, critical, count = _real_roots(g)
+        return chart, (located, critical, evaluations + count)
+    return chart, (sorted(roots), _quadratic_roots(3 * g0, 2 * g1, g2), evaluations)
 
 
 def _sign_at(ints: Sequence[int], x: float) -> int:

@@ -22,16 +22,23 @@ n = 2), as does a root at infinity that only the float form has.
 Each public route clears its caller's coefficients once, at its entry, to
 integers over one denominator, and every integral runs at unit root scale,
 on the one float form g(y) = 2^-e f(2^s y + t) that ``polynomial._chart``
-rounds from those integers: a root cluster far from the origin, relative to
-its size, is centred on its centroid, rounded once, and the smallest
-nonzero root and the largest coefficient come to unit size.  F is
-translation invariant and changes by an exact factor under the other two,
-so f(2^j x) costs what f costs, warns where f warns, and its value and
-error estimate are those of f times 2^-j, to the last bit.  g is rounded
-once, stripped once of leading coefficients that underflow (a root at
-infinity), and read as it is by the locator, the panels and the one
-IllConditionedWarning: rounding g may move a root by more than rel_tol of
-its distance to the nearest other root or critical point.
+rounds from those integers.  A cubic with a != 0 and D != 0 is charted by
+``polynomial._covariant_chart``: t + i 2^s is, to within a factor of 2 in
+2^s, the complex root of its Hessian covariant for D > 0 and its own
+complex root for D < 0, from which no two of its roots are close, and its
+roots come in closed form, polished by Newton steps.
+Every other form, and a cubic whose covariant centre or 2^s is not a
+normal float, keeps the chart where a root cluster far from the origin,
+relative to its size, is centred on its centroid, rounded once, and the
+smallest nonzero root and the largest coefficient come to unit size, and
+its roots come from the locator.  F is translation invariant and changes
+by an exact factor under the other two, so f(2^j x) costs what f costs,
+warns where f warns, and its value and error estimate are those of f times
+2^-j, to the last bit.  g is rounded once, stripped once of leading
+coefficients that underflow (a root at infinity), and read as it is by
+the root location, the panels and the one IllConditionedWarning: rounding
+g may move a root by more than rel_tol of its distance to the nearest
+other root or critical point.
 
 A panel of half-width hs about mid, x = mid + hs t, with endpoint root
 multiplicities m_lo and m_hi and p = 2/n, runs the m-point Gauss-Jacobi
@@ -86,6 +93,7 @@ from .polynomial import (
     Polynomial,
     _chart,
     _compiled,
+    _covariant_chart,
     _exact,
     _real_roots,
     _synthetic_quotient,
@@ -218,25 +226,33 @@ def _unit_scale_layout(
     ints: list, den: int, n: int, disc: int, rel_tol: float, stacklevel: int
 ) -> Tuple[Chart, PanelDecomposition]:
     """(chart, panels) of the integral of |f|**(-2/n), f = ints / den as the
-    entry cleared it, at unit root scale on chart = ``_chart(ints, den)``.
-    Where ``disc``, an int of D's sign, is not 0, every root is simple and
-    located on chart.g; with D = 0 the roots of each f_k of
-    ``squarefree_factors(f)``, moved as g is, are its roots of multiplicity
-    k.  The errors are the module docstring's; the rounding warning goes to
-    the frame ``stacklevel`` up, the public function's caller."""
+    entry cleared it, at unit root scale on chart = ``_covariant_chart(ints,
+    den, disc)`` for a cubic with a != 0 and D != 0 where it has one, else
+    ``_chart(ints, den)``.  Where ``disc``, an int of D's sign, is not 0,
+    every root is simple and located on chart.g, in closed form on the
+    covariant chart and by the locator on the other; with D = 0 the roots of
+    each f_k of ``squarefree_factors(f)``, moved as g is, are its roots of
+    multiplicity k.  The errors are the module docstring's; the rounding
+    warning goes to the frame ``stacklevel`` up, the public function's
+    caller."""
     degree = len(ints) - 1
     if 2 * (n - degree) >= n:
         raise RepeatedRootDivergence(
             f"the root at infinity has multiplicity {n - degree}; "
             f"|x|**(-{2 * degree}/{n}) is not integrable there"
         )
-    chart = _chart(ints, den)
+    covariant = _covariant_chart(ints, den, disc) if degree == 3 and disc else None
+    if covariant:
+        chart, closed = covariant
+        found = [(closed, 1)]
+    else:
+        chart = _chart(ints, den)
+        located = [(chart.g, 1)] if disc else [
+            (_chart(p.coeffs, 1, chart.t, chart.s).g, k)
+            for p, k in squarefree_factors(Polynomial(ints))
+        ]
+        found = [(_real_roots(coeffs), k) for coeffs, k in located]
     g = chart.g
-    located = [(g, 1)] if disc else [
-        (_chart(p.coeffs, 1, chart.t, chart.s).g, k)
-        for p, k in squarefree_factors(Polynomial(ints))
-    ]
-    found = [(_real_roots(coeffs), k) for coeffs, k in located]
     roots = sorted((r + 0.0, k) for (rs, _, _), k in found for r in rs)  # 0.0, never -0.0
     critical = [c for (_, cs, _), _ in found for c in cs]
     for root, k in roots:

@@ -5,6 +5,7 @@ panel by panel."""
 import math
 import random
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -186,7 +187,10 @@ def _cross_check_cases(monkeypatch):
     monkeypatch.syspath_prepend(str(_BENCH))
     from workloads import QuadratureCubic
 
+    # ((x - 3/4)^2 + 1/400)(x^2 + 1): the near-real pair 3/4 +- i/20 lies
+    # inside a y-panel that is graded toward real roots only, and is bisected
     named = [[1] + [0] * 7 + [sign] for sign in (-1, 1)] + [sl2_image(8, False, (3, -2, 2, -1))]
+    named.append([1, Fraction(-3, 2), Fraction(313, 200), Fraction(-3, 2), Fraction(113, 200)])
     cubics = [CubicCoeffs(*case.coeffs) for case in QuadratureCubic().round(random.Random(1))]
     return [(integral_numeric_general, Polynomial(c)) for c in named] + [
         (integral_numeric, c) for c in cubics
@@ -194,10 +198,10 @@ def _cross_check_cases(monkeypatch):
 
 
 def test_gauss_jacobi_and_tanh_sinh_agree_on_every_panel(monkeypatch):
-    # the named forms of test_centring and round 1 of the benchmark's
-    # quadrature-cubic workload, whose fault-b panel is bisected: on each
-    # panel the two rules agree within their estimates and rel_tol of the
-    # value, tanh-sinh at up to 12 levels
+    # the named forms of test_centring, a quartic whose panel is bisected, and
+    # round 1 of the benchmark's quadrature-cubic workload, whose covariant
+    # charts bisect no panel: on each panel the two rules agree within their
+    # estimates and rel_tol of the value, tanh-sinh at up to 12 levels
     rel_tol, panels, bisected = QuadratureConfig().rel_tol, 0, 0
     for call, arg in _cross_check_cases(monkeypatch):
         for args in _panels(monkeypatch, call, arg):

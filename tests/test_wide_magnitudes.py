@@ -128,10 +128,11 @@ def test_no_cut_falls_within_rounding_of_a_root(roots):
     assert not isinstance(numeric, str) and abs(numeric - closed) <= 1e-8 * closed
 
 
-# The root locator's evaluations on (10^-k, 1, 0, -1), k = 9 ... 15: the far
-# root widens the bracket of the roots near +-1 to about 10^k, which Newton
-# halves down to them (ROADMAP item 10)
-_TINY_LEADING_LOCATOR = {9: 161, 10: 179, 11: 191, 12: 201, 13: 221, 14: 233, 15: 245}
+# The root evaluations on (10^-k, 1, 0, -1), k = 9 ... 15: its covariant
+# chart gives the roots near +-1 and -10^k in closed form, each polished by
+# Newton steps, where the locator's bracket of the roots near +-1 reached
+# about 10^k and Newton halved it down in 161 to 245 evaluations
+_TINY_LEADING_LOCATOR = {9: 12, 10: 8, 11: 11, 12: 15, 13: 12, 14: 10, 15: 14}
 
 
 @pytest.mark.parametrize("k", range(9, 16))
@@ -140,7 +141,7 @@ def test_tiny_leading_coefficient_matches_the_closed_form_at_the_cost_of_a_media
 ):
     # (10^-k, 1, 0, -1) has roots near -1, 1 and -10^k: the pair near +-1 is
     # lost to cancellation by a closed form that starts from -b/3a.  Its
-    # panels cost at most twice those of a median cubic, and its locator
+    # panels cost at most twice those of a median cubic, and its roots
     # exactly the pinned count: a change there means other Newton steps
     cubic = CubicCoeffs(10.0**-k, 1.0, 0.0, -1.0)
     closed = closed_form_integral(cubic).value
@@ -151,3 +152,21 @@ def test_tiny_leading_coefficient_matches_the_closed_form_at_the_cost_of_a_media
     _, median = count_evaluations_apart(integral_numeric, CubicCoeffs(1.0, 2.0, 3.0, 5.0))
     assert panels <= 2 * median
     assert locator == _TINY_LEADING_LOCATOR[k]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # a complex pair near +-0.41i beside a real root near 2e310, beyond the
+        # float range: the chart's lead, subnormal, is stripped and the root
+        # taken to infinity (was SingularPoint "unexpected interior zero")
+        (-1e-310, 2, Fraction(1, 10**400), Fraction(1, 3)),
+        # roots near 2 and +-1.2e164: one covariant chart holds both scales
+        # (was NoConvergence, a double root at infinity)
+        (Fraction(7, 10**330), Fraction(-1, 10**400), -1, 2),
+    ],
+)
+def test_roots_at_two_scales_share_one_covariant_chart(coeffs):
+    cubic = CubicCoeffs(*coeffs)
+    closed = closed_form_integral(cubic).value
+    assert abs(integral_numeric(cubic).value - closed) <= 1e-12 * closed

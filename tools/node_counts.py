@@ -6,11 +6,13 @@ Imports ``nongauss`` from CHECKOUT/src and the seeded rounds of
 CHECKOUT/bench/workloads.py, unchanged, and runs the first round of seeds
 1-3 of each quadrature workload.  For each it prints the panels integrated,
 the Gauss-Jacobi nodes evaluated, the panels it bisected, with all their
-nodes and their halves, and the root locator's evaluations, each one
-Horner's rule at one point.  A half is a ``_panel_value`` call inside its
-panel's own, and its nodes count once, in that panel.  With the digest of
-``tools/output_digest.py`` and the benchmark's timings, these counts tell
-fewer nodes from cheaper nodes.  Standard library only.
+nodes and their halves, and the evaluations that locate the real roots,
+each one Horner's rule at one point: the locator's, and on a cubic's
+covariant chart those of its closed-form roots' Newton steps.  A half is
+a ``_panel_value`` call inside its panel's own, and its nodes count once,
+in that panel.  With the digest of ``tools/output_digest.py`` and the
+benchmark's timings, these counts tell fewer nodes from cheaper nodes.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ SEEDS = (1, 2, 3)
 
 def counts(checkout: Path) -> dict:
     """{workload: (operations, panels, nodes, bisected panels, their nodes,
-    halves, locator evaluations)} over the first round of each seed."""
+    halves, root evaluations)} over the first round of each seed."""
     sys.dont_write_bytecode = True  # leave no cache files in the checkout
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from nongauss import NonGaussError, polynomial, quadrature
     from workloads import WORKLOADS
 
-    # panels, nodes, bisected panels, their nodes, halves, locator evaluations
+    # panels, nodes, bisected panels, their nodes, halves, root evaluations
     tally = [0, 0, 0, 0, 0, 0]
     panel_value, open_calls, halves = quadrature._panel_value, [0], [0]
 
@@ -53,15 +55,27 @@ def counts(checkout: Path) -> dict:
                 halves[0] = 0
         return result
 
-    real_roots = polynomial._real_roots
+    real_roots, covariant = polynomial._real_roots, [0]
+    covariant_chart = getattr(polynomial, "_covariant_chart", None)  # None in older checkouts
 
     def counted_roots(cs):
         result = real_roots(cs)
-        tally[5] += result[2]
+        tally[5] += 0 if covariant[0] else result[2]  # a covariant chart counts its fallback
+        return result
+
+    def counted_chart(*args):
+        covariant[0] += 1
+        try:
+            result = covariant_chart(*args)
+        finally:
+            covariant[0] -= 1
+        tally[5] += result[1][2] if result else 0
         return result
 
     quadrature._panel_value = counted_panel
     polynomial._real_roots = quadrature._real_roots = counted_roots
+    if covariant_chart:
+        quadrature._covariant_chart = counted_chart
     rows = {}
     for name, cls in WORKLOADS.items():
         if not name.startswith("quadrature"):
@@ -92,7 +106,7 @@ def main(argv=None) -> int:
         print(
             f"{name}: {operations} operations, {panels} panels, {nodes} Gauss-Jacobi nodes, "
             f"{split} bisected panels with {split_nodes} nodes in {halves} halves, "
-            f"{located} locator evaluations"
+            f"{located} root evaluations"
         )
     return 0
 
