@@ -5,8 +5,10 @@ Coefficients are stored leading-first: ``(a0, a1, ..., an)`` represents
 ``int``, ``Fraction`` or float, next to any of the others.  A public call
 clears them once, at its entry, by ``integer_coefficients``, and passes the
 integers ``ints`` over ``den`` down; ``_rounded`` alone rounds those, once,
-for ``_chart`` and the finite-difference stencil of ``renorm``.  All
-operations are pure functions of immutable values, safe to call concurrently.
+for ``_chart`` and the finite-difference stencil of ``renorm``, on the
+exponent of ``_split``, the one split of a ratio into m 2^e, which ``renorm``
+takes of |D|.  All operations are pure functions of immutable values, safe
+to call concurrently.
 
 ``_exact`` is the one exact entry of every route that reports D: it clears
 a form's coefficients and returns (ints, den, d), d = den^(2n-2) D on the
@@ -564,17 +566,26 @@ def _quotient(num: int, den: int, shift: int) -> float:
     return (num << shift) / den if shift >= 0 else num / (den << -shift)
 
 
+def _split(num: int, den: int) -> tuple:
+    """(m, e), |num| / den = m 2^e: e from bit lengths and one exact comparison,
+    m in [1, 2] rounded once, ``_quotient(num, den, -e)`` written out.  Both
+    depend on the value alone, so the value times 2^j splits to m and e + j."""
+    num = abs(num)
+    k = num.bit_length() - den.bit_length()  # num / den is in (2^(k-1), 2^(k+1))
+    e = k - (num < den << k if k >= 0 else num << -k < den)
+    return (num / (den << e) if e >= 0 else (num << -e) / den), e
+
+
 def _rounded(ints: Sequence[int], den: int, powers: Sequence[int], e=None) -> tuple:
     """(e, g), each g[i] = ints[i] 2^(powers[i] - e) / den rounded once by int
     / int true division: the one rounding of a caller's coefficients.  Unless
     given, e = floor(log2(m / den)), m the largest |ints[i]| 2^powers[i],
-    read from bit lengths and one comparison: the largest exact |g[i]| is in
-    [1, 2).  A g[i] beyond the float range raises DomainError."""
+    the exponent of ``_split``: the largest exact |g[i]| is in [1, 2).  A
+    g[i] beyond the float range raises DomainError."""
     if e is None:
         low = min(powers)
         top = max(abs(c) << (p - low) for c, p in zip(ints, powers))  # m / 2^low
-        k = top.bit_length() - den.bit_length()  # top / den is in (2^(k-1), 2^(k+1))
-        e = low + k - (top < den << k if k >= 0 else top << -k < den)
+        e = low + _split(top, den)[1]
     try:
         g = [_quotient(c, den, p - e) for c, p in zip(ints, powers)]
     except OverflowError:

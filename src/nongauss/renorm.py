@@ -8,6 +8,9 @@ which evaluates to c_plus / D**(1/6) when the cubic discriminant D is
 positive and c_minus / (-D)**(1/6) when it is negative.  D = 0 means a
 repeated real root and a divergent integral, as does a = b = 0 (the tail
 |c*x + d|^(-2/3) is not integrable even though the D expression is finite).
+The exact |D| is split once, |D| = m 2^e (``polynomial._split``): F = C /
+(m 2^r)^(1/6) 2^-q, (q, r) = divmod(e, 6), log F = log C - (log m + e ln 2)
+/ 6, and f(2^j x), which scales D by 2^(6j), scales F by exactly 2^-j.
 
 F is also the paper's two-dimensional integral.  For a binary form f(x, y)
 of degree n, with F = integral over R of |f(x, 1)|^(-2/n) dx,
@@ -31,13 +34,15 @@ every stencil point lies on one grid of twelve floats.  That grid is built in
 one pass over the four coefficients and cleared to integers by shifts, once
 per stencil, and a positional evaluator, one grid index per coordinate, gives
 a point's log F from one ``cubic_discriminant_int`` call: its sign is decided
-exactly, and log F is the closed form's to the last bit.  The moment formulas
-at the center are evaluated on the same integers and their own integer D.
+exactly, and log F is the closed form's to the last bit, as |D| splits the
+same way.  The moment formulas at the center are evaluated on the same
+integers and their own integer D.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -49,6 +54,7 @@ from .polynomial import (
     Number,
     _exact,
     _rounded,
+    _split,
     cubic_discriminant_int,
     integer_coefficients,
 )
@@ -61,6 +67,9 @@ _FD_DENOM_FLOOR = 1e-3
 # The least normal float: a result below it has lost bits, so no route
 # returns one as a value (error estimates and FD residuals may be smaller).
 _NORMAL_MIN = 2.0**-1022
+# The math.frexp exponents E of the normal floats m 2^E, m in [1/2, 1)
+_MIN_EXP, _MAX_EXP = sys.float_info.min_exp, sys.float_info.max_exp
+_LN2 = math.log(2.0)
 
 
 class IntegralMethod(Enum):
@@ -110,40 +119,27 @@ def _beta_constant(sign: Sign) -> float:
     return k.c_plus if sign is Sign.POSITIVE else k.c_minus
 
 
-def _closed_form_parts(sign: Sign, disc: Fraction) -> tuple:
-    """(C, ln|D| / 6) for F = C * exp(-ln|D| / 6), on the reported D, which
-    Fraction keeps in lowest terms; math.log takes big ints directly, so a
-    huge numerator or denominator never overflows a float."""
-    return _beta_constant(sign), (math.log(abs(disc.numerator)) - math.log(disc.denominator)) / 6.0
-
-
 def log_closed_form(coeffs: CubicCoeffs) -> float:
-    """log F(a, b, c, d); fully in log space for scale robustness."""
+    """log F(a, b, c, d) = log C - (log m + e ln 2) / 6, finite at every scale."""
     _, den, d, sign = _exact_cubic(coeffs)
-    c, log_root = _closed_form_parts(sign, Fraction(d, den**4))
-    return math.log(c) - log_root
+    m, e = _split(d, den**4)
+    return math.log(_beta_constant(sign)) - (math.log(m) + e * _LN2) / 6.0
 
 
 def closed_form_integral(coeffs: CubicCoeffs) -> IntegralResult:
-    """Evaluate F exactly from the discriminant sign and the Beta constants.
-
-    The sixth root goes through exp(-ln|D|/6), with ln|D| taken on the exact
-    rational D, so extreme coefficient scales neither overflow nor underflow
-    on the way; a value F beyond the float range or below its normal
-    floats, which log_closed_form still gives, raises DomainError.
-    """
+    """Evaluate F exactly from the discriminant sign and the Beta constants,
+    as C / (m 2^r)^(1/6) 2^-q; a value F beyond the float range or below its
+    normal floats, which log_closed_form still gives, raises DomainError."""
     _, den, d, sign = _exact_cubic(coeffs)
-    disc = DiscriminantResult(Fraction(d, den**4), sign)
-    c, log_root = _closed_form_parts(sign, disc.value)
-    try:
-        value = c * math.exp(-log_root)
-    except OverflowError:
-        value = math.inf
-    if not _NORMAL_MIN <= value < math.inf:
-        raise DomainError(
-            f"value out of float range: ln F = {math.log(c) - log_root:.6g} (log_closed_form)"
-        )
-    return IntegralResult(value, IntegralMethod.CLOSED_FORM, disc, 0.0)
+    den4 = den**4
+    disc = DiscriminantResult(Fraction(d, den4), sign)
+    m, e = _split(d, den4)
+    q, r = divmod(e, 6)
+    mantissa, top = math.frexp(_beta_constant(sign) / (m * (1 << r)) ** (1 / 6))
+    if not _MIN_EXP <= top - q <= _MAX_EXP:
+        ln_f = log_closed_form(coeffs)
+        raise DomainError(f"value out of float range: ln F = {ln_f:.6g} (log_closed_form)")
+    return IntegralResult(math.ldexp(mantissa, top - q), IntegralMethod.CLOSED_FORM, disc, 0.0)
 
 
 def _checked_gaussian(a: Number, b: Number, c: Number) -> tuple:
@@ -157,20 +153,16 @@ def _checked_gaussian(a: Number, b: Number, c: Number) -> tuple:
 
 def gaussian_analogue(a: Number, b: Number, c: Number) -> float:
     """The quadratic counterpart: integral of 1/(a*x^2 + b*x + c) = 2*pi/sqrt(-D2)
-    for a > 0 and D2 = b^2 - 4ac < 0, as 2*pi*den / sqrt(N), N = -d, on the
-    integers of ``_checked_gaussian``.  Both are split exactly into a power of
-    two and a ratio near one, so nothing over- or underflows on the way; a
-    value beyond the float range or below its normal floats raises DomainError."""
+    for a > 0 and D2 = b^2 - 4ac < 0, exact in ``_checked_gaussian``, split as
+    the cubic's D, |D2| = m 2^e: 2 pi / sqrt(m 2^r) 2^-q, (q, r) = divmod(e, 2);
+    a value beyond the float range or below its normal floats raises DomainError."""
     _, den, d = _checked_gaussian(a, b, c)
-    n = -d
-    t, k = den.bit_length(), n.bit_length() // 2  # den / 2^t in [1/2, 1), N / 4^k in [1/2, 2)
-    try:
-        value = math.ldexp(2.0 * math.pi * (den / (1 << t)) / math.sqrt(n / (1 << 2 * k)), t - k)
-    except OverflowError:
-        value = math.inf
-    if not _NORMAL_MIN <= value < math.inf:
+    m, e = _split(d, den * den)
+    q, r = divmod(e, 2)
+    mantissa, top = math.frexp(2.0 * math.pi / math.sqrt(m * (1 << r)))
+    if not _MIN_EXP <= top - q <= _MAX_EXP:
         raise DomainError(f"gaussian analogue out of float range, got {(a, b, c)}")
-    return value
+    return math.ldexp(mantissa, top - q)
 
 
 def _moments(ints: list, den: int, d_int: int, exact: bool) -> ExpectationSet:
@@ -253,7 +245,7 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
     ``cubic_discriminant_int`` call on that point: it raises
     StencilCrossesSingularity if D_int is zero or its sign differs from the
     center's, decided on the caller's exact integers, and otherwise returns
-    log C - ln(|D_int| / den^4) / 6.
+    the log F of ``log_closed_form``, its split of |D| one shift here.
     """
     exact, exact_den, _, center_sign = _exact_cubic(coeffs)
     e, base = _rounded(exact, exact_den, (0, 0, 0, 0))
@@ -295,12 +287,9 @@ def _unit_stencil(coeffs: CubicCoeffs, step) -> tuple:
                 f"stencil point {_in_caller_units(point, den, e)} has discriminant sign "
                 f"{DiscriminantResult.from_value(d).sign.value}, center has {center_sign.value}"
             )
-        # cancel the factors of two D_int shares with den^4, as Fraction(D_int,
-        # den^4) would: log F is then the closed form's, to the last bit
-        twos = (d & -d).bit_length() - 1
-        if twos > den4_bits:
-            twos = den4_bits
-        return log_c - (math.log(abs(d >> twos)) - math.log(1 << (den4_bits - twos))) / 6.0
+        # |D| = |D_int| / 2^den4_bits split as ``_split`` splits it, to the last bit
+        top = d.bit_length() - 1
+        return log_c - (math.log(abs(d) / (1 << top)) + (top - den4_bits) * _LN2) / 6.0
 
     return center, den, scale, h, log_f
 

@@ -3,7 +3,9 @@
 Two exact symmetries of F serve as oracles that need no closed form:
 dilation, F(f(2^j x)) = 2^-j F(f), which the quadrature reproduces to the
 last bit, and homogeneity, F(2^k f) = 2^(-2k/3) F(f).  Both also hold for
-the failures: an input and its image fail with the same error kind.
+the failures: an input and its image fail with the same error kind.  The
+closed forms reproduce both to the last bit where the factor is a power of
+two: dilation, 2^(3k) f, and the Gaussian's (4^j a, 2^j b, c).
 
 The exact discriminant of a binary form of degree n = 3..8 is an oracle of
 the same kind: it is unchanged by SL(2, Z), reversal and translation, and
@@ -29,6 +31,7 @@ from nongauss import (
     closed_form_integral,
     discriminant_from_coeffs,
     expectations_fd_check,
+    gaussian_analogue,
     integral_numeric,
     integral_numeric_general,
     pde_identity_residuals,
@@ -83,6 +86,37 @@ def test_power_of_two_homogeneity(coeffs, k):
     q, r = divmod(-2 * k, 3)
     expected = math.ldexp(base[0] * 2.0 ** (r / 3), q)
     assert abs(image[0] - expected) <= 1e-14 * expected
+
+
+@_SETTINGS
+@given(_cubic, st.integers(-100, 100), st.integers(-300, 300))
+def test_closed_form_scales_exactly(coeffs, j, k):
+    # D of f(2^j x) is 2^(6j) D and D of 2^(3k) f is 2^(12k) D: the split of
+    # |D| into m 2^e moves e alone, so F moves by exactly 2^-j and 2^(-2k)
+    base = _closed_form_outcome(coeffs)
+    dilated = [math.ldexp(c, j * (3 - i)) for i, c in enumerate(coeffs)]
+    images = [_closed_form_outcome(image) for image in (dilated, _scaled(coeffs, 3 * k))]
+    if isinstance(base, type):
+        assert images == [base, base]
+    else:
+        f = float.fromhex(base)
+        assert images == [math.ldexp(f, -j).hex(), math.ldexp(f, -2 * k).hex()]
+
+
+def _gaussian_outcome(a, b, c):
+    try:
+        return gaussian_analogue(a, b, c)
+    except NonGaussError as exc:
+        return type(exc)
+
+
+@_SETTINGS
+@given(_coefficient, _coefficient, _coefficient, st.integers(-300, 300))
+def test_gaussian_analogue_scales_exactly(a, b, c, j):
+    # D2 of (4^j a, 2^j b, c) is 4^j D2, so the value moves by exactly 2^-j
+    base = _gaussian_outcome(abs(a), b, abs(c))
+    image = _gaussian_outcome(math.ldexp(abs(a), 2 * j), math.ldexp(b, j), abs(c))
+    assert image == (base if isinstance(base, type) else math.ldexp(base, -j))
 
 
 def _verifier_outcome(coeffs, step):

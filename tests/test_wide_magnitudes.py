@@ -61,11 +61,14 @@ def test_wide_magnitude_cubics_match_the_closed_form(e):
 
 
 # The worst relative error of closed_form_integral against C+- |D|^(-1/6) in
-# mpmath: ln|D| is the difference of the logs of D's numerator and
-# denominator, each rounded, so the error grows with their bit lengths (the
-# worst values are 4.1e-15 and 1.5e-13)
-@pytest.mark.parametrize("k, bound", [(0, 1e-14), (1000, 5e-13)])
-def test_closed_form_is_within_a_pinned_gap_of_the_exact_sixth_root(k, bound):
+# mpmath, at unit scale and at binary scales up to 2^+-1000: |D| is split
+# once into m 2^e, m rounded once, and only the sixth root of m 2^r, r = e
+# mod 6, and its quotient round after that, so the error is a few units of
+# rounding at every scale (about 2.0e-16 at both; it was 4.1e-15 and 1.5e-13
+# when ln|D| was the difference of the rounded logs of D's numerator and
+# denominator)
+@pytest.mark.parametrize("k", [0, 1000])
+def test_closed_form_is_within_a_pinned_gap_of_the_exact_sixth_root(k):
     rng = random.Random(2039)
     beta = constants()
     worst, passed = 0.0, 0
@@ -81,7 +84,7 @@ def test_closed_form_is_within_a_pinned_gap_of_the_exact_sixth_root(k, bound):
         with mpmath.workdps(50):
             exact = mpmath.mpf(c) * abs(mpmath.mpf(d.numerator) / d.denominator) ** (-mpmath.mpf(1) / 6)
             worst = max(worst, float(abs(result.value - exact) / exact))
-    assert worst <= bound
+    assert worst <= 5e-16
 
 
 def test_wide_magnitude_forms_keep_their_value_under_reversal_and_reflection():

@@ -7,7 +7,8 @@ CHECKOUT/bench/workloads.py, unchanged, and hashes the ``repr`` of, for the
 first round of seeds 1-3 of every workload: each operation's output (or its
 exception's type and message) and the warnings it raised, and on each form
 the panels of ``decompose``, and on each cubic ``cubic_roots`` and
-``log_closed_form``; then 300 seeded ``gaussian_integral_numeric`` calls;
+``log_closed_form``; then 300 seeded Gaussian inputs, each through
+``gaussian_integral_numeric`` and the closed form ``gaussian_analogue``;
 then both finite-difference verifiers at steps None, 1e-3 and 5e-2 on seeded
 wide-magnitude cubics and on near-double-root cubics, where stencils cross
 D = 0 and steps are refused (the benchmark's verify inputs do neither).
@@ -122,6 +123,7 @@ def records(checkout: Path) -> list:
                 lines.append(_outcome(nongauss.decompose, poly, n))
     for abc in _gaussian_inputs(random.Random(2026)):
         lines.append(f"gaussian {abc!r} {_outcome(nongauss.gaussian_integral_numeric, *abc)}")
+        lines.append(f"gaussian_analogue {abc!r} {_outcome(nongauss.gaussian_analogue, *abc)}")
     verifiers = (nongauss.expectations_fd_check, nongauss.pde_identity_residuals)
     for coeffs in _fd_inputs(random.Random(2027)):
         cubic = nongauss.CubicCoeffs(*coeffs)
