@@ -605,7 +605,7 @@ def _chart(ints: Sequence[int], den: int, t=None, s=None, e=None) -> Chart:
     rejections before the rest of the exact shift is made; the int s is
     minus ``fujiwara_exponent`` of the reversal of f(y + t) from its lowest
     nonzero power on, so every nonzero root of g has modulus above 1/4, or 0
-    where that leaves a coefficient of g subnormal; the int e is
+    where that leaves the lead of g below the normal floats; the int e is
     ``_rounded``'s, the largest coefficient of g in [1, 2).  All three read
     exact bit lengths, so f(2^j x) moves t to 2^-j t and s to s - j, 2^k f
     moves e to e + k, and g stays the same, bit for bit.  A given e that
@@ -645,8 +645,8 @@ def _chart(ints: Sequence[int], den: int, t=None, s=None, e=None) -> Chart:
         low, e_low = exponents[-1]
         s = min([(e_low - ex) // (p - low) for p, ex in exponents[:-1]], default=0)
         dilated = [ex + s * p for p, ex in exponents]
-        # 2^-1022 is the smallest normal float; g's largest coefficient is in [1, 2)
-        s = 0 if min(dilated) - max(dilated) < -1022 else s
+        # g's lead below 2^-1022, the smallest normal float; its largest is in [1, 2)
+        s = 0 if dilated[0] - max(dilated) < -1022 else s
     e, g = _rounded(ints, den, [s * (deg - i) for i in range(deg + 1)], e)
     # a leading zero of g underflowed: its root lies beyond the float range
     return Chart(t or 0.0, s, e, list(itertools.dropwhile(lambda c: c == 0.0, g)))
@@ -695,8 +695,9 @@ def _covariant_chart(ints: Sequence[int], den: int, d: int):
     den, a != 0, with d = den^4 D != 0, on the chart centred on the root of
     its Hessian covariant H = A x^2 + B x + C of ``_hessian`` (the reduction
     theory of binary cubics: Julia 1917; Cremona, LMS J. Comput. Math. 2,
-    1999), so that no two roots of f are close in it; None where the centre
-    t or 2^s is not a normal float, and the caller charts f by ``_chart``.
+    1999), so that no two roots of f are close in it; None, and the caller
+    charts f by ``_chart``, where t is no finite float (a pair narrower than
+    2^-1024 of its centre or beyond the float range) or D < 0 and im is 0.0.
 
     D > 0: H's root is p + iq, p = -B/2A, q^2 = 3D/4A^2 (A > 0); t is p,
     rounded once, and s from the bit lengths of 3D and 4A^2 puts c = q/2^s in
@@ -771,13 +772,12 @@ def _covariant_chart(ints: Sequence[int], den: int, d: int):
             tau = h1 + kappa * (0.5 + rho) / spread
             im = abs(kappa) * (0.5 * math.sqrt(3.0)) / spread
             s = s0 + math.frexp(im)[1] - 1
+        t = math.ldexp(tau, s0)
     except OverflowError:
         return None
-    # t = 2^s0 tau and 2^s normal, or t = 0.0
-    normal = math.isfinite(tau) and (not tau or -1021 <= math.frexp(tau)[1] + s0 <= 1024)
-    if not (normal and -1022 <= s <= 1023) or d < 0 and not im:
+    if not math.isfinite(t) or d < 0 and not im:
         return None
-    chart = _chart(ints, den, math.ldexp(tau, s0), s)
+    chart = _chart(ints, den, t, s)
     g = chart.g
     if abs(g[0]) < 2.0**-1022:
         # a lead below the normal floats stands for a root beyond 2^1022,

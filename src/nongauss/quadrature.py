@@ -27,8 +27,8 @@ rounds from those integers.  A cubic with a != 0 and D != 0 is charted by
 2^s, the complex root of its Hessian covariant for D > 0 and its own
 complex root for D < 0, from which no two of its roots are close, and its
 roots come in closed form, polished by Newton steps.
-Every other form, and a cubic whose covariant centre or 2^s is not a
-normal float, keeps the chart where a root cluster far from the origin,
+Every other form, and a cubic whose covariant centre is not a finite
+float, keeps the chart where a root cluster far from the origin,
 relative to its size, is centred on its centroid, rounded once, and the
 smallest nonzero root and the largest coefficient come to unit size, and
 its roots come from the locator.  F is translation invariant and changes

@@ -75,16 +75,19 @@ def test_a_root_that_fails_certification_takes_the_locator(monkeypatch):
     assert abs(integral_numeric(cubic).value - closed) <= 1e-12 * closed
 
 
-@pytest.mark.parametrize(
-    "coeffs",
-    [
-        # the centre -B/2A is -4.5e-316, below the normal floats
-        (1e-300, 1e8, 0.0, -1.0),
-        # q is 2^-1040 sqrt(3)/2: 2^s is below the normal floats
-        tuple(from_roots([Fraction(1), 1 + Fraction(1, 2**1040), 3]).coeffs),
-    ],
-)
-def test_a_centre_or_scale_below_the_normal_floats_takes_the_centroid_chart(coeffs):
+def test_a_centre_below_the_normal_floats_takes_the_covariant_chart():
+    # the centre -B/2A is -4.5e-316, a subnormal float: _chart shifts f
+    # exactly by it, so the chart is exact about the centre it gets
+    coeffs = CubicCoeffs(1e-300, 1e8, 0.0, -1.0)
+    chart, _ = _covariant_chart(*_exact(coeffs))
+    assert (chart.t, chart.s) == (-4.5e-316, -13)
+    closed = closed_form_integral(coeffs).value
+    assert abs(integral_numeric(coeffs).value - closed) <= 1e-14 * closed
+
+
+def test_a_pair_narrower_than_2_to_the_minus_1024_of_its_centre_takes_the_centroid_chart():
+    # q is 2^-1040 sqrt(3)/2: the centre over 2^s, tau, overflows
+    coeffs = tuple(from_roots([Fraction(1), 1 + Fraction(1, 2**1040), 3]).coeffs)
     assert _covariant_chart(*_exact(coeffs)) is None
 
 

@@ -269,6 +269,25 @@ def test_cubic_roots_are_within_four_ulps_of_a_sign_change(e):
     assert checked >= 200
 
 
+def test_cubic_roots_beside_a_middle_coefficient_below_the_normal_floats_are_certified():
+    # c of the chart at the Fujiwara s underflows to 0.0: that sent the chart
+    # to s = 0, where a, b and c underflowed and the float form was the
+    # constant d, so no root was located (DomainError "fewer than 1 real
+    # roots located").  Only a lead below the normal floats takes s = 0
+    coeffs = [
+        Fraction(m) * Fraction(2) ** k
+        for m, k in [
+            (1.0328769595137381, -350),
+            (-1.4049036319828134, -689),
+            (1.9837276016467915, -703),
+            (-1.1624037044407691, 1340),
+        ]
+    ]
+    rs = cubic_roots(CubicCoeffs(*coeffs))
+    assert rs.roots == ((3.956705159209364e169, 1),)
+    assert _within_ulps_of_sign_change(coeffs, rs.roots[0][0], 1)
+
+
 def _cubic_from(leading, real, u, v2):
     """leading * (x - real) * ((x - u)^2 + v2), expanded in Fractions."""
     p, q = -2 * u, u * u + v2

@@ -527,12 +527,20 @@ def test_far_cubic_cluster_matches_the_closed_form(k):
         lambda: gaussian_integral_numeric(Fraction(7, 10**400), Fraction(-3, 10**400), 5e-324),
         # mixed input whose float form is a constant (were IndexError when centred)
         lambda: gaussian_integral_numeric(Fraction(7, 10**330), Fraction(-3, 10**400), 5e-324),
-        lambda: integral_numeric(CubicCoeffs(0, Fraction(-3, 10**400), Fraction(-3, 10**400), 1e300)),
     ],
 )
 def test_float_form_that_loses_its_leading_coefficients_fails_cleanly(call):
     with pytest.raises(NonGaussError):
         call()
+
+
+def test_float_form_with_a_small_middle_coefficient_keeps_the_fujiwara_chart():
+    # c = -3 10^-400, far below b and 1e300 at the Fujiwara s, once sent the
+    # chart to s = 0, where b and c underflowed: NoConvergence, "a root of
+    # multiplicity 3 at infinity".  At the Fujiwara s the lead is normal
+    coeffs = CubicCoeffs(0, Fraction(-3, 10**400), Fraction(-3, 10**400), 1e300)
+    closed = closed_form_integral(coeffs).value
+    assert abs(integral_numeric(coeffs).value - closed) <= 1e-14 * closed
 
 
 @pytest.mark.parametrize(
@@ -691,14 +699,15 @@ def test_zero_at_the_panel_midpoint_is_a_singular_point():
         quadrature._panel_value([1.0, 0.0], 1.0, -1.0, 1.0, 0, 0, cfg)
 
 
-def test_subnormal_gaussian_leading_coefficient_is_a_singular_point():
-    # the chart's s = 0 fallback leaves the leading coefficient about
-    # 1.5e-310, and on the panel through infinity abs(v) ** -1 of the
-    # reversed form overflowed: a bare OverflowError.  Now the rules' sums
-    # overflow next to u = 0 on every cut, down to the last half.  The
-    # closed form is 3.1415926535897933e-145
-    with pytest.raises(SingularPoint, match="unexpected interior zero at"):
-        gaussian_integral_numeric(1e-10, 1e-300, 1e300)
+def test_gaussian_with_a_subnormal_middle_coefficient_keeps_the_fujiwara_chart():
+    # b = 1e-300 between 1e-10 and 1e300 once sent the chart to s = 0, where
+    # the lead fell to about 1.5e-310 and the rules' sums overflowed next to
+    # u = 0: SingularPoint.  Only a lead below the normal floats at the
+    # Fujiwara s takes s = 0, and the lead here is normal there.  The
+    # analogue is 3.1415926535897933e-145
+    value = gaussian_integral_numeric(1e-10, 1e-300, 1e300).value
+    reference = gaussian_analogue(1e-10, 1e-300, 1e300)
+    assert abs(value - reference) <= 1e-15 * reference
 
 
 def _direct_bisected_panel(coeffs, exponent, lo, hi, m_lo, m_hi, cfg, depth=0):

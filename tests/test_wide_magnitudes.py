@@ -29,6 +29,8 @@ from nongauss import (
     closed_form_integral,
     constants,
     decompose,
+    gaussian_analogue,
+    gaussian_integral_numeric,
     integral_numeric,
     integral_numeric_general,
 )
@@ -58,6 +60,55 @@ def test_wide_magnitude_cubics_match_the_closed_form(e):
         if isinstance(numeric, str) or abs(numeric - closed) > 1e-8 * closed:
             failures.append((cubic.as_tuple(), numeric, closed))
     assert failures == []
+
+
+# E cycles through 5, 40, 150 and 300.  At the widest, a cubic's covariant
+# centre can fall below the normal floats (4 of these cubics took the
+# centroid chart and ended in NoConvergence), and a Gaussian's middle
+# coefficient can lie below the normal floats at the Fujiwara scale, which
+# sent its chart to s = 0, where the lead was subnormal (10 failures)
+_EXPONENTS = (5, 40, 150, 300)
+
+
+def test_cubics_up_to_10_to_the_300_match_the_closed_form():
+    rng = random.Random(2024)
+    failures = []
+    for i in range(1000):
+        cubic = CubicCoeffs(*_signed_magnitudes(rng, 4, _EXPONENTS[i % 4]))
+        closed = closed_form_integral(cubic).value
+        numeric = _outcome(integral_numeric, cubic)
+        if isinstance(numeric, str) or abs(numeric - closed) > 1e-9 * closed:
+            failures.append((cubic.as_tuple(), numeric, closed))
+    assert failures == []
+
+
+def test_gaussians_up_to_10_to_the_300_match_the_analogue():
+    rng = random.Random(2024)
+    failures = []
+    for i in range(1000):
+        e = _EXPONENTS[i % 4]
+        a, c = 10 ** rng.uniform(-e, e), 10 ** rng.uniform(-e, e)
+        (b,) = _signed_magnitudes(rng, 1, e)
+        try:
+            reference = gaussian_analogue(a, b, c)
+        except NonGaussError:  # D >= 0, or F beyond the float range
+            continue
+        numeric = _outcome(gaussian_integral_numeric, a, b, c)
+        if isinstance(numeric, str) or abs(numeric - reference) > 1e-9 * reference:
+            failures.append(((a, b, c), numeric, reference))
+    assert failures == []
+
+
+def test_a_pair_about_a_centre_below_the_floats_takes_the_covariant_chart():
+    # a real pair at about +-7.2e-211 whose covariant centre, about
+    # -3.3e-386, rounds to 0.0: the chart is exact about that centre (was
+    # NoConvergence, "roots within rounding of each other at 0.0", on the
+    # centroid chart)
+    cubic = CubicCoeffs(
+        7.444288524787754e-169, -3.459040760138975e289, -2.2775696289266755e-96, 1.801442111147233e-132
+    )
+    closed = closed_form_integral(cubic).value
+    assert abs(integral_numeric(cubic).value - closed) <= 1e-12 * closed
 
 
 # The worst relative error of closed_form_integral against C+- |D|^(-1/6) in

@@ -56,7 +56,7 @@ def counts(checkout: Path) -> dict:
         return result
 
     real_roots, covariant = polynomial._real_roots, [0]
-    covariant_chart = getattr(polynomial, "_covariant_chart", None)  # None in older checkouts
+    covariant_chart = polynomial._covariant_chart
 
     def counted_roots(cs):
         result = real_roots(cs)
@@ -74,8 +74,7 @@ def counts(checkout: Path) -> dict:
 
     quadrature._panel_value = counted_panel
     polynomial._real_roots = quadrature._real_roots = counted_roots
-    if covariant_chart:
-        quadrature._covariant_chart = counted_chart
+    quadrature._covariant_chart = counted_chart
     rows = {}
     for name, cls in WORKLOADS.items():
         if not name.startswith("quadrature"):
